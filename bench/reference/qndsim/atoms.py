@@ -1,0 +1,474 @@
+"""Collective-spin ensemble, probe scattering, and driven/damped evolution.
+
+The two clock levels |F=1, m=0> and |F=2, m=0> form a pseudo-spin-1/2; the
+ensemble is tracked as a mean-field Bloch vector (Jx, Jy, Jz) in spin units
+(all atoms in the lower level puts Jz at -N/2). Atoms scattered out of the
+coherent manifold into |F=2, m!=0> are counted separately as n_leak: they
+still contribute to the detected F=2 population while no longer taking part
+in the microwave dynamics, which is what lifts the mean of strongly probed
+Rabi traces.
+
+Scattering follows the saturated-Lorentzian rate model: one near-resonant
+sideband term plus three carrier terms, one per excited hyperfine level,
+weighted by the branching probabilities into F=2. Rates come out in 1/s;
+detunings are entered in ordinary frequency units against the natural
+linewidth (the carrier ones in Hz, the sideband one in units of the
+linewidth).
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+
+from .constants import (
+    BRANCHING,
+    EXCITED_SPLITTINGS,
+    GAMMA_D2_FREQ,
+    H,
+    HBAR,
+    I_SAT,
+)
+from .errors import DomainError, StepError
+
+# Probe of the destructivity measurement: 120 uW carrier / 76 nW sideband
+# focused to a 245 um waist. Peak intensity of a Gaussian beam, 2P/(pi w^2).
+DEFAULT_SIDEBAND_INTENSITY = 2 * 76e-9 / (math.pi * 245e-6**2)
+DEFAULT_CARRIER_INTENSITY = 2 * 120e-6 / (math.pi * 245e-6**2)
+DEFAULT_EXPANSION_RATE = 120.0   # Hz, cloud fall/expansion signal loss
+
+# Rotation-composition substep bound: largest angle (or rate*dt product)
+# integrated in one exact axis-angle step.
+MAX_SUBSTEP_ANGLE = 0.05
+
+
+def _carrier_detunings(modulation_frequency: float) -> tuple[float, float, float]:
+    # The carrier sits one modulation frequency below the sideband's
+    # reference transition, so its distance to the lower-lying excited
+    # levels shrinks by the respective splitting.
+    return tuple(abs(modulation_frequency - s) for s in EXCITED_SPLITTINGS)
+
+
+@dataclass(frozen=True)
+class ProbeTuning:
+    """Probe frequencies and intensities entering the scattering model.
+
+    sideband_detuning is in units of the natural linewidth; the three
+    carrier detunings are magnitudes in Hz, ordered by excited level.
+    Saturation intensities are those of the pi transitions from the probed
+    ground level with Zeeman sublevels equally populated.
+    """
+
+    sideband_detuning: float = 4.81
+    carrier_detunings: tuple[float, float, float] = _carrier_detunings(2.808e9)
+    sideband_intensity: float = DEFAULT_SIDEBAND_INTENSITY
+    carrier_intensity: float = DEFAULT_CARRIER_INTENSITY
+    linewidth: float = GAMMA_D2_FREQ
+    saturation_intensities: tuple[float, float, float] = I_SAT
+    branching: tuple[float, float, float] = BRANCHING
+
+    def __post_init__(self) -> None:
+        if self.linewidth <= 0:
+            raise DomainError("linewidth must be positive")
+        if self.sideband_intensity < 0 or self.carrier_intensity < 0:
+            raise DomainError("intensities must be nonnegative")
+        if len(self.carrier_detunings) != 3 or len(self.saturation_intensities) != 3:
+            raise DomainError("need one carrier detuning and I_sat per excited level")
+        if any(i <= 0 for i in self.saturation_intensities):
+            raise DomainError("saturation intensities must be positive")
+        if any(not 0 <= b <= 1 for b in self.branching):
+            raise DomainError("branching probabilities must lie in [0, 1]")
+
+    @classmethod
+    def from_powers(
+        cls,
+        carrier_power: float = 120e-6,
+        sideband_power: float = 76e-9,
+        waist: float = 245e-6,
+        sideband_detuning: float = 4.81,
+        modulation_frequency: float = 2.808e9,
+        **kwargs,
+    ) -> "ProbeTuning":
+        """Build a tuning from beam powers and the modulation frequency."""
+        if waist <= 0:
+            raise DomainError("waist must be positive")
+        if carrier_power < 0 or sideband_power < 0:
+            raise DomainError("powers must be nonnegative")
+        area = math.pi * waist**2
+        return cls(
+            sideband_detuning=sideband_detuning,
+            carrier_detunings=_carrier_detunings(modulation_frequency),
+            sideband_intensity=2 * sideband_power / area,
+            carrier_intensity=2 * carrier_power / area,
+            **kwargs,
+        )
+
+
+@dataclass(frozen=True)
+class RabiModel:
+    """Microwave drive plus the probe bookkeeping entering the damping model.
+
+    carrier_light_shift is the in-pulse differential shift of the clock
+    transition (joules); inhomogeneity is the dimensionless factor relating
+    shift fluctuations to dephasing. Rates in Hz mean 1/s throughout.
+    """
+
+    rabi_frequency: float = 2 * math.pi * 6.6e3   # rad/s
+    detuning: float = 0.0                         # Hz
+    carrier_light_shift: float = H * 2e3          # J
+    inhomogeneity: float = 0.162
+    residual_damping: float = 90.0                # Hz
+    probe_repetition_rate: float = 100e3          # Hz
+    probe_pulse_duration: float = 1.25e-6         # s
+
+    def __post_init__(self) -> None:
+        if self.rabi_frequency < 0:
+            raise DomainError("Rabi frequency must be nonnegative")
+        if self.inhomogeneity < 0:
+            raise DomainError("inhomogeneity factor must be nonnegative")
+        if self.residual_damping < 0:
+            raise DomainError("residual damping must be nonnegative")
+        if self.probe_repetition_rate < 0 or self.probe_pulse_duration < 0:
+            raise DomainError("probe timing must be nonnegative")
+        if self.duty_cycle > 1:
+            raise DomainError("probe duty cycle exceeds 1")
+
+    @property
+    def duty_cycle(self) -> float:
+        return self.probe_repetition_rate * self.probe_pulse_duration
+
+
+@dataclass(frozen=True)
+class EnsembleState:
+    """Mean-field state: Bloch vector, leaked population, cloud parameters."""
+
+    atom_number: float
+    jx: float = 0.0
+    jy: float = 0.0
+    jz: float = 0.0
+    n_leak: float = 0.0
+    temperature: float = 0.0
+    cloud_rms: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.atom_number < 0 or self.n_leak < 0:
+            raise DomainError("populations must be nonnegative")
+        if self.temperature < 0 or self.cloud_rms < 0:
+            raise DomainError("temperature and cloud size must be nonnegative")
+        coherent = self.atom_number - self.n_leak
+        if coherent < -1e-9 * max(1.0, self.atom_number):
+            raise DomainError("leaked population exceeds total atom number")
+        limit = max(coherent, 0.0) / 2
+        norm = math.sqrt(self.jx**2 + self.jy**2 + self.jz**2)
+        if norm > limit * (1 + 1e-9) + 1e-12:
+            raise DomainError("Bloch vector longer than (N_at - n_leak)/2")
+
+    @classmethod
+    def all_lower(cls, atom_number: float, **kwargs) -> "EnsembleState":
+        """Every atom in |F=1, m=0>: Jz = -N/2."""
+        return cls(atom_number, jz=-atom_number / 2, **kwargs)
+
+    @classmethod
+    def all_upper(cls, atom_number: float, **kwargs) -> "EnsembleState":
+        return cls(atom_number, jz=atom_number / 2, **kwargs)
+
+    @classmethod
+    def css_x(cls, atom_number: float, **kwargs) -> "EnsembleState":
+        """Coherent spin state along +x (equal superposition, zero phase)."""
+        return cls(atom_number, jx=atom_number / 2, **kwargs)
+
+    @property
+    def coherent_number(self) -> float:
+        return self.atom_number - self.n_leak
+
+    @property
+    def upper_population(self) -> float:
+        return self.coherent_number / 2 + self.jz
+
+    @property
+    def lower_population(self) -> float:
+        return self.coherent_number / 2 - self.jz
+
+    @property
+    def f2_population(self) -> float:
+        """Detected F=2 population: coherent upper level plus leaked atoms."""
+        return self.upper_population + self.n_leak
+
+    @property
+    def bloch_norm(self) -> float:
+        return math.sqrt(self.jx**2 + self.jy**2 + self.jz**2)
+
+
+def css_moments(
+    atom_number: float, polarization_axis: str = "x"
+) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """Means and variances of (Jx, Jy, Jz) for a coherent spin state.
+
+    Polarized along one axis: mean N/2 there, zero elsewhere; projection
+    noise N/4 in both transverse components and none along the
+    polarization.
+    """
+    if atom_number < 0:
+        raise DomainError("atom number must be nonnegative")
+    axes = {"x": 0, "y": 1, "z": 2}
+    if polarization_axis not in axes:
+        raise DomainError("polarization axis must be one of 'x', 'y', 'z'")
+    i = axes[polarization_axis]
+    means = [0.0, 0.0, 0.0]
+    variances = [atom_number / 4.0] * 3
+    means[i] = atom_number / 2.0
+    variances[i] = 0.0
+    return tuple(means), tuple(variances)
+
+
+def _sideband_lorentzian(tuning: ProbeTuning) -> float:
+    # saturated Lorentzian of the sideband on its reference transition,
+    # detuning already in linewidth units
+    s = tuning.sideband_intensity / tuning.saturation_intensities[2]
+    gamma_ang = 2 * math.pi * tuning.linewidth
+    return gamma_ang * (s / 2) / (1 + 4 * tuning.sideband_detuning**2 + s)
+
+
+def sideband_photon_rate(tuning: ProbeTuning) -> float:
+    """Raw sideband photon-scattering rate, before branching, 1/s."""
+    return _sideband_lorentzian(tuning)
+
+
+def carrier_pump_rate(tuning: ProbeTuning) -> float:
+    """Carrier-induced pumping rate into F=2 (branching-weighted), 1/s."""
+    gamma_ang = 2 * math.pi * tuning.linewidth
+    total = 0.0
+    for b, delta, i_sat in zip(
+        tuning.branching, tuning.carrier_detunings, tuning.saturation_intensities
+    ):
+        s = tuning.carrier_intensity / i_sat
+        total += b * gamma_ang * (s / 2) / (
+            1 + 4 * (delta / tuning.linewidth) ** 2 + s
+        )
+    return total
+
+
+def scattering_rate(
+    tuning: ProbeTuning, expansion_rate: float = DEFAULT_EXPANSION_RATE
+) -> float:
+    """Probe-induced signal decay rate, 1/s.
+
+    Sideband term (branching-weighted on its transition) plus the three
+    carrier terms plus the constant cloud fall/expansion rate. With all
+    intensities zero this returns expansion_rate exactly.
+    """
+    if expansion_rate < 0:
+        raise DomainError("expansion rate must be nonnegative")
+    return (
+        tuning.branching[2] * _sideband_lorentzian(tuning)
+        + carrier_pump_rate(tuning)
+        + expansion_rate
+    )
+
+
+def light_shift(tuning: ProbeTuning, duty_cycle: float) -> float:
+    """Duty-cycle-averaged AC Stark shift of the probed clock level, joules.
+
+    Dispersive-Lorentzian shift summed over the excited levels for the
+    carrier plus the sideband term, using the same line data as the
+    scattering model. Detunings enter as the stored magnitudes, so the
+    returned value is the shift magnitude; the far-detuned partner clock
+    level is neglected.
+    """
+    if not 0 <= duty_cycle <= 1:
+        raise DomainError("duty cycle must lie in [0, 1]")
+    gamma_ang = 2 * math.pi * tuning.linewidth
+    shift = 0.0
+    for delta, i_sat in zip(tuning.carrier_detunings, tuning.saturation_intensities):
+        delta_ang = 2 * math.pi * delta
+        shift += (
+            (HBAR * gamma_ang**2 / 8)
+            * (tuning.carrier_intensity / i_sat)
+            * delta_ang
+            / (delta_ang**2 + gamma_ang**2 / 4)
+        )
+    delta_s = 2 * math.pi * tuning.sideband_detuning * tuning.linewidth
+    shift += (
+        (HBAR * gamma_ang**2 / 8)
+        * (tuning.sideband_intensity / tuning.saturation_intensities[2])
+        * delta_s
+        / (delta_s**2 + gamma_ang**2 / 4)
+    )
+    return duty_cycle * shift
+
+
+def rabi_frequency_pull(
+    rabi_frequency: float, shift_a: float, shift_b: float
+) -> float:
+    """Generalized-Rabi frequency difference between two light shifts, Hz.
+
+    [sqrt(Omega^2 + (2*pi*shift_a)^2) - sqrt(Omega^2 + (2*pi*shift_b)^2)]
+    / (2*pi), with the shifts in Hz acting as effective detunings.
+    """
+    if rabi_frequency < 0:
+        raise DomainError("Rabi frequency must be nonnegative")
+    wa = math.hypot(rabi_frequency, 2 * math.pi * shift_a)
+    wb = math.hypot(rabi_frequency, 2 * math.pi * shift_b)
+    return (wa - wb) / (2 * math.pi)
+
+
+def damping_rate(model: RabiModel, spontaneous_rate: float) -> float:
+    """Rabi-oscillation damping rate: spontaneous + shift + residual, 1/s.
+
+    The shift term is alpha*DeltaE_c^2/(2*hbar^2*Omega_R); it needs a
+    nonzero Rabi frequency whenever the shift itself is nonzero.
+    """
+    if spontaneous_rate < 0:
+        raise DomainError("spontaneous rate must be nonnegative")
+    if model.carrier_light_shift == 0:
+        shift_term = 0.0
+    elif model.rabi_frequency == 0:
+        raise DomainError("shift damping undefined at zero Rabi frequency")
+    else:
+        shift_term = (
+            model.inhomogeneity
+            * model.carrier_light_shift**2
+            / (2 * HBAR**2 * model.rabi_frequency)
+        )
+    return spontaneous_rate + shift_term + model.residual_damping
+
+
+def _rotate(jx, jy, jz, ax, az, angle):
+    # exact rotation about the unit axis (ax, 0, az) by angle (Rodrigues)
+    c = math.cos(angle)
+    s = math.sin(angle)
+    dot = ax * jx + az * jz
+    # cross product (ax,0,az) x (jx,jy,jz)
+    cx = -az * jy
+    cy = az * jx - ax * jz
+    cz = ax * jy
+    return (
+        jx * c + cx * s + ax * dot * (1 - c),
+        jy * c + cy * s,
+        jz * c + cz * s + az * dot * (1 - c),
+    )
+
+
+def evolve(
+    state: EnsembleState,
+    drive: RabiModel,
+    tuning: ProbeTuning,
+    dt: float,
+    leak_fraction: float = 0.5,
+    drive_phase: float = 0.0,
+) -> EnsembleState:
+    """Advance the ensemble by dt under microwave drive and pulsed probing.
+
+    Per substep, in order: exact axis-angle rotation of the Bloch vector
+    about (Omega_R*cos(phase), Omega_R*sin(phase), 2*pi*detuning_total),
+    where detuning_total adds the duty-averaged differential light shift to
+    the microwave detuning; exponential damping of the components
+    perpendicular to the rotation axis at the rate from damping_rate (the
+    damping rate is defined as the fitted envelope rate of the driven
+    oscillation, and the inhomogeneous-rate dephasing it models spares the
+    axis-parallel component; with no rotation at all the z coherence
+    damps); population transfer. The transfer branches: upper-level
+    atoms scatter sideband photons and land in |F=2, m!=0> with probability
+    leak_fraction, lower-level atoms are pumped to F=2 by the carrier (they
+    join the incoherent leaked pool as well). Substepping keeps every
+    per-step angle and rate-time product below 0.05.
+
+    Probe rates are duty-cycle averaged over the whole step; sub-period
+    pulse gating is not resolved (callers sampling at the probe period see
+    the identical average).
+
+    Negative dt runs the exact algebraic inverse of the positive-dt step
+    and exists for reversibility verification.
+
+    Raises StepError if the step leaves the state violating its invariants.
+    """
+    if dt == 0:
+        return state
+    duty = drive.duty_cycle
+    shift = light_shift(tuning, duty)
+    omega_z = 2 * math.pi * (drive.detuning + shift / H)
+    omega_x = drive.rabi_frequency * math.cos(drive_phase)
+    omega_y = drive.rabi_frequency * math.sin(drive_phase)
+    rot = math.sqrt(omega_x**2 + omega_y**2 + omega_z**2)
+    spont = scattering_rate(tuning, expansion_rate=0.0) * duty
+    beta = damping_rate(drive, spont)
+    if not 0 <= leak_fraction <= 1:
+        raise DomainError("leak fraction must lie in [0, 1]")
+    leak = sideband_photon_rate(tuning) * duty * leak_fraction
+    pump = carrier_pump_rate(tuning) * duty
+
+    fastest = max(rot, beta, leak, pump)
+    n_sub = max(1, math.ceil(fastest * abs(dt) / MAX_SUBSTEP_ANGLE))
+    tau = dt / n_sub
+
+    jx, jy, jz = state.jx, state.jy, state.jz
+    coherent = state.coherent_number
+    n_leak = state.n_leak
+    if rot > 0:
+        ax, ay, az = omega_x / rot, omega_y / rot, omega_z / rot
+    damp = math.exp(-beta * tau)
+    for _ in range(n_sub):
+        if rot > 0:
+            if ay == 0.0:
+                jx, jy, jz = _rotate(jx, jy, jz, ax, az, rot * tau)
+            else:
+                # general axis: rotate frame so the drive lies along x
+                cph = math.cos(drive_phase)
+                sph = math.sin(drive_phase)
+                rx = cph * jx + sph * jy
+                ry = -sph * jx + cph * jy
+                axp = math.hypot(ax, ay)
+                rx, ry, jz = _rotate(rx, ry, jz, axp, az, rot * tau)
+                jx = cph * rx - sph * ry
+                jy = sph * rx + cph * ry
+        if rot > 0:
+            dot = ax * jx + ay * jy + az * jz
+            jx = dot * ax + damp * (jx - dot * ax)
+            jy = dot * ay + damp * (jy - dot * ay)
+            jz = dot * az + damp * (jz - dot * az)
+        else:
+            jx *= damp
+            jy *= damp
+        if leak != 0.0:
+            upper = coherent / 2 + jz
+            d_leak = upper * -math.expm1(-leak * tau)
+            jz -= d_leak / 2
+            coherent -= d_leak
+            n_leak += d_leak
+        if pump != 0.0:
+            lower = coherent / 2 - jz
+            d_pump = lower * -math.expm1(-pump * tau)
+            jz += d_pump / 2
+            coherent -= d_pump
+            n_leak += d_pump
+        # scattering cannot leave the shrunken manifold over-polarized
+        limit = max(coherent, 0.0) / 2
+        trans = math.hypot(jx, jy)
+        allowed = limit**2 - jz**2
+        if trans**2 > allowed:
+            factor = math.sqrt(max(allowed, 0.0)) / trans if trans > 0 else 0.0
+            jx *= factor
+            jy *= factor
+    try:
+        return replace(state, jx=jx, jy=jy, jz=jz, n_leak=n_leak)
+    except DomainError as exc:
+        raise StepError(f"invariants violated after step: {exc}") from exc
+
+
+def squeezing_estimate(
+    phase_per_atom: float, atom_number: float, photon_number: float
+) -> tuple[float, float]:
+    """Measurement strength and projected squeezing, (kappa^2, xi^2).
+
+    kappa^2 = phi^2 * N_at * N_s / 2 and xi^2 = 1/(1 + kappa^2).
+    """
+    if atom_number < 0 or photon_number < 0:
+        raise DomainError("atom and photon numbers must be nonnegative")
+    kappa_sq = phase_per_atom**2 * atom_number * photon_number / 2
+    return kappa_sq, 1.0 / (1.0 + kappa_sq)
+
+
+def cavity_enhancement(finesse: float, snr_single_pass: float) -> float:
+    """SNR gain from placing the probe in a resonator: snr * sqrt(finesse)."""
+    if finesse <= 0:
+        raise DomainError("finesse must be positive")
+    return snr_single_pass * math.sqrt(finesse)

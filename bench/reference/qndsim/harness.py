@@ -1,0 +1,525 @@
+"""Pulse-sequence engine: composes the ensemble and detection models into
+simulated experiments, adds Monte Carlo detection noise, and fits traces.
+
+A sequence is an ordered list of microwave-pulse and free-evolution
+segments; probing is a global sampling clock (repetition rate, pulse
+duration, probe tuning) that runs concurrently with every segment, the way
+the experiments interleave 1.25 us detection pulses with the microwave
+drive. All phases are tracked in the frame of the microwave oscillator, so
+a detuned frame keeps precessing during free evolution; that precession is
+the interferometric phase.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+from scipy.optimize import brentq, curve_fit
+
+from .atoms import (
+    EnsembleState,
+    ProbeTuning,
+    RabiModel,
+    evolve,
+    sideband_photon_rate,
+)
+from .errors import DomainError, FitDiverged, RegimeError, StepError
+from .heterodyne import (
+    DetectorModel,
+    ModulatedProbe,
+    PhaseShiftTriple,
+    atomic_phase,
+    demodulated_signal,
+    noise_sigma,
+    sample_noisy_signal,
+)
+
+
+@dataclass(frozen=True)
+class MicrowavePulse:
+    """Drive segment: Rabi frequency (rad/s), duration, detuning (Hz), phase."""
+
+    rabi_frequency: float
+    duration: float
+    detuning: float = 0.0
+    phase: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.duration <= 0:
+            raise DomainError("segment duration must be positive")
+        if self.rabi_frequency < 0:
+            raise DomainError("Rabi frequency must be nonnegative")
+
+
+@dataclass(frozen=True)
+class FreeEvolution:
+    """Undriven segment; the frame detuning keeps accumulating phase."""
+
+    duration: float
+    detuning: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.duration <= 0:
+            raise DomainError("segment duration must be positive")
+
+
+@dataclass(frozen=True)
+class ProbeGate:
+    """Probe sampling clock: pulse timing plus the optical tuning."""
+
+    repetition_rate: float = 100e3
+    pulse_duration: float = 1.25e-6
+    tuning: ProbeTuning = field(default_factory=ProbeTuning)
+
+    def __post_init__(self) -> None:
+        if self.repetition_rate <= 0 or self.pulse_duration <= 0:
+            raise DomainError("probe timing must be positive")
+        if self.duty_cycle > 1:
+            raise DomainError("probe duty cycle exceeds 1")
+
+    @property
+    def duty_cycle(self) -> float:
+        return self.repetition_rate * self.pulse_duration
+
+    @property
+    def period(self) -> float:
+        return 1.0 / self.repetition_rate
+
+
+@dataclass(frozen=True)
+class PulseSequence:
+    segments: tuple
+    probe: ProbeGate | None = None
+    max_duration: float = 1.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "segments", tuple(self.segments))
+        for seg in self.segments:
+            if not isinstance(seg, (MicrowavePulse, FreeEvolution)):
+                raise DomainError(f"unknown segment type {type(seg).__name__}")
+        if self.total_duration > self.max_duration:
+            raise DomainError(
+                f"sequence runs {self.total_duration:.6f} s, "
+                f"over the configured maximum {self.max_duration:.6f} s"
+            )
+
+    @property
+    def total_duration(self) -> float:
+        return sum(seg.duration for seg in self.segments)
+
+    def segment_window(self, index: int) -> tuple[float, float]:
+        """Start/end times of one segment within the sequence."""
+        start = sum(seg.duration for seg in self.segments[:index])
+        return start, start + self.segments[index].duration
+
+
+@dataclass(frozen=True)
+class Trace:
+    """Sampled detector record plus provenance metadata."""
+
+    times: np.ndarray
+    signal: np.ndarray
+    metadata: dict
+    final_state: EnsembleState | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
+        object.__setattr__(self, "signal", np.asarray(self.signal, dtype=float))
+        if self.times.shape != self.signal.shape:
+            raise DomainError("time and signal arrays must have equal length")
+        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
+            raise DomainError("time samples must be strictly increasing")
+
+
+def _fingerprint(*objects) -> str:
+    # dataclass reprs are deterministic; good enough to tie artifacts to
+    # the exact inputs that produced them
+    text = "|".join(repr(o) for o in objects)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _segment_model(seg, gate: ProbeGate | None, template: RabiModel) -> RabiModel:
+    rep = gate.repetition_rate if gate else 0.0
+    dur = gate.pulse_duration if gate else 0.0
+    if isinstance(seg, MicrowavePulse):
+        return replace(
+            template,
+            rabi_frequency=seg.rabi_frequency,
+            detuning=seg.detuning,
+            probe_repetition_rate=rep,
+            probe_pulse_duration=dur,
+        )
+    # free evolution: the shift-inhomogeneity dephasing term is normalized
+    # by the drive and only defined while driving, so its bookkeeping input
+    # is zeroed; light-shift precession still comes in through the tuning
+    return replace(
+        template,
+        rabi_frequency=0.0,
+        detuning=seg.detuning,
+        carrier_light_shift=0.0,
+        probe_repetition_rate=rep,
+        probe_pulse_duration=dur,
+    )
+
+
+def run_sequence(
+    seq: PulseSequence,
+    initial: EnsembleState,
+    probe: ModulatedProbe,
+    det: DetectorModel,
+    seed: int = 0,
+    template: RabiModel | None = None,
+    leak_fraction: float = 0.5,
+    noiseless: bool = False,
+    record_states: bool = False,
+) -> Trace:
+    """Step the ensemble through the sequence, sampling at the probe clock.
+
+    Each probe pulse converts the detected F=2 population (coherent upper
+    level plus leaked atoms) into a dispersive phase, runs it through the
+    demodulation chain and adds one shot of detection noise. Without a
+    probe gate the ensemble evolves but nothing is sampled. Deterministic
+    for a fixed seed. `template` supplies the damping bookkeeping
+    (light shift, inhomogeneity, residual damping) reused by every
+    segment.
+
+    StepError and RegimeError from inside a segment are re-raised with the
+    segment index prepended.
+    """
+    rng = np.random.default_rng(seed)
+    base = template if template is not None else RabiModel()
+    gate = seq.probe
+    state = initial
+    times: list[float] = []
+    volts: list[float] = []
+    states: list[tuple[float, EnsembleState]] = []
+
+    def measure(t: float) -> None:
+        phi = atomic_phase(
+            gate.tuning.sideband_detuning * gate.tuning.linewidth,
+            state.f2_population,
+            probe.beam_waist,
+            state.cloud_rms,
+            linewidth=gate.tuning.linewidth,
+        )
+        ideal = demodulated_signal(probe, PhaseShiftTriple(phi_plus=phi), det)
+        value = ideal if noiseless else sample_noisy_signal(
+            ideal, det, probe, gate.pulse_duration, rng
+        )
+        times.append(t)
+        volts.append(value)
+        if record_states:
+            states.append((t, state))
+
+    t_now = 0.0
+    sample_index = 0
+    eps = 1e-12
+    if gate is not None:
+        measure(0.0)
+        sample_index = 1
+    for idx, seg in enumerate(seq.segments):
+        model = _segment_model(seg, gate, base)
+        seg_start = t_now
+        seg_end = seg_start + seg.duration
+        try:
+            while gate is not None:
+                t_next = sample_index * gate.period
+                if t_next > seg_end + eps:
+                    break
+                if t_next > t_now + eps:
+                    state = evolve(
+                        state, model, gate.tuning, t_next - t_now,
+                        leak_fraction=leak_fraction,
+                        drive_phase=getattr(seg, "phase", 0.0),
+                    )
+                    t_now = t_next
+                measure(t_now)
+                sample_index += 1
+            if seg_end > t_now + eps:
+                tuning = gate.tuning if gate is not None else ProbeTuning(
+                    sideband_intensity=0.0, carrier_intensity=0.0
+                )
+                state = evolve(
+                    state, model, tuning, seg_end - t_now,
+                    leak_fraction=leak_fraction,
+                    drive_phase=getattr(seg, "phase", 0.0),
+                )
+                t_now = seg_end
+        except (StepError, RegimeError) as exc:
+            raise type(exc)(f"segment {idx}: {exc}") from exc
+
+    metadata = {
+        "seed": seed,
+        "config_hash": _fingerprint(seq, initial, probe, det, leak_fraction),
+        "sample_period": gate.period if gate else None,
+        "noiseless": noiseless,
+    }
+    if record_states:
+        metadata["states"] = states
+    return Trace(np.array(times), np.array(volts), metadata, final_state=state)
+
+
+@dataclass(frozen=True)
+class SineFit:
+    frequency: float      # Hz
+    damping: float        # 1/s
+    amplitude: float
+    phase: float
+    offset: float
+    drift: float
+    std_errors: dict
+    residual_rms: float
+
+
+@dataclass(frozen=True)
+class ExpFit:
+    tau: float
+    rate: float           # 1/(pi*tau)
+    amplitude: float
+    offset: float
+    degenerate: bool
+    std_errors: dict
+    residual_rms: float
+
+
+def _sine_model(t, amp, damping, freq, phase, offset, drift):
+    return amp * np.exp(-damping * t) * np.cos(2 * np.pi * freq * t + phase) \
+        + offset + drift * t
+
+
+def fit_damped_sine(trace: Trace, window: float | None = None) -> SineFit:
+    """Least-squares fit of a damped cosine with linear offset drift.
+
+    Initial frequency from the discrete spectral peak of the detrended
+    window, damping from a log-envelope regression over chunk maxima.
+    Raises FitDiverged for degenerate input or a non-converging fit.
+    """
+    t = trace.times
+    y = trace.signal
+    if window is not None:
+        keep = t <= window
+        t, y = t[keep], y[keep]
+    if t.size < 10:
+        raise FitDiverged(f"only {t.size} samples in window, need at least 10")
+    if np.std(y) <= 1e-12 * max(float(np.max(np.abs(y))), 1e-300):
+        raise FitDiverged("flat trace: oscillation amplitude is degenerate")
+    t0 = t - t[0]
+    drift0, offset0 = np.polyfit(t0, y, 1)
+    resid = y - (offset0 + drift0 * t0)
+    dt = np.median(np.diff(t0))
+    spectrum = np.fft.rfft(resid)
+    freqs = np.fft.rfftfreq(t0.size, dt)
+    k = 1 + int(np.argmax(np.abs(spectrum[1:])))
+    f0 = freqs[k]
+    phase0 = math.atan2(-spectrum[k].imag, spectrum[k].real)
+    # damping from chunk-maxima envelope regression
+    n_chunks = max(4, min(8, t0.size // 8))
+    chunks = np.array_split(np.arange(t0.size), n_chunks)
+    env_t = np.array([t0[c].mean() for c in chunks])
+    env_a = np.array([np.abs(resid[c]).max() for c in chunks])
+    if np.all(env_a > 0):
+        beta0 = max(0.0, -np.polyfit(env_t, np.log(env_a), 1)[0])
+    else:
+        beta0 = 0.0
+    amp0 = env_a[0]
+    p0 = [amp0, beta0, f0, phase0, offset0, drift0]
+    try:
+        popt, pcov = curve_fit(_sine_model, t0, y, p0=p0, maxfev=20000)
+    except RuntimeError as exc:
+        rms = float(np.sqrt(np.mean((_sine_model(t0, *p0) - y) ** 2)))
+        raise FitDiverged(
+            f"damped-sine fit did not converge (seed residual rms {rms:.3e})"
+        ) from exc
+    if popt[0] < 0:     # canonical sign: positive amplitude
+        popt[0] = -popt[0]
+        popt[3] += math.pi
+    popt[3] = math.atan2(math.sin(popt[3]), math.cos(popt[3]))
+    if popt[2] < 0:
+        popt[2] = -popt[2]
+        popt[3] = -popt[3]
+    errs = np.sqrt(np.abs(np.diag(pcov)))
+    resid_rms = float(np.sqrt(np.mean((_sine_model(t0, *popt) - y) ** 2)))
+    names = ("amplitude", "damping", "frequency", "phase", "offset", "drift")
+    # offset refers to t=0 of the fitted window
+    return SineFit(
+        frequency=float(popt[2]),
+        damping=float(popt[1]),
+        amplitude=float(popt[0]),
+        phase=float(popt[3]),
+        offset=float(popt[4]),
+        drift=float(popt[5]),
+        std_errors=dict(zip(names, (float(e) for e in errs))),
+        residual_rms=resid_rms,
+    )
+
+
+def _exp_model(t, amp, tau, offset):
+    return amp * np.exp(-t / tau) + offset
+
+
+def fit_exponential(trace: Trace) -> ExpFit:
+    """Fit A*exp(-t/tau) + offset; reports tau and the rate 1/(pi*tau)."""
+    t = trace.times
+    y = trace.signal
+    if t.size < 4:
+        raise FitDiverged(f"only {t.size} samples, need at least 4")
+    t0 = t - t[0]
+    if np.std(y) <= 1e-12 * max(float(np.max(np.abs(y))), 1e-300):
+        return ExpFit(
+            tau=math.inf, rate=0.0, amplitude=0.0, offset=float(y.mean()),
+            degenerate=True, std_errors={}, residual_rms=0.0,
+        )
+    tail = y[-max(1, t.size // 10):].mean()
+    amp0 = y[0] - tail
+    span = t0[-1] if t0[-1] > 0 else 1.0
+    p0 = [amp0 if amp0 != 0 else np.std(y), span / 3, tail]
+    try:
+        popt, pcov = curve_fit(_exp_model, t0, y, p0=p0, maxfev=20000)
+    except RuntimeError as exc:
+        raise FitDiverged("exponential fit did not converge") from exc
+    tau = float(abs(popt[1]))
+    errs = np.sqrt(np.abs(np.diag(pcov)))
+    resid_rms = float(np.sqrt(np.mean((_exp_model(t0, *popt) - y) ** 2)))
+    return ExpFit(
+        tau=tau,
+        rate=1.0 / (math.pi * tau),
+        amplitude=float(popt[0]),
+        offset=float(popt[2]),
+        degenerate=False,
+        std_errors=dict(zip(("amplitude", "tau", "offset"),
+                            (float(e) for e in errs))),
+        residual_rms=resid_rms,
+    )
+
+
+def destructivity_at_unit_snr(
+    gate: ProbeGate,
+    ensemble: EnsembleState,
+    probe: ModulatedProbe,
+    det: DetectorModel,
+) -> float:
+    """Scattering events per atom when one probe pulse reaches SNR = 1.
+
+    Trace SNR here is the ideal demodulated signal of a single pulse over
+    the rms noise in the pulse-matched bandwidth; this single-pulse
+    definition is a modeling choice. The sideband power is scanned, everything else
+    fixed; the returned destructivity counts sideband photon scattering
+    only, over one pulse duration.
+    """
+    if ensemble.f2_population <= 0:
+        raise DomainError("need detectable F=2 population")
+    phi = atomic_phase(
+        gate.tuning.sideband_detuning * gate.tuning.linewidth,
+        ensemble.f2_population,
+        probe.beam_waist,
+        ensemble.cloud_rms,
+        linewidth=gate.tuning.linewidth,
+    )
+    base_ps = probe.sideband_power if probe.sideband_power > 0 else 76e-9
+
+    def snr_of(log_ps: float) -> float:
+        ps = 10.0**log_ps
+        scaled = replace(
+            probe,
+            sideband_power=ps,
+            modulation_depth=math.sqrt(ps / probe.carrier_power),
+        )
+        ideal = demodulated_signal(scaled, PhaseShiftTriple(phi_plus=phi), det)
+        return abs(ideal) / noise_sigma(det, scaled, gate.pulse_duration)
+
+    lo, hi = math.log10(base_ps) - 9, math.log10(0.09 * probe.carrier_power)
+    if snr_of(hi) < 1.0:
+        raise DomainError("unit SNR unreachable within the modulation regime")
+    log_ps = brentq(lambda lp: snr_of(lp) - 1.0, lo, hi, xtol=1e-12)
+    ps = 10.0**log_ps
+    scaled_tuning = replace(
+        gate.tuning,
+        sideband_intensity=gate.tuning.sideband_intensity
+        * ps / base_ps if probe.sideband_power > 0 else 2 * ps / (
+            math.pi * probe.beam_waist**2),
+    )
+    return sideband_photon_rate(scaled_tuning) * gate.pulse_duration
+
+
+def build_spin_echo(
+    pi_duration: float = 74.5e-6,
+    total_duration: float = 500e-6,
+    detuning: float = 0.0,
+    rabi_frequency: float | None = None,
+    gap: float | None = None,
+    probe: ProbeGate | None = None,
+) -> PulseSequence:
+    """pi/2 - gap - pi - gap - pi/2 sequence about one axis.
+
+    By default the two symmetric free-evolution gaps are sized to fill
+    total_duration (the experiments ran the whole sequence inside 500 us);
+    pass gap explicitly (0 suppresses free evolution) to override.
+    """
+    if pi_duration <= 0:
+        raise DomainError("pi duration must be positive")
+    omega = rabi_frequency if rabi_frequency is not None \
+        else math.pi / pi_duration
+    if gap is None:
+        gap = (total_duration - 2 * pi_duration) / 2
+    if gap < 0:
+        raise DomainError("gaps would be negative; enlarge total_duration")
+    half = MicrowavePulse(omega, pi_duration / 2, detuning=detuning)
+    full = MicrowavePulse(omega, pi_duration, detuning=detuning)
+    segments: list = [half]
+    if gap > 0:
+        segments.append(FreeEvolution(gap, detuning=detuning))
+    segments.append(full)
+    if gap > 0:
+        segments.append(FreeEvolution(gap, detuning=detuning))
+    segments.append(half)
+    return PulseSequence(tuple(segments), probe=probe)
+
+
+def mid_pulse_amplitude(trace: Trace, seq: PulseSequence) -> float:
+    """Half peak-to-peak signal during the middle microwave pulse.
+
+    Locates the central of the three microwave segments (the echo's pi
+    pulse) and measures the sampled signal swing inside its window.
+    """
+    pulses = [i for i, s in enumerate(seq.segments)
+              if isinstance(s, MicrowavePulse)]
+    if len(pulses) != 3:
+        raise DomainError("sequence does not look like a three-pulse echo")
+    start, end = seq.segment_window(pulses[1])
+    inside = (trace.times >= start - 1e-12) & (trace.times <= end + 1e-12)
+    if not np.any(inside):
+        raise DomainError("no samples inside the central pulse")
+    window = trace.signal[inside]
+    return float(window.max() - window.min()) / 2
+
+
+def write_trace_csv(trace: Trace, path) -> None:
+    """CSV of (time s, signal V). repr keeps round-trip exactness."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("time_s,signal_v\n")
+        for t, v in zip(trace.times, trace.signal):
+            fh.write(f"{float(t)!r},{float(v)!r}\n")
+
+
+def write_bloch_csv(states, path) -> None:
+    """CSV of the recorded Bloch trajectory (t, Jx, Jy, Jz, N_leak)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("time_s,jx,jy,jz,n_leak\n")
+        for t, st in states:
+            fh.write(f"{float(t)!r},{float(st.jx)!r},{float(st.jy)!r},"
+                     f"{float(st.jz)!r},{float(st.n_leak)!r}\n")
+
+
+def write_fit_json(fit, path, extra: dict | None = None) -> None:
+    """JSON sidecar for a fit result (sorted keys, deterministic)."""
+    payload = {k: (v if not isinstance(v, float) or math.isfinite(v)
+                   else repr(v))
+               for k, v in vars(fit).items()}
+    if extra:
+        payload.update(extra)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")

@@ -1,0 +1,397 @@
+"""Phase-modulated probe, atomic phase pickup, photodetection and demodulation.
+
+A phase-modulated beam carries a strong carrier and two weak sidebands at
++/- the modulation frequency. One sideband sits near an atomic transition
+and picks up a dispersive phase; beating the triplet on a fast photodiode
+and demodulating at the modulation frequency converts that phase into a
+voltage. Because all three components share one optical path, length noise
+enters only through the modulation wavelength lambda_mod = 2*pi*c/Omega,
+not the optical wavelength, which is the source of the scheme's common-mode
+noise rejection.
+
+Sign conventions follow the demodulation by sin(Omega*t + Phi_dem) with the
+matched phase Phi_dem = Omega*L/c: the in-phase quadrature carries the
+dispersive terms (DeltaPhi_minus), the orthogonal quadrature the
+path-length-sensitive terms (DeltaPhi_plus).
+"""
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from .constants import C, E_CHARGE, GAMMA_D2_FREQ, PROBE_WAVELENGTH
+from .errors import DomainError, RegimeError, RegimeWarning
+
+SMALL_PHASE_LIMIT = 0.3    # rad, validity bound for the expansions
+SMALL_BETA_LIMIT = 0.3     # modulation depth bound for the two-sideband model
+
+
+@dataclass(frozen=True)
+class ModulatedProbe:
+    """Phase-modulated probe beam.
+
+    carrier_detuning is the carrier offset from the reference transition;
+    the probing sideband then sits at carrier_detuning + Omega/(2*pi).
+    ram_asymmetry is the residual-amplitude-modulation imbalance epsilon
+    between the two sidebands.
+    """
+
+    carrier_power: float = 120e-6          # W
+    modulation_depth: float = 0.025        # beta
+    modulation_frequency: float = 2 * math.pi * 2.808e9   # Omega, rad/s
+    ram_asymmetry: float = 1e-2            # epsilon
+    carrier_detuning: float = -2.808e9     # Hz
+    sideband_power: float = 76e-9          # W per sideband
+    beam_waist: float = 245e-6             # m
+    path_length: float = 1.0               # modulator-to-detector, m
+
+    def __post_init__(self) -> None:
+        if self.modulation_depth < 0:
+            raise DomainError("modulation depth must be nonnegative")
+        if self.modulation_depth > SMALL_BETA_LIMIT:
+            raise RegimeError(
+                f"modulation depth {self.modulation_depth} outside the "
+                f"two-sideband regime (beta <= {SMALL_BETA_LIMIT})"
+            )
+        if not abs(self.ram_asymmetry) < 1:
+            raise DomainError("|ram_asymmetry| must be below 1")
+        if self.carrier_power < 0 or self.sideband_power < 0:
+            raise DomainError("optical powers must be nonnegative")
+        if self.modulation_frequency <= 0:
+            raise DomainError("modulation frequency must be positive")
+        if self.beam_waist <= 0:
+            raise DomainError("beam waist must be positive")
+
+    @property
+    def modulation_wavelength(self) -> float:
+        """lambda_mod = 2*pi*c/Omega, the length scale of path-noise pickup."""
+        return 2.0 * math.pi * C / self.modulation_frequency
+
+    @property
+    def matched_demod_phase(self) -> float:
+        """Demodulation phase that selects the dispersive quadrature."""
+        return self.modulation_frequency * self.path_length / C
+
+
+@dataclass(frozen=True)
+class PhaseShiftTriple:
+    """Atomic phase on (lower sideband, carrier, upper sideband), radians."""
+
+    phi_minus: float = 0.0
+    phi_carrier: float = 0.0
+    phi_plus: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("phi_minus", "phi_carrier", "phi_plus"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
+
+    @property
+    def max_abs(self) -> float:
+        return max(abs(self.phi_minus), abs(self.phi_carrier), abs(self.phi_plus))
+
+
+@dataclass(frozen=True)
+class DetectorModel:
+    """Fast photodiode with integrated transimpedance amplifier and buffer."""
+
+    sensitivity: float = 0.5      # eta, A/W
+    transimpedance: float = 1466.0  # R_F, ohm
+    buffer_gain: float = 2.0      # g
+    load: float = 50.0            # R_L, ohm
+    bandwidth: float = 1e6        # Hz
+    kappa_e: float = 165e-6       # electronic-noise-equivalent optical power, W
+
+    def __post_init__(self) -> None:
+        for name in ("sensitivity", "transimpedance", "buffer_gain", "load",
+                     "bandwidth"):
+            if getattr(self, name) <= 0:
+                raise DomainError(f"{name} must be positive")
+        if self.kappa_e < 0:
+            raise DomainError("kappa_e must be nonnegative")
+
+    @property
+    def gain(self) -> float:
+        """G_PD = g * R_F * eta, volts out per watt of detected light."""
+        return self.buffer_gain * self.transimpedance * self.sensitivity
+
+
+def atomic_phase(
+    detuning: float,
+    atom_number: float,
+    beam_waist: float,
+    cloud_rms: float,
+    linewidth: float = GAMMA_D2_FREQ,
+    wavelength: float = PROBE_WAVELENGTH,
+) -> float:
+    """Dispersive phase a near-resonant component picks up crossing the cloud.
+
+    phi = -(rho_0/2) * (2*delta/Gamma) / (1 + (2*delta/Gamma)^2), with the
+    resonant optical density rho_0 = N*sigma_0/(2*pi*(sigma^2 + w^2/4)) from
+    the Gaussian beam/cloud overlap and sigma_0 = 3*lambda^2/(2*pi).
+
+    This closed form is a standard steady-state two-level model adopted to
+    connect atom number to signal; saturation and multilevel structure are
+    out of scope. Emits RegimeWarning above 0.3 rad, where downstream
+    expansions stop being accurate.
+    """
+    if beam_waist <= 0 or cloud_rms < 0:
+        raise DomainError("beam waist must be positive, cloud size nonnegative")
+    if atom_number < 0:
+        raise DomainError("atom number must be nonnegative")
+    if linewidth <= 0:
+        raise DomainError("linewidth must be positive")
+    sigma_0 = 3.0 * wavelength**2 / (2.0 * math.pi)
+    rho_0 = atom_number * sigma_0 / (
+        2.0 * math.pi * (cloud_rms**2 + beam_waist**2 / 4.0))
+    x = 2.0 * detuning / linewidth
+    phi = -(rho_0 / 2.0) * x / (1.0 + x * x)
+    if abs(phi) > SMALL_PHASE_LIMIT:
+        warnings.warn(
+            f"atomic phase {phi:.3f} rad exceeds the small-phase regime",
+            RegimeWarning,
+            stacklevel=2,
+        )
+    return phi
+
+
+def exact_phase_terms(
+    phases: PhaseShiftTriple,
+) -> tuple[float, float, float, float]:
+    """Exact quadrature coefficients (DPhi+, DPhi-, DPhi+AM, DPhi-AM).
+
+    The pure-phase-modulation pair is
+
+        DPhi+ = cos(phi_1 - phi_0) - cos(phi_0 - phi_-1)
+        DPhi- = sin(phi_1 - phi_0) - sin(phi_0 - phi_-1)
+
+    and the amplitude-modulation pair replaces the difference with a sum.
+    Valid at any phase; no small-angle assumption.
+    """
+    a = phases.phi_plus - phases.phi_carrier
+    b = phases.phi_carrier - phases.phi_minus
+    return (
+        math.cos(a) - math.cos(b),
+        math.sin(a) - math.sin(b),
+        math.cos(a) + math.cos(b),
+        math.sin(a) + math.sin(b),
+    )
+
+
+def small_phase_expansion(
+    phases: PhaseShiftTriple,
+) -> tuple[float, float, float, float]:
+    """Second-order expansions of the quadrature coefficients.
+
+    Returns (DPhi+, DPhi-, DPhi+AM, DPhi-AM):
+
+        DPhi+    = (phi_1 - phi_-1)*(2*phi_0 - phi_1 - phi_-1)/2
+        DPhi-    = phi_1 + phi_-1 - 2*phi_0
+        DPhi+AM  = 2 + ((phi_1 - phi_0)^2 + (phi_-1 - phi_0)^2)/2
+        DPhi-AM  = phi_1 - phi_-1
+
+    The AM plus coefficient keeps the published sign of its quadratic term;
+    expanding exact_phase_terms gives that term with a minus. The two forms
+    differ only at O(phi^2) on top of the constant 2 and nothing downstream
+    resolves the difference.
+
+    Raises RegimeError beyond 0.3 rad.
+    """
+    if phases.max_abs > SMALL_PHASE_LIMIT:
+        raise RegimeError(
+            f"|phi| = {phases.max_abs:.3f} rad outside the expansion regime"
+        )
+    p1, p0, pm = phases.phi_plus, phases.phi_carrier, phases.phi_minus
+    return (
+        0.5 * (p1 - pm) * (2.0 * p0 - p1 - pm),
+        p1 + pm - 2.0 * p0,
+        2.0 + 0.5 * ((p1 - p0) ** 2 + (pm - p0) ** 2),
+        p1 - pm,
+    )
+
+
+def demodulated_signal(
+    probe: ModulatedProbe,
+    phases: PhaseShiftTriple,
+    det: DetectorModel,
+    demod_phase: float | None = None,
+    path_error: float = 0.0,
+) -> float:
+    """Demodulated detector voltage for a given atomic phase triple.
+
+    Mixes the beat note with sin(Omega*t + Phi_dem). At the matched phase
+    (the default) and zero path error the output is the pure dispersive
+    quadrature
+
+        S = G_PD * beta * P_opt * (DPhi- + eps*DPhi-AM)
+
+    so a single probed upper sideband gives S = G_PD*beta*P_opt*sin(phi_at).
+    A path-length error deltaL (or a deliberate demodulation offset)
+    rotates in the orthogonal quadrature at 2*pi*deltaL/lambda_mod:
+
+        S = G*beta*P*[cos(chi)*(DPhi- + eps*DPhi-AM)
+                      + sin(chi)*(DPhi+ + eps*DPhi+AM)]
+
+    with chi = 2*pi*path_error/lambda_mod + (Phi_dem - matched). The exact
+    trigonometric coefficient forms are used throughout.
+
+    Raises RegimeError when the phases leave the small-phase regime the
+    calibration assumes.
+    """
+    if phases.max_abs > SMALL_PHASE_LIMIT:
+        raise RegimeError(
+            f"|phi| = {phases.max_abs:.3f} rad outside the small-phase regime"
+        )
+    d_plus, d_minus, d_plus_am, d_minus_am = exact_phase_terms(phases)
+    eps = probe.ram_asymmetry
+    chi = 2.0 * math.pi * path_error / probe.modulation_wavelength
+    if demod_phase is not None:
+        chi += demod_phase - probe.matched_demod_phase
+    scale = det.gain * probe.modulation_depth * probe.carrier_power
+    return scale * (
+        math.cos(chi) * (d_minus + eps * d_minus_am)
+        + math.sin(chi) * (d_plus + eps * d_plus_am)
+    )
+
+
+def length_noise_signal(
+    probe: ModulatedProbe,
+    phi_at: float,
+    det: DetectorModel,
+    path_error: float,
+) -> float:
+    """Compact law for the path-noise leakage of a single-sideband probe.
+
+    delta_S_L = G_PD * beta * P_opt * (phi_at^2 + eps) * deltaL/lambda_mod.
+
+    This is the published small-signal budget figure. The full mixing chain
+    in demodulated_signal carries the same scaling in deltaL/lambda_mod but
+    order-unity different numerical coefficients (2*pi and the split
+    between the phi^2 and eps terms); both are kept because the budget
+    figure is what sensitivity ratios are quoted against.
+    """
+    return (
+        det.gain
+        * probe.modulation_depth
+        * probe.carrier_power
+        * (phi_at**2 + probe.ram_asymmetry)
+        * path_error
+        / probe.modulation_wavelength
+    )
+
+
+def interferometer_length_signal(
+    probe: ModulatedProbe,
+    det: DetectorModel,
+    path_error: float,
+    wavelength: float = 1e-6,
+) -> float:
+    """Path-length signal of an optical-wavelength-referenced interferometer.
+
+    Same signal scale G_PD*beta*P_opt, but a fringe per optical wavelength:
+    delta_S = G*beta*P*deltaL/lambda. Reference point for rejection ratios.
+    """
+    if wavelength <= 0:
+        raise DomainError("wavelength must be positive")
+    return (
+        det.gain
+        * probe.modulation_depth
+        * probe.carrier_power
+        * path_error
+        / wavelength
+    )
+
+
+def noise_rejection_ratio(
+    probe: ModulatedProbe, phi_at: float, wavelength: float = 1e-6
+) -> float:
+    """Length-noise sensitivity relative to a lambda-referenced interferometer.
+
+    (phi_at^2 + eps) * lambda / lambda_mod; about seven orders of magnitude
+    at microwave modulation frequencies and percent-level RAM.
+    """
+    if wavelength <= 0:
+        raise DomainError("wavelength must be positive")
+    return (phi_at**2 + probe.ram_asymmetry) * wavelength / probe.modulation_wavelength
+
+
+def detection_snr(n_s: float, n_c: float, n_e: float, phi_at: float) -> float:
+    """Shot-noise-limited SNR of the heterodyne detection.
+
+    sqrt(N_s*N_c)/sqrt(N_s + N_c + N_e) * sin(phi_at), with N_s the photons
+    detected in the probing sideband, N_c in the carrier and N_e the
+    technical noise expressed as a photon number. For N_c >> N_e this tends
+    to sqrt(N_s)*sin(phi_at), independent of carrier power.
+    """
+    if n_s < 0 or n_c < 0 or n_e < 0:
+        raise DomainError("photon numbers must be nonnegative")
+    denom = n_s + n_c + n_e
+    if denom == 0:
+        return 0.0
+    return math.sqrt(n_s * n_c / denom) * math.sin(phi_at)
+
+
+def shot_noise_psd(det: DetectorModel, p_opt: float) -> float:
+    """Output noise power spectral density on the load, W/Hz.
+
+    2*e*G_PD^2*(P_opt + kappa_e)/(R_L*eta): shot noise linear in optical
+    power plus the electronic floor expressed through the equivalent
+    optical power kappa_e.
+    """
+    if p_opt < 0:
+        raise DomainError("optical power must be nonnegative")
+    return (
+        2.0 * E_CHARGE * det.gain**2 * (p_opt + det.kappa_e)
+        / (det.load * det.sensitivity)
+    )
+
+
+def gain_from_psd_slope(slope: float, load: float, sensitivity: float) -> float:
+    """Invert the PSD-vs-power slope back to the detector gain G_PD."""
+    if slope < 0 or load <= 0 or sensitivity <= 0:
+        raise DomainError("slope must be nonnegative, load and eta positive")
+    return math.sqrt(slope * load * sensitivity / (2.0 * E_CHARGE))
+
+
+def detected_photons(det: DetectorModel, power: float, duration: float) -> float:
+    """Photoelectron count from optical power on the photodiode over a pulse."""
+    if power < 0 or duration < 0:
+        raise DomainError("power and duration must be nonnegative")
+    return det.sensitivity * power * duration / E_CHARGE
+
+
+def noise_sigma(det: DetectorModel, probe: ModulatedProbe, pulse_duration: float) -> float:
+    """RMS voltage noise of one demodulated sample of a probe pulse.
+
+    Integrates the local-oscillator shot noise plus electronic floor over
+    the matched bandwidth 1/(2*T) of a pulse of duration T.
+    """
+    if pulse_duration <= 0:
+        raise DomainError("pulse duration must be positive")
+    bandwidth = 1.0 / (2.0 * pulse_duration)
+    psd = shot_noise_psd(det, probe.carrier_power)
+    return math.sqrt(psd * det.load * bandwidth)
+
+
+def sample_noisy_signal(
+    ideal: float,
+    det: DetectorModel,
+    probe: ModulatedProbe,
+    pulse_duration: float,
+    rng,
+) -> float:
+    """One Monte Carlo realization of a demodulated sample.
+
+    Adds zero-mean Gaussian noise with the variance of noise_sigma. rng is
+    a numpy Generator (or a seed for one); callers own the RNG state, which
+    keeps seed-indexed trials independent and deterministic.
+    """
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    sigma = noise_sigma(det, probe, pulse_duration)
+    if sigma == 0.0:
+        return ideal
+    return ideal + rng.normal(0.0, sigma)
