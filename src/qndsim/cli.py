@@ -1,10 +1,14 @@
 """Command line front end: config ingestion, dispatch, CSV/JSON emission.
 
 Configs are JSON with unit-suffixed field names (waist_um, carrier_power_uw)
-so a number can never silently change meaning. Every run writes its data
-artifacts plus a manifest carrying the seed and a hash of the semantically
-meaningful config fields; re-running a config with the same seed reproduces
-every output byte for byte.
+so a number can never silently change meaning. FIELDS gives each field its
+kind, default and bounds. A config resolves against it either to field-path
+diagnostics or to typed values with every default filled in, which the
+runners read and the manifest's config hash covers; an omitted default and
+the same value written out hash alike. NaN and Infinity are rejected with
+their field path, and no run writes a non-finite number into an artifact.
+Re-running a config with the same seed reproduces every output byte for
+byte.
 
 Exit codes: 0 success, 2 config error (with line/field diagnostics),
 3 physics/regime error during a run, 1 internal error.
@@ -15,9 +19,10 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +39,7 @@ from .atoms import (
     squeezing_estimate,
 )
 from .cavity import CavityGeometry, solve_mode, transverse_spectrum
-from .constants import C, K_B
+from .constants import C, GAMMA_D2_FREQ, K_B
 from .errors import (
     ConfigError,
     DomainError,
@@ -57,6 +62,8 @@ from .harness import (
     write_trace_csv,
 )
 from .heterodyne import (
+    SMALL_BETA_LIMIT,
+    SMALL_PHASE_LIMIT,
     DetectorModel,
     ModulatedProbe,
     PhaseShiftTriple,
@@ -69,17 +76,6 @@ from .heterodyne import (
 from .trap import DipoleTrapConfig, potential_at, trap_depth, trap_frequencies
 
 SCHEMA_VERSION = 1
-SCENARIOS = (
-    "cavity-spectrum",
-    "trap-map",
-    "noise-sweep",
-    "scattering-sweep",
-    "rabi",
-    "spin-echo",
-    "squeezing",
-)
-SMALL_PHASE_LIMIT = 0.3
-SMALL_BETA_LIMIT = 0.3
 
 # keys that don't change what is simulated: out_dir is placement, the seed
 # is recorded in the manifest as its own field, description is annotation
@@ -87,47 +83,164 @@ NON_SEMANTIC_KEYS = ("out_dir", "seed", "description")
 
 _TOP_LEVEL_KEYS = ("schema_version", "scenario", "seed", "out_dir",
                    "description")
-_SECTION_BY_SCENARIO = {
-    "cavity-spectrum": ("cavity",),
-    "trap-map": ("trap", "grid"),
-    "noise-sweep": ("probe", "detector", "sweep"),
-    "scattering-sweep": ("tuning", "sweep"),
-    "rabi": ("drive", "probe_gate", "ensemble", "detector", "options"),
-    "spin-echo": ("echo", "probe_gate", "ensemble", "detector", "options"),
-    "squeezing": ("squeezing",),
-}
 _OPTIONAL_SECTIONS = {"detector", "options", "grid"}
+
+
+# ------------------------------------------------------------ field table
+
+NUMBER = "number"
+INTEGER = "integer"
+BOOL = "bool"
+NULLABLE = "number or null"
+NUMBER_LIST = "number list"
+REQUIRED = "required"
+POSITIVE = ("> 0.0",)
+NONNEGATIVE = (">= 0.0",)
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+@dataclass(frozen=True)
+class _Field:
+    section: str
+    key: str
+    kind: str
+    default: object     # REQUIRED, or the value an omitted field takes
+    bounds: tuple = ()  # "<op> <limit>" strings, each read "must be ..."
+
+
+_DETECTOR = (
+    _Field("detector", "sensitivity_a_per_w", NUMBER, 0.5, POSITIVE),
+    _Field("detector", "transimpedance_v_per_a", NUMBER, 1466.0, POSITIVE),
+    _Field("detector", "buffer_gain", NUMBER, 2.0, POSITIVE),
+    _Field("detector", "load_ohm", NUMBER, 50.0, POSITIVE),
+    _Field("detector", "bandwidth_mhz", NUMBER, 1.0, POSITIVE),
+    _Field("detector", "kappa_e_uw", NUMBER, 165.0, NONNEGATIVE),
+)
+_GATE_AND_ENSEMBLE = (
+    _Field("probe_gate", "repetition_rate_khz", NUMBER, 100.0, POSITIVE),
+    _Field("probe_gate", "pulse_duration_us", NUMBER, 1.25, POSITIVE),
+    _Field("probe_gate", "sideband_detuning_linewidths", NUMBER, 7.9),
+    _Field("probe_gate", "carrier_power_uw", NUMBER, 70.0, NONNEGATIVE),
+    _Field("probe_gate", "sideband_power_nw", NUMBER, 90.0, NONNEGATIVE),
+    _Field("probe_gate", "waist_um", NUMBER, REQUIRED, POSITIVE),
+    _Field("probe_gate", "modulation_frequency_ghz", NUMBER, 2.5, POSITIVE),
+    _Field("probe_gate", "backaction", BOOL, True),
+    _Field("ensemble", "atom_number", NUMBER, 1e7, NONNEGATIVE),
+    _Field("ensemble", "cloud_rms_um", NUMBER, 300.0, NONNEGATIVE),
+)
+
+# Every field each scenario reads. Scenarios share a section by its name:
+# a scenario list accepts the union of their keys in it, and each scenario
+# fills in its own defaults.
+FIELDS = {
+    "cavity-spectrum": (
+        _Field("cavity", "fsr_mhz", NUMBER, 976.2, POSITIVE),
+        _Field("cavity", "mirror_radius_mm", NUMBER, 100.0, POSITIVE),
+        _Field("cavity", "fold_angle_deg", NUMBER, 45.0,
+               ("> 0.0", "<= 90.0")),
+        _Field("cavity", "segment_ratio", NUMBER, math.sqrt(2.0), POSITIVE),
+        _Field("cavity", "astigmatism_factor", NUMBER, 1.020, POSITIVE),
+        _Field("cavity", "wavelength_nm", NUMBER, 1560.0, POSITIVE),
+        _Field("cavity", "max_transverse_order", INTEGER, 5,
+               (">= 0", "<= 50")),
+    ),
+    "trap-map": (
+        _Field("trap", "power_per_arm_w", NUMBER, 200.0, NONNEGATIVE),
+        _Field("trap", "waist_par_um", NUMBER, REQUIRED, POSITIVE),
+        _Field("trap", "waist_perp_um", NUMBER, REQUIRED, POSITIVE),
+        _Field("trap", "backscatter_depth", NUMBER, 0.0,
+               (">= 0.0", "<= 0.999999")),
+        _Field("grid", "half_span_um", NUMBER, 150.0, POSITIVE),
+        _Field("grid", "points_per_axis", INTEGER, 13, (">= 2", "<= 101")),
+    ),
+    "noise-sweep": (
+        _Field("probe", "carrier_power_uw", NUMBER, 120.0, NONNEGATIVE),
+        _Field("probe", "sideband_power_nw", NUMBER, 76.0, NONNEGATIVE),
+        _Field("probe", "modulation_depth", NUMBER, 0.025, NONNEGATIVE),
+        _Field("probe", "modulation_frequency_ghz", NUMBER, 2.808, POSITIVE),
+        _Field("probe", "ram_asymmetry", NUMBER, 0.01),
+        _Field("probe", "path_length_m", NUMBER, 1.0, NONNEGATIVE),
+        _Field("probe", "beam_waist_um", NUMBER, REQUIRED, POSITIVE),
+        _Field("probe", "carrier_detuning_ghz", NUMBER, -2.808),
+        *_DETECTOR,
+        _Field("sweep", "phi_at_rad", NUMBER, 0.1),
+        _Field("sweep", "path_error_max_um", NUMBER, 100.0, POSITIVE),
+        _Field("sweep", "points", INTEGER, 41, (">= 2", "<= 100001")),
+        _Field("sweep", "reference_wavelength_um", NUMBER, 1.0, POSITIVE),
+    ),
+    "scattering-sweep": (
+        _Field("tuning", "carrier_power_uw", NUMBER, 120.0, NONNEGATIVE),
+        _Field("tuning", "sideband_power_nw", NUMBER, 76.0, NONNEGATIVE),
+        _Field("tuning", "waist_um", NUMBER, REQUIRED, POSITIVE),
+        _Field("tuning", "modulation_frequency_ghz", NUMBER, 2.808, POSITIVE),
+        _Field("tuning", "expansion_rate_hz", NUMBER, 120.0, NONNEGATIVE),
+        _Field("sweep", "detuning_min_linewidths", NUMBER, 0.5),
+        _Field("sweep", "detuning_max_linewidths", NUMBER, 10.0),
+        _Field("sweep", "points", INTEGER, 96, (">= 2", "<= 100001")),
+    ),
+    "rabi": (
+        _Field("drive", "rabi_frequency_khz", NUMBER, 6.6, NONNEGATIVE),
+        _Field("drive", "detuning_hz", NUMBER, 0.0),
+        _Field("drive", "duration_ms", NUMBER, 2.0, POSITIVE),
+        _Field("drive", "residual_damping_hz", NUMBER, 90.0, NONNEGATIVE),
+        _Field("drive", "inhomogeneity", NUMBER, 0.162, NONNEGATIVE),
+        *_GATE_AND_ENSEMBLE,
+        *_DETECTOR,
+        _Field("options", "noiseless", BOOL, False),
+        _Field("options", "fit_window_ms", NUMBER, 0.8, POSITIVE),
+    ),
+    "spin-echo": (
+        _Field("echo", "pi_duration_us", NUMBER, 74.5, POSITIVE),
+        _Field("echo", "total_duration_us", NUMBER, 500.0, POSITIVE),
+        _Field("echo", "gap_us", NULLABLE, None, (">= 0",)),
+        _Field("echo", "detunings_hz", NUMBER_LIST,
+               (0.0, 1000.0, 1200.0, 1800.0)),
+        _Field("echo", "residual_damping_hz", NUMBER, 0.0, NONNEGATIVE),
+        *_GATE_AND_ENSEMBLE,
+        *_DETECTOR,
+        _Field("options", "noiseless", BOOL, True),
+    ),
+    "squeezing": (
+        _Field("squeezing", "phase_per_atom_rad", NUMBER, 1e-5),
+        _Field("squeezing", "atom_number", NUMBER, 1e6, NONNEGATIVE),
+        _Field("squeezing", "photon_number", NUMBER, 1e5, NONNEGATIVE),
+        _Field("squeezing", "finesse", NULLABLE, None, ("> 0",)),
+    ),
+}
+SCENARIOS = tuple(FIELDS)
 
 
 # --------------------------------------------------------------- plumbing
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+@dataclass(frozen=True)
+class _NonFinite:
+    """A NaN or Infinity token, which json accepts though JSON has none.
+
+    Parsed into this type, it fails the check of the field that holds it.
+    """
+
+    token: str
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, overrides: list[str]) -> dict:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_constant=_NonFinite)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    return cfg
-
-
-def _apply_overrides(cfg: dict, pairs: list[str]) -> dict:
-    for pair in pairs:
+    for pair in overrides:
         if "=" not in pair:
             raise ConfigError(f"--set {pair!r}: expected key.path=value")
         dotted, raw = pair.split("=", 1)
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, parse_constant=_NonFinite)
         except json.JSONDecodeError:
             value = raw
         node = cfg
@@ -142,431 +255,272 @@ def _apply_overrides(cfg: dict, pairs: list[str]) -> dict:
     return cfg
 
 
-def config_hash(cfg: dict) -> str:
-    """Hash of the semantically meaningful config content."""
-    trimmed = {k: v for k, v in cfg.items() if k not in NON_SEMANTIC_KEYS}
-    canon = json.dumps(trimmed, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
 def _write_json(path: Path, payload: dict) -> None:
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise RegimeError(f"{path.name}: non-finite value in output") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(
-                cell if isinstance(cell, str) else _fmt(cell)
-                for cell in row) + "\n")
+            line = ",".join(cell if isinstance(cell, str) else
+                            repr(float(cell)) for cell in row)
+            # repr spells every non-finite float nan, inf or -inf
+            if "nan" in line or "inf" in line:
+                raise RegimeError(
+                    f"{path.name}: non-finite value in row {line}")
+            fh.write(line + "\n")
 
 
-# ------------------------------------------------------------- validation
+# ------------------------------------------------------------- resolution
 
-class _Checker:
-    """Accumulates field-path diagnostics over one config."""
+def _number(path: str, value, bounds: tuple, noun: str, complain):
+    """``value`` as a finite float, complaining unless it is one in bounds."""
+    if isinstance(value, _NonFinite):
+        number = math.nan
+    elif not isinstance(value, (int, float)) or isinstance(value, bool):
+        complain(path, f"must be {noun}")
+        return None
+    else:
+        try:
+            number = float(value)
+        except OverflowError:     # an integer beyond the float range
+            number = math.inf
+    if not math.isfinite(number):
+        complain(path, "must be a finite number")
+        return None
+    for bound in bounds:
+        op, limit = bound.split()
+        if not _COMPARE[op](number, float(limit)):
+            complain(path, f"must be {bound}")
+    return number
 
-    def __init__(self, cfg: dict):
-        self.cfg = cfg
-        self.problems: list[str] = []
 
-    def complain(self, path: str, message: str) -> None:
-        self.problems.append(f"{path}: {message}")
+def _typed(row: _Field, sec: dict | None, complain):
+    """One field's value, typed and checked, or its default if omitted.
 
-    def section(self, name: str, known: tuple[str, ...]) -> dict:
-        sec = self.cfg.get(name)
-        if sec is None:
-            return {}
-        if not isinstance(sec, dict):
-            self.complain(name, "must be a JSON object")
-            return {}
-        for key in sec:
-            if key not in known:
-                self.complain(f"{name}.{key}", "unknown field")
-        return sec
-
-    def require(self, secname: str, key: str) -> None:
-        sec = self.cfg.get(secname)
-        if isinstance(sec, dict) and key not in sec:
-            self.complain(f"{secname}.{key}", "required field is missing")
-
-    def number(self, sec: dict, secname: str, key: str, default,
-               minimum=None, maximum=None, exclusive_min=False):
-        value = sec.get(key, default)
-        path = f"{secname}.{key}"
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            self.complain(path, "must be a number")
-            return default
-        if minimum is not None:
-            if exclusive_min and value <= minimum:
-                self.complain(path, f"must be > {minimum}")
-            elif not exclusive_min and value < minimum:
-                self.complain(path, f"must be >= {minimum}")
-        if maximum is not None and value > maximum:
-            self.complain(path, f"must be <= {maximum}")
-        return float(value)
-
-    def integer(self, sec: dict, secname: str, key: str, default,
-                minimum=None, maximum=None):
-        value = sec.get(key, default)
-        path = f"{secname}.{key}"
-        if not isinstance(value, int) or isinstance(value, bool):
-            self.complain(path, "must be an integer")
-            return default
-        if minimum is not None and value < minimum:
-            self.complain(path, f"must be >= {minimum}")
-        if maximum is not None and value > maximum:
-            self.complain(path, f"must be <= {maximum}")
+    ``sec`` is None for an absent or malformed section, reported once.
+    """
+    path = f"{row.section}.{row.key}"
+    if sec is not None and row.key in sec:
+        value = sec[row.key]
+    elif row.default != REQUIRED:
+        value = row.default
+    else:
+        if sec is not None:
+            complain(path, "required field is missing")
+        return None
+    if row.kind == BOOL:
+        if not isinstance(value, bool):
+            complain(path, "must be true or false")
+            return None
         return value
+    if row.kind == NUMBER_LIST:
+        if not isinstance(value, (list, tuple)) or not value:
+            complain(path, "must be a nonempty list")
+            return None
+        return [_number(f"{path}[{i}]", x, (), "a number", complain)
+                for i, x in enumerate(value)]
+    if row.kind == NULLABLE and value is None:
+        return None
+    if row.kind == INTEGER and (not isinstance(value, int)
+                                or isinstance(value, bool)):
+        complain(path, "must be an integer")
+        return None
+    noun = "a number or null" if row.kind == NULLABLE else "a number"
+    number = _number(path, value, row.bounds, noun, complain)
+    # integers stay int: they count grid points and spectrum orders
+    return value if row.kind == INTEGER and number is not None else number
 
 
-def _scenario_list(cfg: dict) -> list[str]:
+def _resolve(cfg: dict) -> tuple[dict, list[str]]:
+    """The config resolved against FIELDS, and its diagnostics.
+
+    Beside the scenario list, seed and output directory, the resolved config
+    maps each scenario to ``{section: {key: value}}`` for every field it
+    reads. It is only complete without diagnostics, when the regime checks
+    run over it.
+    """
+    problems: list[str] = []
+
+    def complain(path: str, message: str) -> None:
+        problems.append(f"{path}: {message}")
+
+    version = cfg.get("schema_version")
+    if version != SCHEMA_VERSION:
+        complain("schema_version",
+                 f"must be {SCHEMA_VERSION}, got {version!r}")
     raw = cfg.get("scenario")
-    if isinstance(raw, str):
-        return [raw]
-    if isinstance(raw, list):
-        return list(raw)
-    return []
+    listed = [raw] if isinstance(raw, str) else raw
+    if not isinstance(listed, list):
+        complain("scenario", "required field is missing" if raw is None
+                 else "must be a string or list of strings")
+        listed = []
+    scenarios: list[str] = []
+    for i, name in enumerate(listed):
+        if not isinstance(name, str):
+            complain(f"scenario[{i}]", "must be a string")
+        elif name not in SCENARIOS:
+            complain("scenario", f"unknown scenario {name!r}; "
+                                 f"choices: {', '.join(SCENARIOS)}")
+        elif name in scenarios:
+            complain("scenario", f"{name!r} is listed more than once")
+        else:
+            scenarios.append(name)
+    seed = cfg.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        complain("seed", "must be a nonnegative integer")
+    for key in ("out_dir", "description"):
+        if key in cfg and not isinstance(cfg[key], str):
+            complain(key, "must be a string")
+
+    resolved = {"schema_version": SCHEMA_VERSION, "scenario": scenarios,
+                "seed": seed, "out_dir": cfg.get("out_dir", "artifacts")}
+    known: dict[str, set] = {}
+    for name in scenarios:
+        values = resolved[name] = {}
+        for row in FIELDS[name]:
+            known.setdefault(row.section, set()).add(row.key)
+            if row.section not in cfg \
+                    and row.section not in _OPTIONAL_SECTIONS:
+                complain(row.section, f"section required by scenario "
+                                      f"{name!r} is missing")
+            sec = cfg.get(row.section)
+            values.setdefault(row.section, {})[row.key] = _typed(
+                row, sec if isinstance(sec, dict) else None, complain)
+    for section, sec in cfg.items():
+        if section in _TOP_LEVEL_KEYS:
+            continue
+        if section not in known:
+            complain(section, "unknown field")
+        elif not isinstance(sec, dict):
+            complain(section, "must be a JSON object")
+        else:
+            for key in sec:
+                if key not in known[section]:
+                    complain(f"{section}.{key}", "unknown field")
+    if not problems:
+        for name in scenarios:
+            for section, check in _CHECKS.get(name, ()):
+                try:
+                    check(resolved[name], complain)
+                except (ArithmeticError, ValueError, QndSimError) as exc:
+                    complain(section, "regime checks cannot be evaluated at "
+                             f"these values ({type(exc).__name__}: {exc})")
+    # scenarios that share a section report its problems once
+    return resolved, list(dict.fromkeys(problems))
 
 
 def validate_config(cfg: dict) -> list[str]:
     """Schema plus no-execution physics-regime checks; returns diagnostics."""
-    chk = _Checker(cfg)
-    version = cfg.get("schema_version")
-    if version != SCHEMA_VERSION:
-        chk.complain("schema_version",
-                     f"must be {SCHEMA_VERSION}, got {version!r}")
-    raw = cfg.get("scenario")
-    if raw is None:
-        chk.complain("scenario", "required field is missing")
-        scenarios = []
-    elif isinstance(raw, str):
-        scenarios = [raw]
-    elif isinstance(raw, list):
-        scenarios = []
-        for i, name in enumerate(raw):
-            if not isinstance(name, str):
-                chk.complain(f"scenario[{i}]", "must be a string")
-            else:
-                scenarios.append(name)
-    else:
-        chk.complain("scenario", "must be a string or list of strings")
-        scenarios = []
-    for name in scenarios:
-        if name not in SCENARIOS:
-            chk.complain("scenario",
-                         f"unknown scenario {name!r}; "
-                         f"choices: {', '.join(SCENARIOS)}")
-    scenarios = [s for s in scenarios if s in SCENARIOS]
-
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        chk.complain("seed", "must be a nonnegative integer")
-    if "out_dir" in cfg and not isinstance(cfg["out_dir"], str):
-        chk.complain("out_dir", "must be a string")
-    if "description" in cfg and not isinstance(cfg["description"], str):
-        chk.complain("description", "must be a string")
-
-    allowed = set(_TOP_LEVEL_KEYS)
-    for name in scenarios:
-        allowed.update(_SECTION_BY_SCENARIO[name])
-    for key in cfg:
-        if key not in allowed:
-            chk.complain(key, "unknown field")
-    for name in scenarios:
-        for section in _SECTION_BY_SCENARIO[name]:
-            if section not in cfg and section not in _OPTIONAL_SECTIONS:
-                chk.complain(section,
-                             f"section required by scenario {name!r} "
-                             "is missing")
-        _VALIDATORS[name](chk)
-    return chk.problems
+    return _resolve(cfg)[1]
 
 
-def _validate_cavity(chk: _Checker) -> None:
-    sec = chk.section("cavity", (
-        "fsr_mhz", "mirror_radius_mm", "fold_angle_deg", "segment_ratio",
-        "astigmatism_factor", "wavelength_nm", "max_transverse_order"))
-    chk.number(sec, "cavity", "fsr_mhz", 976.2, minimum=0.0,
-               exclusive_min=True)
-    chk.number(sec, "cavity", "mirror_radius_mm", 100.0, minimum=0.0,
-               exclusive_min=True)
-    chk.number(sec, "cavity", "fold_angle_deg", 45.0, minimum=0.0,
-               maximum=90.0, exclusive_min=True)
-    chk.number(sec, "cavity", "segment_ratio", math.sqrt(2.0), minimum=0.0,
-               exclusive_min=True)
-    chk.number(sec, "cavity", "astigmatism_factor", 1.020, minimum=0.0,
-               exclusive_min=True)
-    chk.number(sec, "cavity", "wavelength_nm", 1560.0, minimum=0.0,
-               exclusive_min=True)
-    chk.integer(sec, "cavity", "max_transverse_order", 5, minimum=0,
-                maximum=50)
+def config_hash(cfg: dict) -> str:
+    """Hash of the resolved config without its non-semantic keys.
+
+    Raises ConfigError for a config that does not resolve.
+    """
+    resolved, problems = _resolve(cfg)
+    if problems:
+        raise ConfigError("cannot hash an invalid configuration: "
+                          + "; ".join(problems))
+    semantic = {k: v for k, v in resolved.items()
+                if k not in NON_SEMANTIC_KEYS}
+    canon = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _validate_trap(chk: _Checker) -> None:
-    sec = chk.section("trap", (
-        "power_per_arm_w", "waist_par_um", "waist_perp_um",
-        "backscatter_depth"))
-    chk.number(sec, "trap", "power_per_arm_w", 200.0, minimum=0.0)
-    chk.require("trap", "waist_par_um")
-    chk.require("trap", "waist_perp_um")
-    chk.number(sec, "trap", "waist_par_um", 93.1, minimum=0.0,
-               exclusive_min=True)
-    chk.number(sec, "trap", "waist_perp_um", 129.8, minimum=0.0,
-               exclusive_min=True)
-    chk.number(sec, "trap", "backscatter_depth", 0.0, minimum=0.0,
-               maximum=0.999999)
-    grid = chk.section("grid", ("half_span_um", "points_per_axis"))
-    chk.number(grid, "grid", "half_span_um", 150.0, minimum=0.0,
-               exclusive_min=True)
-    chk.integer(grid, "grid", "points_per_axis", 13, minimum=2, maximum=101)
+# --------------------------------------------------------- regime checks
+# Cross-field checks over one scenario's resolved values, listed under the
+# section named when one of them cannot be evaluated.
 
-
-def _detector_fields(chk: _Checker) -> DetectorModel | None:
-    sec = chk.section("detector", (
-        "sensitivity_a_per_w", "transimpedance_v_per_a", "buffer_gain",
-        "load_ohm", "bandwidth_mhz", "kappa_e_uw"))
-    eta = chk.number(sec, "detector", "sensitivity_a_per_w", 0.5,
-                     minimum=0.0, exclusive_min=True)
-    rf = chk.number(sec, "detector", "transimpedance_v_per_a", 1466.0,
-                    minimum=0.0, exclusive_min=True)
-    g = chk.number(sec, "detector", "buffer_gain", 2.0, minimum=0.0,
-                   exclusive_min=True)
-    load = chk.number(sec, "detector", "load_ohm", 50.0, minimum=0.0,
-                      exclusive_min=True)
-    bw = chk.number(sec, "detector", "bandwidth_mhz", 1.0, minimum=0.0,
-                    exclusive_min=True)
-    ke = chk.number(sec, "detector", "kappa_e_uw", 165.0, minimum=0.0)
-    if chk.problems:
-        return None
-    return DetectorModel(sensitivity=eta, transimpedance=rf, buffer_gain=g,
-                         load=load, bandwidth=bw * 1e6, kappa_e=ke * 1e-6)
-
-
-def _validate_noise(chk: _Checker) -> None:
-    sec = chk.section("probe", (
-        "carrier_power_uw", "sideband_power_nw", "modulation_depth",
-        "modulation_frequency_ghz", "ram_asymmetry", "path_length_m",
-        "beam_waist_um", "carrier_detuning_ghz"))
-    chk.number(sec, "probe", "carrier_power_uw", 120.0, minimum=0.0)
-    chk.number(sec, "probe", "sideband_power_nw", 76.0, minimum=0.0)
-    beta = chk.number(sec, "probe", "modulation_depth", 0.025, minimum=0.0)
+def _probe_regime(v: dict, complain) -> None:
+    beta = v["probe"]["modulation_depth"]
+    phi = v["sweep"]["phi_at_rad"]
+    if abs(v["probe"]["ram_asymmetry"]) >= 1:
+        complain("probe.ram_asymmetry", "must satisfy |eps| < 1")
     if beta > SMALL_BETA_LIMIT:
-        chk.complain("probe.modulation_depth",
-                     f"{beta} outside the two-sideband regime "
-                     f"(must be <= {SMALL_BETA_LIMIT})")
-    chk.number(sec, "probe", "modulation_frequency_ghz", 2.808, minimum=0.0,
-               exclusive_min=True)
-    ram = chk.number(sec, "probe", "ram_asymmetry", 0.01)
-    if abs(ram) >= 1:
-        chk.complain("probe.ram_asymmetry", "must satisfy |eps| < 1")
-    chk.number(sec, "probe", "path_length_m", 1.0, minimum=0.0)
-    chk.require("probe", "beam_waist_um")
-    chk.number(sec, "probe", "beam_waist_um", 245.0, minimum=0.0,
-               exclusive_min=True)
-    chk.number(sec, "probe", "carrier_detuning_ghz", -2.808)
-    _detector_fields(chk)
-    sweep = chk.section("sweep", (
-        "phi_at_rad", "path_error_max_um", "points",
-        "reference_wavelength_um"))
-    phi = chk.number(sweep, "sweep", "phi_at_rad", 0.1)
+        complain("probe.modulation_depth",
+                 f"{beta} outside the two-sideband regime "
+                 f"(must be <= {SMALL_BETA_LIMIT})")
     if abs(phi) > SMALL_PHASE_LIMIT:
-        chk.complain("sweep.phi_at_rad",
-                     f"|{phi}| outside the small-phase regime "
-                     f"(must be <= {SMALL_PHASE_LIMIT})")
-    chk.number(sweep, "sweep", "path_error_max_um", 100.0, minimum=0.0,
-               exclusive_min=True)
-    chk.integer(sweep, "sweep", "points", 41, minimum=2, maximum=100001)
-    chk.number(sweep, "sweep", "reference_wavelength_um", 1.0, minimum=0.0,
-               exclusive_min=True)
+        complain("sweep.phi_at_rad",
+                 f"|{phi}| outside the small-phase regime "
+                 f"(must be <= {SMALL_PHASE_LIMIT})")
 
 
-def _validate_scattering(chk: _Checker) -> None:
-    sec = chk.section("tuning", (
-        "carrier_power_uw", "sideband_power_nw", "waist_um",
-        "modulation_frequency_ghz", "expansion_rate_hz"))
-    chk.number(sec, "tuning", "carrier_power_uw", 120.0, minimum=0.0)
-    chk.number(sec, "tuning", "sideband_power_nw", 76.0, minimum=0.0)
-    chk.require("tuning", "waist_um")
-    chk.number(sec, "tuning", "waist_um", 245.0, minimum=0.0,
-               exclusive_min=True)
-    chk.number(sec, "tuning", "modulation_frequency_ghz", 2.808,
-               minimum=0.0, exclusive_min=True)
-    chk.number(sec, "tuning", "expansion_rate_hz", 120.0, minimum=0.0)
-    sweep = chk.section("sweep", (
-        "detuning_min_linewidths", "detuning_max_linewidths", "points"))
-    lo = chk.number(sweep, "sweep", "detuning_min_linewidths", 0.5)
-    hi = chk.number(sweep, "sweep", "detuning_max_linewidths", 10.0)
-    if hi <= lo:
-        chk.complain("sweep.detuning_max_linewidths",
-                     "must exceed detuning_min_linewidths")
-    chk.integer(sweep, "sweep", "points", 96, minimum=2, maximum=100001)
+def _sweep_order(v: dict, complain) -> None:
+    sweep = v["sweep"]
+    if sweep["detuning_max_linewidths"] <= sweep["detuning_min_linewidths"]:
+        complain("sweep.detuning_max_linewidths",
+                 "must exceed detuning_min_linewidths")
 
 
-def _gate_fields(chk: _Checker) -> None:
-    sec = chk.section("probe_gate", (
-        "repetition_rate_khz", "pulse_duration_us",
-        "sideband_detuning_linewidths", "carrier_power_uw",
-        "sideband_power_nw", "waist_um", "modulation_frequency_ghz",
-        "backaction"))
-    rep = chk.number(sec, "probe_gate", "repetition_rate_khz", 100.0,
-                     minimum=0.0, exclusive_min=True)
-    dur = chk.number(sec, "probe_gate", "pulse_duration_us", 1.25,
-                     minimum=0.0, exclusive_min=True)
-    if rep * 1e3 * dur * 1e-6 > 1:
-        chk.complain("probe_gate.pulse_duration_us",
-                     "probe duty cycle exceeds 1")
-    chk.number(sec, "probe_gate", "sideband_detuning_linewidths", 7.9)
-    pc = chk.number(sec, "probe_gate", "carrier_power_uw", 70.0, minimum=0.0)
-    ps = chk.number(sec, "probe_gate", "sideband_power_nw", 90.0,
-                    minimum=0.0)
-    chk.require("probe_gate", "waist_um")
-    chk.number(sec, "probe_gate", "waist_um", 800.0, minimum=0.0,
-               exclusive_min=True)
-    chk.number(sec, "probe_gate", "modulation_frequency_ghz", 2.5,
-               minimum=0.0, exclusive_min=True)
-    if "backaction" in sec and not isinstance(sec["backaction"], bool):
-        chk.complain("probe_gate.backaction", "must be true or false")
+def _echo_window(v: dict, complain) -> None:
+    echo = v["echo"]
+    if echo["gap_us"] is None \
+            and echo["total_duration_us"] < 2 * echo["pi_duration_us"]:
+        complain("echo.total_duration_us",
+                 "too short to hold two pi pulse equivalents")
+
+
+def _gate_regime(v: dict, complain) -> None:
+    gate, ens = v["probe_gate"], v["ensemble"]
+    pc, ps = gate["carrier_power_uw"], gate["sideband_power_nw"]
+    if gate["repetition_rate_khz"] * 1e3 * gate["pulse_duration_us"] \
+            * 1e-6 > 1:
+        complain("probe_gate.pulse_duration_us", "probe duty cycle exceeds 1")
     if pc > 0:
         beta = math.sqrt(ps * 1e-9 / (pc * 1e-6))
         if beta > SMALL_BETA_LIMIT:
-            chk.complain("probe_gate.sideband_power_nw",
-                         f"implied modulation depth {beta:.3g} outside the "
-                         f"two-sideband regime (<= {SMALL_BETA_LIMIT})")
+            complain("probe_gate.sideband_power_nw",
+                     f"implied modulation depth {beta:.3g} outside the "
+                     f"two-sideband regime (<= {SMALL_BETA_LIMIT})")
     elif ps > 0:
-        chk.complain("probe_gate.carrier_power_uw",
-                     "carrier power must be positive when the sideband "
-                     "carries power")
-
-
-def _ensemble_fields(chk: _Checker) -> None:
-    sec = chk.section("ensemble", ("atom_number", "cloud_rms_um"))
-    chk.number(sec, "ensemble", "atom_number", 1e7, minimum=0.0)
-    chk.number(sec, "ensemble", "cloud_rms_um", 300.0, minimum=0.0)
-
-
-def _phi_regime_check(chk: _Checker) -> None:
-    gate = chk.cfg.get("probe_gate", {})
-    ens = chk.cfg.get("ensemble", {})
-    if not isinstance(gate, dict) or not isinstance(ens, dict):
-        return
-    delta = gate.get("sideband_detuning_linewidths", 7.9)
-    n_at = ens.get("atom_number", 1e7)
-    waist = gate.get("waist_um", 800.0)
-    rms = ens.get("cloud_rms_um", 300.0)
-    values = (delta, n_at, waist, rms)
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in values):
-        return
-    if waist <= 0 or n_at < 0 or rms < 0:
-        return
-    from .constants import GAMMA_D2_FREQ
+        complain("probe_gate.carrier_power_uw",
+                 "carrier power must be positive when the sideband "
+                 "carries power")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        phi = atomic_phase(delta * GAMMA_D2_FREQ, n_at, waist * 1e-6,
-                           rms * 1e-6)
-    if abs(phi) > SMALL_PHASE_LIMIT:
-        chk.complain(
-            "ensemble.atom_number",
-            f"predicted dispersive phase {phi:.3f} rad exceeds the "
-            f"small-phase regime ({SMALL_PHASE_LIMIT} rad) at this probe "
-            "geometry and detuning")
+        phi = atomic_phase(
+            gate["sideband_detuning_linewidths"] * GAMMA_D2_FREQ,
+            ens["atom_number"], gate["waist_um"] * 1e-6,
+            ens["cloud_rms_um"] * 1e-6)
+    if not abs(phi) <= SMALL_PHASE_LIMIT:
+        complain("ensemble.atom_number",
+                 f"predicted dispersive phase {phi:.3f} rad exceeds the "
+                 f"small-phase regime ({SMALL_PHASE_LIMIT} rad) at this "
+                 "probe geometry and detuning")
 
 
-def _validate_rabi(chk: _Checker) -> None:
-    drive = chk.section("drive", (
-        "rabi_frequency_khz", "detuning_hz", "duration_ms",
-        "residual_damping_hz", "inhomogeneity"))
-    chk.number(drive, "drive", "rabi_frequency_khz", 6.6, minimum=0.0)
-    chk.number(drive, "drive", "detuning_hz", 0.0)
-    chk.number(drive, "drive", "duration_ms", 2.0, minimum=0.0,
-               exclusive_min=True)
-    chk.number(drive, "drive", "residual_damping_hz", 90.0, minimum=0.0)
-    chk.number(drive, "drive", "inhomogeneity", 0.162, minimum=0.0)
-    _gate_fields(chk)
-    _ensemble_fields(chk)
-    _detector_fields(chk)
-    options = chk.section("options", ("noiseless", "fit_window_ms"))
-    if "noiseless" in options and not isinstance(options["noiseless"], bool):
-        chk.complain("options.noiseless", "must be true or false")
-    chk.number(options, "options", "fit_window_ms", 0.8, minimum=0.0,
-               exclusive_min=True)
-    _phi_regime_check(chk)
-
-
-def _validate_spin_echo(chk: _Checker) -> None:
-    echo = chk.section("echo", (
-        "pi_duration_us", "total_duration_us", "gap_us", "detunings_hz",
-        "residual_damping_hz"))
-    pi_us = chk.number(echo, "echo", "pi_duration_us", 74.5, minimum=0.0,
-                       exclusive_min=True)
-    total = chk.number(echo, "echo", "total_duration_us", 500.0,
-                       minimum=0.0, exclusive_min=True)
-    gap = echo.get("gap_us")
-    if gap is not None:
-        if not isinstance(gap, (int, float)) or isinstance(gap, bool):
-            chk.complain("echo.gap_us", "must be a number or null")
-        elif gap < 0:
-            chk.complain("echo.gap_us", "must be >= 0")
-    elif total < 2 * pi_us:
-        chk.complain("echo.total_duration_us",
-                     "too short to hold two pi pulse equivalents")
-    dets = echo.get("detunings_hz", [0.0, 1000.0, 1200.0, 1800.0])
-    if not isinstance(dets, list) or not dets:
-        chk.complain("echo.detunings_hz", "must be a nonempty list")
-    else:
-        for i, d in enumerate(dets):
-            if not isinstance(d, (int, float)) or isinstance(d, bool):
-                chk.complain(f"echo.detunings_hz[{i}]", "must be a number")
-    chk.number(echo, "echo", "residual_damping_hz", 0.0, minimum=0.0)
-    _gate_fields(chk)
-    _ensemble_fields(chk)
-    _detector_fields(chk)
-    options = chk.section("options", ("noiseless",))
-    if "noiseless" in options and not isinstance(options["noiseless"], bool):
-        chk.complain("options.noiseless", "must be true or false")
-    _phi_regime_check(chk)
-
-
-def _validate_squeezing(chk: _Checker) -> None:
-    sec = chk.section("squeezing", (
-        "phase_per_atom_rad", "atom_number", "photon_number", "finesse"))
-    chk.number(sec, "squeezing", "phase_per_atom_rad", 1e-5)
-    chk.number(sec, "squeezing", "atom_number", 1e6, minimum=0.0)
-    chk.number(sec, "squeezing", "photon_number", 1e5, minimum=0.0)
-    fin = sec.get("finesse")
-    if fin is not None and (not isinstance(fin, (int, float))
-                            or isinstance(fin, bool) or fin <= 0):
-        chk.complain("squeezing.finesse", "must be a positive number or null")
-
-
-_VALIDATORS = {
-    "cavity-spectrum": _validate_cavity,
-    "trap-map": _validate_trap,
-    "noise-sweep": _validate_noise,
-    "scattering-sweep": _validate_scattering,
-    "rabi": _validate_rabi,
-    "spin-echo": _validate_spin_echo,
-    "squeezing": _validate_squeezing,
+_CHECKS = {
+    "noise-sweep": (("probe", _probe_regime),),
+    "scattering-sweep": (("sweep", _sweep_order),),
+    "rabi": (("probe_gate", _gate_regime),),
+    "spin-echo": (("echo", _echo_window), ("probe_gate", _gate_regime)),
 }
 
 
 # ---------------------------------------------------------------- runners
+# Each runner takes one scenario's resolved values (see _resolve).
 
-def _run_cavity_spectrum(cfg: dict, out: Path, seed: int) -> list[str]:
-    sec = cfg.get("cavity", {})
+def _run_cavity_spectrum(v: dict, out: Path, seed: int) -> list[str]:
+    sec = v["cavity"]
     geom = CavityGeometry(
-        round_trip_length=C / (sec.get("fsr_mhz", 976.2) * 1e6),
-        mirror_radius=sec.get("mirror_radius_mm", 100.0) * 1e-3,
-        fold_angle=math.radians(sec.get("fold_angle_deg", 45.0)),
-        segment_ratio=sec.get("segment_ratio", math.sqrt(2.0)),
-        astigmatism_correction=sec.get("astigmatism_factor", 1.020),
-        wavelength=sec.get("wavelength_nm", 1560.0) * 1e-9,
+        round_trip_length=C / (sec["fsr_mhz"] * 1e6),
+        mirror_radius=sec["mirror_radius_mm"] * 1e-3,
+        fold_angle=math.radians(sec["fold_angle_deg"]),
+        segment_ratio=sec["segment_ratio"],
+        astigmatism_correction=sec["astigmatism_factor"],
+        wavelength=sec["wavelength_nm"] * 1e-9,
     )
-    order = sec.get("max_transverse_order", 5)
+    order = sec["max_transverse_order"]
     rows = transverse_spectrum(geom, order, order)
     _write_csv(out / "spectrum.csv", "m,n,offset_hz",
                ((str(m), str(n), off) for m, n, off in rows))
@@ -583,18 +537,16 @@ def _run_cavity_spectrum(cfg: dict, out: Path, seed: int) -> list[str]:
     return ["spectrum.csv", "mode.json"]
 
 
-def _run_trap_map(cfg: dict, out: Path, seed: int) -> list[str]:
-    sec = cfg.get("trap", {})
+def _run_trap_map(v: dict, out: Path, seed: int) -> list[str]:
+    sec = v["trap"]
     trap = DipoleTrapConfig(
-        power_per_arm=sec.get("power_per_arm_w", 200.0),
-        waist_par=sec.get("waist_par_um", 93.1) * 1e-6,
-        waist_perp=sec.get("waist_perp_um", 129.8) * 1e-6,
-        backscatter_depth=sec.get("backscatter_depth", 0.0),
+        power_per_arm=sec["power_per_arm_w"],
+        waist_par=sec["waist_par_um"] * 1e-6,
+        waist_perp=sec["waist_perp_um"] * 1e-6,
+        backscatter_depth=sec["backscatter_depth"],
     )
-    grid = cfg.get("grid", {})
-    half = grid.get("half_span_um", 150.0) * 1e-6
-    n = grid.get("points_per_axis", 13)
-    axis = np.linspace(-half, half, n)
+    half = v["grid"]["half_span_um"] * 1e-6
+    axis = np.linspace(-half, half, v["grid"]["points_per_axis"])
 
     def rows():
         for x in axis:
@@ -614,45 +566,39 @@ def _run_trap_map(cfg: dict, out: Path, seed: int) -> list[str]:
     return ["trap_map.csv", "trap_summary.json"]
 
 
-def _noise_probe(sec: dict) -> ModulatedProbe:
-    return ModulatedProbe(
-        carrier_power=sec.get("carrier_power_uw", 120.0) * 1e-6,
-        modulation_depth=sec.get("modulation_depth", 0.025),
-        modulation_frequency=2 * math.pi
-        * sec.get("modulation_frequency_ghz", 2.808) * 1e9,
-        ram_asymmetry=sec.get("ram_asymmetry", 0.01),
-        carrier_detuning=sec.get("carrier_detuning_ghz", -2.808) * 1e9,
-        sideband_power=sec.get("sideband_power_nw", 76.0) * 1e-9,
-        beam_waist=sec.get("beam_waist_um", 245.0) * 1e-6,
-        path_length=sec.get("path_length_m", 1.0),
-    )
-
-
-def _detector(cfg: dict) -> DetectorModel:
-    sec = cfg.get("detector", {})
+def _detector(sec: dict) -> DetectorModel:
     return DetectorModel(
-        sensitivity=sec.get("sensitivity_a_per_w", 0.5),
-        transimpedance=sec.get("transimpedance_v_per_a", 1466.0),
-        buffer_gain=sec.get("buffer_gain", 2.0),
-        load=sec.get("load_ohm", 50.0),
-        bandwidth=sec.get("bandwidth_mhz", 1.0) * 1e6,
-        kappa_e=sec.get("kappa_e_uw", 165.0) * 1e-6,
+        sensitivity=sec["sensitivity_a_per_w"],
+        transimpedance=sec["transimpedance_v_per_a"],
+        buffer_gain=sec["buffer_gain"],
+        load=sec["load_ohm"],
+        bandwidth=sec["bandwidth_mhz"] * 1e6,
+        kappa_e=sec["kappa_e_uw"] * 1e-6,
     )
 
 
-def _run_noise_sweep(cfg: dict, out: Path, seed: int) -> list[str]:
-    probe = _noise_probe(cfg.get("probe", {}))
-    det = _detector(cfg)
-    sweep = cfg.get("sweep", {})
-    phi = sweep.get("phi_at_rad", 0.1)
-    span = sweep.get("path_error_max_um", 100.0) * 1e-6
-    points = sweep.get("points", 41)
-    wavelength = sweep.get("reference_wavelength_um", 1.0) * 1e-6
+def _run_noise_sweep(v: dict, out: Path, seed: int) -> list[str]:
+    sec, sweep = v["probe"], v["sweep"]
+    probe = ModulatedProbe(
+        carrier_power=sec["carrier_power_uw"] * 1e-6,
+        modulation_depth=sec["modulation_depth"],
+        modulation_frequency=2 * math.pi
+        * sec["modulation_frequency_ghz"] * 1e9,
+        ram_asymmetry=sec["ram_asymmetry"],
+        carrier_detuning=sec["carrier_detuning_ghz"] * 1e9,
+        sideband_power=sec["sideband_power_nw"] * 1e-9,
+        beam_waist=sec["beam_waist_um"] * 1e-6,
+        path_length=sec["path_length_m"],
+    )
+    det = _detector(v["detector"])
+    phi = sweep["phi_at_rad"]
+    span = sweep["path_error_max_um"] * 1e-6
+    wavelength = sweep["reference_wavelength_um"] * 1e-6
     triple = PhaseShiftTriple(phi_plus=phi)
     base = demodulated_signal(probe, triple, det)
 
     def rows():
-        for pe in np.linspace(-span, span, points):
+        for pe in np.linspace(-span, span, sweep["points"]):
             pe = float(pe)
             full = demodulated_signal(probe, triple, det, path_error=pe)
             yield (pe,
@@ -673,24 +619,22 @@ def _run_noise_sweep(cfg: dict, out: Path, seed: int) -> list[str]:
     return ["noise_sweep.csv", "noise_rejection.json"]
 
 
-def _run_scattering_sweep(cfg: dict, out: Path, seed: int) -> list[str]:
-    sec = cfg.get("tuning", {})
-    sweep = cfg.get("sweep", {})
-    lo = sweep.get("detuning_min_linewidths", 0.5)
-    hi = sweep.get("detuning_max_linewidths", 10.0)
-    points = sweep.get("points", 96)
-    expansion = sec.get("expansion_rate_hz", 120.0)
+def _run_scattering_sweep(v: dict, out: Path, seed: int) -> list[str]:
+    sec, sweep = v["tuning"], v["sweep"]
+    carrier = sec["carrier_power_uw"] * 1e-6
+    sideband = sec["sideband_power_nw"] * 1e-9
+    waist = sec["waist_um"] * 1e-6
+    modulation = sec["modulation_frequency_ghz"] * 1e9
+    expansion = sec["expansion_rate_hz"]
 
     def rows():
-        for delta in np.linspace(lo, hi, points):
+        for delta in np.linspace(sweep["detuning_min_linewidths"],
+                                 sweep["detuning_max_linewidths"],
+                                 sweep["points"]):
             tuning = ProbeTuning.from_powers(
-                carrier_power=sec.get("carrier_power_uw", 120.0) * 1e-6,
-                sideband_power=sec.get("sideband_power_nw", 76.0) * 1e-9,
-                waist=sec.get("waist_um", 245.0) * 1e-6,
+                carrier_power=carrier, sideband_power=sideband, waist=waist,
                 sideband_detuning=float(delta),
-                modulation_frequency=sec.get("modulation_frequency_ghz",
-                                             2.808) * 1e9,
-            )
+                modulation_frequency=modulation)
             yield (float(delta), scattering_rate(tuning, expansion))
 
     _write_csv(out / "scattering_sweep.csv",
@@ -698,25 +642,25 @@ def _run_scattering_sweep(cfg: dict, out: Path, seed: int) -> list[str]:
     return ["scattering_sweep.csv"]
 
 
-def _gate_and_probe(cfg: dict) -> tuple[ProbeGate, ModulatedProbe, bool]:
-    sec = cfg.get("probe_gate", {})
-    pc = sec.get("carrier_power_uw", 70.0) * 1e-6
-    ps = sec.get("sideband_power_nw", 90.0) * 1e-9
-    waist = sec.get("waist_um", 800.0) * 1e-6
-    mod_ghz = sec.get("modulation_frequency_ghz", 2.5)
-    delta = sec.get("sideband_detuning_linewidths", 7.9)
-    backaction = sec.get("backaction", True)
+def _gate_and_probe(v: dict) -> tuple[ProbeGate, ModulatedProbe, float]:
+    """The probe clock, the probe beam, and the light shift it imposes."""
+    sec = v["probe_gate"]
+    pc = sec["carrier_power_uw"] * 1e-6
+    ps = sec["sideband_power_nw"] * 1e-9
+    waist = sec["waist_um"] * 1e-6
+    mod_ghz = sec["modulation_frequency_ghz"]
     tuning = ProbeTuning.from_powers(
         carrier_power=pc, sideband_power=ps, waist=waist,
-        sideband_detuning=delta, modulation_frequency=mod_ghz * 1e9)
-    if not backaction:
+        sideband_detuning=sec["sideband_detuning_linewidths"],
+        modulation_frequency=mod_ghz * 1e9)
+    if not sec["backaction"]:
         # pure sampling clock: no scattering, no light shift; microwave
         # detunings are then relative to the dressed resonance
         tuning = replace(tuning, sideband_intensity=0.0,
                          carrier_intensity=0.0)
     gate = ProbeGate(
-        repetition_rate=sec.get("repetition_rate_khz", 100.0) * 1e3,
-        pulse_duration=sec.get("pulse_duration_us", 1.25) * 1e-6,
+        repetition_rate=sec["repetition_rate_khz"] * 1e3,
+        pulse_duration=sec["pulse_duration_us"] * 1e-6,
         tuning=tuning,
     )
     probe = ModulatedProbe(
@@ -727,96 +671,78 @@ def _gate_and_probe(cfg: dict) -> tuple[ProbeGate, ModulatedProbe, bool]:
         sideband_power=ps,
         beam_waist=waist,
     )
-    return gate, probe, backaction
+    shift = light_shift(tuning, gate.duty_cycle) if sec["backaction"] else 0.0
+    return gate, probe, shift
 
 
-def _ensemble(cfg: dict) -> EnsembleState:
-    sec = cfg.get("ensemble", {})
+def _ensemble(sec: dict) -> EnsembleState:
     return EnsembleState.all_lower(
-        sec.get("atom_number", 1e7),
-        cloud_rms=sec.get("cloud_rms_um", 300.0) * 1e-6)
+        sec["atom_number"], cloud_rms=sec["cloud_rms_um"] * 1e-6)
 
 
-def _run_rabi(cfg: dict, out: Path, seed: int) -> list[str]:
-    drive_sec = cfg.get("drive", {})
-    options = cfg.get("options", {})
-    gate, probe, backaction = _gate_and_probe(cfg)
-    det = _detector(cfg)
-    shift = light_shift(gate.tuning, gate.duty_cycle) if backaction else 0.0
+def _run_rabi(v: dict, out: Path, seed: int) -> list[str]:
+    drive = v["drive"]
+    gate, probe, shift = _gate_and_probe(v)
     template = RabiModel(
-        rabi_frequency=2 * math.pi
-        * drive_sec.get("rabi_frequency_khz", 6.6) * 1e3,
-        detuning=drive_sec.get("detuning_hz", 0.0),
+        rabi_frequency=2 * math.pi * drive["rabi_frequency_khz"] * 1e3,
+        detuning=drive["detuning_hz"],
         carrier_light_shift=shift,
-        inhomogeneity=drive_sec.get("inhomogeneity", 0.162),
-        residual_damping=drive_sec.get("residual_damping_hz", 90.0),
+        inhomogeneity=drive["inhomogeneity"],
+        residual_damping=drive["residual_damping_hz"],
         probe_repetition_rate=gate.repetition_rate,
         probe_pulse_duration=gate.pulse_duration,
     )
     seq = PulseSequence(
         (MicrowavePulse(template.rabi_frequency,
-                        drive_sec.get("duration_ms", 2.0) * 1e-3,
+                        drive["duration_ms"] * 1e-3,
                         detuning=template.detuning),),
         probe=gate)
-    trace = run_sequence(seq, _ensemble(cfg), probe, det, seed=seed,
+    trace = run_sequence(seq, _ensemble(v["ensemble"]), probe,
+                         _detector(v["detector"]), seed=seed,
                          template=template,
-                         noiseless=options.get("noiseless", False))
+                         noiseless=v["options"]["noiseless"])
     write_trace_csv(trace, out / "rabi_trace.csv")
-    artifacts = ["rabi_trace.csv"]
-    window = options.get("fit_window_ms", 0.8) * 1e-3
+    window = v["options"]["fit_window_ms"] * 1e-3
+    extra = {"seed": seed, "config_hash": trace.metadata["config_hash"]}
     try:
         fit = fit_damped_sine(trace, window=window)
     except FitDiverged as exc:
-        _write_json(out / "rabi_fit.json", {
-            "error": f"fit diverged: {exc}",
-            "seed": seed,
-            "config_hash": trace.metadata["config_hash"],
-        })
+        _write_json(out / "rabi_fit.json",
+                    {"error": f"fit diverged: {exc}", **extra})
     else:
-        write_fit_json(fit, out / "rabi_fit.json", extra={
-            "seed": seed,
-            "config_hash": trace.metadata["config_hash"],
-            "fit_window_s": window,
-        })
-    artifacts.append("rabi_fit.json")
-    return artifacts
+        write_fit_json(fit, out / "rabi_fit.json",
+                       extra={**extra, "fit_window_s": window})
+    return ["rabi_trace.csv", "rabi_fit.json"]
 
 
-def _run_spin_echo(cfg: dict, out: Path, seed: int) -> list[str]:
-    echo = cfg.get("echo", {})
-    options = cfg.get("options", {})
-    gate, probe, backaction = _gate_and_probe(cfg)
-    det = _detector(cfg)
-    detunings = echo.get("detunings_hz", [0.0, 1000.0, 1200.0, 1800.0])
-    gap_us = echo.get("gap_us")
-    shift = light_shift(gate.tuning, gate.duty_cycle) if backaction else 0.0
+def _run_spin_echo(v: dict, out: Path, seed: int) -> list[str]:
+    echo = v["echo"]
+    gate, probe, shift = _gate_and_probe(v)
+    det = _detector(v["detector"])
+    gap_us = echo["gap_us"]
     template = RabiModel(
         carrier_light_shift=shift,
-        residual_damping=echo.get("residual_damping_hz", 0.0),
+        residual_damping=echo["residual_damping_hz"],
         probe_repetition_rate=gate.repetition_rate,
         probe_pulse_duration=gate.pulse_duration,
     )
-    init = _ensemble(cfg)
-    noiseless = options.get("noiseless", True)
+    init = _ensemble(v["ensemble"])
     traces = []
-    for i, delta in enumerate(detunings):
+    for i, delta in enumerate(echo["detunings_hz"]):
         seq = build_spin_echo(
-            pi_duration=echo.get("pi_duration_us", 74.5) * 1e-6,
-            total_duration=echo.get("total_duration_us", 500.0) * 1e-6,
-            detuning=float(delta),
+            pi_duration=echo["pi_duration_us"] * 1e-6,
+            total_duration=echo["total_duration_us"] * 1e-6,
+            detuning=delta,
             gap=None if gap_us is None else gap_us * 1e-6,
             probe=gate)
         trace = run_sequence(seq, init, probe, det, seed=seed + i,
-                             template=template, noiseless=noiseless)
-        traces.append((float(delta), seq, trace))
-
-    def trace_rows():
-        for delta, _, trace in traces:
-            for t, v in zip(trace.times, trace.signal):
-                yield (delta, float(t), float(v))
+                             template=template,
+                             noiseless=v["options"]["noiseless"])
+        traces.append((delta, seq, trace))
 
     _write_csv(out / "spin_echo_traces.csv", "detuning_hz,time_s,signal_v",
-               trace_rows())
+               ((delta, float(t), float(s)) for delta, _, trace in traces
+                for t, s in zip(trace.times, trace.signal)))
     amps = [(delta, mid_pulse_amplitude(trace, seq),
              float(np.max(np.abs(trace.signal))))
             for delta, seq, trace in traces]
@@ -826,36 +752,28 @@ def _run_spin_echo(cfg: dict, out: Path, seed: int) -> list[str]:
     by_det = {d: a for d, a, _ in amps}
     global_ref = by_det.get(0.0, max(a for _, a, _ in amps))
 
-    def amp_rows():
-        for delta, amp, peak in amps:
-            yield (delta, amp,
-                   amp / global_ref if global_ref > 0 else 0.0,
-                   amp / peak if peak > 0 else 0.0)
-
     _write_csv(out / "spin_echo_amplitudes.csv",
                "detuning_hz,amplitude_v,normalized_global,"
-               "normalized_per_trace", amp_rows())
+               "normalized_per_trace",
+               ((delta, amp, amp / global_ref if global_ref > 0 else 0.0,
+                 amp / peak if peak > 0 else 0.0)
+                for delta, amp, peak in amps))
     return ["spin_echo_traces.csv", "spin_echo_amplitudes.csv"]
 
 
-def _run_squeezing(cfg: dict, out: Path, seed: int) -> list[str]:
-    sec = cfg.get("squeezing", {})
-    phi = sec.get("phase_per_atom_rad", 1e-5)
-    n_at = sec.get("atom_number", 1e6)
-    n_ph = sec.get("photon_number", 1e5)
-    kappa_sq, xi_sq = squeezing_estimate(phi, n_at, n_ph)
-    payload = {
-        "phase_per_atom_rad": phi,
-        "atom_number": n_at,
-        "photon_number": n_ph,
+def _run_squeezing(v: dict, out: Path, seed: int) -> list[str]:
+    sec = v["squeezing"]
+    kappa_sq, xi_sq = squeezing_estimate(
+        sec["phase_per_atom_rad"], sec["atom_number"], sec["photon_number"])
+    # the inputs are echoed, the finesse only when one is given
+    payload = {key: x for key, x in sec.items() if x is not None}
+    payload.update({
         "kappa_squared": kappa_sq,
         "xi_squared": xi_sq,
         "xi_squared_db": 10 * math.log10(xi_sq) if xi_sq > 0 else None,
-    }
-    finesse = sec.get("finesse")
-    if finesse is not None:
-        payload["finesse"] = finesse
-        payload["snr_gain_in_cavity"] = cavity_enhancement(finesse, 1.0)
+    })
+    if sec["finesse"] is not None:
+        payload["snr_gain_in_cavity"] = cavity_enhancement(sec["finesse"], 1.0)
     _write_json(out / "squeezing.json", payload)
     return ["squeezing.json"]
 
@@ -873,28 +791,32 @@ _RUNNERS = {
 
 # ------------------------------------------------------------ subcommands
 
+def _checked(cfg: dict, source: str) -> dict:
+    """The resolved config, or ConfigError listing every diagnostic."""
+    problems = validate_config(cfg)
+    if problems:
+        raise ConfigError(
+            f"{source}: invalid configuration\n  " + "\n  ".join(problems))
+    return _resolve(cfg)[0]
+
+
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    _apply_overrides(cfg, args.set or [])
+    cfg = _load_config(args.config, args.set or [])
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["out_dir"] = args.out
-    problems = validate_config(cfg)
-    if problems:
-        raise ConfigError(
-            f"{args.config}: invalid configuration\n  "
-            + "\n  ".join(problems))
-    scenarios = _scenario_list(cfg)
+    resolved = _checked(cfg, args.config)
+    scenarios = resolved["scenario"]
     if not scenarios:
         print("nothing to run: empty scenario list")
         return 0
-    out = Path(cfg.get("out_dir", "artifacts"))
+    out = Path(resolved["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    seed = cfg.get("seed", 0)
+    seed = resolved["seed"]
     artifacts: list[str] = []
     for name in scenarios:
-        artifacts.extend(_RUNNERS[name](cfg, out, seed))
+        artifacts.extend(_RUNNERS[name](resolved[name], out, seed))
     _write_json(out / "manifest.json", {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenarios,
@@ -913,13 +835,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = _load_config(args.config)
-    _apply_overrides(cfg, args.set or [])
-    problems = validate_config(cfg)
-    if problems:
-        raise ConfigError(
-            f"{args.config}: invalid configuration\n  "
-            + "\n  ".join(problems))
+    _checked(_load_config(args.config, args.set or []), args.config)
     print(f"{args.config}: ok")
     return 0
 
@@ -939,20 +855,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a scenario config")
-    run.add_argument("config", help="path to a JSON config file")
+    run.set_defaults(func=_cmd_run)
+    val = sub.add_parser("validate", help="check a config without running")
+    val.set_defaults(func=_cmd_validate)
+    for cmd in (run, val):
+        cmd.add_argument("config", help="path to a JSON config file")
     run.add_argument("--seed", type=int, default=None,
                      help="override the config's random seed")
     run.add_argument("--out", default=None,
                      help="override the config's output directory")
-    run.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
-                     help="override one config field (repeatable)")
-    run.set_defaults(func=_cmd_run)
-
-    val = sub.add_parser("validate", help="check a config without running")
-    val.add_argument("config", help="path to a JSON config file")
-    val.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
-                     help="override one config field (repeatable)")
-    val.set_defaults(func=_cmd_validate)
+    for cmd in (run, val):
+        cmd.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
+                         help="override one config field (repeatable)")
 
     ls = sub.add_parser("list-scenarios", help="list scenario names")
     ls.set_defaults(func=_cmd_list_scenarios)
