@@ -20,6 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+from scipy.linalg import expm
+
 from .constants import (
     BRANCHING,
     EXCITED_SPLITTINGS,
@@ -36,8 +39,7 @@ DEFAULT_SIDEBAND_INTENSITY = 2 * 76e-9 / (math.pi * 245e-6**2)
 DEFAULT_CARRIER_INTENSITY = 2 * 120e-6 / (math.pi * 245e-6**2)
 DEFAULT_EXPANSION_RATE = 120.0   # Hz, cloud fall/expansion signal loss
 
-# Rotation-composition substep bound: largest angle (or rate*dt product)
-# integrated in one exact axis-angle step.
+# Largest loss-rate*dt product of one clamped substep (see `advance`).
 MAX_SUBSTEP_ANGLE = 0.05
 
 
@@ -137,6 +139,18 @@ class RabiModel:
         return self.probe_repetition_rate * self.probe_pulse_duration
 
 
+def _over_polarized(jx, jy, jz, coherent):
+    # |J| > coherent/2 beyond rounding, elementwise for arrays;
+    # (c + |c|)/4 is max(c, 0)/2
+    limit = (coherent + abs(coherent)) / 4
+    return (jx**2 + jy**2 + jz**2) ** 0.5 > limit * (1 + 1e-9) + 1e-12
+
+
+def f2_population(atom_number, jz, n_leak):
+    """Coherent upper level plus leaked atoms, elementwise for arrays."""
+    return (atom_number - n_leak) / 2 + jz + n_leak
+
+
 @dataclass(frozen=True)
 class EnsembleState:
     """Mean-field state: Bloch vector, leaked population, cloud parameters."""
@@ -157,9 +171,7 @@ class EnsembleState:
         coherent = self.atom_number - self.n_leak
         if coherent < -1e-9 * max(1.0, self.atom_number):
             raise DomainError("leaked population exceeds total atom number")
-        limit = max(coherent, 0.0) / 2
-        norm = math.sqrt(self.jx**2 + self.jy**2 + self.jz**2)
-        if norm > limit * (1 + 1e-9) + 1e-12:
+        if _over_polarized(self.jx, self.jy, self.jz, coherent):
             raise DomainError("Bloch vector longer than (N_at - n_leak)/2")
 
     @classmethod
@@ -191,7 +203,7 @@ class EnsembleState:
     @property
     def f2_population(self) -> float:
         """Detected F=2 population: coherent upper level plus leaked atoms."""
-        return self.upper_population + self.n_leak
+        return f2_population(self.atom_number, self.jz, self.n_leak)
 
     @property
     def bloch_norm(self) -> float:
@@ -315,37 +327,119 @@ def damping_rate(model: RabiModel, spontaneous_rate: float) -> float:
     """Rabi-oscillation damping rate: spontaneous + shift + residual, 1/s.
 
     The shift term is alpha*DeltaE_c^2/(2*hbar^2*Omega_R); it needs a
-    nonzero Rabi frequency whenever the shift itself is nonzero.
+    nonzero Rabi frequency whenever the shift itself is nonzero. Raises
+    DomainError when that denominator is 0 or the rate is not finite.
     """
     if spontaneous_rate < 0:
         raise DomainError("spontaneous rate must be nonnegative")
     if model.carrier_light_shift == 0:
         shift_term = 0.0
-    elif model.rabi_frequency == 0:
-        raise DomainError("shift damping undefined at zero Rabi frequency")
+    elif 2 * HBAR**2 * model.rabi_frequency == 0:
+        raise DomainError("shift damping undefined at Rabi frequency "
+                          f"{model.rabi_frequency!r} rad/s (2*hbar^2*Omega_R is 0)")
     else:
         shift_term = (
             model.inhomogeneity
             * model.carrier_light_shift**2
             / (2 * HBAR**2 * model.rabi_frequency)
         )
-    return spontaneous_rate + shift_term + model.residual_damping
+    rate = spontaneous_rate + shift_term + model.residual_damping
+    if not math.isfinite(rate):
+        raise DomainError(f"damping rate {rate} is not finite")
+    return rate
 
 
-def _rotate(jx, jy, jz, ax, az, angle):
-    # exact rotation about the unit axis (ax, 0, az) by angle (Rodrigues)
-    c = math.cos(angle)
-    s = math.sin(angle)
-    dot = ax * jx + az * jz
-    # cross product (ax,0,az) x (jx,jy,jz)
-    cx = -az * jy
-    cy = az * jx - ax * jz
-    cz = ax * jy
-    return (
-        jx * c + cx * s + ax * dot * (1 - c),
-        jy * c + cy * s,
-        jz * c + cz * s + az * dot * (1 - c),
-    )
+def generator(drive: RabiModel, tuning: ProbeTuning, leak_fraction: float = 0.5,
+              drive_phase: float = 0.0) -> tuple[np.ndarray, float]:
+    """Generator G of dv/dt = G v for v = (Jx, Jy, Jz, N_leak, N_at).
+
+    G holds: rotation of the Bloch vector about (Omega_R*cos(phase),
+    Omega_R*sin(phase), 2*pi*detuning_total), where detuning_total adds
+    the duty-averaged differential light shift to the microwave detuning;
+    damping of the components perpendicular to the rotation axis at the
+    rate from damping_rate (the damping rate is defined as the fitted
+    envelope rate of the driven oscillation, and the inhomogeneous-rate
+    dephasing it models spares the axis-parallel component; with no
+    rotation at all the z coherence damps); population transfer:
+    upper-level atoms scatter sideband photons and land in |F=2, m!=0>
+    with probability leak_fraction, lower-level atoms are pumped to F=2
+    by the carrier, both joining the incoherent leaked pool. Probe rates
+    are duty-cycle averaged; sub-period pulse gating is not resolved.
+
+    Also returns the largest of the damping, leak and pump rates (1/s),
+    which sets the clamp substeps of `advance`. Raises DomainError for a
+    leak fraction outside [0, 1] or a non-finite rate.
+    """
+    if not 0 <= leak_fraction <= 1:
+        raise DomainError("leak fraction must lie in [0, 1]")
+    duty = drive.duty_cycle
+    wx = drive.rabi_frequency * math.cos(drive_phase)
+    wy = drive.rabi_frequency * math.sin(drive_phase)
+    wz = 2 * math.pi * (drive.detuning + light_shift(tuning, duty) / H)
+    beta = damping_rate(drive, scattering_rate(tuning, expansion_rate=0.0) * duty)
+    leak = sideband_photon_rate(tuning) * duty * leak_fraction
+    pump = carrier_pump_rate(tuning) * duty
+    rot = math.hypot(wx, wy, wz)
+    axis = np.array([wx, wy, wz]) / rot if rot > 0 else np.array([0.0, 0.0, 1.0])
+    gen = np.zeros((5, 5))
+    gen[:3, :3] = [[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]]
+    gen[:3, :3] -= beta * (np.eye(3) - np.outer(axis, axis))
+    # upper ((N_at - N_leak)/2 + Jz) leaks, lower ((N_at - N_leak)/2 - Jz) is
+    # pumped; each atom moved shifts Jz by -/+ 1/2 and joins N_leak
+    for rate, sign in ((leak, 1.0), (pump, -1.0)):
+        gen += np.outer([0, 0, -sign / 2, 1, 0], [0, 0, sign * rate, -rate / 2, rate / 2])
+    if not np.isfinite(gen).all():
+        raise DomainError("spin-engine rates are not finite")
+    return gen, max(beta, leak, pump)
+
+
+def advance(v, propagator, gen, loss_rate, dt) -> np.ndarray:
+    """v moved by dt; propagator = expm(gen*dt), (gen, loss_rate) from `generator`.
+
+    The exact result stands whenever it satisfies the EnsembleState bound.
+    Otherwise scattering has shrunk the coherent manifold under a
+    transverse spin the linear model does not shorten, and the step is
+    redone in substeps of loss_rate*tau <= MAX_SUBSTEP_ANGLE, each an
+    exact expm(gen*tau) followed by the over-polarization clamp.
+    """
+    w = propagator @ v
+    jx, jy, jz, n_leak, n_at = w.tolist()
+    if not _over_polarized(jx, jy, jz, n_at - n_leak):
+        return w
+    n_sub = max(1, math.ceil(loss_rate * abs(dt) / MAX_SUBSTEP_ANGLE))
+    sub = expm(gen * (dt / n_sub))
+    for _ in range(n_sub):
+        v = sub @ v
+        jx, jy, jz, n_leak, n_at = v.tolist()
+        # scattering cannot leave the shrunken manifold over-polarized
+        limit = max(n_at - n_leak, 0.0) / 2
+        trans = math.hypot(jx, jy)
+        allowed = limit**2 - jz**2
+        if trans**2 > allowed:
+            v[:2] *= math.sqrt(max(allowed, 0.0)) / trans if trans > 0 else 0.0
+    return v
+
+
+def state_vector(state: EnsembleState) -> np.ndarray:
+    """(Jx, Jy, Jz, N_leak, N_at), the vector `generator` acts on."""
+    return np.array([state.jx, state.jy, state.jz, state.n_leak, state.atom_number])
+
+
+def broken_invariants(vs: np.ndarray) -> np.ndarray:
+    """Mask of the state vectors (rows of vs) EnsembleState would reject."""
+    jx, jy, jz, n_leak, n_at = vs.T
+    coherent = n_at - n_leak
+    return ((n_leak < 0) | (coherent < -1e-9 * np.maximum(1.0, n_at))
+            | _over_polarized(jx, jy, jz, coherent))
+
+
+def with_vector(state: EnsembleState, v: np.ndarray) -> EnsembleState:
+    """`state` moved to v; StepError if that breaks its invariants."""
+    jx, jy, jz, n_leak, _ = v.tolist()
+    try:
+        return replace(state, jx=jx, jy=jy, jz=jz, n_leak=n_leak)
+    except DomainError as exc:
+        raise StepError(f"invariants violated after step: {exc}") from exc
 
 
 def evolve(
@@ -358,100 +452,19 @@ def evolve(
 ) -> EnsembleState:
     """Advance the ensemble by dt under microwave drive and pulsed probing.
 
-    Per substep, in order: exact axis-angle rotation of the Bloch vector
-    about (Omega_R*cos(phase), Omega_R*sin(phase), 2*pi*detuning_total),
-    where detuning_total adds the duty-averaged differential light shift to
-    the microwave detuning; exponential damping of the components
-    perpendicular to the rotation axis at the rate from damping_rate (the
-    damping rate is defined as the fitted envelope rate of the driven
-    oscillation, and the inhomogeneous-rate dephasing it models spares the
-    axis-parallel component; with no rotation at all the z coherence
-    damps); population transfer. The transfer branches: upper-level
-    atoms scatter sideband photons and land in |F=2, m!=0> with probability
-    leak_fraction, lower-level atoms are pumped to F=2 by the carrier (they
-    join the incoherent leaked pool as well). Substepping keeps every
-    per-step angle and rate-time product below 0.05.
-
-    Probe rates are duty-cycle averaged over the whole step; sub-period
-    pulse gating is not resolved (callers sampling at the probe period see
-    the identical average).
-
-    Negative dt runs the exact algebraic inverse of the positive-dt step
-    and exists for reversibility verification.
+    One exact step expm(G*dt) of `generator` through `advance`: only a
+    step that would over-polarize the shrunken coherent manifold is
+    redone in clamped substeps, and the rotation angle never sets a step
+    count. Negative dt runs the exact inverse of the positive-dt step and
+    exists for reversibility verification.
 
     Raises StepError if the step leaves the state violating its invariants.
     """
     if dt == 0:
         return state
-    duty = drive.duty_cycle
-    shift = light_shift(tuning, duty)
-    omega_z = 2 * math.pi * (drive.detuning + shift / H)
-    omega_x = drive.rabi_frequency * math.cos(drive_phase)
-    omega_y = drive.rabi_frequency * math.sin(drive_phase)
-    rot = math.sqrt(omega_x**2 + omega_y**2 + omega_z**2)
-    spont = scattering_rate(tuning, expansion_rate=0.0) * duty
-    beta = damping_rate(drive, spont)
-    if not 0 <= leak_fraction <= 1:
-        raise DomainError("leak fraction must lie in [0, 1]")
-    leak = sideband_photon_rate(tuning) * duty * leak_fraction
-    pump = carrier_pump_rate(tuning) * duty
-
-    fastest = max(rot, beta, leak, pump)
-    n_sub = max(1, math.ceil(fastest * abs(dt) / MAX_SUBSTEP_ANGLE))
-    tau = dt / n_sub
-
-    jx, jy, jz = state.jx, state.jy, state.jz
-    coherent = state.coherent_number
-    n_leak = state.n_leak
-    if rot > 0:
-        ax, ay, az = omega_x / rot, omega_y / rot, omega_z / rot
-    damp = math.exp(-beta * tau)
-    for _ in range(n_sub):
-        if rot > 0:
-            if ay == 0.0:
-                jx, jy, jz = _rotate(jx, jy, jz, ax, az, rot * tau)
-            else:
-                # general axis: rotate frame so the drive lies along x
-                cph = math.cos(drive_phase)
-                sph = math.sin(drive_phase)
-                rx = cph * jx + sph * jy
-                ry = -sph * jx + cph * jy
-                axp = math.hypot(ax, ay)
-                rx, ry, jz = _rotate(rx, ry, jz, axp, az, rot * tau)
-                jx = cph * rx - sph * ry
-                jy = sph * rx + cph * ry
-        if rot > 0:
-            dot = ax * jx + ay * jy + az * jz
-            jx = dot * ax + damp * (jx - dot * ax)
-            jy = dot * ay + damp * (jy - dot * ay)
-            jz = dot * az + damp * (jz - dot * az)
-        else:
-            jx *= damp
-            jy *= damp
-        if leak != 0.0:
-            upper = coherent / 2 + jz
-            d_leak = upper * -math.expm1(-leak * tau)
-            jz -= d_leak / 2
-            coherent -= d_leak
-            n_leak += d_leak
-        if pump != 0.0:
-            lower = coherent / 2 - jz
-            d_pump = lower * -math.expm1(-pump * tau)
-            jz += d_pump / 2
-            coherent -= d_pump
-            n_leak += d_pump
-        # scattering cannot leave the shrunken manifold over-polarized
-        limit = max(coherent, 0.0) / 2
-        trans = math.hypot(jx, jy)
-        allowed = limit**2 - jz**2
-        if trans**2 > allowed:
-            factor = math.sqrt(max(allowed, 0.0)) / trans if trans > 0 else 0.0
-            jx *= factor
-            jy *= factor
-    try:
-        return replace(state, jx=jx, jy=jy, jz=jz, n_leak=n_leak)
-    except DomainError as exc:
-        raise StepError(f"invariants violated after step: {exc}") from exc
+    gen, loss_rate = generator(drive, tuning, leak_fraction, drive_phase)
+    v = advance(state_vector(state), expm(gen * dt), gen, loss_rate, dt)
+    return with_vector(state, v)
 
 
 def squeezing_estimate(

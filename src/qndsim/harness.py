@@ -17,17 +17,24 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.optimize import brentq, curve_fit
 
 from .atoms import (
     EnsembleState,
     ProbeTuning,
     RabiModel,
-    evolve,
+    advance,
+    broken_invariants,
+    f2_population,
+    generator,
     sideband_photon_rate,
+    state_vector,
+    with_vector,
 )
 from .errors import DomainError, FitDiverged, RegimeError, StepError
 from .heterodyne import (
+    SMALL_PHASE_LIMIT,
     DetectorModel,
     ModulatedProbe,
     PhaseShiftTriple,
@@ -174,7 +181,6 @@ def run_sequence(
     template: RabiModel | None = None,
     leak_fraction: float = 0.5,
     noiseless: bool = False,
-    record_states: bool = False,
 ) -> Trace:
     """Step the ensemble through the sequence, sampling at the probe clock.
 
@@ -186,70 +192,84 @@ def run_sequence(
     (light shift, inhomogeneity, residual damping) reused by every
     segment.
 
-    StepError and RegimeError from inside a segment are re-raised with the
-    segment index prepended.
+    Each segment builds its generator once; one batched expm gives its
+    full-period matrix and its partial steps, from the segment start to
+    the first sample at k*period and from the last sample to the segment
+    end, and each step is one matvec (atoms.advance). Invariants are
+    checked over the whole trajectory, and the detection chain runs once
+    over all samples with one batched noise draw.
+
+    StepError and RegimeError are re-raised with the index of the segment
+    of the first offending step or sample prepended.
     """
     rng = np.random.default_rng(seed)
     base = template if template is not None else RabiModel()
     gate = seq.probe
-    state = initial
-    times: list[float] = []
-    volts: list[float] = []
-    states: list[tuple[float, EnsembleState]] = []
-
-    def measure(t: float) -> None:
-        phi = atomic_phase(
-            gate.tuning.sideband_detuning * gate.tuning.linewidth,
-            state.f2_population,
-            probe.beam_waist,
-            state.cloud_rms,
-            linewidth=gate.tuning.linewidth,
-        )
-        ideal = demodulated_signal(probe, PhaseShiftTriple(phi_plus=phi), det)
-        value = ideal if noiseless else sample_noisy_signal(
-            ideal, det, probe, gate.pulse_duration, rng
-        )
-        times.append(t)
-        volts.append(value)
-        if record_states:
-            states.append((t, state))
-
+    tuning = gate.tuning if gate is not None else ProbeTuning(
+        sideband_intensity=0.0, carrier_intensity=0.0
+    )
+    # per step: its segment and dt; per sample: its time, the number of
+    # steps made before it and its segment
+    gens, stepped_in, dts, times, taken, sampled_in = [], [], [], [], [], []
     t_now = 0.0
     sample_index = 0
     eps = 1e-12
     if gate is not None:
-        measure(0.0)
-        sample_index = 1
+        period = gate.period
+        times, taken, sampled_in, sample_index = [0.0], [0], [0], 1
     for idx, seg in enumerate(seq.segments):
-        model = _segment_model(seg, gate, base)
-        seg_start = t_now
-        seg_end = seg_start + seg.duration
+        gens.append(generator(_segment_model(seg, gate, base), tuning,
+                              leak_fraction, getattr(seg, "phase", 0.0)))
+        seg_end = t_now + seg.duration
+        while gate is not None:
+            t_next = sample_index * period
+            if t_next > seg_end + eps:
+                break
+            if t_next > t_now + eps:
+                on_clock = t_now == (sample_index - 1) * period
+                stepped_in.append(idx)
+                dts.append(period if on_clock else t_next - t_now)
+                t_now = t_next
+            times.append(t_now)
+            taken.append(len(dts))
+            sampled_in.append(idx)
+            sample_index += 1
+        if seg_end > t_now + eps:
+            stepped_in.append(idx)
+            dts.append(seg_end - t_now)
+            t_now = seg_end
+
+    matrix_of: dict[tuple[int, float], int] = {}
+    which = [matrix_of.setdefault(key, len(matrix_of)) for key in zip(stepped_in, dts)]
+    props = expm(np.array([gens[i][0] * dt for i, dt in matrix_of])) if dts else ()
+    trajectory = np.empty((len(dts) + 1, 5))
+    trajectory[0] = v = state_vector(initial)
+    for row, (idx, dt, m) in enumerate(zip(stepped_in, dts, which), 1):
+        trajectory[row] = v = advance(v, props[m], *gens[idx], dt)
+    bad = np.flatnonzero(broken_invariants(trajectory))
+    if bad.size:
         try:
-            while gate is not None:
-                t_next = sample_index * gate.period
-                if t_next > seg_end + eps:
-                    break
-                if t_next > t_now + eps:
-                    state = evolve(
-                        state, model, gate.tuning, t_next - t_now,
-                        leak_fraction=leak_fraction,
-                        drive_phase=getattr(seg, "phase", 0.0),
-                    )
-                    t_now = t_next
-                measure(t_now)
-                sample_index += 1
-            if seg_end > t_now + eps:
-                tuning = gate.tuning if gate is not None else ProbeTuning(
-                    sideband_intensity=0.0, carrier_intensity=0.0
-                )
-                state = evolve(
-                    state, model, tuning, seg_end - t_now,
-                    leak_fraction=leak_fraction,
-                    drive_phase=getattr(seg, "phase", 0.0),
-                )
-                t_now = seg_end
-        except (StepError, RegimeError) as exc:
-            raise type(exc)(f"segment {idx}: {exc}") from exc
+            with_vector(initial, trajectory[bad[0]])
+        except StepError as exc:
+            raise StepError(f"segment {stepped_in[bad[0] - 1]}: {exc}") from exc
+
+    volts = np.empty(0)
+    if times:
+        at = trajectory[taken]
+        phi = atomic_phase(
+            gate.tuning.sideband_detuning * gate.tuning.linewidth,
+            f2_population(at[:, 4], at[:, 2], at[:, 3]),
+            probe.beam_waist,
+            initial.cloud_rms,
+            linewidth=gate.tuning.linewidth,
+        )
+        try:
+            volts = demodulated_signal(probe, PhaseShiftTriple(phi_plus=phi), det)
+        except RegimeError as exc:
+            first = int(np.argmax(np.abs(phi) > SMALL_PHASE_LIMIT))
+            raise RegimeError(f"segment {sampled_in[first]}: {exc}") from exc
+        if not noiseless:
+            volts = sample_noisy_signal(volts, det, probe, gate.pulse_duration, rng)
 
     metadata = {
         "seed": seed,
@@ -257,9 +277,8 @@ def run_sequence(
         "sample_period": gate.period if gate else None,
         "noiseless": noiseless,
     }
-    if record_states:
-        metadata["states"] = states
-    return Trace(np.array(times), np.array(volts), metadata, final_state=state)
+    return Trace(np.array(times), volts, metadata,
+                 final_state=with_vector(initial, trajectory[-1]))
 
 
 @dataclass(frozen=True)
@@ -498,19 +517,10 @@ def mid_pulse_amplitude(trace: Trace, seq: PulseSequence) -> float:
 
 def write_trace_csv(trace: Trace, path) -> None:
     """CSV of (time s, signal V). repr keeps round-trip exactness."""
+    rows = "".join(f"{t!r},{v!r}\n" for t, v in
+                   zip(trace.times.tolist(), trace.signal.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("time_s,signal_v\n")
-        for t, v in zip(trace.times, trace.signal):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
-
-
-def write_bloch_csv(states, path) -> None:
-    """CSV of the recorded Bloch trajectory (t, Jx, Jy, Jz, N_leak)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("time_s,jx,jy,jz,n_leak\n")
-        for t, st in states:
-            fh.write(f"{float(t)!r},{float(st.jx)!r},{float(st.jy)!r},"
-                     f"{float(st.jz)!r},{float(st.n_leak)!r}\n")
+        fh.write("time_s,signal_v\n" + rows)
 
 
 def write_fit_json(fit, path, extra: dict | None = None) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,11 @@ from .errors import DomainError, RegimeError, RegimeWarning
 
 SMALL_PHASE_LIMIT = 0.3    # rad, validity bound for the expansions
 SMALL_BETA_LIMIT = 0.3     # modulation depth bound for the two-sideband model
+
+
+def _extreme(x):
+    # x, or the element of an array of samples largest in magnitude
+    return x.flat[np.argmax(np.abs(x))] if isinstance(x, np.ndarray) else x
 
 
 @dataclass(frozen=True)
@@ -78,20 +83,22 @@ class ModulatedProbe:
 
 @dataclass(frozen=True)
 class PhaseShiftTriple:
-    """Atomic phase on (lower sideband, carrier, upper sideband), radians."""
+    """Atomic phase on (lower sideband, carrier, upper sideband), radians;
+    a component may be an array of samples."""
 
     phi_minus: float = 0.0
     phi_carrier: float = 0.0
     phi_plus: float = 0.0
+    max_abs: float = field(init=False, repr=False, compare=False)  # largest |phi|
 
     def __post_init__(self) -> None:
+        peak = 0.0
         for name in ("phi_minus", "phi_carrier", "phi_plus"):
-            if not math.isfinite(getattr(self, name)):
+            value = abs(_extreme(getattr(self, name)))
+            if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite")
-
-    @property
-    def max_abs(self) -> float:
-        return max(abs(self.phi_minus), abs(self.phi_carrier), abs(self.phi_plus))
+            peak = max(peak, value)
+        object.__setattr__(self, "max_abs", peak)
 
 
 @dataclass(frozen=True)
@@ -136,11 +143,13 @@ def atomic_phase(
     This closed form is a standard steady-state two-level model adopted to
     connect atom number to signal; saturation and multilevel structure are
     out of scope. Emits RegimeWarning above 0.3 rad, where downstream
-    expansions stop being accurate.
+    expansions stop being accurate. atom_number may be an array of
+    samples; the phase is then elementwise.
     """
     if beam_waist <= 0 or cloud_rms < 0:
         raise DomainError("beam waist must be positive, cloud size nonnegative")
-    if atom_number < 0:
+    if (atom_number.min() if isinstance(atom_number, np.ndarray)
+            else atom_number) < 0:
         raise DomainError("atom number must be nonnegative")
     if linewidth <= 0:
         raise DomainError("linewidth must be positive")
@@ -149,9 +158,10 @@ def atomic_phase(
         2.0 * math.pi * (cloud_rms**2 + beam_waist**2 / 4.0))
     x = 2.0 * detuning / linewidth
     phi = -(rho_0 / 2.0) * x / (1.0 + x * x)
-    if abs(phi) > SMALL_PHASE_LIMIT:
+    worst = _extreme(phi)
+    if abs(worst) > SMALL_PHASE_LIMIT:
         warnings.warn(
-            f"atomic phase {phi:.3f} rad exceeds the small-phase regime",
+            f"atomic phase {worst:.3f} rad exceeds the small-phase regime",
             RegimeWarning,
             stacklevel=2,
         )
@@ -173,11 +183,12 @@ def exact_phase_terms(
     """
     a = phases.phi_plus - phases.phi_carrier
     b = phases.phi_carrier - phases.phi_minus
+    xp = np if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else math
     return (
-        math.cos(a) - math.cos(b),
-        math.sin(a) - math.sin(b),
-        math.cos(a) + math.cos(b),
-        math.sin(a) + math.sin(b),
+        xp.cos(a) - xp.cos(b),
+        xp.sin(a) - xp.sin(b),
+        xp.cos(a) + xp.cos(b),
+        xp.sin(a) + xp.sin(b),
     )
 
 
@@ -387,11 +398,14 @@ def sample_noisy_signal(
 
     Adds zero-mean Gaussian noise with the variance of noise_sigma. rng is
     a numpy Generator (or a seed for one); callers own the RNG state, which
-    keeps seed-indexed trials independent and deterministic.
+    keeps seed-indexed trials independent and deterministic. An array of
+    samples takes one batched draw, the stream of one draw per sample.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     sigma = noise_sigma(det, probe, pulse_duration)
     if sigma == 0.0:
         return ideal
+    if isinstance(ideal, np.ndarray):
+        return ideal + rng.normal(0.0, sigma, size=ideal.shape)
     return ideal + rng.normal(0.0, sigma)

@@ -1,0 +1,51 @@
+"""CLI runs of the spin engine at extreme drive strengths: exit codes and
+finite artifacts."""
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qndsim
+from qndsim.cli import main
+
+RABI = Path(qndsim.__file__).parent / "configs" / "rabi.json"
+
+
+def reject_constant(token):
+    raise ValueError(f"non-finite JSON value {token}")
+
+
+@pytest.mark.parametrize("khz", ["1e-308", "5e-324"])
+def test_underflowing_rabi_frequency_is_physics_error(tmp_path, capsys, khz):
+    # the config is valid; the shift-damping denominator 2*hbar^2*Omega_R
+    # underflows to zero
+    override = f"drive.rabi_frequency_khz={khz}"
+    assert main(["validate", str(RABI), "--set", override]) == 0
+    assert main(["run", str(RABI), "--out", str(tmp_path / "art"),
+                 "--set", override]) == 3
+    assert "DomainError" in capsys.readouterr().err
+
+
+def test_huge_rabi_frequency_finishes_with_finite_artifacts(tmp_path):
+    # the substep stepper split each probe period into ~1e12 rotations
+    out = tmp_path / "art"
+    env = {**os.environ, "PYTHONPATH": str(Path(qndsim.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "qndsim.cli", "run", str(RABI), "--out", str(out),
+         "--set", "drive.rabi_frequency_khz=1e12"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode in (0, 3), done.stderr
+    if done.returncode == 3:
+        return
+    manifest = json.loads((out / "manifest.json").read_text())
+    for name in manifest["artifacts"]:
+        text = (out / name).read_text()
+        if name.endswith(".json"):
+            json.loads(text, parse_constant=reject_constant)
+            continue
+        for row in text.splitlines()[1:]:
+            assert all(math.isfinite(float(cell)) for cell in row.split(",")), row

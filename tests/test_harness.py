@@ -28,7 +28,6 @@ from qndsim.harness import (
     fit_exponential,
     mid_pulse_amplitude,
     run_sequence,
-    write_bloch_csv,
     write_fit_json,
     write_trace_csv,
 )
@@ -155,15 +154,6 @@ def test_no_probe_gate_evolves_without_samples():
     assert bare.metadata["sample_period"] is None
     assert bare.final_state.jz == pytest.approx(N_AT / 2, abs=1e-6)
     assert gated.final_state.jz == pytest.approx(bare.final_state.jz, abs=1e-6)
-
-
-def test_record_states_keeps_trajectory():
-    seq, _ = ideal_rabi_trace(duration=2e-4)
-    tr = run_sequence(seq, EnsembleState.all_lower(N_AT), PROBE, DET,
-                      noiseless=True, template=CLEAN, record_states=True)
-    states = tr.metadata["states"]
-    assert len(states) == tr.times.size
-    assert states[0][1].f2_population == pytest.approx(0.0)
 
 
 def test_regime_error_carries_segment_index():
@@ -456,17 +446,14 @@ def test_trace_csv_roundtrip(tmp_path):
         assert float(sv) == v
 
 
-def test_bloch_csv(tmp_path):
-    seq = build_spin_echo(probe=IDEAL_GATE)
-    tr = run_sequence(seq, EnsembleState.all_lower(N_AT), PROBE, DET,
-                      noiseless=True, template=CLEAN, record_states=True)
-    path = tmp_path / "bloch.csv"
-    write_bloch_csv(tr.metadata["states"], path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "time_s,jx,jy,jz,n_leak"
-    assert len(rows) == tr.times.size + 1
-    first = rows[1].split(",")
-    assert float(first[3]) == pytest.approx(-N_AT / 2)
+def test_trace_csv_bytes_match_per_row_formatting(tmp_path):
+    times = np.array([0.0, 5e-324, 1.0, 3.0, 1e300, 1.7976931348623157e308])
+    signal = np.array([-0.0, 1e300, -5e-324, 2.0, -7.0, 0.1])
+    path = tmp_path / "trace.csv"
+    write_trace_csv(Trace(times, signal, {}), path)
+    rows = ["time_s,signal_v\n"] + [f"{float(t)!r},{float(v)!r}\n"
+                                     for t, v in zip(times, signal)]
+    assert path.read_bytes() == "".join(rows).encode()
 
 
 def test_fit_json_deterministic(tmp_path):

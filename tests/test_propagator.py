@@ -1,0 +1,236 @@
+"""Exact 5x5 propagator: oracle comparison against the substep stepper,
+invariant properties of `evolve`, and the batched detection chain."""
+import math
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qndsim
+import qndsim.atoms as atoms
+import qndsim.cli as cli
+import qndsim.harness as harness
+import stepper_reference as reference
+from qndsim.atoms import (
+    EnsembleState,
+    ProbeTuning,
+    RabiModel,
+    damping_rate,
+    evolve,
+    generator,
+)
+from qndsim.constants import H
+from qndsim.errors import DomainError
+from qndsim.heterodyne import (
+    DetectorModel,
+    ModulatedProbe,
+    PhaseShiftTriple,
+    atomic_phase,
+    demodulated_signal,
+    noise_sigma,
+    sample_noisy_signal,
+)
+
+CONFIG_DIR = Path(qndsim.__file__).parent / "configs"
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+# ------------------------------------------------------------------ oracle
+
+
+def captured_runs(monkeypatch, tmp_path, engine, config, overrides=()):
+    """Every run_sequence call of one CLI run, made through `engine`."""
+    calls = []
+
+    def capture(seq, initial, probe, det, **kwargs):
+        trace = engine(seq, initial, probe, det, **kwargs)
+        calls.append((seq, initial, probe, det, kwargs, trace))
+        return trace
+
+    args = ["run", str(config), "--out", str(tmp_path / engine.__module__)]
+    for item in overrides:
+        args += ["--set", item]
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(cli, "run_sequence", capture)
+        warnings.simplefilter("ignore")
+        assert cli.main(args) == 0
+    return calls
+
+
+def detected_atoms(call):
+    """Per-sample F=2 population read back from a trace's ideal signal."""
+    seq, initial, probe, det, kwargs, trace = call
+    gate = seq.probe
+    ideal = trace.signal
+    if not kwargs.get("noiseless"):
+        sigma = noise_sigma(det, probe, gate.pulse_duration)
+        ideal = ideal - np.random.default_rng(kwargs["seed"]).normal(
+            0.0, sigma, ideal.size)
+    per_atom = atomic_phase(
+        gate.tuning.sideband_detuning * gate.tuning.linewidth, 1.0,
+        probe.beam_waist, initial.cloud_rms, linewidth=gate.tuning.linewidth)
+    volts_per_sine = demodulated_signal(
+        probe, PhaseShiftTriple(phi_plus=0.1), det) / math.sin(0.1)
+    return np.arcsin(ideal / volts_per_sine) / per_atom
+
+
+def oracle_deviation(monkeypatch, tmp_path, config, overrides=()):
+    """Largest per-sample and final-state difference from the stepper, in N."""
+    new = captured_runs(monkeypatch, tmp_path, harness.run_sequence,
+                        config, overrides)
+    old = captured_runs(monkeypatch, tmp_path, reference.run_sequence,
+                        config, overrides)
+    assert len(new) == len(old) > 0
+    worst = 0.0
+    for a, b in zip(new, old):
+        assert np.array_equal(a[5].times, b[5].times)
+        n_at = a[1].atom_number
+        worst = max(worst, np.max(np.abs(detected_atoms(a) - detected_atoms(b))) / n_at)
+        for name in ("jx", "jy", "jz", "n_leak"):
+            diff = getattr(a[5].final_state, name) - getattr(b[5].final_state, name)
+            worst = max(worst, abs(diff) / n_at)
+    return worst
+
+
+@pytest.mark.parametrize("overrides", [(), ("options.noiseless=true",)],
+                         ids=["seeded", "noiseless"])
+def test_rabi_matches_stepper(monkeypatch, tmp_path, overrides):
+    # the gap is the stepper's splitting error: it shrinks when the
+    # stepper's substeps do
+    assert oracle_deviation(monkeypatch, tmp_path, CONFIG_DIR / "rabi.json",
+                            overrides) < 1e-6
+
+
+@pytest.mark.parametrize("overrides", [(), ("options.noiseless=false",)],
+                         ids=["noiseless", "seeded"])
+def test_spin_echo_matches_stepper(monkeypatch, tmp_path, overrides):
+    assert oracle_deviation(monkeypatch, tmp_path,
+                            CONFIG_DIR / "spin_echo.json", overrides) < 1e-6
+
+
+@pytest.mark.parametrize("linewidths", [0.5, 1.0, 2.0])
+def test_clamp_active_variants_match_stepper(monkeypatch, tmp_path, linewidths):
+    # strong near-resonant sideband, weak drive: the clamp acts in most
+    # probe periods, and both engines substep those periods
+    substeps = []
+    exact = atoms.expm
+    monkeypatch.setattr(atoms, "expm", lambda a: substeps.append(a) or exact(a))
+    overrides = (f"probe_gate.sideband_detuning_linewidths={linewidths}",
+                 "probe_gate.sideband_power_nw=2000",
+                 "drive.rabi_frequency_khz=0.5",
+                 "ensemble.atom_number=1e6")
+    deviation = oracle_deviation(monkeypatch, tmp_path,
+                                 CONFIG_DIR / "rabi.json", overrides)
+    assert len(substeps) > 50
+    assert deviation < 1e-3
+
+
+# ---------------------------------------------------------- evolve properties
+
+drives = st.builds(
+    RabiModel,
+    rabi_frequency=st.floats(0.0, 2 * math.pi * 2e4),
+    detuning=st.floats(-5e3, 5e3),
+    carrier_light_shift=st.floats(0.0, H * 3e3),
+    inhomogeneity=st.floats(0.0, 0.3),
+    residual_damping=st.floats(0.0, 500.0),
+).filter(lambda d: d.carrier_light_shift == 0 or d.rabi_frequency > 1.0)
+tunings = st.builds(
+    ProbeTuning.from_powers,
+    carrier_power=st.floats(0.0, 200e-6),
+    sideband_power=st.floats(0.0, 2e-6),
+    waist=st.floats(200e-6, 1e-3),
+    sideband_detuning=st.floats(0.5, 10.0),
+    modulation_frequency=st.floats(2.4e9, 3.0e9),
+)
+
+
+@st.composite
+def states(draw):
+    n_at = draw(st.floats(1.0, 1e7))
+    n_leak = draw(st.floats(0.0, 0.5)) * n_at
+    theta = draw(st.floats(0.0, math.pi))
+    phi = draw(st.floats(-math.pi, math.pi))
+    length = draw(st.floats(0.0, 1.0)) * (n_at - n_leak) / 2
+    return EnsembleState(
+        n_at, jx=length * math.sin(theta) * math.cos(phi),
+        jy=length * math.sin(theta) * math.sin(phi),
+        jz=length * math.cos(theta), n_leak=n_leak)
+
+
+@PROPERTY
+@given(states(), drives, tunings, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi),
+       st.floats(1e-7, 1e-3))
+def test_evolve_keeps_invariants(state, drive, tuning, leak_fraction, phase, dt):
+    after = evolve(state, drive, tuning, dt, leak_fraction, phase)
+    n_at = state.atom_number
+    assert after.atom_number == n_at
+    assert after.bloch_norm <= after.coherent_number / 2 * (1 + 1e-9) + 1e-12
+    assert after.upper_population >= -1e-9 * n_at
+    assert after.lower_population >= -1e-9 * n_at
+    assert after.n_leak >= state.n_leak * (1 - 1e-12)
+    gen, _ = generator(drive, tuning, leak_fraction, phase)
+    assert not gen[4].any()  # the atom number is conserved exactly
+
+
+DARK = ProbeTuning(sideband_intensity=0.0, carrier_intensity=0.0)
+
+
+@PROPERTY
+@given(states(), drives, st.floats(-math.pi, math.pi), st.floats(1e-7, 1e-3),
+       st.floats(1e-7, 1e-3))
+def test_evolve_is_a_group_without_dissipation(state, drive, phase, a, b):
+    drive = RabiModel(rabi_frequency=drive.rabi_frequency, detuning=drive.detuning,
+                      carrier_light_shift=0.0, residual_damping=0.0)
+    tol = 1e-9 * state.atom_number
+    there = evolve(state, drive, DARK, a, drive_phase=phase)
+    back = evolve(there, drive, DARK, -a, drive_phase=phase)
+    split = evolve(evolve(state, drive, DARK, a, drive_phase=phase), drive, DARK, b,
+                   drive_phase=phase)
+    joint = evolve(state, drive, DARK, a + b, drive_phase=phase)
+    for name in ("jx", "jy", "jz", "n_leak"):
+        assert abs(getattr(back, name) - getattr(state, name)) <= tol
+        assert abs(getattr(split, name) - getattr(joint, name)) <= tol
+
+
+# ------------------------------------------------------ rates and detection
+
+def test_rates_that_are_not_finite_raise_domain_error():
+    # 2*hbar^2*Omega_R underflows to 0 long before Omega_R does
+    tiny = RabiModel(rabi_frequency=2 * math.pi * 1e-305)
+    with pytest.raises(DomainError, match="Rabi frequency"):
+        damping_rate(tiny, 0.0)
+    with pytest.raises(DomainError, match="not finite"):
+        damping_rate(RabiModel(inhomogeneity=1e308), 0.0)
+    with pytest.raises(DomainError, match="not finite"):
+        generator(RabiModel(rabi_frequency=1e300, detuning=1e308), DARK)
+
+
+def test_huge_rotation_sets_no_step_count():
+    # the stepper needed ~1e12 substeps for this probe period
+    drive = RabiModel(rabi_frequency=2 * math.pi * 1e15)
+    after = evolve(EnsembleState.all_lower(1e7), drive, ProbeTuning(), 1e-5)
+    assert after.bloch_norm <= after.coherent_number / 2 * (1 + 1e-9) + 1e-12
+
+
+def test_detection_chain_is_elementwise():
+    probe, det = ModulatedProbe(), DetectorModel()
+    atoms_at = np.array([0.0, 1e5, 5e5, 2e6])
+    phi = atomic_phase(4.81 * 6e6, atoms_at, 245e-6, 1e-4)
+    assert phi.tolist() == [atomic_phase(4.81 * 6e6, n, 245e-6, 1e-4)
+                            for n in atoms_at.tolist()]
+    volts = demodulated_signal(probe, PhaseShiftTriple(phi_plus=phi), det,
+                               path_error=1e-6)
+    assert volts.tolist() == [
+        demodulated_signal(probe, PhaseShiftTriple(phi_plus=p), det, path_error=1e-6)
+        for p in phi.tolist()]
+    noisy = sample_noisy_signal(volts, det, probe, 1e-5, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    assert noisy.tolist() == [sample_noisy_signal(v, det, probe, 1e-5, rng)
+                              for v in volts.tolist()]
+    with pytest.raises(DomainError):
+        atomic_phase(1e6, np.array([1.0, -1.0]), 245e-6, 0.0)
+    with pytest.raises(DomainError):
+        PhaseShiftTriple(phi_plus=np.array([0.0, np.nan]))
