@@ -54,8 +54,9 @@ def _carrier_detunings(modulation_frequency: float) -> tuple[float, float, float
 class ProbeTuning:
     """Probe frequencies and intensities entering the scattering model.
 
-    sideband_detuning is in units of the natural linewidth; the three
-    carrier detunings are magnitudes in Hz, ordered by excited level.
+    sideband_detuning is in units of the natural linewidth, and may be an
+    array of detunings for a sweep; the three carrier detunings are
+    magnitudes in Hz, ordered by excited level.
     Saturation intensities are those of the pi transitions from the probed
     ground level with Zeeman sublevels equally populated.
     """
@@ -237,7 +238,10 @@ def _sideband_lorentzian(tuning: ProbeTuning) -> float:
     # detuning already in linewidth units
     s = tuning.sideband_intensity / tuning.saturation_intensities[2]
     gamma_ang = 2 * math.pi * tuning.linewidth
-    return gamma_ang * (s / 2) / (1 + 4 * tuning.sideband_detuning**2 + s)
+    d = tuning.sideband_detuning
+    # arrays square with pow as scalars do; numpy's x*x can be 1 ulp off it
+    sq = np.float_power(d, 2) if isinstance(d, np.ndarray) else d**2
+    return gamma_ang * (s / 2) / (1 + 4 * sq + s)
 
 
 def sideband_photon_rate(tuning: ProbeTuning) -> float:
@@ -266,7 +270,9 @@ def scattering_rate(
 
     Sideband term (branching-weighted on its transition) plus the three
     carrier terms plus the constant cloud fall/expansion rate. With all
-    intensities zero this returns expansion_rate exactly.
+    intensities zero this returns expansion_rate exactly. For an array of
+    sideband detunings the rate is elementwise and equals the scalar call
+    at every detuning.
     """
     if expansion_rate < 0:
         raise DomainError("expansion rate must be nonnegative")

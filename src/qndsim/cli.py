@@ -58,6 +58,7 @@ from .harness import (
     fit_damped_sine,
     mid_pulse_amplitude,
     run_sequence,
+    write_csv,
     write_fit_json,
     write_trace_csv,
 )
@@ -262,19 +263,6 @@ def _write_json(path: Path, payload: dict) -> None:
         raise RegimeError(f"{path.name}: non-finite value in output") from exc
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            line = ",".join(cell if isinstance(cell, str) else
-                            repr(float(cell)) for cell in row)
-            # repr spells every non-finite float nan, inf or -inf
-            if "nan" in line or "inf" in line:
-                raise RegimeError(
-                    f"{path.name}: non-finite value in row {line}")
-            fh.write(line + "\n")
 
 
 # ------------------------------------------------------------- resolution
@@ -521,9 +509,8 @@ def _run_cavity_spectrum(v: dict, out: Path, seed: int) -> list[str]:
         wavelength=sec["wavelength_nm"] * 1e-9,
     )
     order = sec["max_transverse_order"]
-    rows = transverse_spectrum(geom, order, order)
-    _write_csv(out / "spectrum.csv", "m,n,offset_hz",
-               ((str(m), str(n), off) for m, n, off in rows))
+    write_csv(out / "spectrum.csv", "m,n,offset_hz",
+              [tuple(zip(*transverse_spectrum(geom, order, order)))])
     mode = solve_mode(geom)
     _write_json(out / "mode.json", {
         "waist_par_um": mode.waist_par * 1e6,
@@ -547,15 +534,12 @@ def _run_trap_map(v: dict, out: Path, seed: int) -> list[str]:
     )
     half = v["grid"]["half_span_um"] * 1e-6
     axis = np.linspace(-half, half, v["grid"]["points_per_axis"])
-
-    def rows():
-        for x in axis:
-            for y in axis:
-                for z in axis:
-                    u = potential_at(trap, (x, y, z))
-                    yield (x * 1e6, y * 1e6, z * 1e6, u / K_B * 1e6)
-
-    _write_csv(out / "trap_map.csv", "x_um,y_um,z_um,potential_uk", rows())
+    y, z = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
+    # one x-plane per call: a whole-cube grid would hold several cube-sized
+    # temporaries at once
+    write_csv(out / "trap_map.csv", "x_um,y_um,z_um,potential_uk",
+              ((np.full(y.size, x * 1e6), y * 1e6, z * 1e6,
+                potential_at(trap, (x, y, z)) / K_B * 1e6) for x in axis))
     fx, fy, fz = trap_frequencies(trap)
     _write_json(out / "trap_summary.json", {
         "depth_uk": trap_depth(trap) / K_B * 1e6,
@@ -596,19 +580,12 @@ def _run_noise_sweep(v: dict, out: Path, seed: int) -> list[str]:
     wavelength = sweep["reference_wavelength_um"] * 1e-6
     triple = PhaseShiftTriple(phi_plus=phi)
     base = demodulated_signal(probe, triple, det)
-
-    def rows():
-        for pe in np.linspace(-span, span, sweep["points"]):
-            pe = float(pe)
-            full = demodulated_signal(probe, triple, det, path_error=pe)
-            yield (pe,
-                   full - base,
-                   length_noise_signal(probe, phi, det, pe),
-                   interferometer_length_signal(probe, det, pe, wavelength))
-
-    _write_csv(out / "noise_sweep.csv",
-               "path_error_m,demodulated_shift_v,budget_v,reference_v",
-               rows())
+    pe = np.linspace(-span, span, sweep["points"])
+    write_csv(out / "noise_sweep.csv",
+              "path_error_m,demodulated_shift_v,budget_v,reference_v",
+              [(pe, demodulated_signal(probe, triple, det, path_error=pe) - base,
+                length_noise_signal(probe, phi, det, pe),
+                interferometer_length_signal(probe, det, pe, wavelength))])
     _write_json(out / "noise_rejection.json", {
         "phi_at_rad": phi,
         "ram_asymmetry": probe.ram_asymmetry,
@@ -621,24 +598,16 @@ def _run_noise_sweep(v: dict, out: Path, seed: int) -> list[str]:
 
 def _run_scattering_sweep(v: dict, out: Path, seed: int) -> list[str]:
     sec, sweep = v["tuning"], v["sweep"]
-    carrier = sec["carrier_power_uw"] * 1e-6
-    sideband = sec["sideband_power_nw"] * 1e-9
-    waist = sec["waist_um"] * 1e-6
-    modulation = sec["modulation_frequency_ghz"] * 1e9
-    expansion = sec["expansion_rate_hz"]
-
-    def rows():
-        for delta in np.linspace(sweep["detuning_min_linewidths"],
-                                 sweep["detuning_max_linewidths"],
-                                 sweep["points"]):
-            tuning = ProbeTuning.from_powers(
-                carrier_power=carrier, sideband_power=sideband, waist=waist,
-                sideband_detuning=float(delta),
-                modulation_frequency=modulation)
-            yield (float(delta), scattering_rate(tuning, expansion))
-
-    _write_csv(out / "scattering_sweep.csv",
-               "sideband_detuning_linewidths,decay_rate_hz", rows())
+    delta = np.linspace(sweep["detuning_min_linewidths"],
+                        sweep["detuning_max_linewidths"], sweep["points"])
+    tuning = ProbeTuning.from_powers(
+        carrier_power=sec["carrier_power_uw"] * 1e-6,
+        sideband_power=sec["sideband_power_nw"] * 1e-9,
+        waist=sec["waist_um"] * 1e-6, sideband_detuning=delta,
+        modulation_frequency=sec["modulation_frequency_ghz"] * 1e9)
+    write_csv(out / "scattering_sweep.csv",
+              "sideband_detuning_linewidths,decay_rate_hz",
+              [(delta, scattering_rate(tuning, sec["expansion_rate_hz"]))])
     return ["scattering_sweep.csv"]
 
 
@@ -740,9 +709,10 @@ def _run_spin_echo(v: dict, out: Path, seed: int) -> list[str]:
                              noiseless=v["options"]["noiseless"])
         traces.append((delta, seq, trace))
 
-    _write_csv(out / "spin_echo_traces.csv", "detuning_hz,time_s,signal_v",
-               ((delta, float(t), float(s)) for delta, _, trace in traces
-                for t, s in zip(trace.times, trace.signal)))
+    write_csv(out / "spin_echo_traces.csv", "detuning_hz,time_s,signal_v",
+              [(np.concatenate([np.full(t.times.size, d) for d, _, t in traces]),
+                np.concatenate([t.times for _, _, t in traces]),
+                np.concatenate([t.signal for _, _, t in traces]))])
     amps = [(delta, mid_pulse_amplitude(trace, seq),
              float(np.max(np.abs(trace.signal))))
             for delta, seq, trace in traces]
@@ -752,12 +722,11 @@ def _run_spin_echo(v: dict, out: Path, seed: int) -> list[str]:
     by_det = {d: a for d, a, _ in amps}
     global_ref = by_det.get(0.0, max(a for _, a, _ in amps))
 
-    _write_csv(out / "spin_echo_amplitudes.csv",
-               "detuning_hz,amplitude_v,normalized_global,"
-               "normalized_per_trace",
-               ((delta, amp, amp / global_ref if global_ref > 0 else 0.0,
-                 amp / peak if peak > 0 else 0.0)
-                for delta, amp, peak in amps))
+    rows = [(delta, amp, amp / global_ref if global_ref > 0 else 0.0,
+             amp / peak if peak > 0 else 0.0) for delta, amp, peak in amps]
+    write_csv(out / "spin_echo_amplitudes.csv",
+              "detuning_hz,amplitude_v,normalized_global,normalized_per_trace",
+              [tuple(zip(*rows))])
     return ["spin_echo_traces.csv", "spin_echo_amplitudes.csv"]
 
 
@@ -816,7 +785,13 @@ def _cmd_run(args) -> int:
     seed = resolved["seed"]
     artifacts: list[str] = []
     for name in scenarios:
-        artifacts.extend(_RUNNERS[name](resolved[name], out, seed))
+        try:
+            artifacts.extend(_RUNNERS[name](resolved[name], out, seed))
+        except ArithmeticError as exc:
+            # an overflow or a zero division in a model's scalar set-up is a
+            # physics error at these values, like the regime checks' ones
+            raise DomainError(
+                f"{name}: {type(exc).__name__}: {exc}") from exc
     _write_json(out / "manifest.json", {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenarios,

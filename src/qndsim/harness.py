@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
@@ -515,12 +516,38 @@ def mid_pulse_amplitude(trace: Trace, seq: PulseSequence) -> float:
     return float(window.max() - window.min()) / 2
 
 
+CSV_BLOCK_ROWS = 4096
+
+
+def write_csv(path, header: str, blocks) -> None:
+    """CSV of a header line and the rows of ``blocks``, each a tuple of
+    equal-length columns, so a large table can come one slab at a time.
+
+    A cell is the repr of its tolist() value: floats round-trip, integers
+    stay integral. Rows are formatted and written CSV_BLOCK_ROWS at a time.
+    Raises RegimeError naming the first row holding a NaN or an infinity.
+    """
+    path, row = Path(path), 0
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for columns in blocks:
+            columns = [np.asarray(c) for c in columns]
+            for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+                chunk = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
+                lines = list(map(",".join, zip(
+                    *(map(repr, c.tolist()) for c in chunk))))
+                finite = np.logical_and.reduce([np.isfinite(c) for c in chunk])
+                if not finite.all():
+                    bad = int(np.argmin(finite))
+                    raise RegimeError(f"{path.name}: non-finite value in row "
+                                      f"{row + start + bad + 1}: {lines[bad]}")
+                fh.write("\n".join(lines) + "\n")
+            row += len(columns[0])
+
+
 def write_trace_csv(trace: Trace, path) -> None:
     """CSV of (time s, signal V). repr keeps round-trip exactness."""
-    rows = "".join(f"{t!r},{v!r}\n" for t, v in
-                   zip(trace.times.tolist(), trace.signal.tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("time_s,signal_v\n" + rows)
+    write_csv(path, "time_s,signal_v", [(trace.times, trace.signal)])
 
 
 def write_fit_json(fit, path, extra: dict | None = None) -> None:

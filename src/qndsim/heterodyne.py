@@ -247,7 +247,9 @@ def demodulated_signal(
                       + sin(chi)*(DPhi+ + eps*DPhi+AM)]
 
     with chi = 2*pi*path_error/lambda_mod + (Phi_dem - matched). The exact
-    trigonometric coefficient forms are used throughout.
+    trigonometric coefficient forms are used throughout. The phases or
+    path_error may be arrays; the voltage is then elementwise and equals
+    the scalar call at every point.
 
     Raises RegimeError when the phases leave the small-phase regime the
     calibration assumes.
@@ -262,9 +264,10 @@ def demodulated_signal(
     if demod_phase is not None:
         chi += demod_phase - probe.matched_demod_phase
     scale = det.gain * probe.modulation_depth * probe.carrier_power
+    xp = np if isinstance(chi, np.ndarray) else math
     return scale * (
-        math.cos(chi) * (d_minus + eps * d_minus_am)
-        + math.sin(chi) * (d_plus + eps * d_plus_am)
+        xp.cos(chi) * (d_minus + eps * d_minus_am)
+        + xp.sin(chi) * (d_plus + eps * d_plus_am)
     )
 
 

@@ -77,16 +77,21 @@ def arm_intensity(config: DipoleTrapConfig, arm: int, position) -> float:
 
     Arm 0 propagates along x, arm 1 along y; both cross at the origin.
     The in-plane transverse direction carries waist_par, the vertical one
-    waist_perp, each diverging with its own Rayleigh range.
+    waist_perp, each diverging with its own Rayleigh range. Coordinates may
+    be arrays that broadcast; the result then equals the scalar call at
+    every point.
     """
     if arm not in (0, 1):
         raise DomainError("arm index must be 0 or 1")
     x, y, z = (np.asarray(p, dtype=float) for p in position)
     u, h = (x, y) if arm == 0 else (y, x)
-    w_h = config.waist_par * np.sqrt(1.0 + (u / config.rayleigh_par) ** 2)
-    w_z = config.waist_perp * np.sqrt(1.0 + (u / config.rayleigh_perp) ** 2)
+    # square with pow(x, 2) as a scalar x**2 does, so that points evaluated
+    # as arrays match scalar calls; numpy's array x**2 is x*x, 1 ulp off
+    sq = np.float_power
+    w_h = config.waist_par * np.sqrt(1.0 + sq(u / config.rayleigh_par, 2))
+    w_z = config.waist_perp * np.sqrt(1.0 + sq(u / config.rayleigh_perp, 2))
     peak = 2.0 * config.power_per_arm / (math.pi * w_h * w_z)
-    profile = np.exp(-2.0 * (h / w_h) ** 2 - 2.0 * (z / w_z) ** 2)
+    profile = np.exp(-2.0 * sq(h / w_h, 2) - 2.0 * sq(z / w_z, 2))
     intensity = peak * profile
     if config.backscatter_depth:
         k = 2.0 * math.pi / config.wavelength
@@ -95,7 +100,7 @@ def arm_intensity(config: DipoleTrapConfig, arm: int, position) -> float:
 
 
 def potential_at(config: DipoleTrapConfig, position) -> float:
-    """Dipole potential of the crossed trap at a point, joules (negative)."""
+    """Dipole potential at a point (or array points), joules (negative)."""
     intensity = arm_intensity(config, 0, position) + arm_intensity(config, 1, position)
     return -config.polarizability * intensity / (2.0 * EPSILON_0 * C)
 
