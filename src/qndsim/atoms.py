@@ -211,28 +211,6 @@ class EnsembleState:
         return math.sqrt(self.jx**2 + self.jy**2 + self.jz**2)
 
 
-def css_moments(
-    atom_number: float, polarization_axis: str = "x"
-) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """Means and variances of (Jx, Jy, Jz) for a coherent spin state.
-
-    Polarized along one axis: mean N/2 there, zero elsewhere; projection
-    noise N/4 in both transverse components and none along the
-    polarization.
-    """
-    if atom_number < 0:
-        raise DomainError("atom number must be nonnegative")
-    axes = {"x": 0, "y": 1, "z": 2}
-    if polarization_axis not in axes:
-        raise DomainError("polarization axis must be one of 'x', 'y', 'z'")
-    i = axes[polarization_axis]
-    means = [0.0, 0.0, 0.0]
-    variances = [atom_number / 4.0] * 3
-    means[i] = atom_number / 2.0
-    variances[i] = 0.0
-    return tuple(means), tuple(variances)
-
-
 def _sideband_lorentzian(tuning: ProbeTuning) -> float:
     # saturated Lorentzian of the sideband on its reference transition,
     # detuning already in linewidth units

@@ -5,7 +5,6 @@ numbers are the standard D2-line values; saturation intensities and
 branching ratios are for pi transitions out of |F=1> with Zeeman
 sub-levels equally populated.
 """
-import math
 
 import scipy.constants as _sc
 
@@ -23,7 +22,6 @@ TRAP_WAVELENGTH = 1560e-9    # m, dipole-trap light
 PROBE_WAVELENGTH = 780.241e-9  # m, D2 detection light
 
 GAMMA_D2_FREQ = 6.0666e6                      # D2 natural linewidth, Hz
-GAMMA_D2 = 2 * math.pi * GAMMA_D2_FREQ        # same, rad/s
 
 # F=1 -> F'=i pi-transition saturation intensities, W/m^2, i = 0, 1, 2
 I_SAT = (16.67, 26.7, 61.23)

@@ -193,12 +193,15 @@ def run_sequence(
     (light shift, inhomogeneity, residual damping) reused by every
     segment.
 
-    Each segment builds its generator once; one batched expm gives its
-    full-period matrix and its partial steps, from the segment start to
-    the first sample at k*period and from the last sample to the segment
-    end, and each step is one matvec (atoms.advance). Invariants are
-    checked over the whole trajectory, and the detection chain runs once
-    over all samples with one batched noise draw.
+    Segments with one model and drive phase share a generator. Per
+    segment the sample clock gives at most a partial head step, one run
+    of whole periods and a partial tail step; one batched expm gives a
+    matrix per distinct (generator, dt), and a run is a loop of in-place
+    matvecs. A screen that can only over-flag finds the first step that
+    atoms.advance might clamp, and the walk is redone from there with
+    advance, so every row is bit for bit what one advance call gives.
+    Invariants are checked over the whole trajectory, and the detection
+    chain runs once over all samples with one batched noise draw.
 
     StepError and RegimeError are re-raised with the index of the segment
     of the first offending step or sample prepended.
@@ -209,54 +212,88 @@ def run_sequence(
     tuning = gate.tuning if gate is not None else ProbeTuning(
         sideband_intensity=0.0, carrier_intensity=0.0
     )
-    # per step: its segment and dt; per sample: its time, the number of
-    # steps made before it and its segment
-    gens, stepped_in, dts, times, taken, sampled_in = [], [], [], [], [], []
-    t_now = 0.0
-    sample_index = 0
     eps = 1e-12
-    if gate is not None:
-        period = gate.period
-        times, taken, sampled_in, sample_index = [0.0], [0], [0], 1
-    for idx, seg in enumerate(seq.segments):
-        gens.append(generator(_segment_model(seg, gate, base), tuning,
-                              leak_fraction, getattr(seg, "phase", 0.0)))
+    period = gate.period if gate is not None else 0.0
+    # steps are runs (matrix, count), samples runs (first row, count);
+    # off-clock samples keep the time the walk reached, not k*period
+    gen_of, gens, matrix_of, runs, off, seg_steps, seg_samples = {}, [], {}, [], [], [], []
+    t_now, n_steps, k = 0.0, 0, int(gate is not None)    # sample 0 is at t = 0
+    samples = [(0, 1)] * k
+
+    def step(g: int, dt: float, count: int = 1) -> None:
+        nonlocal n_steps    # g indexes gens; one matrix per (g, dt)
+        runs.append((matrix_of.setdefault((g, dt), len(matrix_of)), count))
+        n_steps += count
+
+    for seg in seq.segments:
+        key = (_segment_model(seg, gate, base), getattr(seg, "phase", 0.0))
+        if key not in gen_of:
+            gen_of[key] = len(gens)
+            gens.append(generator(key[0], tuning, leak_fraction, key[1]))
+        g = gen_of[key]
+        seg_steps.append(n_steps)
+        seg_samples.append(k)
         seg_end = t_now + seg.duration
-        while gate is not None:
-            t_next = sample_index * period
-            if t_next > seg_end + eps:
-                break
+        last = k - 1    # the last sample index with last*period <= seg_end + eps
+        if gate is not None:    # the rounded quotient is at most one off
+            last = math.floor((seg_end + eps) / period)
+            last += ((last + 1) * period <= seg_end + eps) - (last * period > seg_end + eps)
+        while k <= last:
+            t_next = k * period
             if t_next > t_now + eps:
-                on_clock = t_now == (sample_index - 1) * period
-                stepped_in.append(idx)
-                dts.append(period if on_clock else t_next - t_now)
+                on_clock = t_now == (k - 1) * period
+                # unless rounding could merge samples, every later sample
+                # is then one whole period after the one before
+                if on_clock and period > 4 * (eps + math.ulp(seg_end + eps)):
+                    samples.append((n_steps + 1, last + 1 - k))
+                    step(g, period, last + 1 - k)
+                    t_now, k = last * period, last + 1
+                    break
+                step(g, period if on_clock else t_next - t_now)
                 t_now = t_next
-            times.append(t_now)
-            taken.append(len(dts))
-            sampled_in.append(idx)
-            sample_index += 1
+            else:
+                off.append((k, t_now))
+            samples.append((n_steps, 1))
+            k += 1
         if seg_end > t_now + eps:
-            stepped_in.append(idx)
-            dts.append(seg_end - t_now)
+            step(g, seg_end - t_now)
             t_now = seg_end
 
-    matrix_of: dict[tuple[int, float], int] = {}
-    which = [matrix_of.setdefault(key, len(matrix_of)) for key in zip(stepped_in, dts)]
-    props = expm(np.array([gens[i][0] * dt for i, dt in matrix_of])) if dts else ()
-    trajectory = np.empty((len(dts) + 1, 5))
-    trajectory[0] = v = state_vector(initial)
-    for row, (idx, dt, m) in enumerate(zip(stepped_in, dts, which), 1):
-        trajectory[row] = v = advance(v, props[m], *gens[idx], dt)
+    keys = list(matrix_of)
+    props = expm(np.array([gens[i][0] * dt for i, dt in keys])) if keys else ()
+    trajectory = np.empty((n_steps + 1, 5))
+    trajectory[0] = state_vector(initial)
+    done = 0
+    for m, count in runs:
+        matrix, stop = props[m], done + count
+        for prev, row in zip(trajectory[done:stop], trajectory[done + 1:stop + 1]):
+            np.dot(matrix, prev, row)   # in place; the bits of matrix @ prev
+        done = stop
+    # the Bloch vectors lengthened by 1e-12 outgrow any rounding gap
+    # between this array check and advance's scalar one
+    longer = trajectory[1:] * (1 + 1e-12, 1 + 1e-12, 1 + 1e-12, 1.0, 1.0)
+    flagged = np.flatnonzero(broken_invariants(longer))
+    if flagged.size:
+        done = 0
+        for m, count in runs:
+            i, dt = keys[m]
+            for row in range(max(done, flagged[0]) + 1, done + count + 1):
+                trajectory[row] = advance(trajectory[row - 1], props[m], *gens[i], dt)
+            done += count
     bad = np.flatnonzero(broken_invariants(trajectory))
     if bad.size:
         try:
             with_vector(initial, trajectory[bad[0]])
         except StepError as exc:
-            raise StepError(f"segment {stepped_in[bad[0] - 1]}: {exc}") from exc
+            seg = np.searchsorted(seg_steps[1:], bad[0] - 1, side="right")
+            raise StepError(f"segment {seg}: {exc}") from exc
 
+    times = np.arange(k) * period
+    for i, t in off:
+        times[i] = t
     volts = np.empty(0)
-    if times:
-        at = trajectory[taken]
+    if gate is not None:
+        at = trajectory[np.concatenate([np.arange(r, r + n) for r, n in samples])]
         phi = atomic_phase(
             gate.tuning.sideband_detuning * gate.tuning.linewidth,
             f2_population(at[:, 4], at[:, 2], at[:, 3]),
@@ -268,7 +305,8 @@ def run_sequence(
             volts = demodulated_signal(probe, PhaseShiftTriple(phi_plus=phi), det)
         except RegimeError as exc:
             first = int(np.argmax(np.abs(phi) > SMALL_PHASE_LIMIT))
-            raise RegimeError(f"segment {sampled_in[first]}: {exc}") from exc
+            seg = np.searchsorted(seg_samples[1:], first, side="right")
+            raise RegimeError(f"segment {seg}: {exc}") from exc
         if not noiseless:
             volts = sample_noisy_signal(volts, det, probe, gate.pulse_duration, rng)
 
@@ -278,7 +316,7 @@ def run_sequence(
         "sample_period": gate.period if gate else None,
         "noiseless": noiseless,
     }
-    return Trace(np.array(times), volts, metadata,
+    return Trace(times, volts, metadata,
                  final_state=with_vector(initial, trajectory[-1]))
 
 

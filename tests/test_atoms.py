@@ -9,7 +9,6 @@ from qndsim.atoms import (
     RabiModel,
     carrier_pump_rate,
     cavity_enhancement,
-    css_moments,
     damping_rate,
     evolve,
     light_shift,
@@ -43,26 +42,6 @@ def _clean_drive(**kw):
     defaults = dict(carrier_light_shift=0.0, residual_damping=0.0)
     defaults.update(kw)
     return RabiModel(**defaults)
-
-
-def test_css_moments_x_polarized():
-    means, variances = css_moments(1e6, "x")
-    assert means == (5e5, 0.0, 0.0)
-    assert variances == (0.0, 2.5e5, 2.5e5)
-
-
-def test_css_moments_examples_and_relabeling():
-    _, var4 = css_moments(4, "x")
-    assert var4 == (0.0, 1.0, 1.0)
-    means0, var0 = css_moments(0, "x")
-    assert means0 == (0.0, 0.0, 0.0) and var0 == (0.0, 0.0, 0.0)
-    means_z, var_z = css_moments(8, "z")
-    assert means_z == (0.0, 0.0, 4.0)
-    assert var_z == (2.0, 2.0, 0.0)
-    with pytest.raises(DomainError):
-        css_moments(4, "w")
-    with pytest.raises(DomainError):
-        css_moments(-1, "x")
 
 
 def test_scattering_rate_golden():
