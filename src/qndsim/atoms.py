@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .constants import (
     BRANCHING,
@@ -375,6 +374,11 @@ def generator(drive: RabiModel, tuning: ProbeTuning, leak_fraction: float = 0.5,
     if not np.isfinite(gen).all():
         raise DomainError("spin-engine rates are not finite")
     return gen, max(beta, leak, pump)
+
+
+def expm(a):  # scipy.linalg loads on the first call, not with the package
+    from scipy.linalg import expm
+    return expm(a)
 
 
 def advance(v, propagator, gen, loss_rate, dt) -> np.ndarray:

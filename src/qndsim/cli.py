@@ -676,6 +676,7 @@ def _run_rabi(v: dict, out: Path, seed: int) -> list[str]:
     try:
         fit = fit_damped_sine(trace, window=window)
     except FitDiverged as exc:
+        print(f"warning: rabi fit diverged: {exc}", file=sys.stderr)
         _write_json(out / "rabi_fit.json",
                     {"error": f"fit diverged: {exc}", **extra})
     else:

@@ -1,21 +1,20 @@
 """Physical constants and rubidium-87 line data used across the package.
 
-Fundamental constants come from scipy.constants (CODATA). The rubidium
-numbers are the standard D2-line values; saturation intensities and
-branching ratios are for pi transitions out of |F=1> with Zeeman
-sub-levels equally populated.
+Fundamental constants are pinned CODATA 2022 literals, bitwise equal to
+scipy.constants, which is never imported. The rubidium numbers are the
+standard D2-line values; saturation intensities and branching ratios are
+for pi transitions out of |F=1> with Zeeman sub-levels equally populated.
 """
 
-import scipy.constants as _sc
+C = 299792458.0                  # m/s
+H = 6.62607015e-34               # J s
+HBAR = 1.0545718176461565e-34    # J s, h/2pi
+K_B = 1.380649e-23               # J/K
+EPSILON_0 = 8.8541878188e-12     # F/m
+E_CHARGE = 1.602176634e-19       # C
+ATOMIC_MASS = 1.66053906892e-27  # kg
 
-C = _sc.c
-H = _sc.h
-HBAR = _sc.hbar
-K_B = _sc.k
-EPSILON_0 = _sc.epsilon_0
-E_CHARGE = _sc.e
-
-RB87_MASS = 86.909180527 * _sc.atomic_mass  # kg
+RB87_MASS = 86.909180527 * ATOMIC_MASS  # kg
 
 # wavelengths of the two cavity-resonant colors
 TRAP_WAVELENGTH = 1560e-9    # m, dipole-trap light

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import brentq, curve_fit
 
 from .atoms import (
     EnsembleState,
@@ -27,6 +25,7 @@ from .atoms import (
     RabiModel,
     advance,
     broken_invariants,
+    expm,
     f2_population,
     generator,
     sideband_photon_rate,
@@ -44,6 +43,16 @@ from .heterodyne import (
     noise_sigma,
     sample_noisy_signal,
 )
+
+
+def curve_fit(*args, **kwargs):  # scipy.optimize loads on the first fit
+    from scipy.optimize import curve_fit
+    return curve_fit(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    from scipy.optimize import brentq
+    return brentq(*args, **kwargs)
 
 
 @dataclass(frozen=True)
