@@ -38,9 +38,6 @@ DEFAULT_SIDEBAND_INTENSITY = 2 * 76e-9 / (math.pi * 245e-6**2)
 DEFAULT_CARRIER_INTENSITY = 2 * 120e-6 / (math.pi * 245e-6**2)
 DEFAULT_EXPANSION_RATE = 120.0   # Hz, cloud fall/expansion signal loss
 
-# Largest loss-rate*dt product of one clamped substep (see `advance`).
-MAX_SUBSTEP_ANGLE = 0.05
-
 
 def _carrier_detunings(modulation_frequency: float) -> tuple[float, float, float]:
     # The carrier sits one modulation frequency below the sideband's
@@ -333,25 +330,30 @@ def damping_rate(model: RabiModel, spontaneous_rate: float) -> float:
 
 
 def generator(drive: RabiModel, tuning: ProbeTuning, leak_fraction: float = 0.5,
-              drive_phase: float = 0.0) -> tuple[np.ndarray, float]:
+              drive_phase: float = 0.0) -> np.ndarray:
     """Generator G of dv/dt = G v for v = (Jx, Jy, Jz, N_leak, N_at).
 
     G holds: rotation of the Bloch vector about (Omega_R*cos(phase),
     Omega_R*sin(phase), 2*pi*detuning_total), where detuning_total adds
     the duty-averaged differential light shift to the microwave detuning;
-    damping of the components perpendicular to the rotation axis at the
-    rate from damping_rate (the damping rate is defined as the fitted
-    envelope rate of the driven oscillation, and the inhomogeneous-rate
-    dephasing it models spares the axis-parallel component; with no
-    rotation at all the z coherence damps); population transfer:
-    upper-level atoms scatter sideband photons and land in |F=2, m!=0>
-    with probability leak_fraction, lower-level atoms are pumped to F=2
-    by the carrier, both joining the incoherent leaked pool. Probe rates
-    are duty-cycle averaged; sub-period pulse gating is not resolved.
+    population transfer: upper-level atoms scatter sideband photons and
+    land in |F=2, m!=0> with probability leak_fraction (rate leak), lower-
+    level atoms are pumped to F=2 by the carrier (rate pump), both joining
+    the incoherent leaked pool; damping at the rate from damping_rate,
+    defined as the fitted envelope rate of the driven oscillation. Of it,
+    (leak + pump)/2 damps Jx and Jy, since a coherence decays with the
+    two populations it connects (the loss term of a trace-decreasing
+    Lindblad generator). The rest damps the components perpendicular to
+    the rotation axis: the inhomogeneous-rate dephasing it models spares
+    the axis-parallel component, and with no rotation at all the z
+    coherence damps. The rest is nonnegative for leak_fraction <= 1, as
+    damping_rate's spontaneous part is half the sideband rate plus pump,
+    so the evolution is completely positive and keeps
+    |J| <= (N_at - N_leak)/2 by itself. Probe rates are duty-cycle
+    averaged; sub-period pulse gating is not resolved.
 
-    Also returns the largest of the damping, leak and pump rates (1/s),
-    which sets the clamp substeps of `advance`. Raises DomainError for a
-    leak fraction outside [0, 1] or a non-finite rate.
+    Raises DomainError for a leak fraction outside [0, 1] or a non-finite
+    rate.
     """
     if not 0 <= leak_fraction <= 1:
         raise DomainError("leak fraction must lie in [0, 1]")
@@ -362,50 +364,25 @@ def generator(drive: RabiModel, tuning: ProbeTuning, leak_fraction: float = 0.5,
     beta = damping_rate(drive, scattering_rate(tuning, expansion_rate=0.0) * duty)
     leak = sideband_photon_rate(tuning) * duty * leak_fraction
     pump = carrier_pump_rate(tuning) * duty
+    loss = (leak + pump) / 2
     rot = math.hypot(wx, wy, wz)
     axis = np.array([wx, wy, wz]) / rot if rot > 0 else np.array([0.0, 0.0, 1.0])
     gen = np.zeros((5, 5))
     gen[:3, :3] = [[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]]
-    gen[:3, :3] -= beta * (np.eye(3) - np.outer(axis, axis))
+    gen[:3, :3] -= (beta - loss) * (np.eye(3) - np.outer(axis, axis))
+    gen[(0, 1), (0, 1)] -= loss
     # upper ((N_at - N_leak)/2 + Jz) leaks, lower ((N_at - N_leak)/2 - Jz) is
     # pumped; each atom moved shifts Jz by -/+ 1/2 and joins N_leak
     for rate, sign in ((leak, 1.0), (pump, -1.0)):
         gen += np.outer([0, 0, -sign / 2, 1, 0], [0, 0, sign * rate, -rate / 2, rate / 2])
     if not np.isfinite(gen).all():
         raise DomainError("spin-engine rates are not finite")
-    return gen, max(beta, leak, pump)
+    return gen
 
 
 def expm(a):  # scipy.linalg loads on the first call, not with the package
     from scipy.linalg import expm
     return expm(a)
-
-
-def advance(v, propagator, gen, loss_rate, dt) -> np.ndarray:
-    """v moved by dt; propagator = expm(gen*dt), (gen, loss_rate) from `generator`.
-
-    The exact result stands whenever it satisfies the EnsembleState bound.
-    Otherwise scattering has shrunk the coherent manifold under a
-    transverse spin the linear model does not shorten, and the step is
-    redone in substeps of loss_rate*tau <= MAX_SUBSTEP_ANGLE, each an
-    exact expm(gen*tau) followed by the over-polarization clamp.
-    """
-    w = propagator @ v
-    jx, jy, jz, n_leak, n_at = w.tolist()
-    if not _over_polarized(jx, jy, jz, n_at - n_leak):
-        return w
-    n_sub = max(1, math.ceil(loss_rate * abs(dt) / MAX_SUBSTEP_ANGLE))
-    sub = expm(gen * (dt / n_sub))
-    for _ in range(n_sub):
-        v = sub @ v
-        jx, jy, jz, n_leak, n_at = v.tolist()
-        # scattering cannot leave the shrunken manifold over-polarized
-        limit = max(n_at - n_leak, 0.0) / 2
-        trans = math.hypot(jx, jy)
-        allowed = limit**2 - jz**2
-        if trans**2 > allowed:
-            v[:2] *= math.sqrt(max(allowed, 0.0)) / trans if trans > 0 else 0.0
-    return v
 
 
 def state_vector(state: EnsembleState) -> np.ndarray:
@@ -440,19 +417,16 @@ def evolve(
 ) -> EnsembleState:
     """Advance the ensemble by dt under microwave drive and pulsed probing.
 
-    One exact step expm(G*dt) of `generator` through `advance`: only a
-    step that would over-polarize the shrunken coherent manifold is
-    redone in clamped substeps, and the rotation angle never sets a step
-    count. Negative dt runs the exact inverse of the positive-dt step and
-    exists for reversibility verification.
+    One exact step expm(G*dt) of `generator`, whatever the rotation angle.
+    Negative dt runs the exact inverse of the positive-dt step and exists
+    for reversibility verification.
 
     Raises StepError if the step leaves the state violating its invariants.
     """
     if dt == 0:
         return state
-    gen, loss_rate = generator(drive, tuning, leak_fraction, drive_phase)
-    v = advance(state_vector(state), expm(gen * dt), gen, loss_rate, dt)
-    return with_vector(state, v)
+    gen = generator(drive, tuning, leak_fraction, drive_phase)
+    return with_vector(state, expm(gen * dt) @ state_vector(state))
 
 
 def squeezing_estimate(

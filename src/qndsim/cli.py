@@ -59,7 +59,6 @@ from .harness import (
     mid_pulse_amplitude,
     run_sequence,
     write_csv,
-    write_fit_json,
     write_trace_csv,
 )
 from .heterodyne import (
@@ -680,8 +679,8 @@ def _run_rabi(v: dict, out: Path, seed: int) -> list[str]:
         _write_json(out / "rabi_fit.json",
                     {"error": f"fit diverged: {exc}", **extra})
     else:
-        write_fit_json(fit, out / "rabi_fit.json",
-                       extra={**extra, "fit_window_s": window})
+        _write_json(out / "rabi_fit.json",
+                    {**vars(fit), **extra, "fit_window_s": window})
     return ["rabi_trace.csv", "rabi_fit.json"]
 
 

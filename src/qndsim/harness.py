@@ -12,7 +12,6 @@ the interferometric phase.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -23,7 +22,6 @@ from .atoms import (
     EnsembleState,
     ProbeTuning,
     RabiModel,
-    advance,
     broken_invariants,
     expm,
     f2_population,
@@ -206,11 +204,10 @@ def run_sequence(
     segment the sample clock gives at most a partial head step, one run
     of whole periods and a partial tail step; one batched expm gives a
     matrix per distinct (generator, dt), and a run is a loop of in-place
-    matvecs. A screen that can only over-flag finds the first step that
-    atoms.advance might clamp, and the walk is redone from there with
-    advance, so every row is bit for bit what one advance call gives.
-    Invariants are checked over the whole trajectory, and the detection
-    chain runs once over all samples with one batched noise draw.
+    matvecs. The generators keep the Bloch bound by themselves, so no
+    step is redone; invariants are checked over the whole trajectory as
+    a guard against expm's rounding, and the detection chain runs once
+    over all samples with one batched noise draw.
 
     StepError and RegimeError are re-raised with the index of the segment
     of the first offending step or sample prepended.
@@ -268,8 +265,7 @@ def run_sequence(
             step(g, seg_end - t_now)
             t_now = seg_end
 
-    keys = list(matrix_of)
-    props = expm(np.array([gens[i][0] * dt for i, dt in keys])) if keys else ()
+    props = expm(np.array([gens[i] * dt for i, dt in matrix_of])) if matrix_of else ()
     trajectory = np.empty((n_steps + 1, 5))
     trajectory[0] = state_vector(initial)
     done = 0
@@ -278,17 +274,6 @@ def run_sequence(
         for prev, row in zip(trajectory[done:stop], trajectory[done + 1:stop + 1]):
             np.dot(matrix, prev, row)   # in place; the bits of matrix @ prev
         done = stop
-    # the Bloch vectors lengthened by 1e-12 outgrow any rounding gap
-    # between this array check and advance's scalar one
-    longer = trajectory[1:] * (1 + 1e-12, 1 + 1e-12, 1 + 1e-12, 1.0, 1.0)
-    flagged = np.flatnonzero(broken_invariants(longer))
-    if flagged.size:
-        done = 0
-        for m, count in runs:
-            i, dt = keys[m]
-            for row in range(max(done, flagged[0]) + 1, done + count + 1):
-                trajectory[row] = advance(trajectory[row - 1], props[m], *gens[i], dt)
-            done += count
     bad = np.flatnonzero(broken_invariants(trajectory))
     if bad.size:
         try:
@@ -337,17 +322,6 @@ class SineFit:
     phase: float
     offset: float
     drift: float
-    std_errors: dict
-    residual_rms: float
-
-
-@dataclass(frozen=True)
-class ExpFit:
-    tau: float
-    rate: float           # 1/(pi*tau)
-    amplitude: float
-    offset: float
-    degenerate: bool
     std_errors: dict
     residual_rms: float
 
@@ -419,45 +393,6 @@ def fit_damped_sine(trace: Trace, window: float | None = None) -> SineFit:
         offset=float(popt[4]),
         drift=float(popt[5]),
         std_errors=dict(zip(names, (float(e) for e in errs))),
-        residual_rms=resid_rms,
-    )
-
-
-def _exp_model(t, amp, tau, offset):
-    return amp * np.exp(-t / tau) + offset
-
-
-def fit_exponential(trace: Trace) -> ExpFit:
-    """Fit A*exp(-t/tau) + offset; reports tau and the rate 1/(pi*tau)."""
-    t = trace.times
-    y = trace.signal
-    if t.size < 4:
-        raise FitDiverged(f"only {t.size} samples, need at least 4")
-    t0 = t - t[0]
-    if np.std(y) <= 1e-12 * max(float(np.max(np.abs(y))), 1e-300):
-        return ExpFit(
-            tau=math.inf, rate=0.0, amplitude=0.0, offset=float(y.mean()),
-            degenerate=True, std_errors={}, residual_rms=0.0,
-        )
-    tail = y[-max(1, t.size // 10):].mean()
-    amp0 = y[0] - tail
-    span = t0[-1] if t0[-1] > 0 else 1.0
-    p0 = [amp0 if amp0 != 0 else np.std(y), span / 3, tail]
-    try:
-        popt, pcov = curve_fit(_exp_model, t0, y, p0=p0, maxfev=20000)
-    except RuntimeError as exc:
-        raise FitDiverged("exponential fit did not converge") from exc
-    tau = float(abs(popt[1]))
-    errs = np.sqrt(np.abs(np.diag(pcov)))
-    resid_rms = float(np.sqrt(np.mean((_exp_model(t0, *popt) - y) ** 2)))
-    return ExpFit(
-        tau=tau,
-        rate=1.0 / (math.pi * tau),
-        amplitude=float(popt[0]),
-        offset=float(popt[2]),
-        degenerate=False,
-        std_errors=dict(zip(("amplitude", "tau", "offset"),
-                            (float(e) for e in errs))),
         residual_rms=resid_rms,
     )
 
@@ -595,15 +530,3 @@ def write_csv(path, header: str, blocks) -> None:
 def write_trace_csv(trace: Trace, path) -> None:
     """CSV of (time s, signal V). repr keeps round-trip exactness."""
     write_csv(path, "time_s,signal_v", [(trace.times, trace.signal)])
-
-
-def write_fit_json(fit, path, extra: dict | None = None) -> None:
-    """JSON sidecar for a fit result (sorted keys, deterministic)."""
-    payload = {k: (v if not isinstance(v, float) or math.isfinite(v)
-                   else repr(v))
-               for k, v in vars(fit).items()}
-    if extra:
-        payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")

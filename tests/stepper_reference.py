@@ -3,8 +3,9 @@
 `evolve` and `_rotate` are the axis-angle substep integrator that the
 exact 5x5 propagator in `qndsim.atoms` replaced, kept verbatim; the
 sequence loop is the per-sample `run_sequence` that called it. Tests
-compare the package engine against these on the bundled configs and on
-variants where the over-polarization clamp acts.
+compare the package engine against these where no probe scattering moves
+atoms out of the coherent manifold; there the stepper's over-polarization
+clamp never acts and both engines model the same dynamics.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from dataclasses import replace
 import numpy as np
 
 from qndsim.atoms import (
-    MAX_SUBSTEP_ANGLE,
     EnsembleState,
     ProbeTuning,
     RabiModel,
@@ -35,6 +35,9 @@ from qndsim.heterodyne import (
     demodulated_signal,
     sample_noisy_signal,
 )
+
+# largest rotation angle or rate*dt product of one substep
+MAX_SUBSTEP_ANGLE = 0.05
 
 
 def _rotate(jx, jy, jz, ax, az, angle):

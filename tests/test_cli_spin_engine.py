@@ -31,21 +31,24 @@ def test_underflowing_rabi_frequency_is_physics_error(tmp_path, capsys, khz):
 
 
 def test_huge_rabi_frequency_finishes_with_finite_artifacts(tmp_path):
-    # the substep stepper split each probe period into ~1e12 rotations
-    out = tmp_path / "art"
+    # the substep stepper split each probe period into ~1e12 rotations at
+    # the huge drive, and the clamp fallback into ~2.5e22 substeps at the
+    # tiny waist
     env = {**os.environ, "PYTHONPATH": str(Path(qndsim.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-m", "qndsim.cli", "run", str(RABI), "--out", str(out),
-         "--set", "drive.rabi_frequency_khz=1e12"],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode in (0, 3), done.stderr
-    if done.returncode == 3:
-        return
-    manifest = json.loads((out / "manifest.json").read_text())
-    for name in manifest["artifacts"]:
-        text = (out / name).read_text()
-        if name.endswith(".json"):
-            json.loads(text, parse_constant=reject_constant)
+    for override in ("drive.rabi_frequency_khz=1e12", "probe_gate.waist_um=1e-3"):
+        out = tmp_path / override
+        done = subprocess.run(
+            [sys.executable, "-m", "qndsim.cli", "run", str(RABI), "--out", str(out),
+             "--set", override],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode in (0, 3), done.stderr
+        if done.returncode == 3:
             continue
-        for row in text.splitlines()[1:]:
-            assert all(math.isfinite(float(cell)) for cell in row.split(",")), row
+        manifest = json.loads((out / "manifest.json").read_text())
+        for name in manifest["artifacts"]:
+            text = (out / name).read_text()
+            if name.endswith(".json"):
+                json.loads(text, parse_constant=reject_constant)
+                continue
+            for row in text.splitlines()[1:]:
+                assert all(math.isfinite(float(cell)) for cell in row.split(",")), row

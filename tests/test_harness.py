@@ -14,6 +14,7 @@ from qndsim.atoms import (
     carrier_pump_rate,
     light_shift,
 )
+from qndsim.cli import _write_json
 from qndsim.constants import H
 from qndsim.errors import DomainError, FitDiverged, RegimeError
 from qndsim.harness import (
@@ -25,10 +26,8 @@ from qndsim.harness import (
     build_spin_echo,
     destructivity_at_unit_snr,
     fit_damped_sine,
-    fit_exponential,
     mid_pulse_amplitude,
     run_sequence,
-    write_fit_json,
     write_trace_csv,
 )
 from qndsim.heterodyne import DetectorModel, ModulatedProbe
@@ -214,38 +213,6 @@ def test_damped_sine_guards():
         fit_damped_sine(Trace(t, np.full(50, 0.7), {}))
 
 
-def test_exponential_fit_and_rate_convention():
-    t = np.arange(200) * 1e-5
-    y = 3e-4 * np.exp(-t / 1e-3) + 5e-5
-    fit = fit_exponential(Trace(t, y, {}))
-    assert fit.tau == pytest.approx(1e-3, rel=1e-9)
-    assert fit.rate == pytest.approx(318.30988618379064, rel=1e-9)
-    assert not fit.degenerate
-
-
-def test_exponential_noisy_tau_coverage():
-    t = np.arange(200) * 1e-5
-    clean = 3e-4 * np.exp(-t / 1e-3) + 5e-5
-    hits = 0
-    for seed in range(50):
-        rng = np.random.default_rng(seed)
-        fit = fit_exponential(Trace(t, clean + rng.normal(0, 3e-6, t.size), {}))
-        if abs(fit.tau - 1e-3) <= 3 * fit.std_errors["tau"]:
-            hits += 1
-    assert hits >= 46
-
-
-def test_exponential_flat_trace_degenerates_to_zero_rate():
-    t = np.arange(40) * 1e-4
-    fit = fit_exponential(Trace(t, np.full(40, 2e-4), {}))
-    assert fit.degenerate
-    assert fit.rate == 0.0
-    assert fit.tau == math.inf
-    assert fit.offset == pytest.approx(2e-4)
-    with pytest.raises(FitDiverged):
-        fit_exponential(Trace(t[:3], np.zeros(3), {}))
-
-
 # -------------------------------------------------- physics integrations
 
 def test_rabi_trace_recovers_drive_parameters():
@@ -293,16 +260,17 @@ def test_fit_uncertainty_coverage_over_seeds():
 
 
 def test_pumping_decay_time_matches_rate_model():
-    # carrier optical pumping fills F=2 exponentially; the fitted time
-    # constant must invert the duty-cycled pump rate
+    # carrier optical pumping fills F=2 as N(1 - exp(-r t)) at the
+    # duty-cycled pump rate r; the upper level stays empty, so the
+    # sideband leaks nothing
     gate = ProbeGate(tuning=ProbeTuning())
     rate = carrier_pump_rate(gate.tuning) * gate.duty_cycle
     seq = PulseSequence((FreeEvolution(30e-3),), probe=gate, max_duration=1.0)
-    tr = run_sequence(seq, EnsembleState.all_lower(1e5), PROBE, DET,
-                      noiseless=True)
-    fit = fit_exponential(tr)
-    assert fit.tau == pytest.approx(1.0 / rate, rel=1e-3)
-    assert fit.rate == pytest.approx(1.0 / (math.pi * fit.tau), rel=1e-12)
+    init = EnsembleState.all_lower(1e5)
+    tr = run_sequence(seq, init, PROBE, DET, noiseless=True)
+    filled = tr.final_state.f2_population
+    assert filled == pytest.approx(1e5 * -math.expm1(-rate * 30e-3), rel=1e-12)
+    assert 0.1 < filled / 1e5 < 0.9
 
 
 # -------------------------------------------------------------- spin echo
@@ -457,13 +425,13 @@ def test_trace_csv_bytes_match_per_row_formatting(tmp_path):
 
 
 def test_fit_json_deterministic(tmp_path):
-    t = np.arange(100) * 1e-5
-    y = 2e-4 * np.exp(-t / 2e-3) + 1e-5
-    fit = fit_exponential(Trace(t, y, {}))
+    _, tr = ideal_rabi_trace()
+    fit = fit_damped_sine(tr)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    write_fit_json(fit, a, extra={"scenario": "decay"})
-    write_fit_json(fit, b, extra={"scenario": "decay"})
+    for path in (a, b):
+        _write_json(path, {**vars(fit), "scenario": "rabi"})
     assert a.read_bytes() == b.read_bytes()
     data = json.loads(a.read_text())
-    assert data["scenario"] == "decay"
-    assert data["rate"] == pytest.approx(fit.rate)
+    assert data["scenario"] == "rabi"
+    assert data["damping"] == fit.damping
+    assert data["std_errors"] == fit.std_errors

@@ -1,9 +1,9 @@
 """Reference sequence walk: the per-step `run_sequence` kept as an oracle.
 
 `run_sequence` below is the list-based walk that the run-length walk in
-`qndsim.harness` replaced, kept verbatim: one `atoms.advance` call per
-step, per-step and per-sample Python lists and one generator per
-segment. Tests require the package walk to reproduce it bit for bit.
+`qndsim.harness` replaced: one plain matvec per step, per-step and
+per-sample Python lists and one generator per segment. Tests require the
+package walk to reproduce it bit for bit.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from qndsim.atoms import (
     EnsembleState,
     ProbeTuning,
     RabiModel,
-    advance,
     broken_invariants,
     f2_population,
     generator,
@@ -57,9 +56,9 @@ def run_sequence(
     Each segment builds its generator once; one batched expm gives its
     full-period matrix and its partial steps, from the segment start to
     the first sample at k*period and from the last sample to the segment
-    end, and each step is one matvec (atoms.advance). Invariants are
-    checked over the whole trajectory, and the detection chain runs once
-    over all samples with one batched noise draw.
+    end, and each step is one matvec. Invariants are checked over the
+    whole trajectory, and the detection chain runs once over all samples
+    with one batched noise draw.
 
     StepError and RegimeError are re-raised with the index of the segment
     of the first offending step or sample prepended.
@@ -103,11 +102,11 @@ def run_sequence(
 
     matrix_of: dict[tuple[int, float], int] = {}
     which = [matrix_of.setdefault(key, len(matrix_of)) for key in zip(stepped_in, dts)]
-    props = expm(np.array([gens[i][0] * dt for i, dt in matrix_of])) if dts else ()
+    props = expm(np.array([gens[i] * dt for i, dt in matrix_of])) if dts else ()
     trajectory = np.empty((len(dts) + 1, 5))
     trajectory[0] = v = state_vector(initial)
-    for row, (idx, dt, m) in enumerate(zip(stepped_in, dts, which), 1):
-        trajectory[row] = v = advance(v, props[m], *gens[idx], dt)
+    for row, m in enumerate(which, 1):
+        trajectory[row] = v = props[m] @ v
     bad = np.flatnonzero(broken_invariants(trajectory))
     if bad.size:
         try:
