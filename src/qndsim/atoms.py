@@ -352,8 +352,8 @@ def generator(drive: RabiModel, tuning: ProbeTuning, leak_fraction: float = 0.5,
     |J| <= (N_at - N_leak)/2 by itself. Probe rates are duty-cycle
     averaged; sub-period pulse gating is not resolved.
 
-    Raises DomainError for a leak fraction outside [0, 1] or a non-finite
-    rate.
+    Raises DomainError for a leak fraction outside [0, 1], a branching that
+    leaves the rest negative beyond rounding, or a non-finite rate.
     """
     if not 0 <= leak_fraction <= 1:
         raise DomainError("leak fraction must lie in [0, 1]")
@@ -365,6 +365,9 @@ def generator(drive: RabiModel, tuning: ProbeTuning, leak_fraction: float = 0.5,
     leak = sideband_photon_rate(tuning) * duty * leak_fraction
     pump = carrier_pump_rate(tuning) * duty
     loss = (leak + pump) / 2
+    if beta - loss < -1e-12 * beta:
+        raise DomainError(f"branching {tuning.branching} is too small for leak fraction "
+                          f"{leak_fraction}: beta - (leak + pump)/2 is {beta - loss:.3g} 1/s")
     rot = math.hypot(wx, wy, wz)
     axis = np.array([wx, wy, wz]) / rot if rot > 0 else np.array([0.0, 0.0, 1.0])
     gen = np.zeros((5, 5))

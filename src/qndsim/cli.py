@@ -57,6 +57,7 @@ from .harness import (
     build_spin_echo,
     fit_damped_sine,
     mid_pulse_amplitude,
+    run_scan,
     run_sequence,
     write_csv,
     write_trace_csv,
@@ -688,26 +689,22 @@ def _run_spin_echo(v: dict, out: Path, seed: int) -> list[str]:
     echo = v["echo"]
     gate, probe, shift = _gate_and_probe(v)
     det = _detector(v["detector"])
-    gap_us = echo["gap_us"]
     template = RabiModel(
         carrier_light_shift=shift,
         residual_damping=echo["residual_damping_hz"],
         probe_repetition_rate=gate.repetition_rate,
         probe_pulse_duration=gate.pulse_duration,
     )
-    init = _ensemble(v["ensemble"])
-    traces = []
-    for i, delta in enumerate(echo["detunings_hz"]):
-        seq = build_spin_echo(
-            pi_duration=echo["pi_duration_us"] * 1e-6,
-            total_duration=echo["total_duration_us"] * 1e-6,
-            detuning=delta,
-            gap=None if gap_us is None else gap_us * 1e-6,
-            probe=gate)
-        trace = run_sequence(seq, init, probe, det, seed=seed + i,
-                             template=template,
-                             noiseless=v["options"]["noiseless"])
-        traces.append((delta, seq, trace))
+    deltas = echo["detunings_hz"]
+    seqs = [build_spin_echo(
+        pi_duration=echo["pi_duration_us"] * 1e-6,
+        total_duration=echo["total_duration_us"] * 1e-6,
+        detuning=delta,
+        gap=None if echo["gap_us"] is None else echo["gap_us"] * 1e-6,
+        probe=gate) for delta in deltas]
+    traces = list(zip(deltas, seqs, run_scan(
+        seqs, _ensemble(v["ensemble"]), probe, det, seed=seed, template=template,
+        noiseless=v["options"]["noiseless"])))
 
     write_csv(out / "spin_echo_traces.csv", "detuning_hz,time_s,signal_v",
               [(np.concatenate([np.full(t.times.size, d) for d, _, t in traces]),

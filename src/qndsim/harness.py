@@ -149,13 +149,6 @@ class Trace:
             raise DomainError("time samples must be strictly increasing")
 
 
-def _fingerprint(*objects) -> str:
-    # dataclass reprs are deterministic; good enough to tie artifacts to
-    # the exact inputs that produced them
-    text = "|".join(repr(o) for o in objects)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def _segment_model(seg, gate: ProbeGate | None, template: RabiModel) -> RabiModel:
     rep = gate.repetition_rate if gate else 0.0
     dur = gate.pulse_duration if gate else 0.0
@@ -180,16 +173,9 @@ def _segment_model(seg, gate: ProbeGate | None, template: RabiModel) -> RabiMode
     )
 
 
-def run_sequence(
-    seq: PulseSequence,
-    initial: EnsembleState,
-    probe: ModulatedProbe,
-    det: DetectorModel,
-    seed: int = 0,
-    template: RabiModel | None = None,
-    leak_fraction: float = 0.5,
-    noiseless: bool = False,
-) -> Trace:
+def run_sequence(seq: PulseSequence, initial: EnsembleState, probe: ModulatedProbe,
+                 det: DetectorModel, seed: int = 0, template: RabiModel | None = None,
+                 leak_fraction: float = 0.5, noiseless: bool = False) -> Trace:
     """Step the ensemble through the sequence, sampling at the probe clock.
 
     Each probe pulse converts the detected F=2 population (coherent upper
@@ -198,45 +184,63 @@ def run_sequence(
     probe gate the ensemble evolves but nothing is sampled. Deterministic
     for a fixed seed. `template` supplies the damping bookkeeping
     (light shift, inhomogeneity, residual damping) reused by every
-    segment.
-
-    Segments with one model and drive phase share a generator. Per
-    segment the sample clock gives at most a partial head step, one run
-    of whole periods and a partial tail step; one batched expm gives a
-    matrix per distinct (generator, dt), and a run is a loop of in-place
-    matvecs. The generators keep the Bloch bound by themselves, so no
-    step is redone; invariants are checked over the whole trajectory as
-    a guard against expm's rounding, and the detection chain runs once
-    over all samples with one batched noise draw.
+    segment. This is `run_scan` of one sequence.
 
     StepError and RegimeError are re-raised with the index of the segment
     of the first offending step or sample prepended.
     """
-    rng = np.random.default_rng(seed)
+    return run_scan([seq], initial, probe, det, seed, template, leak_fraction,
+                    noiseless)[0]
+
+
+def run_scan(seqs: list[PulseSequence], initial: EnsembleState, probe: ModulatedProbe,
+             det: DetectorModel, seed: int = 0, template: RabiModel | None = None,
+             leak_fraction: float = 0.5, noiseless: bool = False) -> list[Trace]:
+    """Walk many sequences at once; trace i is bit for bit `run_sequence`
+    of seqs[i] with seed + i.
+
+    The sequences share the probe gate and the segment durations
+    (DomainError otherwise), so one schedule serves all: per segment a
+    partial head step, a run of whole periods and a partial tail step.
+    One batched expm gives a matrix per distinct (trace, generator, dt),
+    and each step is one in-place product: np.dot on a row view for one
+    trace, one stacked np.matmul for several. Invariants and the detection
+    chain are checked and run once over every sample; noise is drawn per
+    trace. If a trace fails, the traces are replayed one at a time, so the
+    error raised is the first failing trace's own.
+    """
+    if not seqs:
+        return []
+    gate, clock = seqs[0].probe, [seg.duration for seg in seqs[0].segments]
+    if any(s.probe != gate or [seg.duration for seg in s.segments] != clock for s in seqs):
+        raise DomainError("the sequences of a scan must share the probe gate "
+                          "and the segment durations")
+    try:
+        return _walk(seqs, seed, initial, probe, det, template, leak_fraction, noiseless)
+    except Exception:   # re-raised, by the first failing trace if a replay finds it
+        for i, seq in enumerate(seqs if len(seqs) > 1 else ()):
+            _walk([seq], seed + i, initial, probe, det, template, leak_fraction, noiseless)
+        raise
+
+
+def _walk(seqs, seed, initial, probe, det, template, leak_fraction, noiseless):
     base = template if template is not None else RabiModel()
-    gate = seq.probe
+    gate = seqs[0].probe
     tuning = gate.tuning if gate is not None else ProbeTuning(
-        sideband_intensity=0.0, carrier_intensity=0.0
-    )
-    eps = 1e-12
-    period = gate.period if gate is not None else 0.0
-    # steps are runs (matrix, count), samples runs (first row, count);
-    # off-clock samples keep the time the walk reached, not k*period
-    gen_of, gens, matrix_of, runs, off, seg_steps, seg_samples = {}, [], {}, [], [], [], []
+        sideband_intensity=0.0, carrier_intensity=0.0)
+    eps, period = 1e-12, gate.period if gate is not None else 0.0
+    # steps are runs (slot, count), one slot per (segment, dt); samples runs
+    # (first row, count); off-clock samples keep the time the walk reached
+    slot_of, runs, off, seg_steps, seg_samples = {}, [], [], [], []
     t_now, n_steps, k = 0.0, 0, int(gate is not None)    # sample 0 is at t = 0
     samples = [(0, 1)] * k
 
-    def step(g: int, dt: float, count: int = 1) -> None:
-        nonlocal n_steps    # g indexes gens; one matrix per (g, dt)
-        runs.append((matrix_of.setdefault((g, dt), len(matrix_of)), count))
+    def step(s: int, dt: float, count: int = 1) -> None:
+        nonlocal n_steps
+        runs.append((slot_of.setdefault((s, dt), len(slot_of)), count))
         n_steps += count
 
-    for seg in seq.segments:
-        key = (_segment_model(seg, gate, base), getattr(seg, "phase", 0.0))
-        if key not in gen_of:
-            gen_of[key] = len(gens)
-            gens.append(generator(key[0], tuning, leak_fraction, key[1]))
-        g = gen_of[key]
+    for s, seg in enumerate(seqs[0].segments):
         seg_steps.append(n_steps)
         seg_samples.append(k)
         seg_end = t_now + seg.duration
@@ -252,45 +256,60 @@ def run_sequence(
                 # is then one whole period after the one before
                 if on_clock and period > 4 * (eps + math.ulp(seg_end + eps)):
                     samples.append((n_steps + 1, last + 1 - k))
-                    step(g, period, last + 1 - k)
+                    step(s, period, last + 1 - k)
                     t_now, k = last * period, last + 1
                     break
-                step(g, period if on_clock else t_next - t_now)
+                step(s, period if on_clock else t_next - t_now)
                 t_now = t_next
             else:
                 off.append((k, t_now))
             samples.append((n_steps, 1))
             k += 1
         if seg_end > t_now + eps:
-            step(g, seg_end - t_now)
+            step(s, seg_end - t_now)
             t_now = seg_end
 
+    # per trace one generator per distinct (model, phase) and one matrix per
+    # distinct (generator, dt): slot j of trace i steps with matrix which[j, i]
+    gens, matrix_of, which = [], {}, np.empty((len(slot_of), len(seqs)), dtype=np.intp)
+    for i, seq in enumerate(seqs):
+        gen_of, g = {}, []
+        for seg in seq.segments:
+            key = (_segment_model(seg, gate, base), getattr(seg, "phase", 0.0))
+            if key not in gen_of:
+                gen_of[key] = len(gens)
+                gens.append(generator(key[0], tuning, leak_fraction, key[1]))
+            g.append(gen_of[key])
+        which[:, i] = [matrix_of.setdefault((g[s], dt), len(matrix_of)) for s, dt in slot_of]
     props = expm(np.array([gens[i] * dt for i, dt in matrix_of])) if matrix_of else ()
-    trajectory = np.empty((n_steps + 1, 5))
+    trajectory = np.empty((n_steps + 1, len(seqs), 5))
     trajectory[0] = state_vector(initial)
-    done = 0
-    for m, count in runs:
-        matrix, stop = props[m], done + count
-        for prev, row in zip(trajectory[done:stop], trajectory[done + 1:stop + 1]):
-            np.dot(matrix, prev, row)   # in place; the bits of matrix @ prev
+    one = len(seqs) == 1    # then np.dot on row views beats a stacked matmul
+    product, done = np.dot if one else np.matmul, 0
+    for j, count in runs:
+        mats, stop = props[which[j, 0] if one else which[j]], done + count
+        rows = trajectory[done:stop + 1, 0] if one else trajectory[done:stop + 1, ..., None]
+        for prev, row in zip(rows[:-1], rows[1:]):
+            product(mats, prev, row)    # in place; per trace the bits of matrix @ prev
         done = stop
-    bad = np.flatnonzero(broken_invariants(trajectory))
+    bad = np.argwhere(broken_invariants(trajectory))    # (trace, step), by trace
     if bad.size:
+        i, row = bad[0]
         try:
-            with_vector(initial, trajectory[bad[0]])
+            with_vector(initial, trajectory[row, i])
         except StepError as exc:
-            seg = np.searchsorted(seg_steps[1:], bad[0] - 1, side="right")
+            seg = np.searchsorted(seg_steps[1:], row - 1, side="right")
             raise StepError(f"segment {seg}: {exc}") from exc
 
     times = np.arange(k) * period
     for i, t in off:
         times[i] = t
-    volts = np.empty(0)
+    volts = np.empty((k, len(seqs)))
     if gate is not None:
         at = trajectory[np.concatenate([np.arange(r, r + n) for r, n in samples])]
         phi = atomic_phase(
             gate.tuning.sideband_detuning * gate.tuning.linewidth,
-            f2_population(at[:, 4], at[:, 2], at[:, 3]),
+            f2_population(at[..., 4], at[..., 2], at[..., 3]),
             probe.beam_waist,
             initial.cloud_rms,
             linewidth=gate.tuning.linewidth,
@@ -298,20 +317,21 @@ def run_sequence(
         try:
             volts = demodulated_signal(probe, PhaseShiftTriple(phi_plus=phi), det)
         except RegimeError as exc:
-            first = int(np.argmax(np.abs(phi) > SMALL_PHASE_LIMIT))
+            first = int(np.argmax(np.abs(phi) > SMALL_PHASE_LIMIT)) // len(seqs)
             seg = np.searchsorted(seg_samples[1:], first, side="right")
             raise RegimeError(f"segment {seg}: {exc}") from exc
         if not noiseless:
-            volts = sample_noisy_signal(volts, det, probe, gate.pulse_duration, rng)
+            for i in range(len(seqs)):
+                volts[:, i] = sample_noisy_signal(volts[:, i], det, probe,
+                                                  gate.pulse_duration, seed + i)
 
-    metadata = {
-        "seed": seed,
-        "config_hash": _fingerprint(seq, initial, probe, det, leak_fraction),
+    shared = "|".join(map(repr, (initial, probe, det, leak_fraction)))   # once per scan
+    return [Trace(times.copy(), volts[:, i], {
+        "seed": seed + i,
+        "config_hash": hashlib.sha256(f"{seq!r}|{shared}".encode()).hexdigest()[:16],
         "sample_period": gate.period if gate else None,
         "noiseless": noiseless,
-    }
-    return Trace(times, volts, metadata,
-                 final_state=with_vector(initial, trajectory[-1]))
+    }, final_state=with_vector(initial, trajectory[-1, i])) for i, seq in enumerate(seqs)]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from qndsim.atoms import (
 )
 from qndsim.constants import H
 from qndsim.errors import DomainError, RegimeError, StepError
-from qndsim.harness import PulseSequence, Trace, _fingerprint, _segment_model
+from qndsim.harness import PulseSequence, Trace, _segment_model
 from qndsim.heterodyne import (
     DetectorModel,
     ModulatedProbe,
@@ -35,6 +35,7 @@ from qndsim.heterodyne import (
     demodulated_signal,
     sample_noisy_signal,
 )
+from walk_reference import fingerprint
 
 # largest rotation angle or rate*dt product of one substep
 MAX_SUBSTEP_ANGLE = 0.05
@@ -246,7 +247,7 @@ def run_sequence(
 
     metadata = {
         "seed": seed,
-        "config_hash": _fingerprint(seq, initial, probe, det, leak_fraction),
+        "config_hash": fingerprint(seq, initial, probe, det, leak_fraction),
         "sample_period": gate.period if gate else None,
         "noiseless": noiseless,
     }

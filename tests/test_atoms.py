@@ -256,6 +256,28 @@ def test_leak_fraction_configurable():
         evolve(state, drive, tuning, 1e-3, leak_fraction=1.5)
 
 
+def test_branching_below_half_the_leak_is_a_domain_error():
+    # a sideband branching into F=2 of 0.05 with every scattered upper atom
+    # leaking leaves the coherence damping faster than its perpendicular
+    # total: beta - (leak + pump)/2 < 0, no longer completely positive
+    drive = RabiModel(rabi_frequency=2 * math.pi * 500)
+    tuning = ProbeTuning.from_powers(sideband_power=2e-6, sideband_detuning=0.5,
+                                     branching=(0.0, 0.2, 0.05))
+    with pytest.raises(DomainError, match=r"branching \(0\.0, 0\.2, 0\.05\)"):
+        evolve(EnsembleState.all_lower(1e6), drive, tuning, 10e-6, leak_fraction=1)
+
+
+def test_d2_branching_runs_at_full_leak():
+    # with the D2 branching the rest is zero up to rounding at leak_fraction 1
+    drive = RabiModel(rabi_frequency=2 * math.pi * 500)
+    tuning = ProbeTuning.from_powers(sideband_power=2e-6, sideband_detuning=0.5)
+    state = EnsembleState.all_lower(1e6)
+    for _ in range(100):
+        state = evolve(state, drive, tuning, 10e-6, leak_fraction=1)
+    assert 0 < state.n_leak < state.atom_number
+    assert state.bloch_norm <= state.coherent_number / 2 * (1 + 1e-9)
+
+
 def test_light_shift_precession():
     # with the microwave off, the duty-averaged shift precesses the
     # transverse spin at 2*pi*shift/h

@@ -46,7 +46,8 @@ PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
 
 def captured_runs(monkeypatch, tmp_path, engine, config, overrides=()):
-    """Every run_sequence call of one CLI run, made through `engine`."""
+    """Every run_sequence call of one CLI run, made through `engine`; a
+    run_scan call is made as one run_sequence call per trace."""
     calls = []
 
     def capture(seq, initial, probe, det, **kwargs):
@@ -54,11 +55,16 @@ def captured_runs(monkeypatch, tmp_path, engine, config, overrides=()):
         calls.append((seq, initial, probe, det, kwargs, trace))
         return trace
 
+    def capture_scan(seqs, initial, probe, det, seed=0, **kwargs):
+        return [capture(seq, initial, probe, det, seed=seed + i, **kwargs)
+                for i, seq in enumerate(seqs)]
+
     args = ["run", str(config), "--out", str(tmp_path / engine.__module__)]
     for item in overrides:
         args += ["--set", item]
     with monkeypatch.context() as patch, warnings.catch_warnings():
         patch.setattr(cli, "run_sequence", capture)
+        patch.setattr(cli, "run_scan", capture_scan)
         warnings.simplefilter("ignore")
         assert cli.main(args) == 0
     return calls

@@ -36,14 +36,20 @@ TRACE_HASHES = {
 
 def run(monkeypatch, tmp_path, name):
     """manifest.json of one bundled run, and its traces' config hashes."""
-    hashes, walk = [], cli.run_sequence
+    hashes, walk, scan = [], cli.run_sequence, cli.run_scan
 
     def capture(*args, **kwargs):
         trace = walk(*args, **kwargs)
         hashes.append(trace.metadata["config_hash"])
         return trace
 
+    def capture_scan(*args, **kwargs):     # one hash per trace
+        traces = scan(*args, **kwargs)
+        hashes.extend(trace.metadata["config_hash"] for trace in traces)
+        return traces
+
     monkeypatch.setattr(cli, "run_sequence", capture)
+    monkeypatch.setattr(cli, "run_scan", capture_scan)
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("ignore")
         assert cli.main(["run", str(CONFIG_DIR / name), "--out", str(tmp_path)]) == 0

@@ -5,21 +5,28 @@ matvec per step. The package walk must reproduce it bit for bit: times,
 signal, final state vector, metadata, and the type and text of any
 exception.
 """
+import contextlib
+import io
+import json
 import math
 import warnings
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qndsim
 import qndsim.cli as cli
 import qndsim.harness as harness
+import artifact_digests
 import walk_reference as reference
 from qndsim.atoms import EnsembleState, ProbeTuning, RabiModel, state_vector
 from qndsim.constants import H
+from qndsim.errors import DomainError
 from qndsim.harness import (
     FreeEvolution,
     MicrowavePulse,
@@ -35,16 +42,24 @@ STRONG_SCATTERING = ("probe_gate.sideband_power_nw=2000",
                      "ensemble.atom_number=1e6")
 
 
+def handed_back(trace):
+    """Everything a trace holds, as bytes where it is an array."""
+    return (trace.times.tobytes(), trace.signal.tobytes(),
+            state_vector(trace.final_state).tobytes(), trace.metadata)
+
+
 def outcome(engine, args, kwargs):
-    """Everything a walk hands back, as bytes where it is an array."""
+    """What a walk hands back: a trace, a scan's list of traces, or the
+    type and message of the exception it raised."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            trace = engine(*args, **kwargs)
+            result = engine(*args, **kwargs)
         except Exception as exc:    # compared by type and message
             return type(exc), str(exc)
-    return (trace.times.tobytes(), trace.signal.tobytes(),
-            state_vector(trace.final_state).tobytes(), trace.metadata)
+    if isinstance(result, list):
+        return [handed_back(trace) for trace in result]
+    return handed_back(result)
 
 
 def assert_same_walk(*args, **kwargs):
@@ -53,19 +68,38 @@ def assert_same_walk(*args, **kwargs):
     return new
 
 
+def reference_scan(seqs, *args, seed=0, **kwargs):
+    """A scan as the reference walks it: one trace after the other."""
+    return [reference.run_sequence(seq, *args, seed=seed + i, **kwargs)
+            for i, seq in enumerate(seqs)]
+
+
+def assert_same_scan(*args, **kwargs):
+    new = outcome(harness.run_scan, args, kwargs)
+    assert new == outcome(reference_scan, args, kwargs)
+    return new
+
+
 def cli_calls(monkeypatch, tmp_path, config, overrides=()):
-    """The arguments of every run_sequence call of one `qndsim run`."""
-    calls, walk = [], cli.run_sequence
+    """The arguments of every run_sequence call of one `qndsim run`, a
+    run_scan call counting as one run_sequence call per trace."""
+    calls, walk, scan = [], cli.run_sequence, cli.run_scan
 
     def capture(*args, **kwargs):
         calls.append((args, kwargs))
         return walk(*args, **kwargs)
+
+    def capture_scan(seqs, *args, seed=0, **kwargs):
+        calls.extend(((seq, *args), {**kwargs, "seed": seed + i})
+                     for i, seq in enumerate(seqs))
+        return scan(seqs, *args, seed=seed, **kwargs)
 
     argv = ["run", str(config), "--out", str(tmp_path)]
     for item in overrides:
         argv += ["--set", item]
     with monkeypatch.context() as patch, warnings.catch_warnings():
         patch.setattr(cli, "run_sequence", capture)
+        patch.setattr(cli, "run_scan", capture_scan)
         warnings.simplefilter("ignore")
         code = cli.main(argv)
     assert calls
@@ -144,6 +178,12 @@ def test_in_place_dot_is_bitwise_the_matvec():
         for p, prev, row in zip(props, trajectory[:-1], trajectory[1:]):
             np.dot(p, prev, row)
             assert row.tobytes() == (p @ prev).tobytes()
+        # a scan writes one step of every trace with one stacked matmul
+        # into a (step, trace, 5) trajectory
+        scan = rng.normal(scale=scale, size=(2, 200, 5))
+        np.matmul(props, scan[0, ..., None], scan[1, ..., None])
+        for p, prev, row in zip(props, scan[0], scan[1]):
+            assert row.tobytes() == (p @ prev).tobytes()
 
 
 # ----------------------------------------------------- random segment lists
@@ -206,3 +246,142 @@ def test_periods_near_the_clock_tolerance_match_reference(rate, duration):
                         probe=gate)
     assert_same_walk(seq, EnsembleState.all_lower(1e6, cloud_rms=3e-4),
                      ModulatedProbe(), DetectorModel(), noiseless=True)
+
+
+# ------------------------------------------------------------------ scans
+
+ECHO_ARGS = (EnsembleState.all_lower(1e7, cloud_rms=3e-4), ModulatedProbe(), DetectorModel())
+detunings = st.one_of(st.sampled_from([0.0, -0.0, 1000.0, -1800.0]),
+                      st.floats(-3000.0, 3000.0))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(detunings, min_size=1, max_size=8), st.booleans(), st.integers(0, 3))
+@example([0.0], True, 0)
+@example([1200.0], False, 3)
+@example([0.0, -0.0, 0.0, 1000.0, 1000.0], False, 5)
+def test_echo_scans_match_reference(deltas, noiseless, seed):
+    # every trace of a scan is bit for bit the reference walk of its own
+    # sequence with its own seed: times, signal, final state, metadata
+    gate = ProbeGate()
+    seqs = [build_spin_echo(detuning=d, probe=gate) for d in deltas]
+    traces = assert_same_scan(seqs, *ECHO_ARGS, seed=seed, noiseless=noiseless,
+                              template=RabiModel(residual_damping=300.0))
+    assert len(traces) == len(deltas)
+
+
+@st.composite
+def scans(draw):
+    """Sequences on one clock: the segment durations are shared, each
+    segment's kind, drive, detuning and phase are drawn per sequence."""
+    clock = draw(st.lists(durations, min_size=1, max_size=5))
+    gate = ProbeGate(repetition_rate=draw(st.sampled_from([100e3, 50e3, 30e3])))
+
+    def segment(duration):
+        return draw(st.one_of(
+            st.builds(MicrowavePulse, st.sampled_from([0.0, 2 * math.pi * 6.6e3, 4.2e4]),
+                      st.just(duration), st.sampled_from([0.0, -0.0, 1500.0]),
+                      st.sampled_from([0.0, -0.0, math.pi / 2])),
+            st.builds(FreeEvolution, st.just(duration), st.sampled_from([0.0, 1500.0]))))
+
+    return [PulseSequence(tuple(segment(d) for d in clock), probe=gate)
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(scans(), st.booleans(), st.booleans(), st.booleans(), st.integers(0, 3))
+def test_random_scans_match_reference(seqs, shifted, strong, noiseless, seed):
+    # traces share no generator pattern; a shifted template makes an
+    # undriven pulse a DomainError, which the scan must report as the
+    # first failing trace does
+    template = RabiModel(residual_damping=300.0,
+                         carrier_light_shift=2e3 * H if shifted else 0.0)
+    if strong:
+        gate = ProbeGate(seqs[0].probe.repetition_rate, tuning=ProbeTuning.from_powers(
+            sideband_power=2e-6, sideband_detuning=0.5, waist=245e-6))
+        seqs = [PulseSequence(seq.segments, probe=gate) for seq in seqs]
+    assert_same_scan(seqs, EnsembleState.all_lower(1e6, cloud_rms=3e-4),
+                     ModulatedProbe(), DetectorModel(), seed=seed,
+                     template=template, noiseless=noiseless)
+
+
+def test_scan_step_error_is_the_failing_trace_own(monkeypatch, tmp_path):
+    # of four traces only the third has the drive whose expm leaks more
+    # atoms than there are
+    _, calls = cli_calls(monkeypatch, tmp_path, CONFIG_DIR / "rabi.json",
+                         CASES["strong-scattering-huge-drive"][1])
+    (seq, *args), kwargs = calls[0]
+    (pulse,) = seq.segments
+    tame = PulseSequence((replace(pulse, rabi_frequency=2 * math.pi * 500),),
+                         probe=seq.probe)
+    assert isinstance(outcome(reference_scan, ([tame], *args), kwargs), list)
+    kind, message = assert_same_scan([tame, tame, seq, tame], *args, **kwargs)
+    assert kind.__name__ == "StepError" and message.startswith("segment 0: ")
+
+
+def far_or_on_resonance(*detunings):
+    # no F=2 atoms, so no phase, until a resonant pulse in segment 1; a
+    # pulse 1 GHz off resonance transfers about 2e-11 of the atoms
+    gate = ProbeGate(tuning=ProbeTuning(sideband_intensity=0.0, carrier_intensity=0.0))
+    return [PulseSequence((FreeEvolution(15e-6), MicrowavePulse(3e4, 40e-6, detuning=d)),
+                          probe=gate) for d in detunings]
+
+
+def test_scan_regime_error_is_the_failing_trace_own():
+    args = (EnsembleState.all_lower(1e12, cloud_rms=1e-4), ModulatedProbe(), DetectorModel())
+    assert isinstance(outcome(reference_scan, (far_or_on_resonance(1e9), *args), {}), list)
+    kind, message = assert_same_scan(far_or_on_resonance(1e9, 1e9, 0.0, 1e9), *args)
+    assert kind.__name__ == "RegimeError" and message.startswith("segment 1: ")
+
+
+def test_scan_raises_the_first_failing_trace_error():
+    # trace 1 leaves the small-phase regime in its walk; trace 2 fails
+    # earlier in a batch, building its generator (an undriven pulse leaves
+    # the shift damping undefined); the scan still raises trace 1's error
+    seqs = far_or_on_resonance(1e9, 0.0, 1e9)
+    seqs[2] = PulseSequence((seqs[2].segments[0], MicrowavePulse(0.0, 40e-6)),
+                            probe=seqs[2].probe)
+    args = (EnsembleState.all_lower(1e12, cloud_rms=1e-4), ModulatedProbe(), DetectorModel())
+    with pytest.raises(DomainError, match="shift damping"):
+        harness.run_scan(seqs[2:], *args)
+    kind, message = assert_same_scan(seqs, *args)
+    assert kind.__name__ == "RegimeError" and message.startswith("segment 1: ")
+
+
+def test_scan_needs_one_probe_gate_and_segment_durations():
+    gate = ProbeGate()
+    echo = build_spin_echo(probe=gate)
+    for other in (build_spin_echo(pi_duration=70e-6, probe=gate),
+                  build_spin_echo(gap=0.0, probe=gate),
+                  build_spin_echo(probe=ProbeGate(repetition_rate=50e3)),
+                  build_spin_echo(probe=None)):
+        with pytest.raises(DomainError, match="probe gate and the segment durations"):
+            harness.run_scan([echo, other], *ECHO_ARGS)
+    assert harness.run_scan([], *ECHO_ARGS) == []
+
+
+def test_echo_scan_repeats_in_a_warm_worker(monkeypatch, tmp_path):
+    # a worker that ran the bundled spin echo runs the full-size seed-131
+    # echo-scan config twice: same bytes, same generator and expm calls
+    counts = Counter()
+    for name in ("generator", "expm"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda *a, _real=real, _name=name: counts.update([_name])
+                            or _real(*a))
+    body, _ = artifact_digests.runs()["echo-scan/spin_echo@full"]
+    config = tmp_path / "echo_scan.json"
+    config.write_text(json.dumps(body), encoding="utf-8")
+
+    def run(path):
+        before = counts.copy()
+        with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        return ({p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()},
+                counts - before)
+
+    run(CONFIG_DIR / "spin_echo.json")
+    first, second = run(config), run(config)
+    assert first == second
+    assert first[1] == {"generator": 2 * len(body["echo"]["detunings_hz"]), "expm": 1}

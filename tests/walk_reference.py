@@ -7,6 +7,8 @@ package walk to reproduce it bit for bit.
 """
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -21,7 +23,7 @@ from qndsim.atoms import (
     with_vector,
 )
 from qndsim.errors import RegimeError, StepError
-from qndsim.harness import PulseSequence, Trace, _fingerprint, _segment_model
+from qndsim.harness import PulseSequence, Trace, _segment_model
 from qndsim.heterodyne import (
     SMALL_PHASE_LIMIT,
     DetectorModel,
@@ -31,6 +33,12 @@ from qndsim.heterodyne import (
     demodulated_signal,
     sample_noisy_signal,
 )
+
+
+def fingerprint(*objects) -> str:
+    """The trace `config_hash`: sha256 of the joined reprs, 16 hex digits."""
+    text = "|".join(repr(o) for o in objects)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def run_sequence(
@@ -134,7 +142,7 @@ def run_sequence(
 
     metadata = {
         "seed": seed,
-        "config_hash": _fingerprint(seq, initial, probe, det, leak_fraction),
+        "config_hash": fingerprint(seq, initial, probe, det, leak_fraction),
         "sample_period": gate.period if gate else None,
         "noiseless": noiseless,
     }
