@@ -383,9 +383,26 @@ def generator(drive: RabiModel, tuning: ProbeTuning, leak_fraction: float = 0.5,
     return gen
 
 
-def expm(a):  # scipy.linalg loads on the first call, not with the package
-    from scipy.linalg import expm
-    return expm(a)
+# Pade-13 coefficients (2m-k)! m!/((2m)! k! (m-k)!); b_0 = 1 keeps exp(0) = I exact
+_PADE13 = tuple(math.factorial(26 - k) * math.factorial(13) / (
+    math.factorial(26) * math.factorial(k) * math.factorial(13 - k)) for k in range(14))
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp of a square matrix or of each of a stack: Pade-13 scaling and squaring
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005) with the scaling chosen
+    per matrix, so a matrix's bits never depend on the rest of the batch."""
+    s = np.maximum(np.frexp(abs(a).sum(axis=-2).max(axis=-1) / 5.371920351148152)[1], 0)
+    m, b, eye = np.ldexp(a, -s[..., None, None]), _PADE13, np.eye(a.shape[-1])
+    m2 = m @ m
+    m6 = (m4 := m2 @ m2) @ m2
+    u = m @ (m6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2)
+             + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * eye)
+    v = m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2) + b[6] * m6 + b[4] * m4 + b[2] * m2 + eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(s.max(initial=0)):    # square where s > k
+        r[s > k] = r[s > k] @ r[s > k]
+    return r
 
 
 def state_vector(state: EnsembleState) -> np.ndarray:

@@ -43,16 +43,6 @@ from .heterodyne import (
 )
 
 
-def curve_fit(*args, **kwargs):  # scipy.optimize loads on the first fit
-    from scipy.optimize import curve_fit
-    return curve_fit(*args, **kwargs)
-
-
-def brentq(*args, **kwargs):
-    from scipy.optimize import brentq
-    return brentq(*args, **kwargs)
-
-
 @dataclass(frozen=True)
 class MicrowavePulse:
     """Drive segment: Rabi frequency (rad/s), duration, detuning (Hz), phase."""
@@ -309,7 +299,8 @@ def _walk(seqs, seed, initial, probe, det, template, leak_fraction, noiseless):
         at = trajectory[np.concatenate([np.arange(r, r + n) for r, n in samples])]
         phi = atomic_phase(
             gate.tuning.sideband_detuning * gate.tuning.linewidth,
-            f2_population(at[..., 4], at[..., 2], at[..., 3]),
+            # at the Bloch pole rounding may leave the population a few ulp below 0
+            np.maximum(f2_population(at[..., 4], at[..., 2], at[..., 3]), 0.0),
             probe.beam_waist,
             initial.cloud_rms,
             linewidth=gate.tuning.linewidth,
@@ -351,11 +342,46 @@ def _sine_model(t, amp, damping, freq, phase, offset, drift):
         + offset + drift * t
 
 
+def curve_fit(t, y, p0, maxfev: int = 20000, tol: float = 1.49012e-8):
+    """`_sine_model` fit: Levenberg-Marquardt, MINPACK's scaled trust region and
+    ftol/xtol tests (More, LNM 630, 1978), curve_fit's covariance s^2 (J^T J)^-1,
+    s^2 = SSR/(n - p), inf where undetermined. RuntimeError after maxfev calls."""
+    x, r, tiny = np.array(p0, dtype=float), _sine_model(t, *p0) - y, np.finfo(float).tiny
+    cost, d, delta, ratio = r @ r, 0.0, math.inf, 1.0
+    for _ in range(maxfev - 1):
+        if ratio >= 1e-4:    # at a new point: the Jacobian over its column scales
+            e, arg = np.exp(-x[1] * t), 2 * np.pi * x[2] * t + x[3]
+            c, s = e * np.cos(arg), -x[0] * e * np.sin(arg)
+            jac = np.array([c, -x[0] * t * c, 2 * np.pi * t * s, s, np.ones_like(t), t]).T
+            d = np.maximum(d, np.sqrt((jac * jac).sum(axis=0)))
+            d[d == 0] = 1.0    # MINPACK's scale for a column that was always 0
+            u, sv, vt = np.linalg.svd(jac / d, full_matrices=False)
+            g, sv2 = sv * (u.T @ r), sv * sv
+        lam, q = 0.0, g / np.maximum(sv2, tiny)    # q = V^T d p
+        while (qn := math.sqrt(q @ q)) > 1.1 * delta:    # Newton on 1/|q| = 1/delta
+            lam += qn**2 / (q * q / np.maximum(sv2 + lam, tiny)).sum() * (qn - delta) / delta
+            q = g / np.maximum(sv2 + lam, tiny)
+        p = -(vt.T @ q) / d
+        r1, jp = _sine_model(t, *(x + p)) - y, jac @ p
+        actred, prered = cost - r1 @ r1, jp @ jp + 2 * lam * qn**2
+        ratio = actred / prered if prered else 0.0
+        done = abs(actred) <= tol * cost and prered <= tol * cost and ratio <= 2
+        delta = (0.5 * min(delta, qn) if not ratio > 0.25
+                 else 2 * qn if lam == 0 or ratio >= 0.75 else delta)
+        x, r, cost = (x + p, r1, r1 @ r1) if ratio >= 1e-4 else (x, r, cost)
+        if done or delta <= tol * math.sqrt((d * x) @ (d * x)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = vt.T / sv / d[:, None]
+                cov = w @ w.T * (cost / (t.size - x.size))
+            return x, np.where(np.isnan(cov), np.inf, cov)
+    raise RuntimeError(f"no convergence in {maxfev} model evaluations")
+
+
 def fit_damped_sine(trace: Trace, window: float | None = None) -> SineFit:
     """Least-squares fit of a damped cosine with linear offset drift.
 
-    Initial frequency from the discrete spectral peak of the detrended
-    window, damping from a log-envelope regression over chunk maxima.
+    Start: frequency from the spectral peak of the detrended window, damping
+    from a log-envelope fit of chunk maxima, the rest by linear least squares.
     Raises FitDiverged for degenerate input or a non-converging fit.
     """
     t = trace.times
@@ -375,7 +401,6 @@ def fit_damped_sine(trace: Trace, window: float | None = None) -> SineFit:
     freqs = np.fft.rfftfreq(t0.size, dt)
     k = 1 + int(np.argmax(np.abs(spectrum[1:])))
     f0 = freqs[k]
-    phase0 = math.atan2(-spectrum[k].imag, spectrum[k].real)
     # damping from chunk-maxima envelope regression
     n_chunks = max(4, min(8, t0.size // 8))
     chunks = np.array_split(np.arange(t0.size), n_chunks)
@@ -385,10 +410,12 @@ def fit_damped_sine(trace: Trace, window: float | None = None) -> SineFit:
         beta0 = max(0.0, -np.polyfit(env_t, np.log(env_a), 1)[0])
     else:
         beta0 = 0.0
-    amp0 = env_a[0]
-    p0 = [amp0, beta0, f0, phase0, offset0, drift0]
+    decay, arg = np.exp(-beta0 * t0), 2 * np.pi * f0 * t0
+    basis = np.array([decay * np.cos(arg), decay * np.sin(arg), np.ones_like(t0), t0]).T
+    (a, b, offset0, drift0), *_ = np.linalg.lstsq(basis, y, rcond=None)
+    p0 = [math.hypot(a, b), beta0, f0, math.atan2(-b, a), offset0, drift0]
     try:
-        popt, pcov = curve_fit(_sine_model, t0, y, p0=p0, maxfev=20000)
+        popt, pcov = curve_fit(t0, y, p0)
     except RuntimeError as exc:
         rms = float(np.sqrt(np.mean((_sine_model(t0, *p0) - y) ** 2)))
         raise FitDiverged(
@@ -415,6 +442,13 @@ def fit_damped_sine(trace: Trace, window: float | None = None) -> SineFit:
         std_errors=dict(zip(names, (float(e) for e in errs))),
         residual_rms=resid_rms,
     )
+
+
+def bisect(f, lo: float, hi: float, xtol: float) -> float:
+    """Root of f, bracketed by f(lo) < 0 <= f(hi), to within xtol."""
+    while hi - lo > xtol:
+        lo, hi = ((lo + hi) / 2, hi) if f((lo + hi) / 2) < 0 else (lo, (lo + hi) / 2)
+    return (lo + hi) / 2
 
 
 def destructivity_at_unit_snr(
@@ -455,8 +489,7 @@ def destructivity_at_unit_snr(
     lo, hi = math.log10(base_ps) - 9, math.log10(0.09 * probe.carrier_power)
     if snr_of(hi) < 1.0:
         raise DomainError("unit SNR unreachable within the modulation regime")
-    log_ps = brentq(lambda lp: snr_of(lp) - 1.0, lo, hi, xtol=1e-12)
-    ps = 10.0**log_ps
+    ps = 10.0**bisect(lambda lp: snr_of(lp) - 1.0, lo, hi, xtol=1e-12)
     scaled_tuning = replace(
         gate.tuning,
         sideband_intensity=gate.tuning.sideband_intensity

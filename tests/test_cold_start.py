@@ -1,11 +1,11 @@
-"""Cold start: the package loads scipy's heavy submodules only where used.
+"""Cold start: no run loads scipy's heavy submodules.
 
 `constants` holds literals instead of importing scipy.constants, and
-`atoms.expm`, `harness.curve_fit` and `harness.brentq` import scipy.linalg
-and scipy.optimize on their first call. These tests pin the literals to
-scipy's values, check in fresh interpreters that the scipy-free scenarios
-stay free of those submodules, and check the diverged-fit warning, which
-goes through the `harness.curve_fit` seam.
+`atoms.expm`, `harness.curve_fit` and `harness.bisect` are numpy code.
+These tests pin the literals to scipy's values, check in fresh
+interpreters that every bundled config and the demo that calls
+`destructivity_at_unit_snr` stay free of those submodules, and check the
+diverged-fit warning, which goes through the `harness.curve_fit` seam.
 """
 import json
 import os
@@ -46,14 +46,21 @@ print(json.dumps([code, sorted(m for m in {heavy!r} if m in sys.modules)]))
 """.format(heavy=HEAVY)
 
 
-def loaded_after_run(config: str, out: Path) -> list[str]:
+# the same for a demo script, run as __main__
+DEMO_PROBE = """
+import json, runpy, sys
+runpy.run_path(sys.argv[1], run_name="__main__")
+print(json.dumps([0, sorted(m for m in {heavy!r} if m in sys.modules)]))
+""".format(heavy=HEAVY)
+
+
+def loaded_after(probe: str, *args) -> list[str]:
     src = str(Path(qndsim.__file__).parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,
            "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(CONFIG_DIR / config), str(out)],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", probe, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert code == 0
@@ -63,14 +70,15 @@ def loaded_after_run(config: str, out: Path) -> list[str]:
 @pytest.mark.parametrize("config", ["cavity_spectrum.json", "trap_map.json",
                                     "noise_sweep.json",
                                     "scattering_sweep.json",
-                                    "squeezing.json"])
+                                    "squeezing.json", "rabi.json",
+                                    "spin_echo.json"])
 def test_scipy_free_scenarios_load_no_heavy_scipy(tmp_path, config):
-    assert loaded_after_run(config, tmp_path) == []
+    assert loaded_after(PROBE, CONFIG_DIR / config, tmp_path) == []
 
 
-def test_rabi_loads_scipy_optimize_through_the_shims(tmp_path):
-    loaded = loaded_after_run("rabi.json", tmp_path)
-    assert "scipy.optimize" in loaded and "scipy.linalg" in loaded
+def test_detection_budget_demo_loads_no_heavy_scipy():
+    demo = Path(__file__).parents[1] / "demos" / "detection_budget.py"
+    assert loaded_after(DEMO_PROBE, demo) == []
 
 
 def test_diverged_fit_warns_on_stderr(monkeypatch, tmp_path, capsys):

@@ -155,6 +155,17 @@ def test_no_probe_gate_evolves_without_samples():
     assert gated.final_state.jz == pytest.approx(bare.final_state.jz, abs=1e-6)
 
 
+def test_detected_population_rounding_below_zero_at_the_pole_samples():
+    # all atoms in the lower level, Jz a few ulp below -N/2: the detected
+    # F=2 population is -5.6e-9 atoms, inside what the state invariants
+    # accept; it enters atomic_phase as 0 instead of raising
+    init = EnsembleState(1e7, jz=-5e6 * (1 + 1e-15), cloud_rms=300e-6)
+    assert init.f2_population < 0
+    trace = run_sequence(build_spin_echo(probe=IDEAL_GATE), init, PROBE, DET,
+                         noiseless=True)
+    assert trace.signal[0] == 0.0 and np.isfinite(trace.signal).all()
+
+
 def test_regime_error_carries_segment_index():
     # strong dispersive phase: 3e6 atoms probed half a linewidth away blows
     # past the small-phase regime in the middle of the second segment

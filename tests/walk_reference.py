@@ -3,20 +3,21 @@
 `run_sequence` below is the list-based walk that the run-length walk in
 `qndsim.harness` replaced: one plain matvec per step, per-step and
 per-sample Python lists and one generator per segment. Tests require the
-package walk to reproduce it bit for bit.
+package walk to reproduce it bit for bit. It takes its matrix exponentials
+from `qndsim.atoms.expm`, so those tests compare walks, not exponentials.
 """
 from __future__ import annotations
 
 import hashlib
 
 import numpy as np
-from scipy.linalg import expm
 
 from qndsim.atoms import (
     EnsembleState,
     ProbeTuning,
     RabiModel,
     broken_invariants,
+    expm,
     f2_population,
     generator,
     state_vector,
@@ -127,7 +128,7 @@ def run_sequence(
         at = trajectory[taken]
         phi = atomic_phase(
             gate.tuning.sideband_detuning * gate.tuning.linewidth,
-            f2_population(at[:, 4], at[:, 2], at[:, 3]),
+            np.maximum(f2_population(at[:, 4], at[:, 2], at[:, 3]), 0.0),
             probe.beam_waist,
             initial.cloud_rms,
             linewidth=gate.tuning.linewidth,
