@@ -40,9 +40,7 @@ def main():
     # the pulsed carrier light-shifts the clock transition; the duty-cycle
     # averaged value acts as an extra detuning and pulls the oscillation
     shift = light_shift(gate.tuning, gate.duty_cycle)
-    drive = RabiModel(rabi_frequency=OMEGA, carrier_light_shift=shift,
-                      probe_repetition_rate=gate.repetition_rate,
-                      probe_pulse_duration=gate.pulse_duration)
+    drive = RabiModel(carrier_light_shift=shift)
     print(f"duty-averaged light shift: {shift / H:.0f} Hz")
 
     seq = PulseSequence((MicrowavePulse(OMEGA, 2e-3),), probe=gate)

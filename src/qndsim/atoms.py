@@ -37,6 +37,9 @@ from .errors import DomainError, StepError
 DEFAULT_SIDEBAND_INTENSITY = 2 * 76e-9 / (math.pi * 245e-6**2)
 DEFAULT_CARRIER_INTENSITY = 2 * 120e-6 / (math.pi * 245e-6**2)
 DEFAULT_EXPANSION_RATE = 120.0   # Hz, cloud fall/expansion signal loss
+# Share of the upper-level atoms scattering a sideband photon that land in
+# |F=2, m!=0>, out of the coherent manifold (the n_leak pool)
+LEAK_FRACTION = 0.5
 
 
 def _carrier_detunings(modulation_frequency: float) -> tuple[float, float, float]:
@@ -329,15 +332,14 @@ def damping_rate(model: RabiModel, spontaneous_rate: float) -> float:
     return rate
 
 
-def generator(drive: RabiModel, tuning: ProbeTuning, leak_fraction: float = 0.5,
-              drive_phase: float = 0.0) -> np.ndarray:
+def generator(drive: RabiModel, tuning: ProbeTuning, drive_phase: float = 0.0) -> np.ndarray:
     """Generator G of dv/dt = G v for v = (Jx, Jy, Jz, N_leak, N_at).
 
     G holds: rotation of the Bloch vector about (Omega_R*cos(phase),
     Omega_R*sin(phase), 2*pi*detuning_total), where detuning_total adds
     the duty-averaged differential light shift to the microwave detuning;
     population transfer: upper-level atoms scatter sideband photons and
-    land in |F=2, m!=0> with probability leak_fraction (rate leak), lower-
+    land in |F=2, m!=0> with probability LEAK_FRACTION (rate leak), lower-
     level atoms are pumped to F=2 by the carrier (rate pump), both joining
     the incoherent leaked pool; damping at the rate from damping_rate,
     defined as the fitted envelope rate of the driven oscillation. Of it,
@@ -346,28 +348,26 @@ def generator(drive: RabiModel, tuning: ProbeTuning, leak_fraction: float = 0.5,
     Lindblad generator). The rest damps the components perpendicular to
     the rotation axis: the inhomogeneous-rate dephasing it models spares
     the axis-parallel component, and with no rotation at all the z
-    coherence damps. The rest is nonnegative for leak_fraction <= 1, as
-    damping_rate's spontaneous part is half the sideband rate plus pump,
-    so the evolution is completely positive and keeps
-    |J| <= (N_at - N_leak)/2 by itself. Probe rates are duty-cycle
-    averaged; sub-period pulse gating is not resolved.
+    coherence damps. The rest is nonnegative, as damping_rate's
+    spontaneous part is half the sideband rate plus pump, so the evolution
+    is completely positive and keeps |J| <= (N_at - N_leak)/2 by itself.
+    Probe rates are duty-cycle averaged; sub-period pulse gating is not
+    resolved.
 
-    Raises DomainError for a leak fraction outside [0, 1], a branching that
-    leaves the rest negative beyond rounding, or a non-finite rate.
+    Raises DomainError for a branching that leaves the rest negative beyond
+    rounding, or a non-finite rate.
     """
-    if not 0 <= leak_fraction <= 1:
-        raise DomainError("leak fraction must lie in [0, 1]")
     duty = drive.duty_cycle
     wx = drive.rabi_frequency * math.cos(drive_phase)
     wy = drive.rabi_frequency * math.sin(drive_phase)
     wz = 2 * math.pi * (drive.detuning + light_shift(tuning, duty) / H)
     beta = damping_rate(drive, scattering_rate(tuning, expansion_rate=0.0) * duty)
-    leak = sideband_photon_rate(tuning) * duty * leak_fraction
+    leak = sideband_photon_rate(tuning) * duty * LEAK_FRACTION
     pump = carrier_pump_rate(tuning) * duty
     loss = (leak + pump) / 2
     if beta - loss < -1e-12 * beta:
         raise DomainError(f"branching {tuning.branching} is too small for leak fraction "
-                          f"{leak_fraction}: beta - (leak + pump)/2 is {beta - loss:.3g} 1/s")
+                          f"{LEAK_FRACTION}: beta - (leak + pump)/2 is {beta - loss:.3g} 1/s")
     rot = math.hypot(wx, wy, wz)
     axis = np.array([wx, wy, wz]) / rot if rot > 0 else np.array([0.0, 0.0, 1.0])
     gen = np.zeros((5, 5))
@@ -425,28 +425,6 @@ def with_vector(state: EnsembleState, v: np.ndarray) -> EnsembleState:
         return replace(state, jx=jx, jy=jy, jz=jz, n_leak=n_leak)
     except DomainError as exc:
         raise StepError(f"invariants violated after step: {exc}") from exc
-
-
-def evolve(
-    state: EnsembleState,
-    drive: RabiModel,
-    tuning: ProbeTuning,
-    dt: float,
-    leak_fraction: float = 0.5,
-    drive_phase: float = 0.0,
-) -> EnsembleState:
-    """Advance the ensemble by dt under microwave drive and pulsed probing.
-
-    One exact step expm(G*dt) of `generator`, whatever the rotation angle.
-    Negative dt runs the exact inverse of the positive-dt step and exists
-    for reversibility verification.
-
-    Raises StepError if the step leaves the state violating its invariants.
-    """
-    if dt == 0:
-        return state
-    gen = generator(drive, tuning, leak_fraction, drive_phase)
-    return with_vector(state, expm(gen * dt) @ state_vector(state))
 
 
 def squeezing_estimate(

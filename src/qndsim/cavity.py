@@ -51,8 +51,6 @@ class CavityGeometry:
         radius, R_par = alpha_par * R * cos(theta). Purely phenomenological.
     amplitude_reflectivity : float
         Per-mirror amplitude reflectivity r at the operating wavelength.
-    loss_factor : float
-        Mirror scattering loss in units of the mirror transmission (x).
     wavelength : float
         Operating wavelength in meters.
     """
@@ -63,7 +61,6 @@ class CavityGeometry:
     segment_ratio: float = math.sqrt(2.0)
     astigmatism_correction: float = 1.020
     amplitude_reflectivity: float = 0.99956
-    loss_factor: float = 1.5
     wavelength: float = 1560e-9
 
     def __post_init__(self) -> None:
@@ -77,8 +74,6 @@ class CavityGeometry:
             raise DomainError("fold_angle must lie in [0, pi)")
         if self.segment_ratio <= 0:
             raise DomainError("segment_ratio must be positive")
-        if self.loss_factor < 0:
-            raise DomainError("loss_factor must be nonnegative")
         if self.mirror_radius <= 0:
             raise DomainError("mirror_radius must be positive")
         if self.wavelength <= 0:
@@ -125,9 +120,6 @@ class GaussianMode:
     fsr: float              # Hz
     linewidth: float        # Hz, FWHM
     finesse: float
-
-
-_AXES = ("horizontal", "vertical")
 
 
 def _round_trip_elements(geom: CavityGeometry, axis: str) -> list[tuple[str, float]]:

@@ -418,6 +418,10 @@ def config_hash(cfg: dict) -> str:
     if problems:
         raise ConfigError("cannot hash an invalid configuration: "
                           + "; ".join(problems))
+    return _resolved_hash(resolved)
+
+
+def _resolved_hash(resolved: dict) -> str:
     semantic = {k: v for k, v in resolved.items()
                 if k not in NON_SEMANTIC_KEYS}
     canon = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
@@ -653,18 +657,14 @@ def _run_rabi(v: dict, out: Path, seed: int) -> list[str]:
     drive = v["drive"]
     gate, probe, shift = _gate_and_probe(v)
     template = RabiModel(
-        rabi_frequency=2 * math.pi * drive["rabi_frequency_khz"] * 1e3,
-        detuning=drive["detuning_hz"],
         carrier_light_shift=shift,
         inhomogeneity=drive["inhomogeneity"],
         residual_damping=drive["residual_damping_hz"],
-        probe_repetition_rate=gate.repetition_rate,
-        probe_pulse_duration=gate.pulse_duration,
     )
     seq = PulseSequence(
-        (MicrowavePulse(template.rabi_frequency,
+        (MicrowavePulse(2 * math.pi * drive["rabi_frequency_khz"] * 1e3,
                         drive["duration_ms"] * 1e-3,
-                        detuning=template.detuning),),
+                        detuning=drive["detuning_hz"]),),
         probe=gate)
     trace = run_sequence(seq, _ensemble(v["ensemble"]), probe,
                          _detector(v["detector"]), seed=seed,
@@ -689,12 +689,8 @@ def _run_spin_echo(v: dict, out: Path, seed: int) -> list[str]:
     echo = v["echo"]
     gate, probe, shift = _gate_and_probe(v)
     det = _detector(v["detector"])
-    template = RabiModel(
-        carrier_light_shift=shift,
-        residual_damping=echo["residual_damping_hz"],
-        probe_repetition_rate=gate.repetition_rate,
-        probe_pulse_duration=gate.pulse_duration,
-    )
+    template = RabiModel(carrier_light_shift=shift,
+                         residual_damping=echo["residual_damping_hz"])
     deltas = echo["detunings_hz"]
     seqs = [build_spin_echo(
         pi_duration=echo["pi_duration_us"] * 1e-6,
@@ -759,11 +755,11 @@ _RUNNERS = {
 
 def _checked(cfg: dict, source: str) -> dict:
     """The resolved config, or ConfigError listing every diagnostic."""
-    problems = validate_config(cfg)
+    resolved, problems = _resolve(cfg)
     if problems:
         raise ConfigError(
             f"{source}: invalid configuration\n  " + "\n  ".join(problems))
-    return _resolve(cfg)[0]
+    return resolved
 
 
 def _cmd_run(args) -> int:
@@ -793,7 +789,7 @@ def _cmd_run(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "scenario": scenarios,
         "seed": seed,
-        "config_sha256": config_hash(cfg),
+        "config_sha256": _resolved_hash(resolved),
         "versions": {
             "qndsim": __version__,
             "numpy": np.__version__,

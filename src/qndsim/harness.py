@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .atoms import (
+    LEAK_FRACTION,
     EnsembleState,
     ProbeTuning,
     RabiModel,
@@ -97,11 +98,13 @@ class ProbeGate:
 @dataclass(frozen=True)
 class PulseSequence:
     segments: tuple
-    probe: ProbeGate | None = None
+    probe: ProbeGate
     max_duration: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
+        if not isinstance(self.probe, ProbeGate):
+            raise DomainError("a sequence needs a probe gate")
         for seg in self.segments:
             if not isinstance(seg, (MicrowavePulse, FreeEvolution)):
                 raise DomainError(f"unknown segment type {type(seg).__name__}")
@@ -139,53 +142,40 @@ class Trace:
             raise DomainError("time samples must be strictly increasing")
 
 
-def _segment_model(seg, gate: ProbeGate | None, template: RabiModel) -> RabiModel:
-    rep = gate.repetition_rate if gate else 0.0
-    dur = gate.pulse_duration if gate else 0.0
+def _segment_model(seg, gate: ProbeGate, template: RabiModel) -> RabiModel:
+    timing = {"probe_repetition_rate": gate.repetition_rate,
+              "probe_pulse_duration": gate.pulse_duration}
     if isinstance(seg, MicrowavePulse):
-        return replace(
-            template,
-            rabi_frequency=seg.rabi_frequency,
-            detuning=seg.detuning,
-            probe_repetition_rate=rep,
-            probe_pulse_duration=dur,
-        )
+        return replace(template, rabi_frequency=seg.rabi_frequency,
+                       detuning=seg.detuning, **timing)
     # free evolution: the shift-inhomogeneity dephasing term is normalized
     # by the drive and only defined while driving, so its bookkeeping input
     # is zeroed; light-shift precession still comes in through the tuning
-    return replace(
-        template,
-        rabi_frequency=0.0,
-        detuning=seg.detuning,
-        carrier_light_shift=0.0,
-        probe_repetition_rate=rep,
-        probe_pulse_duration=dur,
-    )
+    return replace(template, rabi_frequency=0.0, detuning=seg.detuning,
+                   carrier_light_shift=0.0, **timing)
 
 
 def run_sequence(seq: PulseSequence, initial: EnsembleState, probe: ModulatedProbe,
                  det: DetectorModel, seed: int = 0, template: RabiModel | None = None,
-                 leak_fraction: float = 0.5, noiseless: bool = False) -> Trace:
+                 noiseless: bool = False) -> Trace:
     """Step the ensemble through the sequence, sampling at the probe clock.
 
     Each probe pulse converts the detected F=2 population (coherent upper
     level plus leaked atoms) into a dispersive phase, runs it through the
-    demodulation chain and adds one shot of detection noise. Without a
-    probe gate the ensemble evolves but nothing is sampled. Deterministic
-    for a fixed seed. `template` supplies the damping bookkeeping
-    (light shift, inhomogeneity, residual damping) reused by every
-    segment. This is `run_scan` of one sequence.
+    demodulation chain and adds one shot of detection noise. Deterministic
+    for a fixed seed. `template` supplies the damping bookkeeping (light
+    shift, inhomogeneity, residual damping) reused by every segment. This
+    is `run_scan` of one sequence.
 
     StepError and RegimeError are re-raised with the index of the segment
     of the first offending step or sample prepended.
     """
-    return run_scan([seq], initial, probe, det, seed, template, leak_fraction,
-                    noiseless)[0]
+    return run_scan([seq], initial, probe, det, seed, template, noiseless)[0]
 
 
 def run_scan(seqs: list[PulseSequence], initial: EnsembleState, probe: ModulatedProbe,
              det: DetectorModel, seed: int = 0, template: RabiModel | None = None,
-             leak_fraction: float = 0.5, noiseless: bool = False) -> list[Trace]:
+             noiseless: bool = False) -> list[Trace]:
     """Walk many sequences at once; trace i is bit for bit `run_sequence`
     of seqs[i] with seed + i.
 
@@ -206,24 +196,21 @@ def run_scan(seqs: list[PulseSequence], initial: EnsembleState, probe: Modulated
         raise DomainError("the sequences of a scan must share the probe gate "
                           "and the segment durations")
     try:
-        return _walk(seqs, seed, initial, probe, det, template, leak_fraction, noiseless)
+        return _walk(seqs, seed, initial, probe, det, template, noiseless)
     except Exception:   # re-raised, by the first failing trace if a replay finds it
         for i, seq in enumerate(seqs if len(seqs) > 1 else ()):
-            _walk([seq], seed + i, initial, probe, det, template, leak_fraction, noiseless)
+            _walk([seq], seed + i, initial, probe, det, template, noiseless)
         raise
 
 
-def _walk(seqs, seed, initial, probe, det, template, leak_fraction, noiseless):
+def _walk(seqs, seed, initial, probe, det, template, noiseless):
     base = template if template is not None else RabiModel()
     gate = seqs[0].probe
-    tuning = gate.tuning if gate is not None else ProbeTuning(
-        sideband_intensity=0.0, carrier_intensity=0.0)
-    eps, period = 1e-12, gate.period if gate is not None else 0.0
+    eps, period = 1e-12, gate.period
     # steps are runs (slot, count), one slot per (segment, dt); samples runs
     # (first row, count); off-clock samples keep the time the walk reached
     slot_of, runs, off, seg_steps, seg_samples = {}, [], [], [], []
-    t_now, n_steps, k = 0.0, 0, int(gate is not None)    # sample 0 is at t = 0
-    samples = [(0, 1)] * k
+    t_now, n_steps, k, samples = 0.0, 0, 1, [(0, 1)]    # sample 0 is at t = 0
 
     def step(s: int, dt: float, count: int = 1) -> None:
         nonlocal n_steps
@@ -234,10 +221,10 @@ def _walk(seqs, seed, initial, probe, det, template, leak_fraction, noiseless):
         seg_steps.append(n_steps)
         seg_samples.append(k)
         seg_end = t_now + seg.duration
-        last = k - 1    # the last sample index with last*period <= seg_end + eps
-        if gate is not None:    # the rounded quotient is at most one off
-            last = math.floor((seg_end + eps) / period)
-            last += ((last + 1) * period <= seg_end + eps) - (last * period > seg_end + eps)
+        # the last sample index with last*period <= seg_end + eps: the
+        # rounded quotient is at most one off
+        last = math.floor((seg_end + eps) / period)
+        last += ((last + 1) * period <= seg_end + eps) - (last * period > seg_end + eps)
         while k <= last:
             t_next = k * period
             if t_next > t_now + eps:
@@ -268,7 +255,7 @@ def _walk(seqs, seed, initial, probe, det, template, leak_fraction, noiseless):
             key = (_segment_model(seg, gate, base), getattr(seg, "phase", 0.0))
             if key not in gen_of:
                 gen_of[key] = len(gens)
-                gens.append(generator(key[0], tuning, leak_fraction, key[1]))
+                gens.append(generator(key[0], gate.tuning, key[1]))
             g.append(gen_of[key])
         which[:, i] = [matrix_of.setdefault((g[s], dt), len(matrix_of)) for s, dt in slot_of]
     props = expm(np.array([gens[i] * dt for i, dt in matrix_of])) if matrix_of else ()
@@ -294,33 +281,31 @@ def _walk(seqs, seed, initial, probe, det, template, leak_fraction, noiseless):
     times = np.arange(k) * period
     for i, t in off:
         times[i] = t
-    volts = np.empty((k, len(seqs)))
-    if gate is not None:
-        at = trajectory[np.concatenate([np.arange(r, r + n) for r, n in samples])]
-        phi = atomic_phase(
-            gate.tuning.sideband_detuning * gate.tuning.linewidth,
-            # at the Bloch pole rounding may leave the population a few ulp below 0
-            np.maximum(f2_population(at[..., 4], at[..., 2], at[..., 3]), 0.0),
-            probe.beam_waist,
-            initial.cloud_rms,
-            linewidth=gate.tuning.linewidth,
-        )
-        try:
-            volts = demodulated_signal(probe, PhaseShiftTriple(phi_plus=phi), det)
-        except RegimeError as exc:
-            first = int(np.argmax(np.abs(phi) > SMALL_PHASE_LIMIT)) // len(seqs)
-            seg = np.searchsorted(seg_samples[1:], first, side="right")
-            raise RegimeError(f"segment {seg}: {exc}") from exc
-        if not noiseless:
-            for i in range(len(seqs)):
-                volts[:, i] = sample_noisy_signal(volts[:, i], det, probe,
-                                                  gate.pulse_duration, seed + i)
+    at = trajectory[np.concatenate([np.arange(r, r + n) for r, n in samples])]
+    phi = atomic_phase(
+        gate.tuning.sideband_detuning * gate.tuning.linewidth,
+        # at the Bloch pole rounding may leave the population a few ulp below 0
+        np.maximum(f2_population(at[..., 4], at[..., 2], at[..., 3]), 0.0),
+        probe.beam_waist,
+        initial.cloud_rms,
+        linewidth=gate.tuning.linewidth,
+    )
+    try:
+        volts = demodulated_signal(probe, PhaseShiftTriple(phi_plus=phi), det)
+    except RegimeError as exc:
+        first = int(np.argmax(np.abs(phi) > SMALL_PHASE_LIMIT)) // len(seqs)
+        seg = np.searchsorted(seg_samples[1:], first, side="right")
+        raise RegimeError(f"segment {seg}: {exc}") from exc
+    if not noiseless:
+        for i in range(len(seqs)):
+            volts[:, i] = sample_noisy_signal(volts[:, i], det, probe,
+                                              gate.pulse_duration, seed + i)
 
-    shared = "|".join(map(repr, (initial, probe, det, leak_fraction)))   # once per scan
+    shared = "|".join(map(repr, (initial, probe, det, LEAK_FRACTION)))   # once per scan
     return [Trace(times.copy(), volts[:, i], {
         "seed": seed + i,
         "config_hash": hashlib.sha256(f"{seq!r}|{shared}".encode()).hexdigest()[:16],
-        "sample_period": gate.period if gate else None,
+        "sample_period": period,
         "noiseless": noiseless,
     }, final_state=with_vector(initial, trajectory[-1, i])) for i, seq in enumerate(seqs)]
 
@@ -444,13 +429,6 @@ def fit_damped_sine(trace: Trace, window: float | None = None) -> SineFit:
     )
 
 
-def bisect(f, lo: float, hi: float, xtol: float) -> float:
-    """Root of f, bracketed by f(lo) < 0 <= f(hi), to within xtol."""
-    while hi - lo > xtol:
-        lo, hi = ((lo + hi) / 2, hi) if f((lo + hi) / 2) < 0 else (lo, (lo + hi) / 2)
-    return (lo + hi) / 2
-
-
 def destructivity_at_unit_snr(
     gate: ProbeGate,
     ensemble: EnsembleState,
@@ -461,9 +439,14 @@ def destructivity_at_unit_snr(
 
     Trace SNR here is the ideal demodulated signal of a single pulse over
     the rms noise in the pulse-matched bandwidth; this single-pulse
-    definition is a modeling choice. The sideband power is scanned, everything else
-    fixed; the returned destructivity counts sideband photon scattering
-    only, over one pulse duration.
+    definition is a modeling choice. Only the sideband power varies: the
+    noise depends on the carrier alone and the signal grows with the
+    modulation depth sqrt(P_s/P_c), so SNR = K*sqrt(P_s) and one evaluation
+    gives the unit-SNR power. The returned destructivity counts sideband
+    photon scattering only, over one pulse duration.
+
+    Raises DomainError when unit SNR needs a sideband power above 0.09 P_c
+    (modulation depth 0.3) or no power reaches it (zero signal).
     """
     if ensemble.f2_population <= 0:
         raise DomainError("need detectable F=2 population")
@@ -475,21 +458,15 @@ def destructivity_at_unit_snr(
         linewidth=gate.tuning.linewidth,
     )
     base_ps = probe.sideband_power if probe.sideband_power > 0 else 76e-9
-
-    def snr_of(log_ps: float) -> float:
-        ps = 10.0**log_ps
-        scaled = replace(
-            probe,
-            sideband_power=ps,
-            modulation_depth=math.sqrt(ps / probe.carrier_power),
-        )
-        ideal = demodulated_signal(scaled, PhaseShiftTriple(phi_plus=phi), det)
-        return abs(ideal) / noise_sigma(det, scaled, gate.pulse_duration)
-
-    lo, hi = math.log10(base_ps) - 9, math.log10(0.09 * probe.carrier_power)
-    if snr_of(hi) < 1.0:
+    top = 0.09 * probe.carrier_power
+    ref = min(base_ps, top)
+    scaled = replace(probe, sideband_power=ref,
+                     modulation_depth=math.sqrt(ref / probe.carrier_power))
+    ideal = abs(demodulated_signal(scaled, PhaseShiftTriple(phi_plus=phi), det))
+    sigma = noise_sigma(det, scaled, gate.pulse_duration)
+    ps = ref * (sigma / ideal) ** 2 if ideal else math.inf
+    if ps > top:
         raise DomainError("unit SNR unreachable within the modulation regime")
-    ps = 10.0**bisect(lambda lp: snr_of(lp) - 1.0, lo, hi, xtol=1e-12)
     scaled_tuning = replace(
         gate.tuning,
         sideband_intensity=gate.tuning.sideband_intensity
@@ -505,7 +482,8 @@ def build_spin_echo(
     detuning: float = 0.0,
     rabi_frequency: float | None = None,
     gap: float | None = None,
-    probe: ProbeGate | None = None,
+    *,
+    probe: ProbeGate,
 ) -> PulseSequence:
     """pi/2 - gap - pi - gap - pi/2 sequence about one axis.
 

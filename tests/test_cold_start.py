@@ -1,7 +1,8 @@
 """Cold start: no run loads scipy's heavy submodules.
 
-`constants` holds literals instead of importing scipy.constants, and
-`atoms.expm`, `harness.curve_fit` and `harness.bisect` are numpy code.
+`constants` holds literals instead of importing scipy.constants,
+`atoms.expm` and `harness.curve_fit` are numpy code, and the unit-SNR
+sideband power of `destructivity_at_unit_snr` has a closed form.
 These tests pin the literals to scipy's values, check in fresh
 interpreters that every bundled config and the demo that calls
 `destructivity_at_unit_snr` stay free of those submodules, and check the

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qndsim
+import qndsim.cli as cli
 from qndsim.cli import (BOOL, FIELDS, INTEGER, NUMBER_LIST, REQUIRED,
                         config_hash, main, validate_config)
 
@@ -186,6 +187,20 @@ def test_hash_changes_with_every_table_field(path):
         sec[row.key] = _changed(row, sec.get(row.key, row.default))
         assert validate_config(cfg) == [], (row, validate_config(cfg))
         assert config_hash(cfg) != h0, row
+
+
+def test_run_and_validate_resolve_the_config_once(monkeypatch, tmp_path, capsys):
+    # the run hashes the resolved config it runs, not a second resolution
+    path = str(CONFIG_DIR / "squeezing.json")
+    want = config_hash(bundled("squeezing"))
+    calls, resolve = [], cli._resolve
+    monkeypatch.setattr(cli, "_resolve", lambda cfg: calls.append(cfg) or resolve(cfg))
+    assert main(["validate", path]) == 0
+    assert len(calls) == 1
+    assert main(["run", path, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config_sha256"] == want
 
 
 # ------------------------------------------------------------ scenario lists

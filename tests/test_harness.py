@@ -14,6 +14,7 @@ from qndsim.atoms import (
     carrier_pump_rate,
     light_shift,
 )
+from qndsim import harness
 from qndsim.cli import _write_json
 from qndsim.constants import H
 from qndsim.errors import DomainError, FitDiverged, RegimeError
@@ -30,7 +31,14 @@ from qndsim.harness import (
     run_sequence,
     write_trace_csv,
 )
-from qndsim.heterodyne import DetectorModel, ModulatedProbe
+from qndsim.heterodyne import (
+    DetectorModel,
+    ModulatedProbe,
+    PhaseShiftTriple,
+    atomic_phase,
+    demodulated_signal,
+    noise_sigma,
+)
 
 DET = DetectorModel()
 PROBE = ModulatedProbe()
@@ -69,13 +77,20 @@ def test_segment_validation():
 def test_sequence_duration_cap_and_windows():
     segs = (MicrowavePulse(OMEGA, 1e-3), FreeEvolution(2e-3),
             MicrowavePulse(OMEGA, 3e-3))
-    seq = PulseSequence(segs)
+    seq = PulseSequence(segs, probe=IDEAL_GATE)
     assert seq.total_duration == pytest.approx(6e-3)
     assert seq.segment_window(1) == (pytest.approx(1e-3), pytest.approx(3e-3))
     with pytest.raises(DomainError):
-        PulseSequence(segs, max_duration=5e-3)
+        PulseSequence(segs, probe=IDEAL_GATE, max_duration=5e-3)
     with pytest.raises(DomainError):
-        PulseSequence(("not a segment",))
+        PulseSequence(("not a segment",), probe=IDEAL_GATE)
+
+
+def test_sequence_needs_a_probe_gate():
+    with pytest.raises(DomainError, match="probe gate"):
+        PulseSequence((MicrowavePulse(OMEGA, 1e-3),), probe=None)
+    with pytest.raises(DomainError, match="probe gate"):
+        build_spin_echo(probe=None)
 
 
 def test_probe_gate_validation():
@@ -111,7 +126,7 @@ def test_config_hash_tracks_inputs():
     init = EnsembleState.all_lower(N_AT)
     a = run_sequence(seq, init, PROBE, DET, noiseless=True)
     b = run_sequence(seq, init, PROBE, DET, noiseless=True)
-    c = run_sequence(seq, init, PROBE, DET, noiseless=True, leak_fraction=0.3)
+    c = run_sequence(seq, EnsembleState.all_lower(N_AT / 2), PROBE, DET, noiseless=True)
     assert a.metadata["config_hash"] == b.metadata["config_hash"]
     assert a.metadata["config_hash"] != c.metadata["config_hash"]
 
@@ -140,19 +155,6 @@ def test_noise_statistics_on_flat_trace():
     n = tr.signal.size
     assert abs(tr.signal.mean()) < 5 * sigma / math.sqrt(n)
     assert np.std(tr.signal) == pytest.approx(sigma, rel=0.15)
-
-
-def test_no_probe_gate_evolves_without_samples():
-    seg = (MicrowavePulse(OMEGA, math.pi / OMEGA),)
-    init = EnsembleState.all_lower(N_AT)
-    gated = run_sequence(PulseSequence(seg, probe=IDEAL_GATE), init, PROBE,
-                         DET, noiseless=True, template=CLEAN)
-    bare = run_sequence(PulseSequence(seg, probe=None), init, PROBE, DET,
-                        noiseless=True, template=CLEAN)
-    assert bare.times.size == 0
-    assert bare.metadata["sample_period"] is None
-    assert bare.final_state.jz == pytest.approx(N_AT / 2, abs=1e-6)
-    assert gated.final_state.jz == pytest.approx(bare.final_state.jz, abs=1e-6)
 
 
 def test_detected_population_rounding_below_zero_at_the_pole_samples():
@@ -287,7 +289,7 @@ def test_pumping_decay_time_matches_rate_model():
 # -------------------------------------------------------------- spin echo
 
 def test_spin_echo_structure():
-    seq = build_spin_echo()
+    seq = build_spin_echo(probe=IDEAL_GATE)
     assert len(seq.segments) == 5
     assert seq.total_duration == pytest.approx(500e-6)
     pulses = [s for s in seq.segments if isinstance(s, MicrowavePulse)]
@@ -297,12 +299,12 @@ def test_spin_echo_structure():
         pytest.approx(74.5e-6 / 2)]
     assert all(g.duration == pytest.approx(175.5e-6) for g in gaps)
     assert pulses[0].rabi_frequency == pytest.approx(math.pi / 74.5e-6)
-    tight = build_spin_echo(gap=0.0)
+    tight = build_spin_echo(gap=0.0, probe=IDEAL_GATE)
     assert len(tight.segments) == 3
     with pytest.raises(DomainError):
-        build_spin_echo(total_duration=100e-6)
+        build_spin_echo(total_duration=100e-6, probe=IDEAL_GATE)
     with pytest.raises(DomainError):
-        build_spin_echo(pi_duration=0.0)
+        build_spin_echo(pi_duration=0.0, probe=IDEAL_GATE)
 
 
 def test_spin_echo_zero_detuning_returns_exactly():
@@ -401,6 +403,40 @@ def test_destructivity_grows_with_electronic_noise():
     loud = destructivity_at_unit_snr(gate, ens, probe,
                                      replace(DET, kappa_e=10 * DET.kappa_e))
     assert quiet < base < loud
+
+
+@pytest.mark.parametrize("sideband_power", [90e-9, 10e-6])
+def test_destructivity_puts_the_pulse_snr_at_one(monkeypatch, sideband_power):
+    # the sideband power the destructivity is scattered at gives one pulse
+    # an ideal demodulated signal of one noise rms, also from a probe whose
+    # own sideband power lies past the modulation regime (0.09 P_c)
+    gate, probe = rabi_probe_pair()
+    probe = replace(probe, sideband_power=sideband_power)
+    ens = EnsembleState.all_upper(1e7, cloud_rms=300e-6)
+    seen = []
+    monkeypatch.setattr(harness, "sideband_photon_rate",
+                        lambda tuning: seen.append(tuning) or 0.0)
+    destructivity_at_unit_snr(gate, ens, probe, DET)
+    ps = probe.sideband_power * (seen[0].sideband_intensity
+                                 / gate.tuning.sideband_intensity)
+    at = replace(probe, sideband_power=ps,
+                 modulation_depth=math.sqrt(ps / probe.carrier_power))
+    phi = atomic_phase(gate.tuning.sideband_detuning * gate.tuning.linewidth,
+                       ens.f2_population, probe.beam_waist, ens.cloud_rms,
+                       linewidth=gate.tuning.linewidth)
+    signal = demodulated_signal(at, PhaseShiftTriple(phi_plus=phi), DET)
+    snr = abs(signal) / noise_sigma(DET, at, gate.pulse_duration)
+    assert snr == pytest.approx(1.0, abs=1e-12)
+
+
+def test_destructivity_without_signal_is_unreachable():
+    # on the sideband's resonance the dispersive phase, and so the signal,
+    # is zero at every power
+    gate, probe = rabi_probe_pair()
+    resonant = ProbeGate(tuning=replace(gate.tuning, sideband_detuning=0.0))
+    with pytest.raises(DomainError, match="unit SNR unreachable"):
+        destructivity_at_unit_snr(resonant, EnsembleState.all_upper(1e7),
+                                  probe, DET)
 
 
 def test_destructivity_needs_population():

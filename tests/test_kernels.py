@@ -2,12 +2,14 @@
 
 `atoms.expm` (Pade-13 scaling and squaring) against `scipy.linalg.expm`,
 `harness.curve_fit` (Levenberg-Marquardt on `_sine_model`) against
-`scipy.optimize.curve_fit` given the same analytic Jacobian, and
-`harness.bisect` against `scipy.optimize.brentq`.
+`scipy.optimize.curve_fit` given the same analytic Jacobian, and the
+closed-form unit-SNR sideband power of `destructivity_at_unit_snr` against
+the root `scipy.optimize.brentq` finds on the same SNR function.
 """
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +21,22 @@ from scipy.optimize import curve_fit as scipy_curve_fit
 import qndsim
 import qndsim.cli as cli
 from qndsim import harness
-from qndsim.atoms import EnsembleState, ProbeTuning, RabiModel, expm, generator
-from qndsim.heterodyne import DetectorModel, ModulatedProbe
+from qndsim.atoms import (
+    EnsembleState,
+    ProbeTuning,
+    RabiModel,
+    expm,
+    generator,
+    sideband_photon_rate,
+)
+from qndsim.heterodyne import (
+    DetectorModel,
+    ModulatedProbe,
+    PhaseShiftTriple,
+    atomic_phase,
+    demodulated_signal,
+    noise_sigma,
+)
 
 CONFIG_DIR = Path(qndsim.__file__).parent / "configs"
 
@@ -168,16 +184,28 @@ def test_fit_gives_up_after_maxfev():
 
 
 @pytest.mark.parametrize("atoms, sideband_nw", [(1e5, 76.0), (1e6, 90.0), (3e6, 500.0)])
-def test_bisection_matches_brentq(monkeypatch, atoms, sideband_nw):
+def test_bisection_matches_brentq(atoms, sideband_nw):
+    # the pulse SNR as a function of log10 of the sideband power, scanned
+    # with everything else fixed; brentq's root against the closed form
     gate = harness.ProbeGate()
     ensemble = EnsembleState.all_upper(atoms, cloud_rms=300e-6)
     probe = ModulatedProbe(sideband_power=sideband_nw * 1e-9)
-    ours = harness.destructivity_at_unit_snr(gate, ensemble, probe, DetectorModel())
-    monkeypatch.setattr(harness, "bisect", brentq)
-    oracle = harness.destructivity_at_unit_snr(gate, ensemble, probe, DetectorModel())
-    assert ours == pytest.approx(oracle, rel=1e-10)
+    det = DetectorModel()
+    phi = atomic_phase(gate.tuning.sideband_detuning * gate.tuning.linewidth,
+                       ensemble.f2_population, probe.beam_waist, ensemble.cloud_rms,
+                       linewidth=gate.tuning.linewidth)
 
+    def snr_of(log_ps):
+        ps = 10.0**log_ps
+        scaled = replace(probe, sideband_power=ps,
+                         modulation_depth=math.sqrt(ps / probe.carrier_power))
+        ideal = demodulated_signal(scaled, PhaseShiftTriple(phi_plus=phi), det)
+        return abs(ideal) / noise_sigma(det, scaled, gate.pulse_duration)
 
-def test_bisect_brackets_the_root_to_xtol():
-    root = harness.bisect(lambda x: x**3 - 2.0, 0.0, 4.0, xtol=1e-12)
-    assert abs(root - 2.0 ** (1 / 3)) <= 1e-12
+    ps = 10.0**brentq(lambda lp: snr_of(lp) - 1.0, math.log10(probe.sideband_power) - 9,
+                      math.log10(0.09 * probe.carrier_power), xtol=1e-14, rtol=1e-15)
+    tuning = replace(gate.tuning, sideband_intensity=gate.tuning.sideband_intensity
+                     * ps / probe.sideband_power)
+    oracle = sideband_photon_rate(tuning) * gate.pulse_duration
+    ours = harness.destructivity_at_unit_snr(gate, ensemble, probe, det)
+    assert ours == pytest.approx(oracle, rel=1e-10, abs=0)

@@ -353,8 +353,7 @@ def test_scan_needs_one_probe_gate_and_segment_durations():
     echo = build_spin_echo(probe=gate)
     for other in (build_spin_echo(pi_duration=70e-6, probe=gate),
                   build_spin_echo(gap=0.0, probe=gate),
-                  build_spin_echo(probe=ProbeGate(repetition_rate=50e3)),
-                  build_spin_echo(probe=None)):
+                  build_spin_echo(probe=ProbeGate(repetition_rate=50e3))):
         with pytest.raises(DomainError, match="probe gate and the segment durations"):
             harness.run_scan([echo, other], *ECHO_ARGS)
     assert harness.run_scan([], *ECHO_ARGS) == []

@@ -89,7 +89,7 @@ def run_sequence(
         times, taken, sampled_in, sample_index = [0.0], [0], [0], 1
     for idx, seg in enumerate(seq.segments):
         gens.append(generator(_segment_model(seg, gate, base), tuning,
-                              leak_fraction, getattr(seg, "phase", 0.0)))
+                              getattr(seg, "phase", 0.0)))
         seg_end = t_now + seg.duration
         while gate is not None:
             t_next = sample_index * period
