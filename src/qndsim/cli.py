@@ -10,6 +10,14 @@ their field path, and no run writes a non-finite number into an artifact.
 Re-running a config with the same seed reproduces every output byte for
 byte.
 
+`validate`, and `run` before it, checks the regimes: probe duty cycle,
+modulation depth, zero carrier power beside sideband power, RAM, small
+phase (at the full atom number for rabi and spin-echo), echo window, the
+1 s sequence cap and sweep order. For noise-sweep, rabi and spin-echo it
+builds the run's set-up objects, so a config it accepts fails only past
+set-up, inside a kernel or an output check (exit 3); the other scenarios
+may still fail in their scalar set-up (exit 3).
+
 Exit codes: 0 success, 2 config error (with line/field diagnostics),
 3 physics/regime error during a run, 1 internal error.
 """
@@ -39,7 +47,7 @@ from .atoms import (
     squeezing_estimate,
 )
 from .cavity import CavityGeometry, solve_mode, transverse_spectrum
-from .constants import C, GAMMA_D2_FREQ, K_B
+from .constants import C, K_B
 from .errors import (
     ConfigError,
     DomainError,
@@ -63,12 +71,11 @@ from .harness import (
     write_trace_csv,
 )
 from .heterodyne import (
-    SMALL_BETA_LIMIT,
-    SMALL_PHASE_LIMIT,
     DetectorModel,
     ModulatedProbe,
     PhaseShiftTriple,
     atomic_phase,
+    check_small_phase,
     demodulated_signal,
     interferometer_length_signal,
     length_noise_signal,
@@ -392,14 +399,8 @@ def _resolve(cfg: dict) -> tuple[dict, list[str]]:
             for key in sec:
                 if key not in known[section]:
                     complain(f"{section}.{key}", "unknown field")
-    if not problems:
-        for name in scenarios:
-            for section, check in _CHECKS.get(name, ()):
-                try:
-                    check(resolved[name], complain)
-                except (ArithmeticError, ValueError, QndSimError) as exc:
-                    complain(section, "regime checks cannot be evaluated at "
-                             f"these values ({type(exc).__name__}: {exc})")
+    for name in scenarios if not problems else ():
+        _check_regimes(name, resolved[name], complain)
     # scenarios that share a section report its problems once
     return resolved, list(dict.fromkeys(problems))
 
@@ -429,74 +430,80 @@ def _resolved_hash(resolved: dict) -> str:
 
 
 # --------------------------------------------------------- regime checks
-# Cross-field checks over one scenario's resolved values, listed under the
-# section named when one of them cannot be evaluated.
+# A check builds what its runner builds before the walk, yielding the section
+# it builds next. An error names the field _BLAME finds by that section and
+# the words of its message, else the section: a constructor alone does not
+# name it (ModulatedProbe raises DomainError for RAM as for a zero waist).
 
-def _probe_regime(v: dict, complain) -> None:
-    beta = v["probe"]["modulation_depth"]
-    phi = v["sweep"]["phi_at_rad"]
-    if abs(v["probe"]["ram_asymmetry"]) >= 1:
-        complain("probe.ram_asymmetry", "must satisfy |eps| < 1")
-    if beta > SMALL_BETA_LIMIT:
-        complain("probe.modulation_depth",
-                 f"{beta} outside the two-sideband regime "
-                 f"(must be <= {SMALL_BETA_LIMIT})")
-    if abs(phi) > SMALL_PHASE_LIMIT:
-        complain("sweep.phi_at_rad",
-                 f"|{phi}| outside the small-phase regime "
-                 f"(must be <= {SMALL_PHASE_LIMIT})")
+_BLAME = {
+    ("probe", "two-sideband"): "probe.modulation_depth",
+    ("probe", "ram_asymmetry"): "probe.ram_asymmetry",
+    ("probe", "small-phase"): "sweep.phi_at_rad",
+    ("sweep", "detuning_min"): "sweep.detuning_max_linewidths",
+    ("probe_gate", "duty cycle exceeds"): "probe_gate.pulse_duration_us",
+    ("probe_gate", "two-sideband"): "probe_gate.sideband_power_nw",
+    ("probe_gate", "carrier power must"): "probe_gate.carrier_power_uw",
+    ("probe_gate", "small-phase"): "ensemble.atom_number",
+    ("echo", "gaps would be negative"): "echo.total_duration_us",
+}
 
 
-def _sweep_order(v: dict, complain) -> None:
+def _noise_sweep_checks(v: dict):
+    yield "probe"
+    _noise_setup(v)
+    check_small_phase(v["sweep"]["phi_at_rad"])
+
+
+def _sweep_order(v: dict):
+    yield "sweep"
     sweep = v["sweep"]
     if sweep["detuning_max_linewidths"] <= sweep["detuning_min_linewidths"]:
-        complain("sweep.detuning_max_linewidths",
-                 "must exceed detuning_min_linewidths")
+        raise DomainError("must exceed detuning_min_linewidths")
 
 
-def _echo_window(v: dict, complain) -> None:
-    echo = v["echo"]
-    if echo["gap_us"] is None \
-            and echo["total_duration_us"] < 2 * echo["pi_duration_us"]:
-        complain("echo.total_duration_us",
-                 "too short to hold two pi pulse equivalents")
-
-
-def _gate_regime(v: dict, complain) -> None:
-    gate, ens = v["probe_gate"], v["ensemble"]
-    pc, ps = gate["carrier_power_uw"], gate["sideband_power_nw"]
-    if gate["repetition_rate_khz"] * 1e3 * gate["pulse_duration_us"] \
-            * 1e-6 > 1:
-        complain("probe_gate.pulse_duration_us", "probe duty cycle exceeds 1")
-    if pc > 0:
-        beta = math.sqrt(ps * 1e-9 / (pc * 1e-6))
-        if beta > SMALL_BETA_LIMIT:
-            complain("probe_gate.sideband_power_nw",
-                     f"implied modulation depth {beta:.3g} outside the "
-                     f"two-sideband regime (<= {SMALL_BETA_LIMIT})")
-    elif ps > 0:
-        complain("probe_gate.carrier_power_uw",
-                 "carrier power must be positive when the sideband "
-                 "carries power")
+def _checked_gate(v: dict) -> ProbeGate:
+    """The run's probe gate, once its set-up is built and its phase checked."""
+    gate, probe, _, ens, _ = _probed_setup(v)
+    tuning = gate.tuning
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        phi = atomic_phase(
-            gate["sideband_detuning_linewidths"] * GAMMA_D2_FREQ,
-            ens["atom_number"], gate["waist_um"] * 1e-6,
-            ens["cloud_rms_um"] * 1e-6)
-    if not abs(phi) <= SMALL_PHASE_LIMIT:
-        complain("ensemble.atom_number",
-                 f"predicted dispersive phase {phi:.3f} rad exceeds the "
-                 f"small-phase regime ({SMALL_PHASE_LIMIT} rad) at this "
-                 "probe geometry and detuning")
+        warnings.simplefilter("ignore")     # check_small_phase reports it
+        phi = atomic_phase(tuning.sideband_detuning * tuning.linewidth,
+                           ens.atom_number, probe.beam_waist, ens.cloud_rms,
+                           linewidth=tuning.linewidth)
+    check_small_phase(phi)  # all N atoms: more than the walk ever detects
+    return gate
 
 
-_CHECKS = {
-    "noise-sweep": (("probe", _probe_regime),),
-    "scattering-sweep": (("sweep", _sweep_order),),
-    "rabi": (("probe_gate", _gate_regime),),
-    "spin-echo": (("echo", _echo_window), ("probe_gate", _gate_regime)),
-}
+def _rabi_checks(v: dict):
+    yield "probe_gate"
+    gate = _checked_gate(v)
+    yield "drive"
+    _rabi_sequence(v["drive"], gate)
+
+
+def _spin_echo_checks(v: dict):
+    yield "probe_gate"
+    gate = _checked_gate(v)
+    yield "echo"
+    # one sequence is enough: the detuning bounds nothing
+    _echo_sequences(v["echo"], gate, v["echo"]["detunings_hz"][:1])
+
+
+_CHECKS = {"noise-sweep": _noise_sweep_checks, "scattering-sweep": _sweep_order,
+           "rabi": _rabi_checks, "spin-echo": _spin_echo_checks}
+
+
+def _check_regimes(name: str, v: dict, complain) -> None:
+    section = None
+    try:
+        for section in _CHECKS.get(name, lambda v: ())(v):
+            pass
+    except (ArithmeticError, ValueError, QndSimError) as exc:
+        for (at, words), path in _BLAME.items():
+            if at == section and words in str(exc):
+                return complain(path, str(exc))
+        complain(section, "regime checks cannot be evaluated at these values "
+                          f"({type(exc).__name__}: {exc})")
 
 
 # ---------------------------------------------------------------- runners
@@ -565,8 +572,8 @@ def _detector(sec: dict) -> DetectorModel:
     )
 
 
-def _run_noise_sweep(v: dict, out: Path, seed: int) -> list[str]:
-    sec, sweep = v["probe"], v["sweep"]
+def _noise_setup(v: dict) -> tuple[ModulatedProbe, DetectorModel]:
+    sec = v["probe"]
     probe = ModulatedProbe(
         carrier_power=sec["carrier_power_uw"] * 1e-6,
         modulation_depth=sec["modulation_depth"],
@@ -578,7 +585,12 @@ def _run_noise_sweep(v: dict, out: Path, seed: int) -> list[str]:
         beam_waist=sec["beam_waist_um"] * 1e-6,
         path_length=sec["path_length_m"],
     )
-    det = _detector(v["detector"])
+    return probe, _detector(v["detector"])
+
+
+def _run_noise_sweep(v: dict, out: Path, seed: int) -> list[str]:
+    sweep = v["sweep"]
+    probe, det = _noise_setup(v)
     phi = sweep["phi_at_rad"]
     span = sweep["path_error_max_um"] * 1e-6
     wavelength = sweep["reference_wavelength_um"] * 1e-6
@@ -615,8 +627,9 @@ def _run_scattering_sweep(v: dict, out: Path, seed: int) -> list[str]:
     return ["scattering_sweep.csv"]
 
 
-def _gate_and_probe(v: dict) -> tuple[ProbeGate, ModulatedProbe, float]:
-    """The probe clock, the probe beam, and the light shift it imposes."""
+def _probed_setup(v: dict) -> tuple[ProbeGate, ModulatedProbe, float,
+                                    EnsembleState, DetectorModel]:
+    """Probe clock, probe beam, its light shift, ensemble and detector."""
     sec = v["probe_gate"]
     pc = sec["carrier_power_uw"] * 1e-6
     ps = sec["sideband_power_nw"] * 1e-9
@@ -636,39 +649,51 @@ def _gate_and_probe(v: dict) -> tuple[ProbeGate, ModulatedProbe, float]:
         pulse_duration=sec["pulse_duration_us"] * 1e-6,
         tuning=tuning,
     )
+    # zero tests read the unit-free raw fields: an SI underflow is no zero
+    if sec["carrier_power_uw"] == 0 and sec["sideband_power_nw"] > 0:
+        raise DomainError("carrier power must be positive when the sideband "
+                          "carries power")
     probe = ModulatedProbe(
         carrier_power=pc,
-        modulation_depth=math.sqrt(ps / pc) if pc > 0 else 0.0,
+        modulation_depth=math.sqrt(ps / pc) if sec["carrier_power_uw"] > 0
+        else 0.0,
         modulation_frequency=2 * math.pi * mod_ghz * 1e9,
         carrier_detuning=-mod_ghz * 1e9,
         sideband_power=ps,
         beam_waist=waist,
     )
     shift = light_shift(tuning, gate.duty_cycle) if sec["backaction"] else 0.0
-    return gate, probe, shift
+    ens = EnsembleState.all_lower(v["ensemble"]["atom_number"],
+                                  cloud_rms=v["ensemble"]["cloud_rms_um"] * 1e-6)
+    return gate, probe, shift, ens, _detector(v["detector"])
 
 
-def _ensemble(sec: dict) -> EnsembleState:
-    return EnsembleState.all_lower(
-        sec["atom_number"], cloud_rms=sec["cloud_rms_um"] * 1e-6)
+def _rabi_sequence(drive: dict, gate: ProbeGate) -> PulseSequence:
+    return PulseSequence(
+        (MicrowavePulse(2 * math.pi * drive["rabi_frequency_khz"] * 1e3,
+                        drive["duration_ms"] * 1e-3,
+                        detuning=drive["detuning_hz"]),),
+        probe=gate)
+
+
+def _echo_sequences(echo: dict, gate: ProbeGate, detunings) -> list:
+    gap = None if echo["gap_us"] is None else echo["gap_us"] * 1e-6
+    return [build_spin_echo(pi_duration=echo["pi_duration_us"] * 1e-6,
+                            total_duration=echo["total_duration_us"] * 1e-6,
+                            detuning=delta, gap=gap, probe=gate)
+            for delta in detunings]
 
 
 def _run_rabi(v: dict, out: Path, seed: int) -> list[str]:
     drive = v["drive"]
-    gate, probe, shift = _gate_and_probe(v)
+    gate, probe, shift, ens, det = _probed_setup(v)
     template = RabiModel(
         carrier_light_shift=shift,
         inhomogeneity=drive["inhomogeneity"],
         residual_damping=drive["residual_damping_hz"],
     )
-    seq = PulseSequence(
-        (MicrowavePulse(2 * math.pi * drive["rabi_frequency_khz"] * 1e3,
-                        drive["duration_ms"] * 1e-3,
-                        detuning=drive["detuning_hz"]),),
-        probe=gate)
-    trace = run_sequence(seq, _ensemble(v["ensemble"]), probe,
-                         _detector(v["detector"]), seed=seed,
-                         template=template,
+    trace = run_sequence(_rabi_sequence(drive, gate), ens, probe, det,
+                         seed=seed, template=template,
                          noiseless=v["options"]["noiseless"])
     write_trace_csv(trace, out / "rabi_trace.csv")
     window = v["options"]["fit_window_ms"] * 1e-3
@@ -687,19 +712,13 @@ def _run_rabi(v: dict, out: Path, seed: int) -> list[str]:
 
 def _run_spin_echo(v: dict, out: Path, seed: int) -> list[str]:
     echo = v["echo"]
-    gate, probe, shift = _gate_and_probe(v)
-    det = _detector(v["detector"])
+    gate, probe, shift, ens, det = _probed_setup(v)
     template = RabiModel(carrier_light_shift=shift,
                          residual_damping=echo["residual_damping_hz"])
     deltas = echo["detunings_hz"]
-    seqs = [build_spin_echo(
-        pi_duration=echo["pi_duration_us"] * 1e-6,
-        total_duration=echo["total_duration_us"] * 1e-6,
-        detuning=delta,
-        gap=None if echo["gap_us"] is None else echo["gap_us"] * 1e-6,
-        probe=gate) for delta in deltas]
+    seqs = _echo_sequences(echo, gate, deltas)
     traces = list(zip(deltas, seqs, run_scan(
-        seqs, _ensemble(v["ensemble"]), probe, det, seed=seed, template=template,
+        seqs, ens, probe, det, seed=seed, template=template,
         noiseless=v["options"]["noiseless"])))
 
     write_csv(out / "spin_echo_traces.csv", "detuning_hz,time_s,signal_v",

@@ -58,7 +58,7 @@ class ModulatedProbe:
             raise DomainError("modulation depth must be nonnegative")
         if self.modulation_depth > SMALL_BETA_LIMIT:
             raise RegimeError(
-                f"modulation depth {self.modulation_depth} outside the "
+                f"modulation depth {self.modulation_depth:.3g} outside the "
                 f"two-sideband regime (beta <= {SMALL_BETA_LIMIT})"
             )
         if not abs(self.ram_asymmetry) < 1:
@@ -192,6 +192,14 @@ def exact_phase_terms(
     )
 
 
+def check_small_phase(phi: float) -> None:
+    """Raise RegimeError outside the small-phase regime the calibration and
+    the expansions assume, |phi| <= SMALL_PHASE_LIMIT."""
+    if not abs(phi) <= SMALL_PHASE_LIMIT:
+        raise RegimeError(f"|phi| = {abs(phi):.3f} rad outside the small-phase "
+                          f"regime (<= {SMALL_PHASE_LIMIT} rad)")
+
+
 def small_phase_expansion(
     phases: PhaseShiftTriple,
 ) -> tuple[float, float, float, float]:
@@ -211,10 +219,7 @@ def small_phase_expansion(
 
     Raises RegimeError beyond 0.3 rad.
     """
-    if phases.max_abs > SMALL_PHASE_LIMIT:
-        raise RegimeError(
-            f"|phi| = {phases.max_abs:.3f} rad outside the expansion regime"
-        )
+    check_small_phase(phases.max_abs)
     p1, p0, pm = phases.phi_plus, phases.phi_carrier, phases.phi_minus
     return (
         0.5 * (p1 - pm) * (2.0 * p0 - p1 - pm),
@@ -254,10 +259,7 @@ def demodulated_signal(
     Raises RegimeError when the phases leave the small-phase regime the
     calibration assumes.
     """
-    if phases.max_abs > SMALL_PHASE_LIMIT:
-        raise RegimeError(
-            f"|phi| = {phases.max_abs:.3f} rad outside the small-phase regime"
-        )
+    check_small_phase(phases.max_abs)
     d_plus, d_minus, d_plus_am, d_minus_am = exact_phase_terms(phases)
     eps = probe.ram_asymmetry
     chi = 2.0 * math.pi * path_error / probe.modulation_wavelength

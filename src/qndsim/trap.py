@@ -161,13 +161,6 @@ def detuning_to_potential(probe_detuning: float, ratio: float = POLARIZABILITY_R
     return H * probe_detuning / (ratio - 1.0)
 
 
-def potential_to_detuning(potential: float, ratio: float = POLARIZABILITY_RATIO) -> float:
-    """Inverse of detuning_to_potential."""
-    if ratio <= 1:
-        raise DomainError("polarizability ratio must exceed 1")
-    return potential * (ratio - 1.0) / H
-
-
 def isopotential_radius(depth_on_axis: float, target: float, waist: float) -> float:
     """Transverse radius where a TEM00 arm profile crosses a potential level.
 

@@ -129,7 +129,7 @@ def test_04_detector_gain_and_noise_floor():
     # electronic floor crosses optical shot noise at kappa_e = 165 uW
     assert intercept / slope == pytest.approx(165e-6, rel=1e-6)
     assert shot_noise_psd(det, 165e-6) == pytest.approx(
-        2 * shot_noise_psd(det, 0.0), rel=1e-12)
+        2 * shot_noise_psd(det, 0.0), rel=1e-12, abs=0)
 
 
 def test_05_length_noise_rejection_ratio():

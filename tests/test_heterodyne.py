@@ -286,7 +286,8 @@ def test_length_noise_budget_law():
     for dl in (lam_mod / 100, lam_mod / 1000, lam_mod / 1e6):
         for phi in (0.01, 0.05, 0.1):
             got = length_noise_signal(probe, phi, det, dl)
-            assert got == pytest.approx(scale * phi**2 * dl / lam_mod, rel=1e-12)
+            assert got == pytest.approx(scale * phi**2 * dl / lam_mod, rel=1e-12,
+                                        abs=0)
     probe_ram = _probe(modulation_frequency=2 * math.pi * C / lam_mod)
     got = length_noise_signal(probe_ram, 0.1, det, lam_mod / 100)
     want = scale * (0.1**2 + probe_ram.ram_asymmetry) * (lam_mod / 100) / lam_mod
@@ -335,7 +336,7 @@ def test_psd_slope_inversion_round_trip():
     assert intercept / slope == pytest.approx(det.kappa_e, rel=1e-9)
     # the floor crossover: optical shot noise equals electronics at kappa_e
     assert shot_noise_psd(det, det.kappa_e) == pytest.approx(
-        2 * shot_noise_psd(det, 0.0), rel=1e-12
+        2 * shot_noise_psd(det, 0.0), rel=1e-12, abs=0
     )
     assert shot_noise_psd(DetectorModel(kappa_e=0.0), 0.0) == 0.0
     with pytest.raises(DomainError):

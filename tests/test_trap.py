@@ -18,7 +18,6 @@ from qndsim.trap import (
     isopotential_radius,
     lifetime_decay,
     potential_at,
-    potential_to_detuning,
     trap_depth,
     trap_frequencies,
 )
@@ -30,8 +29,8 @@ BASE = DipoleTrapConfig()  # 200 W/arm, 93.1/129.8 um waists
 
 def test_depth_against_frozen_hand_value():
     # per-arm |U(0)| = alpha/(2 eps0 c) * 2P/(pi a b), evaluated by hand
-    assert trap_depth(BASE, arms=1) == pytest.approx(1.35546e-26, rel=1e-4)
-    assert trap_depth(BASE, arms=2) == pytest.approx(2.71092e-26, rel=1e-4)
+    assert trap_depth(BASE, arms=1) == pytest.approx(1.35546e-26, rel=1e-4, abs=0)
+    assert trap_depth(BASE, arms=2) == pytest.approx(2.71092e-26, rel=1e-4, abs=0)
 
 
 def test_depth_order_of_magnitude_vs_quoted():
@@ -63,7 +62,7 @@ def test_arm_exchange_symmetry_at_crossing():
     for _ in range(50):
         x, y, z = rng.uniform(-2e-4, 2e-4, size=3)
         assert potential_at(BASE, (x, y, z)) == pytest.approx(
-            potential_at(BASE, (y, x, z)), rel=1e-12)
+            potential_at(BASE, (y, x, z)), rel=1e-12, abs=0)
 
 
 def test_potential_negative_and_depth_positive():
@@ -147,22 +146,25 @@ def test_not_a_minimum_cases():
 def test_detuning_to_potential_values():
     # U/k_B = 100 uK at ratio 47.7 corresponds to ~97.3 MHz
     u = 100e-6 * K_B
-    delta = potential_to_detuning(u)
-    assert delta == pytest.approx(46.7 * K_B * 100e-6 / H, rel=1e-12)
-    assert delta == pytest.approx(97.3e6, rel=1e-2)
+    assert detuning_to_potential(46.7 * K_B * 100e-6 / H) == pytest.approx(
+        u, rel=1e-12, abs=0)
+    assert detuning_to_potential(97.3e6) == pytest.approx(u, rel=1e-2, abs=0)
     assert detuning_to_potential(0.0) == 0.0
 
 
 def test_detuning_round_trip_identity():
+    # the hand inverse delta = U*(ratio - 1)/h recovers every detuning, and
+    # red probe detuning maps to negative U
     rng = np.random.default_rng(5)
     for _ in range(30):
         delta = float(rng.uniform(-5e8, 5e8))
-        back = potential_to_detuning(detuning_to_potential(delta))
-        assert back == pytest.approx(delta, rel=1e-12)
+        back = detuning_to_potential(delta) * 46.7 / H
+        assert back == pytest.approx(delta, rel=1e-12, abs=0)
+        assert detuning_to_potential(-delta) == -detuning_to_potential(delta)
     with pytest.raises(DomainError):
         detuning_to_potential(1e6, ratio=1.0)
     with pytest.raises(DomainError):
-        potential_to_detuning(1e-26, ratio=0.5)
+        detuning_to_potential(1e6, ratio=0.5)
 
 
 def test_isopotential_radius_against_root_finder():
