@@ -107,11 +107,12 @@ class ProbeTuning:
 
 @dataclass(frozen=True)
 class RabiModel:
-    """Microwave drive plus the probe bookkeeping entering the damping model.
+    """Microwave drive plus the light-shift bookkeeping of the damping model.
 
     carrier_light_shift is the in-pulse differential shift of the clock
     transition (joules); inhomogeneity is the dimensionless factor relating
-    shift fluctuations to dephasing. Rates in Hz mean 1/s throughout.
+    shift fluctuations to dephasing. Rates in Hz mean 1/s throughout. The
+    probe clock's duty cycle is an argument of `generator`.
     """
 
     rabi_frequency: float = 2 * math.pi * 6.6e3   # rad/s
@@ -119,8 +120,6 @@ class RabiModel:
     carrier_light_shift: float = H * 2e3          # J
     inhomogeneity: float = 0.162
     residual_damping: float = 90.0                # Hz
-    probe_repetition_rate: float = 100e3          # Hz
-    probe_pulse_duration: float = 1.25e-6         # s
 
     def __post_init__(self) -> None:
         if self.rabi_frequency < 0:
@@ -129,14 +128,6 @@ class RabiModel:
             raise DomainError("inhomogeneity factor must be nonnegative")
         if self.residual_damping < 0:
             raise DomainError("residual damping must be nonnegative")
-        if self.probe_repetition_rate < 0 or self.probe_pulse_duration < 0:
-            raise DomainError("probe timing must be nonnegative")
-        if self.duty_cycle > 1:
-            raise DomainError("probe duty cycle exceeds 1")
-
-    @property
-    def duty_cycle(self) -> float:
-        return self.probe_repetition_rate * self.probe_pulse_duration
 
 
 def _over_polarized(jx, jy, jz, coherent):
@@ -332,7 +323,8 @@ def damping_rate(model: RabiModel, spontaneous_rate: float) -> float:
     return rate
 
 
-def generator(drive: RabiModel, tuning: ProbeTuning, drive_phase: float = 0.0) -> np.ndarray:
+def generator(drive: RabiModel, tuning: ProbeTuning, duty_cycle: float,
+              drive_phase: float = 0.0) -> np.ndarray:
     """Generator G of dv/dt = G v for v = (Jx, Jy, Jz, N_leak, N_at).
 
     G holds: rotation of the Bloch vector about (Omega_R*cos(phase),
@@ -351,19 +343,18 @@ def generator(drive: RabiModel, tuning: ProbeTuning, drive_phase: float = 0.0) -
     coherence damps. The rest is nonnegative, as damping_rate's
     spontaneous part is half the sideband rate plus pump, so the evolution
     is completely positive and keeps |J| <= (N_at - N_leak)/2 by itself.
-    Probe rates are duty-cycle averaged; sub-period pulse gating is not
-    resolved.
+    Probe rates are averaged over the probe clock's duty_cycle; sub-period
+    pulse gating is not resolved.
 
-    Raises DomainError for a branching that leaves the rest negative beyond
-    rounding, or a non-finite rate.
+    Raises DomainError for a duty cycle outside [0, 1], a branching that
+    leaves the rest negative beyond rounding, or a non-finite rate.
     """
-    duty = drive.duty_cycle
     wx = drive.rabi_frequency * math.cos(drive_phase)
     wy = drive.rabi_frequency * math.sin(drive_phase)
-    wz = 2 * math.pi * (drive.detuning + light_shift(tuning, duty) / H)
-    beta = damping_rate(drive, scattering_rate(tuning, expansion_rate=0.0) * duty)
-    leak = sideband_photon_rate(tuning) * duty * LEAK_FRACTION
-    pump = carrier_pump_rate(tuning) * duty
+    wz = 2 * math.pi * (drive.detuning + light_shift(tuning, duty_cycle) / H)
+    beta = damping_rate(drive, scattering_rate(tuning, expansion_rate=0.0) * duty_cycle)
+    leak = sideband_photon_rate(tuning) * duty_cycle * LEAK_FRACTION
+    pump = carrier_pump_rate(tuning) * duty_cycle
     loss = (leak + pump) / 2
     if beta - loss < -1e-12 * beta:
         raise DomainError(f"branching {tuning.branching} is too small for leak fraction "

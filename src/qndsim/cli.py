@@ -12,11 +12,12 @@ byte.
 
 `validate`, and `run` before it, checks the regimes: probe duty cycle,
 modulation depth, zero carrier power beside sideband power, RAM, small
-phase (at the full atom number for rabi and spin-echo), echo window, the
-1 s sequence cap and sweep order. For noise-sweep, rabi and spin-echo it
-builds the run's set-up objects, so a config it accepts fails only past
-set-up, inside a kernel or an output check (exit 3); the other scenarios
-may still fail in their scalar set-up (exit 3).
+phase (at the full atom number for rabi and spin-echo), echo window, a
+probe clock tick inside the echo's pi pulse, the 1 s sequence cap and
+sweep order. For noise-sweep, rabi and spin-echo it builds the run's
+set-up objects, so a config it accepts fails only past set-up, inside a
+kernel or an output check (exit 3); the other scenarios may still fail in
+their scalar set-up (exit 3).
 
 Exit codes: 0 success, 2 config error (with line/field diagnostics),
 3 physics/regime error during a run, 1 internal error.
@@ -29,7 +30,6 @@ import json
 import math
 import operator
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -220,16 +220,6 @@ SCENARIOS = tuple(FIELDS)
 
 # --------------------------------------------------------------- plumbing
 
-@dataclass(frozen=True)
-class _NonFinite:
-    """A NaN or Infinity token, which json accepts though JSON has none.
-
-    Parsed into this type, it fails the check of the field that holds it.
-    """
-
-    token: str
-
-
 def _load_config(path: str, overrides: list[str]) -> dict:
     p = Path(path)
     try:
@@ -237,7 +227,7 @@ def _load_config(path: str, overrides: list[str]) -> dict:
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        cfg = json.loads(text, parse_constant=_NonFinite)
+        cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
@@ -248,7 +238,7 @@ def _load_config(path: str, overrides: list[str]) -> dict:
             raise ConfigError(f"--set {pair!r}: expected key.path=value")
         dotted, raw = pair.split("=", 1)
         try:
-            value = json.loads(raw, parse_constant=_NonFinite)
+            value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
         node = cfg
@@ -275,17 +265,15 @@ def _write_json(path: Path, payload: dict) -> None:
 # ------------------------------------------------------------- resolution
 
 def _number(path: str, value, bounds: tuple, noun: str, complain):
-    """``value`` as a finite float, complaining unless it is one in bounds."""
-    if isinstance(value, _NonFinite):
-        number = math.nan
-    elif not isinstance(value, (int, float)) or isinstance(value, bool):
+    """``value`` as a finite float, complaining unless it is one in bounds
+    (json reads NaN and Infinity as floats: they fail here)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         complain(path, f"must be {noun}")
         return None
-    else:
-        try:
-            number = float(value)
-        except OverflowError:     # an integer beyond the float range
-            number = math.inf
+    try:
+        number = float(value)
+    except OverflowError:     # an integer beyond the float range
+        number = math.inf
     if not math.isfinite(number):
         complain(path, "must be a finite number")
         return None
@@ -413,13 +401,9 @@ def validate_config(cfg: dict) -> list[str]:
 def config_hash(cfg: dict) -> str:
     """Hash of the resolved config without its non-semantic keys.
 
-    Raises ConfigError for a config that does not resolve.
+    Raises ConfigError, as `_checked` does, for a config that does not resolve.
     """
-    resolved, problems = _resolve(cfg)
-    if problems:
-        raise ConfigError("cannot hash an invalid configuration: "
-                          + "; ".join(problems))
-    return _resolved_hash(resolved)
+    return _resolved_hash(_checked(cfg, "config"))
 
 
 def _resolved_hash(resolved: dict) -> str:
@@ -445,6 +429,7 @@ _BLAME = {
     ("probe_gate", "carrier power must"): "probe_gate.carrier_power_uw",
     ("probe_gate", "small-phase"): "ensemble.atom_number",
     ("echo", "gaps would be negative"): "echo.total_duration_us",
+    ("echo", "no sample inside the pi pulse"): "probe_gate.repetition_rate_khz",
 }
 
 
@@ -465,11 +450,9 @@ def _checked_gate(v: dict) -> ProbeGate:
     """The run's probe gate, once its set-up is built and its phase checked."""
     gate, probe, _, ens, _ = _probed_setup(v)
     tuning = gate.tuning
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")     # check_small_phase reports it
-        phi = atomic_phase(tuning.sideband_detuning * tuning.linewidth,
-                           ens.atom_number, probe.beam_waist, ens.cloud_rms,
-                           linewidth=tuning.linewidth)
+    phi = atomic_phase(tuning.sideband_detuning * tuning.linewidth,
+                       ens.atom_number, probe.beam_waist, ens.cloud_rms,
+                       linewidth=tuning.linewidth)
     check_small_phase(phi)  # all N atoms: more than the walk ever detects
     return gate
 

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package; a regime limit raises, never warns."""
 
 
 class QndSimError(Exception):
@@ -35,7 +35,3 @@ class FitDiverged(QndSimError):
 
 class ConfigError(QndSimError):
     """A run configuration is malformed; message names the offending field path."""
-
-
-class RegimeWarning(UserWarning):
-    """Emitted when small-phase expansions are used beyond their stated accuracy."""

@@ -142,17 +142,15 @@ class Trace:
             raise DomainError("time samples must be strictly increasing")
 
 
-def _segment_model(seg, gate: ProbeGate, template: RabiModel) -> RabiModel:
-    timing = {"probe_repetition_rate": gate.repetition_rate,
-              "probe_pulse_duration": gate.pulse_duration}
+def _segment_model(seg, template: RabiModel) -> RabiModel:
     if isinstance(seg, MicrowavePulse):
         return replace(template, rabi_frequency=seg.rabi_frequency,
-                       detuning=seg.detuning, **timing)
+                       detuning=seg.detuning)
     # free evolution: the shift-inhomogeneity dephasing term is normalized
     # by the drive and only defined while driving, so its bookkeeping input
     # is zeroed; light-shift precession still comes in through the tuning
     return replace(template, rabi_frequency=0.0, detuning=seg.detuning,
-                   carrier_light_shift=0.0, **timing)
+                   carrier_light_shift=0.0)
 
 
 def run_sequence(seq: PulseSequence, initial: EnsembleState, probe: ModulatedProbe,
@@ -252,10 +250,10 @@ def _walk(seqs, seed, initial, probe, det, template, noiseless):
     for i, seq in enumerate(seqs):
         gen_of, g = {}, []
         for seg in seq.segments:
-            key = (_segment_model(seg, gate, base), getattr(seg, "phase", 0.0))
+            key = (_segment_model(seg, base), getattr(seg, "phase", 0.0))
             if key not in gen_of:
                 gen_of[key] = len(gens)
-                gens.append(generator(key[0], gate.tuning, key[1]))
+                gens.append(generator(key[0], gate.tuning, gate.duty_cycle, key[1]))
             g.append(gen_of[key])
         which[:, i] = [matrix_of.setdefault((g[s], dt), len(matrix_of)) for s, dt in slot_of]
     props = expm(np.array([gens[i] * dt for i, dt in matrix_of])) if matrix_of else ()
@@ -490,6 +488,9 @@ def build_spin_echo(
     By default the two symmetric free-evolution gaps are sized to fill
     total_duration (the experiments ran the whole sequence inside 500 us);
     pass gap explicitly (0 suppresses free evolution) to override.
+
+    Raises DomainError when no probe clock tick k*period falls in the pi
+    pulse, where mid_pulse_amplitude reads the echo (to within 1e-12 s).
     """
     if pi_duration <= 0:
         raise DomainError("pi duration must be positive")
@@ -508,7 +509,14 @@ def build_spin_echo(
     if gap > 0:
         segments.append(FreeEvolution(gap, detuning=detuning))
     segments.append(half)
-    return PulseSequence(tuple(segments), probe=probe)
+    seq = PulseSequence(tuple(segments), probe=probe)
+    start, end = seq.segment_window(len(segments) // 2)
+    first = math.ceil((start - 1e-12) / probe.period)   # the rounded quotient: +-1
+    if not any(start - 1e-12 <= k * probe.period <= end + 1e-12
+               for k in range(first - 1, first + 2)):
+        raise DomainError(f"probe period {probe.period:.3g} s leaves no sample inside "
+                          f"the pi pulse ({start:.3g} s to {end:.3g} s)")
+    return seq
 
 
 def mid_pulse_amplitude(trace: Trace, seq: PulseSequence) -> float:

@@ -17,21 +17,15 @@ path-length-sensitive terms (DeltaPhi_plus).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import C, E_CHARGE, GAMMA_D2_FREQ, PROBE_WAVELENGTH
-from .errors import DomainError, RegimeError, RegimeWarning
+from .errors import DomainError, RegimeError
 
 SMALL_PHASE_LIMIT = 0.3    # rad, validity bound for the expansions
 SMALL_BETA_LIMIT = 0.3     # modulation depth bound for the two-sideband model
-
-
-def _extreme(x):
-    # x, or the element of an array of samples largest in magnitude
-    return x.flat[np.argmax(np.abs(x))] if isinstance(x, np.ndarray) else x
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,7 @@ class PhaseShiftTriple:
     def __post_init__(self) -> None:
         peak = 0.0
         for name in ("phi_minus", "phi_carrier", "phi_plus"):
-            value = abs(_extreme(getattr(self, name)))
+            value = float(np.max(np.abs(getattr(self, name))))
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite")
             peak = max(peak, value)
@@ -142,9 +136,9 @@ def atomic_phase(
 
     This closed form is a standard steady-state two-level model adopted to
     connect atom number to signal; saturation and multilevel structure are
-    out of scope. Emits RegimeWarning above 0.3 rad, where downstream
-    expansions stop being accurate. atom_number may be an array of
-    samples; the phase is then elementwise.
+    out of scope. Any phase is returned: check_small_phase, which the
+    expansions and demodulated_signal call, raises beyond 0.3 rad. atom_number
+    may be an array of samples; the phase is then elementwise.
     """
     if beam_waist <= 0 or cloud_rms < 0:
         raise DomainError("beam waist must be positive, cloud size nonnegative")
@@ -157,15 +151,7 @@ def atomic_phase(
     rho_0 = atom_number * sigma_0 / (
         2.0 * math.pi * (cloud_rms**2 + beam_waist**2 / 4.0))
     x = 2.0 * detuning / linewidth
-    phi = -(rho_0 / 2.0) * x / (1.0 + x * x)
-    worst = _extreme(phi)
-    if abs(worst) > SMALL_PHASE_LIMIT:
-        warnings.warn(
-            f"atomic phase {worst:.3f} rad exceeds the small-phase regime",
-            RegimeWarning,
-            stacklevel=2,
-        )
-    return phi
+    return -(rho_0 / 2.0) * x / (1.0 + x * x)
 
 
 def exact_phase_terms(

@@ -1,7 +1,8 @@
 """Reference spin engine: the substep stepper and per-sample sequence loop.
 
 `evolve` and `_rotate` are the axis-angle substep integrator that the
-exact 5x5 propagator in `qndsim.atoms` replaced, kept verbatim; the
+exact 5x5 propagator in `qndsim.atoms` replaced, kept verbatim but for
+the duty cycle, which `evolve` takes as an argument like `generator`; the
 sequence loop is the per-sample `run_sequence` that called it. Tests
 compare the package engine against these where no probe scattering moves
 atoms out of the coherent manifold; there the stepper's over-polarization
@@ -61,11 +62,13 @@ def evolve(
     state: EnsembleState,
     drive: RabiModel,
     tuning: ProbeTuning,
+    duty_cycle: float,
     dt: float,
     leak_fraction: float = 0.5,
     drive_phase: float = 0.0,
 ) -> EnsembleState:
-    """Advance the ensemble by dt under microwave drive and pulsed probing.
+    """Advance the ensemble by dt under microwave drive and pulsed probing
+    at duty_cycle.
 
     Per substep, in order: exact axis-angle rotation of the Bloch vector
     about (Omega_R*cos(phase), Omega_R*sin(phase), 2*pi*detuning_total),
@@ -92,18 +95,17 @@ def evolve(
     """
     if dt == 0:
         return state
-    duty = drive.duty_cycle
-    shift = light_shift(tuning, duty)
+    shift = light_shift(tuning, duty_cycle)
     omega_z = 2 * math.pi * (drive.detuning + shift / H)
     omega_x = drive.rabi_frequency * math.cos(drive_phase)
     omega_y = drive.rabi_frequency * math.sin(drive_phase)
     rot = math.sqrt(omega_x**2 + omega_y**2 + omega_z**2)
-    spont = scattering_rate(tuning, expansion_rate=0.0) * duty
+    spont = scattering_rate(tuning, expansion_rate=0.0) * duty_cycle
     beta = damping_rate(drive, spont)
     if not 0 <= leak_fraction <= 1:
         raise DomainError("leak fraction must lie in [0, 1]")
-    leak = sideband_photon_rate(tuning) * duty * leak_fraction
-    pump = carrier_pump_rate(tuning) * duty
+    leak = sideband_photon_rate(tuning) * duty_cycle * leak_fraction
+    pump = carrier_pump_rate(tuning) * duty_cycle
 
     fastest = max(rot, beta, leak, pump)
     n_sub = max(1, math.ceil(fastest * abs(dt) / MAX_SUBSTEP_ANGLE))
@@ -177,8 +179,7 @@ def run_sequence(
 
     Each probe pulse converts the detected F=2 population (coherent upper
     level plus leaked atoms) into a dispersive phase, runs it through the
-    demodulation chain and adds one shot of detection noise. Without a
-    probe gate the ensemble evolves but nothing is sampled. Deterministic
+    demodulation chain and adds one shot of detection noise. Deterministic
     for a fixed seed. `template` supplies the damping bookkeeping
     (light shift, inhomogeneity, residual damping) reused by every
     segment.
@@ -209,23 +210,18 @@ def run_sequence(
         volts.append(value)
 
     t_now = 0.0
-    sample_index = 0
     eps = 1e-12
-    if gate is not None:
-        measure(0.0)
-        sample_index = 1
+    measure(0.0)
+    sample_index = 1
     for idx, seg in enumerate(seq.segments):
-        model = _segment_model(seg, gate, base)
+        model = _segment_model(seg, base)
         seg_start = t_now
         seg_end = seg_start + seg.duration
         try:
-            while gate is not None:
-                t_next = sample_index * gate.period
-                if t_next > seg_end + eps:
-                    break
+            while (t_next := sample_index * gate.period) <= seg_end + eps:
                 if t_next > t_now + eps:
                     state = evolve(
-                        state, model, gate.tuning, t_next - t_now,
+                        state, model, gate.tuning, gate.duty_cycle, t_next - t_now,
                         leak_fraction=leak_fraction,
                         drive_phase=getattr(seg, "phase", 0.0),
                     )
@@ -233,11 +229,8 @@ def run_sequence(
                 measure(t_now)
                 sample_index += 1
             if seg_end > t_now + eps:
-                tuning = gate.tuning if gate is not None else ProbeTuning(
-                    sideband_intensity=0.0, carrier_intensity=0.0
-                )
                 state = evolve(
-                    state, model, tuning, seg_end - t_now,
+                    state, model, gate.tuning, gate.duty_cycle, seg_end - t_now,
                     leak_fraction=leak_fraction,
                     drive_phase=getattr(seg, "phase", 0.0),
                 )
@@ -248,7 +241,7 @@ def run_sequence(
     metadata = {
         "seed": seed,
         "config_hash": fingerprint(seq, initial, probe, det, leak_fraction),
-        "sample_period": gate.period if gate else None,
+        "sample_period": gate.period,
         "noiseless": noiseless,
     }
     return Trace(np.array(times), np.array(volts), metadata, final_state=state)

@@ -1,7 +1,6 @@
 """Sequence engine, trace fitting, and the spin-echo/Rabi experiments."""
 import json
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -176,12 +175,9 @@ def test_regime_error_carries_segment_index():
                                        carrier_intensity=0.0))
     seq = PulseSequence((FreeEvolution(5e-5), MicrowavePulse(OMEGA, 1e-3)),
                         probe=hot)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(RegimeError, match="segment 1"):
-            run_sequence(seq, EnsembleState.all_lower(3e6), PROBE, DET,
-                         noiseless=True,
-                         template=RabiModel(carrier_light_shift=0.0))
+    with pytest.raises(RegimeError, match="segment 1"):
+        run_sequence(seq, EnsembleState.all_lower(3e6), PROBE, DET,
+                     noiseless=True, template=RabiModel(carrier_light_shift=0.0))
 
 
 # ------------------------------------------------------------------- fits

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qndsim.constants import C, E_CHARGE, GAMMA_D2_FREQ
-from qndsim.errors import DomainError, RegimeError, RegimeWarning
+from qndsim.errors import DomainError, RegimeError
 from qndsim.heterodyne import (
     DetectorModel,
     ModulatedProbe,
@@ -100,9 +101,14 @@ def test_atomic_phase_properties():
     assert abs(far) < 1e-4 * abs(PHI_AT_GOLDEN)
 
 
-def test_atomic_phase_regime_warning():
-    with pytest.warns(RegimeWarning):
-        atomic_phase(GAMMA_D2_FREQ / 2, 1e7, 800e-6, 0.0)
+def test_large_atomic_phase_is_refused_by_the_detection_chain_not_warned():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = atomic_phase(GAMMA_D2_FREQ / 2, 1e7, 800e-6, 0.0)
+    assert abs(phi) > 0.3
+    with pytest.raises(RegimeError, match=r"\|phi\| = 0\.723 rad outside the small-phase"):
+        demodulated_signal(ModulatedProbe(), PhaseShiftTriple(phi_plus=phi),
+                           DetectorModel())
 
 
 def test_atomic_phase_domain_errors():

@@ -51,7 +51,7 @@ def corpus():
                                              sideband_detuning=detuning)
             for khz in (0.5, 6.6, 100.0, 1e4, 1e6):
                 gen = generator(RabiModel(rabi_frequency=2 * math.pi * khz * 1e3),
-                                tuning)
+                                tuning, 0.125)
                 mats += [gen * 1e-5, gen * 3.7e-6]
     return np.array(mats)
 

@@ -44,11 +44,12 @@ from qndsim.heterodyne import (
 
 CONFIG_DIR = Path(qndsim.__file__).parent / "configs"
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+DUTY = 0.125    # 1.25 us probe pulses at 100 kHz
 
 
 def step(state, drive, tuning, dt, drive_phase=0.0):
     """One exact step of the spin engine, as the sequence walk takes it."""
-    gen = generator(drive, tuning, drive_phase)
+    gen = generator(drive, tuning, DUTY, drive_phase)
     return with_vector(state, expm(gen * dt) @ state_vector(state))
 
 
@@ -147,12 +148,11 @@ def test_generator_is_the_lindblad_equation_with_level_losses(rabi_frequency):
                       carrier_light_shift=0.0)
     tuning = ProbeTuning.from_powers(sideband_power=2e-6, sideband_detuning=0.5,
                                      waist=245e-6)
-    duty = drive.duty_cycle
-    leak = sideband_photon_rate(tuning) * duty * LEAK_FRACTION
-    pump = carrier_pump_rate(tuning) * duty
-    beta = damping_rate(drive, scattering_rate(tuning, expansion_rate=0.0) * duty)
+    leak = sideband_photon_rate(tuning) * DUTY * LEAK_FRACTION
+    pump = carrier_pump_rate(tuning) * DUTY
+    beta = damping_rate(drive, scattering_rate(tuning, expansion_rate=0.0) * DUTY)
     w = np.array([rabi_frequency, 0.0,
-                  2 * math.pi * (drive.detuning + light_shift(tuning, duty) / H)])
+                  2 * math.pi * (drive.detuning + light_shift(tuning, DUTY) / H)])
     hamiltonian = np.tensordot(w, PAULI, 1) / 2
     axis = np.tensordot(w / np.linalg.norm(w), PAULI, 1)
     losses = np.diag([leak, pump])
@@ -220,7 +220,7 @@ def test_evolve_keeps_invariants(state, drive, tuning, phase, dt):
     assert after.upper_population >= -1e-9 * n_at
     assert after.lower_population >= -1e-9 * n_at
     assert after.n_leak >= state.n_leak * (1 - 1e-12)
-    gen = generator(drive, tuning, phase)
+    gen = generator(drive, tuning, DUTY, phase)
     assert not gen[4].any()  # the atom number is conserved exactly
 
 
@@ -254,7 +254,7 @@ def test_rates_that_are_not_finite_raise_domain_error():
     with pytest.raises(DomainError, match="not finite"):
         damping_rate(RabiModel(inhomogeneity=1e308), 0.0)
     with pytest.raises(DomainError, match="not finite"):
-        generator(RabiModel(rabi_frequency=1e300, detuning=1e308), DARK)
+        generator(RabiModel(rabi_frequency=1e300, detuning=1e308), DARK, DUTY)
 
 
 def test_huge_rotation_sets_no_step_count():

@@ -61,3 +61,18 @@ def test_validate_builds_one_echo_sequence_and_runs_no_kernel(monkeypatch,
     for stem in ("noise_sweep", "scattering_sweep", "rabi", "spin_echo"):
         assert main(["validate", str(CONFIG_DIR / f"{stem}.json")]) == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("rate", ["1e-10", "1e-300"])
+def test_slow_probe_clock_that_skips_the_pi_pulse_is_a_config_error(tmp_path, capsys,
+                                                                     rate):
+    # no clock tick falls inside the echo's pi pulse, so the echo amplitude
+    # has no sample to read: rejected before the walk, naming the clock
+    config = str(CONFIG_DIR / "spin_echo.json")
+    override = f"probe_gate.repetition_rate_khz={rate}"
+    assert main(["validate", config, "--set", override]) == 2
+    assert "probe_gate.repetition_rate_khz: " in capsys.readouterr().err
+    out = tmp_path / "art"
+    assert main(["run", config, "--out", str(out), "--set", override]) == 2
+    assert "probe_gate.repetition_rate_khz: " in capsys.readouterr().err
+    assert not out.exists()

@@ -14,7 +14,6 @@ import numpy as np
 
 from qndsim.atoms import (
     EnsembleState,
-    ProbeTuning,
     RabiModel,
     broken_invariants,
     expm,
@@ -56,8 +55,7 @@ def run_sequence(
 
     Each probe pulse converts the detected F=2 population (coherent upper
     level plus leaked atoms) into a dispersive phase, runs it through the
-    demodulation chain and adds one shot of detection noise. Without a
-    probe gate the ensemble evolves but nothing is sampled. Deterministic
+    demodulation chain and adds one shot of detection noise. Deterministic
     for a fixed seed. `template` supplies the damping bookkeeping
     (light shift, inhomogeneity, residual damping) reused by every
     segment.
@@ -75,26 +73,19 @@ def run_sequence(
     rng = np.random.default_rng(seed)
     base = template if template is not None else RabiModel()
     gate = seq.probe
-    tuning = gate.tuning if gate is not None else ProbeTuning(
-        sideband_intensity=0.0, carrier_intensity=0.0
-    )
+    period = gate.period
     # per step: its segment and dt; per sample: its time, the number of
     # steps made before it and its segment
-    gens, stepped_in, dts, times, taken, sampled_in = [], [], [], [], [], []
+    gens, stepped_in, dts = [], [], []
+    times, taken, sampled_in = [0.0], [0], [0]
     t_now = 0.0
-    sample_index = 0
+    sample_index = 1
     eps = 1e-12
-    if gate is not None:
-        period = gate.period
-        times, taken, sampled_in, sample_index = [0.0], [0], [0], 1
     for idx, seg in enumerate(seq.segments):
-        gens.append(generator(_segment_model(seg, gate, base), tuning,
+        gens.append(generator(_segment_model(seg, base), gate.tuning, gate.duty_cycle,
                               getattr(seg, "phase", 0.0)))
         seg_end = t_now + seg.duration
-        while gate is not None:
-            t_next = sample_index * period
-            if t_next > seg_end + eps:
-                break
+        while (t_next := sample_index * period) <= seg_end + eps:
             if t_next > t_now + eps:
                 on_clock = t_now == (sample_index - 1) * period
                 stepped_in.append(idx)
@@ -123,28 +114,26 @@ def run_sequence(
         except StepError as exc:
             raise StepError(f"segment {stepped_in[bad[0] - 1]}: {exc}") from exc
 
-    volts = np.empty(0)
-    if times:
-        at = trajectory[taken]
-        phi = atomic_phase(
-            gate.tuning.sideband_detuning * gate.tuning.linewidth,
-            np.maximum(f2_population(at[:, 4], at[:, 2], at[:, 3]), 0.0),
-            probe.beam_waist,
-            initial.cloud_rms,
-            linewidth=gate.tuning.linewidth,
-        )
-        try:
-            volts = demodulated_signal(probe, PhaseShiftTriple(phi_plus=phi), det)
-        except RegimeError as exc:
-            first = int(np.argmax(np.abs(phi) > SMALL_PHASE_LIMIT))
-            raise RegimeError(f"segment {sampled_in[first]}: {exc}") from exc
-        if not noiseless:
-            volts = sample_noisy_signal(volts, det, probe, gate.pulse_duration, rng)
+    at = trajectory[taken]
+    phi = atomic_phase(
+        gate.tuning.sideband_detuning * gate.tuning.linewidth,
+        np.maximum(f2_population(at[:, 4], at[:, 2], at[:, 3]), 0.0),
+        probe.beam_waist,
+        initial.cloud_rms,
+        linewidth=gate.tuning.linewidth,
+    )
+    try:
+        volts = demodulated_signal(probe, PhaseShiftTriple(phi_plus=phi), det)
+    except RegimeError as exc:
+        first = int(np.argmax(np.abs(phi) > SMALL_PHASE_LIMIT))
+        raise RegimeError(f"segment {sampled_in[first]}: {exc}") from exc
+    if not noiseless:
+        volts = sample_noisy_signal(volts, det, probe, gate.pulse_duration, rng)
 
     metadata = {
         "seed": seed,
         "config_hash": fingerprint(seq, initial, probe, det, leak_fraction),
-        "sample_period": gate.period if gate else None,
+        "sample_period": period,
         "noiseless": noiseless,
     }
     return Trace(np.array(times), volts, metadata,
