@@ -151,14 +151,13 @@ class EnsembleState:
     jy: float = 0.0
     jz: float = 0.0
     n_leak: float = 0.0
-    temperature: float = 0.0
     cloud_rms: float = 0.0
 
     def __post_init__(self) -> None:
         if self.atom_number < 0 or self.n_leak < 0:
             raise DomainError("populations must be nonnegative")
-        if self.temperature < 0 or self.cloud_rms < 0:
-            raise DomainError("temperature and cloud size must be nonnegative")
+        if self.cloud_rms < 0:
+            raise DomainError("cloud size must be nonnegative")
         coherent = self.atom_number - self.n_leak
         if coherent < -1e-9 * max(1.0, self.atom_number):
             raise DomainError("leaked population exceeds total atom number")

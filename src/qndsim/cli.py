@@ -13,11 +13,12 @@ byte.
 `validate`, and `run` before it, checks the regimes: probe duty cycle,
 modulation depth, zero carrier power beside sideband power, RAM, small
 phase (at the full atom number for rabi and spin-echo), echo window, a
-probe clock tick inside the echo's pi pulse, the 1 s sequence cap and
-sweep order. For noise-sweep, rabi and spin-echo it builds the run's
-set-up objects, so a config it accepts fails only past set-up, inside a
-kernel or an output check (exit 3); the other scenarios may still fail in
-their scalar set-up (exit 3).
+probe clock tick inside the echo's pi pulse, the 1 s sequence cap, the
+budget of 10^6 probe samples per sequence and sweep order. For
+noise-sweep, rabi and spin-echo it builds the run's set-up objects, so a
+config it accepts fails only past set-up, inside a kernel or an output
+check (exit 3); the other scenarios may still fail in their scalar set-up
+(exit 3).
 
 Exit codes: 0 success, 2 config error (with line/field diagnostics),
 3 physics/regime error during a run, 1 internal error.
@@ -52,11 +53,8 @@ from .errors import (
     ConfigError,
     DomainError,
     FitDiverged,
-    NotAMinimum,
     QndSimError,
     RegimeError,
-    StepError,
-    UnstableCavity,
 )
 from .harness import (
     MicrowavePulse,
@@ -428,7 +426,9 @@ _BLAME = {
     ("probe_gate", "two-sideband"): "probe_gate.sideband_power_nw",
     ("probe_gate", "carrier power must"): "probe_gate.carrier_power_uw",
     ("probe_gate", "small-phase"): "ensemble.atom_number",
+    ("drive", "probe samples"): "probe_gate.repetition_rate_khz",
     ("echo", "gaps would be negative"): "echo.total_duration_us",
+    ("echo", "probe samples"): "probe_gate.repetition_rate_khz",
     ("echo", "no sample inside the pi pulse"): "probe_gate.repetition_rate_khz",
 }
 
@@ -680,16 +680,15 @@ def _run_rabi(v: dict, out: Path, seed: int) -> list[str]:
                          noiseless=v["options"]["noiseless"])
     write_trace_csv(trace, out / "rabi_trace.csv")
     window = v["options"]["fit_window_ms"] * 1e-3
-    extra = {"seed": seed, "config_hash": trace.metadata["config_hash"]}
     try:
         fit = fit_damped_sine(trace, window=window)
     except FitDiverged as exc:
         print(f"warning: rabi fit diverged: {exc}", file=sys.stderr)
         _write_json(out / "rabi_fit.json",
-                    {"error": f"fit diverged: {exc}", **extra})
+                    {"error": f"fit diverged: {exc}", "seed": seed})
     else:
         _write_json(out / "rabi_fit.json",
-                    {**vars(fit), **extra, "fit_window_s": window})
+                    {**vars(fit), "seed": seed, "fit_window_s": window})
     return ["rabi_trace.csv", "rabi_fit.json"]
 
 
@@ -851,13 +850,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RegimeError, StepError, DomainError, UnstableCavity,
-            NotAMinimum) as exc:
+    except QndSimError as exc:
         print(f"physics error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except QndSimError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:   # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)

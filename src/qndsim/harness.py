@@ -11,7 +11,6 @@ the interferometric phase.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .atoms import (
-    LEAK_FRACTION,
     EnsembleState,
     ProbeTuning,
     RabiModel,
@@ -42,6 +40,10 @@ from .heterodyne import (
     noise_sigma,
     sample_noisy_signal,
 )
+
+MAX_DURATION = 1.0            # s, the longest sequence
+MAX_PROBE_SAMPLES = 10**6     # probe periods per sequence: 1 s at a 1 MHz clock
+CLOCK_TOLERANCE = 1e-12       # s, below which two times on the probe clock coincide
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,6 @@ class ProbeGate:
 class PulseSequence:
     segments: tuple
     probe: ProbeGate
-    max_duration: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -108,11 +109,12 @@ class PulseSequence:
         for seg in self.segments:
             if not isinstance(seg, (MicrowavePulse, FreeEvolution)):
                 raise DomainError(f"unknown segment type {type(seg).__name__}")
-        if self.total_duration > self.max_duration:
-            raise DomainError(
-                f"sequence runs {self.total_duration:.6f} s, "
-                f"over the configured maximum {self.max_duration:.6f} s"
-            )
+        if self.total_duration > MAX_DURATION:
+            raise DomainError(f"sequence runs {self.total_duration:.6f} s, "
+                              f"over the maximum {MAX_DURATION:g} s")
+        if (periods := self.total_duration * self.probe.repetition_rate) > MAX_PROBE_SAMPLES:
+            raise DomainError(f"sequence spans {periods:.3g} probe periods, over the "
+                              f"budget of {MAX_PROBE_SAMPLES} probe samples")
 
     @property
     def total_duration(self) -> float:
@@ -126,11 +128,10 @@ class PulseSequence:
 
 @dataclass(frozen=True)
 class Trace:
-    """Sampled detector record plus provenance metadata."""
+    """Sampled detector record and the ensemble state it ends in."""
 
     times: np.ndarray
     signal: np.ndarray
-    metadata: dict
     final_state: EnsembleState | None = None
 
     def __post_init__(self) -> None:
@@ -204,7 +205,7 @@ def run_scan(seqs: list[PulseSequence], initial: EnsembleState, probe: Modulated
 def _walk(seqs, seed, initial, probe, det, template, noiseless):
     base = template if template is not None else RabiModel()
     gate = seqs[0].probe
-    eps, period = 1e-12, gate.period
+    eps, period = CLOCK_TOLERANCE, gate.period
     # steps are runs (slot, count), one slot per (segment, dt); samples runs
     # (first row, count); off-clock samples keep the time the walk reached
     slot_of, runs, off, seg_steps, seg_samples = {}, [], [], [], []
@@ -299,13 +300,8 @@ def _walk(seqs, seed, initial, probe, det, template, noiseless):
             volts[:, i] = sample_noisy_signal(volts[:, i], det, probe,
                                               gate.pulse_duration, seed + i)
 
-    shared = "|".join(map(repr, (initial, probe, det, LEAK_FRACTION)))   # once per scan
-    return [Trace(times.copy(), volts[:, i], {
-        "seed": seed + i,
-        "config_hash": hashlib.sha256(f"{seq!r}|{shared}".encode()).hexdigest()[:16],
-        "sample_period": period,
-        "noiseless": noiseless,
-    }, final_state=with_vector(initial, trajectory[-1, i])) for i, seq in enumerate(seqs)]
+    return [Trace(times.copy(), volts[:, i], with_vector(initial, trajectory[-1, i]))
+            for i in range(len(seqs))]
 
 
 @dataclass(frozen=True)
@@ -490,7 +486,7 @@ def build_spin_echo(
     pass gap explicitly (0 suppresses free evolution) to override.
 
     Raises DomainError when no probe clock tick k*period falls in the pi
-    pulse, where mid_pulse_amplitude reads the echo (to within 1e-12 s).
+    pulse, where mid_pulse_amplitude reads the echo (to within CLOCK_TOLERANCE).
     """
     if pi_duration <= 0:
         raise DomainError("pi duration must be positive")
@@ -511,8 +507,8 @@ def build_spin_echo(
     segments.append(half)
     seq = PulseSequence(tuple(segments), probe=probe)
     start, end = seq.segment_window(len(segments) // 2)
-    first = math.ceil((start - 1e-12) / probe.period)   # the rounded quotient: +-1
-    if not any(start - 1e-12 <= k * probe.period <= end + 1e-12
+    first = math.ceil((start - CLOCK_TOLERANCE) / probe.period)   # the rounded quotient: +-1
+    if not any(start - CLOCK_TOLERANCE <= k * probe.period <= end + CLOCK_TOLERANCE
                for k in range(first - 1, first + 2)):
         raise DomainError(f"probe period {probe.period:.3g} s leaves no sample inside "
                           f"the pi pulse ({start:.3g} s to {end:.3g} s)")
@@ -530,7 +526,8 @@ def mid_pulse_amplitude(trace: Trace, seq: PulseSequence) -> float:
     if len(pulses) != 3:
         raise DomainError("sequence does not look like a three-pulse echo")
     start, end = seq.segment_window(pulses[1])
-    inside = (trace.times >= start - 1e-12) & (trace.times <= end + 1e-12)
+    inside = ((trace.times >= start - CLOCK_TOLERANCE)
+              & (trace.times <= end + CLOCK_TOLERANCE))
     if not np.any(inside):
         raise DomainError("no samples inside the central pulse")
     window = trace.signal[inside]

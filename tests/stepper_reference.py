@@ -36,7 +36,6 @@ from qndsim.heterodyne import (
     demodulated_signal,
     sample_noisy_signal,
 )
-from walk_reference import fingerprint
 
 # largest rotation angle or rate*dt product of one substep
 MAX_SUBSTEP_ANGLE = 0.05
@@ -238,10 +237,4 @@ def run_sequence(
         except (StepError, RegimeError) as exc:
             raise type(exc)(f"segment {idx}: {exc}") from exc
 
-    metadata = {
-        "seed": seed,
-        "config_hash": fingerprint(seq, initial, probe, det, leak_fraction),
-        "sample_period": gate.period,
-        "noiseless": noiseless,
-    }
-    return Trace(np.array(times), np.array(volts), metadata, final_state=state)
+    return Trace(np.array(times), np.array(volts), state)

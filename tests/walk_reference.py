@@ -8,8 +8,6 @@ from `qndsim.atoms.expm`, so those tests compare walks, not exponentials.
 """
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from qndsim.atoms import (
@@ -35,12 +33,6 @@ from qndsim.heterodyne import (
 )
 
 
-def fingerprint(*objects) -> str:
-    """The trace `config_hash`: sha256 of the joined reprs, 16 hex digits."""
-    text = "|".join(repr(o) for o in objects)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def run_sequence(
     seq: PulseSequence,
     initial: EnsembleState,
@@ -48,7 +40,6 @@ def run_sequence(
     det: DetectorModel,
     seed: int = 0,
     template: RabiModel | None = None,
-    leak_fraction: float = 0.5,
     noiseless: bool = False,
 ) -> Trace:
     """Step the ensemble through the sequence, sampling at the probe clock.
@@ -130,11 +121,4 @@ def run_sequence(
     if not noiseless:
         volts = sample_noisy_signal(volts, det, probe, gate.pulse_duration, rng)
 
-    metadata = {
-        "seed": seed,
-        "config_hash": fingerprint(seq, initial, probe, det, leak_fraction),
-        "sample_period": period,
-        "noiseless": noiseless,
-    }
-    return Trace(np.array(times), volts, metadata,
-                 final_state=with_vector(initial, trajectory[-1]))
+    return Trace(np.array(times), volts, with_vector(initial, trajectory[-1]))
