@@ -112,7 +112,7 @@ class RabiModel:
     carrier_light_shift is the in-pulse differential shift of the clock
     transition (joules); inhomogeneity is the dimensionless factor relating
     shift fluctuations to dephasing. Rates in Hz mean 1/s throughout. The
-    probe clock's duty cycle is an argument of `generator`.
+    probe clock's duty cycle is an argument of `generators`.
     """
 
     rabi_frequency: float = 2 * math.pi * 6.6e3   # rad/s
@@ -200,20 +200,16 @@ class EnsembleState:
         return math.sqrt(self.jx**2 + self.jy**2 + self.jz**2)
 
 
-def _sideband_lorentzian(tuning: ProbeTuning) -> float:
-    # saturated Lorentzian of the sideband on its reference transition,
-    # detuning already in linewidth units
+def sideband_photon_rate(tuning: ProbeTuning) -> float:
+    """Raw sideband photon-scattering rate, before branching, 1/s: the
+    saturated Lorentzian on its reference transition, detuning already in
+    linewidth units."""
     s = tuning.sideband_intensity / tuning.saturation_intensities[2]
     gamma_ang = 2 * math.pi * tuning.linewidth
     d = tuning.sideband_detuning
     # arrays square with pow as scalars do; numpy's x*x can be 1 ulp off it
     sq = np.float_power(d, 2) if isinstance(d, np.ndarray) else d**2
     return gamma_ang * (s / 2) / (1 + 4 * sq + s)
-
-
-def sideband_photon_rate(tuning: ProbeTuning) -> float:
-    """Raw sideband photon-scattering rate, before branching, 1/s."""
-    return _sideband_lorentzian(tuning)
 
 
 def carrier_pump_rate(tuning: ProbeTuning) -> float:
@@ -244,7 +240,7 @@ def scattering_rate(
     if expansion_rate < 0:
         raise DomainError("expansion rate must be nonnegative")
     return (
-        tuning.branching[2] * _sideband_lorentzian(tuning)
+        tuning.branching[2] * sideband_photon_rate(tuning)
         + carrier_pump_rate(tuning)
         + expansion_rate
     )
@@ -322,9 +318,9 @@ def damping_rate(model: RabiModel, spontaneous_rate: float) -> float:
     return rate
 
 
-def generator(drive: RabiModel, tuning: ProbeTuning, duty_cycle: float,
-              drive_phase: float = 0.0) -> np.ndarray:
-    """Generator G of dv/dt = G v for v = (Jx, Jy, Jz, N_leak, N_at).
+def generators(drives, tuning: ProbeTuning, duty_cycle: float) -> np.ndarray:
+    """Generators G of dv/dt = G v for v = (Jx, Jy, Jz, N_leak, N_at), one per
+    (RabiModel, drive phase) pair of `drives`, as an (n, 5, 5) stack.
 
     G holds: rotation of the Bloch vector about (Omega_R*cos(phase),
     Omega_R*sin(phase), 2*pi*detuning_total), where detuning_total adds
@@ -345,32 +341,45 @@ def generator(drive: RabiModel, tuning: ProbeTuning, duty_cycle: float,
     Probe rates are averaged over the probe clock's duty_cycle; sub-period
     pulse gating is not resolved.
 
+    Probe rates are computed once per stack, so a generator's bits do not
+    depend on the rest of it; one drive's generator is the stack's [0].
+
     Raises DomainError for a duty cycle outside [0, 1], a branching that
-    leaves the rest negative beyond rounding, or a non-finite rate.
+    leaves the rest negative beyond rounding (checked drive by drive), or
+    a non-finite rate (checked over the whole stack).
     """
-    wx = drive.rabi_frequency * math.cos(drive_phase)
-    wy = drive.rabi_frequency * math.sin(drive_phase)
-    wz = 2 * math.pi * (drive.detuning + light_shift(tuning, duty_cycle) / H)
-    beta = damping_rate(drive, scattering_rate(tuning, expansion_rate=0.0) * duty_cycle)
+    shift = light_shift(tuning, duty_cycle) / H
+    spontaneous = scattering_rate(tuning, expansion_rate=0.0) * duty_cycle
     leak = sideband_photon_rate(tuning) * duty_cycle * LEAK_FRACTION
     pump = carrier_pump_rate(tuning) * duty_cycle
     loss = (leak + pump) / 2
-    if beta - loss < -1e-12 * beta:
-        raise DomainError(f"branching {tuning.branching} is too small for leak fraction "
-                          f"{LEAK_FRACTION}: beta - (leak + pump)/2 is {beta - loss:.3g} 1/s")
-    rot = math.hypot(wx, wy, wz)
-    axis = np.array([wx, wy, wz]) / rot if rot > 0 else np.array([0.0, 0.0, 1.0])
-    gen = np.zeros((5, 5))
-    gen[:3, :3] = [[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]]
-    gen[:3, :3] -= (beta - loss) * (np.eye(3) - np.outer(axis, axis))
-    gen[(0, 1), (0, 1)] -= loss
+    rows = []    # per drive: rotation vector w, its unit axis, beta - loss
+    for drive, phase in drives:
+        wx = drive.rabi_frequency * math.cos(phase)
+        wy = drive.rabi_frequency * math.sin(phase)
+        wz = 2 * math.pi * (drive.detuning + shift)
+        beta = damping_rate(drive, spontaneous)
+        if beta - loss < -1e-12 * beta:
+            raise DomainError(f"branching {tuning.branching} is too small for leak "
+                              f"fraction {LEAK_FRACTION}: beta - (leak + pump)/2 is "
+                              f"{beta - loss:.3g} 1/s")
+        rot = math.hypot(wx, wy, wz)
+        axis = (wx / rot, wy / rot, wz / rot) if rot > 0 else (0.0, 0.0, 1.0)
+        rows.append((wx, wy, wz, *axis, beta - loss))
+    rows = np.array(rows).reshape(-1, 7)
+    w, axis = rows[:, :3], rows[:, 3:6]
+    gens = np.zeros((len(rows), 5, 5))
+    gens[:, (2, 0, 1), (1, 2, 0)] = w    # the cross-product matrix of w
+    gens[:, (1, 2, 0), (2, 0, 1)] = -w
+    gens[:, :3, :3] -= rows[:, 6, None, None] * (np.eye(3) - axis[..., None] * axis[:, None])
+    gens[:, (0, 1), (0, 1)] -= loss
     # upper ((N_at - N_leak)/2 + Jz) leaks, lower ((N_at - N_leak)/2 - Jz) is
     # pumped; each atom moved shifts Jz by -/+ 1/2 and joins N_leak
     for rate, sign in ((leak, 1.0), (pump, -1.0)):
-        gen += np.outer([0, 0, -sign / 2, 1, 0], [0, 0, sign * rate, -rate / 2, rate / 2])
-    if not np.isfinite(gen).all():
+        gens += np.outer([0, 0, -sign / 2, 1, 0], [0, 0, sign * rate, -rate / 2, rate / 2])
+    if not np.isfinite(gens).all():
         raise DomainError("spin-engine rates are not finite")
-    return gen
+    return gens
 
 
 # Pade-13 coefficients (2m-k)! m!/((2m)! k! (m-k)!); b_0 = 1 keeps exp(0) = I exact
@@ -396,7 +405,7 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def state_vector(state: EnsembleState) -> np.ndarray:
-    """(Jx, Jy, Jz, N_leak, N_at), the vector `generator` acts on."""
+    """(Jx, Jy, Jz, N_leak, N_at), the vector `generators` act on."""
     return np.array([state.jx, state.jy, state.jz, state.n_leak, state.atom_number])
 
 

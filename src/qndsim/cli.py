@@ -62,7 +62,7 @@ from .harness import (
     PulseSequence,
     build_spin_echo,
     fit_damped_sine,
-    mid_pulse_amplitude,
+    mid_pulse_amplitudes,
     run_scan,
     run_sequence,
     write_csv,
@@ -697,30 +697,26 @@ def _run_spin_echo(v: dict, out: Path, seed: int) -> list[str]:
     gate, probe, shift, ens, det = _probed_setup(v)
     template = RabiModel(carrier_light_shift=shift,
                          residual_damping=echo["residual_damping_hz"])
-    deltas = echo["detunings_hz"]
-    seqs = _echo_sequences(echo, gate, deltas)
-    traces = list(zip(deltas, seqs, run_scan(
-        seqs, ens, probe, det, seed=seed, template=template,
-        noiseless=v["options"]["noiseless"])))
-
+    seqs = _echo_sequences(echo, gate, echo["detunings_hz"])
+    traces = run_scan(seqs, ens, probe, det, seed=seed, template=template,
+                      noiseless=v["options"]["noiseless"])
+    # the traces of a scan share their sample times: one signal row each
+    deltas, times = np.array(echo["detunings_hz"]), traces[0].times
+    signals = np.array([trace.signal for trace in traces])
     write_csv(out / "spin_echo_traces.csv", "detuning_hz,time_s,signal_v",
-              [(np.concatenate([np.full(t.times.size, d) for d, _, t in traces]),
-                np.concatenate([t.times for _, _, t in traces]),
-                np.concatenate([t.signal for _, _, t in traces]))])
-    amps = [(delta, mid_pulse_amplitude(trace, seq),
-             float(np.max(np.abs(trace.signal))))
-            for delta, seq, trace in traces]
+              [(np.repeat(deltas, times.size), np.tile(times, len(traces)),
+                signals.ravel())])
+    amps = mid_pulse_amplitudes(times, signals, seqs[0])
+    peaks = np.abs(signals).max(axis=1)
     # the measured figure's normalization is unspecified, so emit both: per
-    # trace (against that trace's own peak) and global (against the
+    # trace (against that trace's own peak) and global (against the last
     # zero-detuning amplitude, falling back to the largest one)
-    by_det = {d: a for d, a, _ in amps}
-    global_ref = by_det.get(0.0, max(a for _, a, _ in amps))
-
-    rows = [(delta, amp, amp / global_ref if global_ref > 0 else 0.0,
-             amp / peak if peak > 0 else 0.0) for delta, amp, peak in amps]
+    at_zero = amps[deltas == 0.0]
+    ref = at_zero[-1] if at_zero.size else amps.max()
     write_csv(out / "spin_echo_amplitudes.csv",
               "detuning_hz,amplitude_v,normalized_global,normalized_per_trace",
-              [tuple(zip(*rows))])
+              [(deltas, amps, amps / ref if ref > 0 else np.zeros_like(amps),
+                np.divide(amps, peaks, out=np.zeros_like(amps), where=peaks > 0))])
     return ["spin_echo_traces.csv", "spin_echo_amplitudes.csv"]
 
 
@@ -846,7 +842,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # no numpy warning: the models' and writers' finiteness checks decide
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from .atoms import (
     broken_invariants,
     expm,
     f2_population,
-    generator,
+    generators,
     sideband_photon_rate,
     state_vector,
     with_vector,
@@ -143,15 +143,15 @@ class Trace:
             raise DomainError("time samples must be strictly increasing")
 
 
-def _segment_model(seg, template: RabiModel) -> RabiModel:
+def _segment_drive(seg, template: RabiModel) -> tuple[RabiModel, float]:
     if isinstance(seg, MicrowavePulse):
         return replace(template, rabi_frequency=seg.rabi_frequency,
-                       detuning=seg.detuning)
+                       detuning=seg.detuning), seg.phase
     # free evolution: the shift-inhomogeneity dephasing term is normalized
     # by the drive and only defined while driving, so its bookkeeping input
     # is zeroed; light-shift precession still comes in through the tuning
     return replace(template, rabi_frequency=0.0, detuning=seg.detuning,
-                   carrier_light_shift=0.0)
+                   carrier_light_shift=0.0), 0.0
 
 
 def run_sequence(seq: PulseSequence, initial: EnsembleState, probe: ModulatedProbe,
@@ -181,12 +181,14 @@ def run_scan(seqs: list[PulseSequence], initial: EnsembleState, probe: Modulated
     The sequences share the probe gate and the segment durations
     (DomainError otherwise), so one schedule serves all: per segment a
     partial head step, a run of whole periods and a partial tail step.
-    One batched expm gives a matrix per distinct (trace, generator, dt),
-    and each step is one in-place product: np.dot on a row view for one
-    trace, one stacked np.matmul for several. Invariants and the detection
-    chain are checked and run once over every sample; noise is drawn per
-    trace. If a trace fails, the traces are replayed one at a time, so the
-    error raised is the first failing trace's own.
+    Generators come from one stacked build per scan, one per distinct
+    (trace, segment drive), and one batched expm gives a matrix per
+    distinct (trace, generator, dt); each step is one in-place product:
+    np.dot on a row view for one trace, one stacked np.matmul for several.
+    Invariants and the detection chain are checked and run once over every
+    sample; noise is drawn per trace. If a trace fails, the traces are
+    replayed one at a time, so the error raised is the first failing
+    trace's own.
     """
     if not seqs:
         return []
@@ -245,19 +247,20 @@ def _walk(seqs, seed, initial, probe, det, template, noiseless):
             step(s, seg_end - t_now)
             t_now = seg_end
 
-    # per trace one generator per distinct (model, phase) and one matrix per
-    # distinct (generator, dt): slot j of trace i steps with matrix which[j, i]
-    gens, matrix_of, which = [], {}, np.empty((len(slot_of), len(seqs)), dtype=np.intp)
+    # per trace one generator per distinct segment drive, built from its
+    # first segment, and one matrix per distinct (generator, dt): slot j of
+    # trace i steps with matrix which[j, i]
+    first, matrix_of = {}, {}
+    which = np.empty((len(slot_of), len(seqs)), dtype=np.intp)
     for i, seq in enumerate(seqs):
-        gen_of, g = {}, []
-        for seg in seq.segments:
-            key = (_segment_model(seg, base), getattr(seg, "phase", 0.0))
-            if key not in gen_of:
-                gen_of[key] = len(gens)
-                gens.append(generator(key[0], gate.tuning, gate.duty_cycle, key[1]))
-            g.append(gen_of[key])
+        g = [first.setdefault((i, getattr(seg, "rabi_frequency", None), seg.detuning,
+                               getattr(seg, "phase", 0.0)), (len(first), seg))[0]
+             for seg in seq.segments]
         which[:, i] = [matrix_of.setdefault((g[s], dt), len(matrix_of)) for s, dt in slot_of]
-    props = expm(np.array([gens[i] * dt for i, dt in matrix_of])) if matrix_of else ()
+    gens = generators([_segment_drive(seg, base) for _, seg in first.values()],
+                      gate.tuning, gate.duty_cycle)
+    pairs = np.array(list(matrix_of)).reshape(-1, 2)    # (generator, dt) per matrix
+    props = expm(gens[pairs[:, 0].astype(np.intp)] * pairs[:, 1, None, None])
     trajectory = np.empty((n_steps + 1, len(seqs), 5))
     trajectory[0] = state_vector(initial)
     one = len(seqs) == 1    # then np.dot on row views beats a stacked matmul
@@ -521,17 +524,22 @@ def mid_pulse_amplitude(trace: Trace, seq: PulseSequence) -> float:
     Locates the central of the three microwave segments (the echo's pi
     pulse) and measures the sampled signal swing inside its window.
     """
+    return float(mid_pulse_amplitudes(trace.times, trace.signal, seq))
+
+
+def mid_pulse_amplitudes(times: np.ndarray, signals: np.ndarray,
+                         seq: PulseSequence) -> np.ndarray:
+    """`mid_pulse_amplitude` of each row of signals (..., sample) at times."""
     pulses = [i for i, s in enumerate(seq.segments)
               if isinstance(s, MicrowavePulse)]
     if len(pulses) != 3:
         raise DomainError("sequence does not look like a three-pulse echo")
     start, end = seq.segment_window(pulses[1])
-    inside = ((trace.times >= start - CLOCK_TOLERANCE)
-              & (trace.times <= end + CLOCK_TOLERANCE))
+    inside = (times >= start - CLOCK_TOLERANCE) & (times <= end + CLOCK_TOLERANCE)
     if not np.any(inside):
         raise DomainError("no samples inside the central pulse")
-    window = trace.signal[inside]
-    return float(window.max() - window.min()) / 2
+    window = signals[..., inside]
+    return (window.max(axis=-1) - window.min(axis=-1)) / 2
 
 
 CSV_BLOCK_ROWS = 4096

@@ -2,7 +2,7 @@
 
 `evolve` and `_rotate` are the axis-angle substep integrator that the
 exact 5x5 propagator in `qndsim.atoms` replaced, kept verbatim but for
-the duty cycle, which `evolve` takes as an argument like `generator`; the
+the duty cycle, which `evolve` takes as an argument like `generators`; the
 sequence loop is the per-sample `run_sequence` that called it. Tests
 compare the package engine against these where no probe scattering moves
 atoms out of the coherent manifold; there the stepper's over-polarization
@@ -27,7 +27,7 @@ from qndsim.atoms import (
 )
 from qndsim.constants import H
 from qndsim.errors import DomainError, RegimeError, StepError
-from qndsim.harness import PulseSequence, Trace, _segment_model
+from qndsim.harness import MicrowavePulse, PulseSequence, Trace
 from qndsim.heterodyne import (
     DetectorModel,
     ModulatedProbe,
@@ -55,6 +55,15 @@ def _rotate(jx, jy, jz, ax, az, angle):
         jy * c + cy * s,
         jz * c + cz * s + az * dot * (1 - c),
     )
+
+
+def _segment_model(seg, template: RabiModel) -> RabiModel:
+    if isinstance(seg, MicrowavePulse):
+        return replace(template, rabi_frequency=seg.rabi_frequency,
+                       detuning=seg.detuning)
+    # free evolution drops the drive and the shift-inhomogeneity term
+    return replace(template, rabi_frequency=0.0, detuning=seg.detuning,
+                   carrier_light_shift=0.0)
 
 
 def evolve(

@@ -73,9 +73,9 @@ def test_01_cavity_spectrum_geometry():
     mode = solve_mode(GEOM)
     sp_h, sp_v = mode_spacings(GEOM)
     assert abs(sp_v - 164.6e6) <= 2e6
-    assert mode.waist_par == pytest.approx(93.1e-6, rel=1e-2)
-    assert mode.waist_perp == pytest.approx(129.8e-6, rel=1e-2)
-    assert mode.rayleigh_par == pytest.approx(17.46e-3, rel=1e-2)
+    assert mode.waist_par == pytest.approx(93.1e-6, rel=1e-2, abs=0)
+    assert mode.waist_perp == pytest.approx(129.8e-6, rel=1e-2, abs=0)
+    assert mode.rayleigh_par == pytest.approx(17.46e-3, rel=1e-2, abs=0)
     assert time.perf_counter() - t0 < 1.0
     # the two sub-checks this geometry cannot meet are split out below
     assert sp_h > 0
@@ -99,22 +99,22 @@ def test_01a_horizontal_mode_spacing_band():
 )
 def test_01b_perpendicular_rayleigh_band():
     mode = solve_mode(GEOM)
-    assert mode.rayleigh_perp == pytest.approx(33.9e-3, rel=1e-2)
+    assert mode.rayleigh_perp == pytest.approx(33.9e-3, rel=1e-2, abs=0)
 
 
 def test_02_finesse_from_reflectivity():
     f_1560 = finesse_from_reflectivity(0.99956)
-    assert f_1560 == pytest.approx(1784, rel=5e-3)
-    assert f_1560 == pytest.approx(1788, rel=3e-3)
+    assert f_1560 == pytest.approx(1784, rel=5e-3, abs=0)
+    assert f_1560 == pytest.approx(1788, rel=3e-3, abs=0)
     assert finesse_from_reflectivity(0.9999923) == pytest.approx(
-        102000, rel=1e-2)
+        102000, rel=1e-2, abs=0)
 
 
 def test_03_buildup_and_coupling():
     assert intracavity_power(1.0, 1788.0, 1.5) == pytest.approx(
-        2846, rel=1e-3)
+        2846, rel=1e-3, abs=0)
     assert coupling_efficiency(1.5) == pytest.approx(0.36, abs=1e-15)
-    assert backscatter_modulation(1.9e-3) == pytest.approx(0.0436, rel=1e-2)
+    assert backscatter_modulation(1.9e-3) == pytest.approx(0.0436, rel=1e-2, abs=0)
 
 
 def test_04_detector_gain_and_noise_floor():
@@ -125,9 +125,9 @@ def test_04_detector_gain_and_noise_floor():
     psd = np.array([shot_noise_psd(det, float(p)) for p in powers])
     slope, intercept = np.polyfit(powers, psd, 1)
     assert gain_from_psd_slope(slope, det.load, det.sensitivity) == (
-        pytest.approx(det.gain, rel=1e-6))
+        pytest.approx(det.gain, rel=1e-6, abs=0))
     # electronic floor crosses optical shot noise at kappa_e = 165 uW
-    assert intercept / slope == pytest.approx(165e-6, rel=1e-6)
+    assert intercept / slope == pytest.approx(165e-6, rel=1e-6, abs=0)
     assert shot_noise_psd(det, 165e-6) == pytest.approx(
         2 * shot_noise_psd(det, 0.0), rel=1e-12, abs=0)
 
@@ -138,16 +138,16 @@ def test_05_length_noise_rejection_ratio():
     # modulation frequency chosen so lambda_mod = 2*pi*c/Omega = 0.1 m
     probe = ModulatedProbe(
         modulation_frequency=2 * math.pi * C / 0.1, ram_asymmetry=1e-2)
-    assert probe.modulation_wavelength == pytest.approx(0.1, rel=1e-12)
+    assert probe.modulation_wavelength == pytest.approx(0.1, rel=1e-12, abs=0)
     det = DetectorModel()
     phi = 0.1
     dl = 1e-6
     ratio = (length_noise_signal(probe, phi, det, dl)
              / interferometer_length_signal(probe, det, dl, wavelength))
     expected = (phi**2 + probe.ram_asymmetry) * wavelength / 0.1
-    assert ratio == pytest.approx(expected, rel=0.05)
+    assert ratio == pytest.approx(expected, rel=0.05, abs=0)
     assert noise_rejection_ratio(probe, phi, wavelength) == pytest.approx(
-        expected, rel=1e-12)
+        expected, rel=1e-12, abs=0)
     # about seven orders of magnitude below the lambda-referenced readout
     assert 1e-8 < ratio < 1e-6
     assert time.perf_counter() - t0 < 1.0
@@ -184,7 +184,7 @@ def test_07_scattering_rate_golden():
         modulation_frequency=2.808e9,
     )
     assert scattering_rate(tuning) == pytest.approx(
-        SCATTERING_GOLDEN, rel=1e-9)
+        SCATTERING_GOLDEN, rel=1e-9, abs=0)
     dark = ProbeTuning(sideband_intensity=0.0, carrier_intensity=0.0)
     assert scattering_rate(dark) == 120.0
 
@@ -204,7 +204,7 @@ def test_09_damping_decomposition():
                       inhomogeneity=0.162, residual_damping=90.0)
     expected_shift_term = 0.162 * shift**2 / (2 * HBAR**2 * omega)
     assert damping_rate(model, 0.0) - 90.0 == pytest.approx(
-        expected_shift_term, rel=1e-9)
+        expected_shift_term, rel=1e-9, abs=0)
     # probe off: only the residual term remains
     off = RabiModel(carrier_light_shift=0.0, residual_damping=90.0)
     assert damping_rate(off, 0.0) == 90.0
@@ -224,7 +224,7 @@ def test_09_damping_decomposition():
                       inhomogeneity=0.162, residual_damping=90.0)
         shift_term = 0.162 * shift_d**2 / (2 * HBAR**2 * omega)
         beta = damping_rate(m, spont)
-        assert beta == pytest.approx(spont + shift_term + 90.0, rel=1e-12)
+        assert beta == pytest.approx(spont + shift_term + 90.0, rel=1e-12, abs=0)
         betas.append(beta)
         parts[delta] = (spont, shift_term)
     assert all(a > b for a, b in zip(betas, betas[1:]))
@@ -273,21 +273,21 @@ def test_10_spin_echo_properties():
     # turn and climbed back; ordering and values are frozen
     full = family(None)
     assert full[0.0] > full[1800.0] > full[1000.0] > full[1200.0] > 0
-    assert full[1000.0] / full[0.0] == pytest.approx(0.5485, rel=1e-3)
-    assert full[1200.0] / full[0.0] == pytest.approx(0.4619, rel=1e-3)
-    assert full[1800.0] / full[0.0] == pytest.approx(0.8650, rel=1e-3)
+    assert full[1000.0] / full[0.0] == pytest.approx(0.5485, rel=1e-3, abs=0)
+    assert full[1200.0] / full[0.0] == pytest.approx(0.4619, rel=1e-3, abs=0)
+    assert full[1800.0] / full[0.0] == pytest.approx(0.8650, rel=1e-3, abs=0)
 
 
 def test_11_squeezing_arithmetic():
     kappa_sq, xi_sq = squeezing_estimate(1e-5, 1e6, 1e5)
-    assert kappa_sq == pytest.approx(5.0, rel=1e-12)
-    assert xi_sq == pytest.approx(1.0 / 6.0, rel=1e-12)
+    assert kappa_sq == pytest.approx(5.0, rel=1e-12, abs=0)
+    assert xi_sq == pytest.approx(1.0 / 6.0, rel=1e-12, abs=0)
     kappa_sq, xi_sq = squeezing_estimate(0.0, 1e6, 1e8)
     assert kappa_sq == 0.0
     assert xi_sq == 1.0
     kappa_sq, xi_sq = squeezing_estimate(2e-5, 1e6, 1e5)
-    assert kappa_sq == pytest.approx(20.0, rel=1e-12)
-    assert xi_sq == pytest.approx(1.0 / 21.0, rel=1e-12)
+    assert kappa_sq == pytest.approx(20.0, rel=1e-12, abs=0)
+    assert xi_sq == pytest.approx(1.0 / 21.0, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(

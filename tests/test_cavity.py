@@ -70,9 +70,9 @@ def test_solve_mode_matches_fixed_point_oracle_over_astigmatism_sweep():
         geom = CavityGeometry(astigmatism_correction=float(alpha))
         mode = solve_mode(geom)
         assert mode.waist_par == pytest.approx(
-            _oracle_waist(geom, "horizontal"), rel=1e-9)
+            _oracle_waist(geom, "horizontal"), rel=1e-9, abs=0)
         assert mode.waist_perp == pytest.approx(
-            _oracle_waist(geom, "vertical"), rel=1e-9)
+            _oracle_waist(geom, "vertical"), rel=1e-9, abs=0)
 
 
 def test_round_trip_self_consistency_residual():
@@ -89,17 +89,17 @@ def test_round_trip_self_consistency_residual():
 def test_zero_fold_angle_degenerate_axes():
     geom = CavityGeometry(fold_angle=0.0, astigmatism_correction=1.0)
     mode = solve_mode(geom)
-    assert mode.waist_par == pytest.approx(mode.waist_perp, rel=1e-12)
-    assert mode.gouy_par == pytest.approx(mode.gouy_perp, rel=1e-12)
+    assert mode.waist_par == pytest.approx(mode.waist_perp, rel=1e-12, abs=0)
+    assert mode.gouy_par == pytest.approx(mode.gouy_perp, rel=1e-12, abs=0)
 
 
 def test_rayleigh_range_consistent_with_waist():
     mode = solve_mode(CavityGeometry())
     lam = CavityGeometry().wavelength
     assert mode.rayleigh_par == pytest.approx(
-        math.pi * mode.waist_par**2 / lam, rel=1e-12)
+        math.pi * mode.waist_par**2 / lam, rel=1e-12, abs=0)
     assert mode.rayleigh_perp == pytest.approx(
-        math.pi * mode.waist_perp**2 / lam, rel=1e-12)
+        math.pi * mode.waist_perp**2 / lam, rel=1e-12, abs=0)
 
 
 def test_plane_mirror_limit_unstable():
@@ -163,7 +163,7 @@ def test_spectrum_monotone_along_pure_ladders():
 def test_degenerate_axes_give_identical_spacings():
     geom = CavityGeometry(fold_angle=0.0, astigmatism_correction=1.0)
     sp_h, sp_v = mode_spacings(geom)
-    assert sp_h == pytest.approx(sp_v, rel=1e-12)
+    assert sp_h == pytest.approx(sp_v, rel=1e-12, abs=0)
 
 
 def test_uncorrected_spacing_matches_direct_gouy_evaluation():
@@ -195,21 +195,21 @@ def test_uncorrected_spacing_matches_direct_gouy_evaluation():
     raw = fsr * gouy / (2 * math.pi)
     expected = min(raw % fsr, fsr - raw % fsr)
     sp_h, _ = mode_spacings(geom)
-    assert sp_h == pytest.approx(expected, rel=1e-9)
+    assert sp_h == pytest.approx(expected, rel=1e-9, abs=0)
 
 
 # ---------------------------------------------------------------- finesse
 
 def test_finesse_hand_value_at_half():
     assert finesse_from_reflectivity(0.5) == pytest.approx(
-        math.pi * 0.25 / (1 - 0.0625), rel=1e-12)
+        math.pi * 0.25 / (1 - 0.0625), rel=1e-12, abs=0)
 
 
 def test_finesse_paper_reflectivities():
     f_1560 = finesse_from_reflectivity(0.99956)
-    assert f_1560 == pytest.approx(1784, rel=5e-3)
-    assert f_1560 == pytest.approx(1788, rel=3e-3)
-    assert finesse_from_reflectivity(0.9999923) == pytest.approx(102000, rel=1e-2)
+    assert f_1560 == pytest.approx(1784, rel=5e-3, abs=0)
+    assert f_1560 == pytest.approx(1788, rel=3e-3, abs=0)
+    assert finesse_from_reflectivity(0.9999923) == pytest.approx(102000, rel=1e-2, abs=0)
 
 
 def test_finesse_strictly_increasing():
@@ -227,11 +227,11 @@ def test_finesse_domain():
 # ---------------------------------------------------------------- build-up
 
 def test_intracavity_power_values():
-    assert intracavity_power(1e-3, 1788.0, 1.5) == pytest.approx(2.846, rel=1e-3)
+    assert intracavity_power(1e-3, 1788.0, 1.5) == pytest.approx(2.846, rel=1e-3, abs=0)
     # invert for the 200 W operating point
     p_out = 200.0 / (2 * 2.5 * 1788.0 / math.pi)
-    assert p_out == pytest.approx(70.3e-3, rel=1e-2)
-    assert intracavity_power(p_out, 1788.0, 1.5) == pytest.approx(200.0, rel=1e-12)
+    assert p_out == pytest.approx(70.3e-3, rel=1e-2, abs=0)
+    assert intracavity_power(p_out, 1788.0, 1.5) == pytest.approx(200.0, rel=1e-12, abs=0)
     assert intracavity_power(0.0, 1788.0, 0.0) == 0.0
 
 
@@ -250,9 +250,9 @@ def test_coupling_efficiency_values():
 
 
 def test_backscatter_modulation():
-    assert backscatter_modulation(1.9e-3) == pytest.approx(0.0436, rel=1e-2)
+    assert backscatter_modulation(1.9e-3) == pytest.approx(0.0436, rel=1e-2, abs=0)
     assert backscatter_modulation(0.0) == 0.0
-    assert backscatter_modulation(0.01) == pytest.approx(0.1, rel=1e-12)
+    assert backscatter_modulation(0.01) == pytest.approx(0.1, rel=1e-12, abs=0)
     for bad in (-1e-3, 1.0, 2.0):
         with pytest.raises(DomainError):
             backscatter_modulation(bad)
@@ -274,6 +274,6 @@ def test_geometry_validation():
 def test_crossed_square_length_bookkeeping():
     geom = CavityGeometry()
     long, short = geom.segment_lengths
-    assert long / short == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert 2 * (long + short) == pytest.approx(geom.round_trip_length, rel=1e-12)
+    assert long / short == pytest.approx(math.sqrt(2.0), rel=1e-12, abs=0)
+    assert 2 * (long + short) == pytest.approx(geom.round_trip_length, rel=1e-12, abs=0)
     assert geom.incidence_angle == pytest.approx(math.pi / 8)

@@ -146,7 +146,7 @@ def test_noise_statistics_on_flat_trace():
     sigma = noise_sigma(DET, PROBE, IDEAL_GATE.pulse_duration)
     n = tr.signal.size
     assert abs(tr.signal.mean()) < 5 * sigma / math.sqrt(n)
-    assert np.std(tr.signal) == pytest.approx(sigma, rel=0.15)
+    assert np.std(tr.signal) == pytest.approx(sigma, rel=0.15, abs=0)
 
 
 def test_detected_population_rounding_below_zero_at_the_pole_samples():
@@ -180,12 +180,12 @@ def test_damped_sine_recovers_synthetic_exactly():
     y = 2.5e-4 * np.exp(-300.0 * t) * np.cos(2 * np.pi * 6600 * t + 0.3) \
         + 1e-5 + 0.02 * t
     fit = fit_damped_sine(Trace(t, y, {}))
-    assert fit.frequency == pytest.approx(6600.0, rel=1e-6)
-    assert fit.damping == pytest.approx(300.0, rel=1e-6)
-    assert fit.amplitude == pytest.approx(2.5e-4, rel=1e-6)
+    assert fit.frequency == pytest.approx(6600.0, rel=1e-6, abs=0)
+    assert fit.damping == pytest.approx(300.0, rel=1e-6, abs=0)
+    assert fit.amplitude == pytest.approx(2.5e-4, rel=1e-6, abs=0)
     assert fit.phase == pytest.approx(0.3, abs=1e-6)
-    assert fit.offset == pytest.approx(1e-5, rel=1e-4)
-    assert fit.drift == pytest.approx(0.02, rel=1e-4)
+    assert fit.offset == pytest.approx(1e-5, rel=1e-4, abs=0)
+    assert fit.drift == pytest.approx(0.02, rel=1e-4, abs=0)
     assert fit.residual_rms < 1e-12
 
 
@@ -203,7 +203,7 @@ def test_damped_sine_window_selects_prefix():
     t = np.arange(400) * 1e-5
     y = 1e-4 * np.cos(2 * np.pi * 6600 * t)
     fit = fit_damped_sine(Trace(t, y, {}), window=2e-3)
-    assert fit.frequency == pytest.approx(6600.0, rel=1e-6)
+    assert fit.frequency == pytest.approx(6600.0, rel=1e-6, abs=0)
 
 
 def test_damped_sine_guards():
@@ -220,8 +220,8 @@ def test_damped_sine_guards():
 def test_rabi_trace_recovers_drive_parameters():
     _, tr = ideal_rabi_trace()
     fit = fit_damped_sine(tr)
-    assert fit.frequency == pytest.approx(6600.0, rel=1e-5)
-    assert fit.damping == pytest.approx(300.0, rel=0.01)
+    assert fit.frequency == pytest.approx(6600.0, rel=1e-5, abs=0)
+    assert fit.damping == pytest.approx(300.0, rel=0.01, abs=0)
 
 
 def test_rabi_frequency_pulled_by_model_light_shift():
@@ -237,18 +237,18 @@ def test_rabi_frequency_pulled_by_model_light_shift():
                            modulation_frequency=2 * math.pi * 2.5e9,
                            carrier_detuning=-2.5e9)
     shift_hz = light_shift(tuning, gate.duty_cycle) / H
-    assert shift_hz == pytest.approx(2e3, rel=0.05)
+    assert shift_hz == pytest.approx(2e3, rel=0.05, abs=0)
     seq = PulseSequence((MicrowavePulse(OMEGA, 2e-3),), probe=gate)
     tmpl = RabiModel(carrier_light_shift=H * shift_hz, residual_damping=90.0)
     init = EnsembleState.all_lower(1e7, cloud_rms=300e-6)
     tr = run_sequence(seq, init, probe, DET, noiseless=True, template=tmpl)
     fit = fit_damped_sine(tr)
     assert fit.frequency == pytest.approx(math.hypot(6600.0, shift_hz),
-                                          rel=1e-4)
+                                          rel=1e-4, abs=0)
     from qndsim.atoms import damping_rate, scattering_rate
     spont = scattering_rate(tuning, expansion_rate=0.0) * gate.duty_cycle
     beta_expected = damping_rate(replace(tmpl, rabi_frequency=OMEGA), spont)
-    assert fit.damping == pytest.approx(beta_expected, rel=0.05)
+    assert fit.damping == pytest.approx(beta_expected, rel=0.05, abs=0)
 
 
 def test_fit_uncertainty_coverage_over_seeds():
@@ -271,7 +271,7 @@ def test_pumping_decay_time_matches_rate_model():
     init = EnsembleState.all_lower(1e5)
     tr = run_sequence(seq, init, PROBE, DET, noiseless=True)
     filled = tr.final_state.f2_population
-    assert filled == pytest.approx(1e5 * -math.expm1(-rate * 30e-3), rel=1e-12)
+    assert filled == pytest.approx(1e5 * -math.expm1(-rate * 30e-3), rel=1e-12, abs=0)
     assert 0.1 < filled / 1e5 < 0.9
 
 
@@ -343,9 +343,9 @@ def test_family_ordering_at_default_gaps():
     amps = family_amplitudes(None)
     assert amps[0.0] > amps[1800.0] > amps[1000.0] > amps[1200.0] > 0
     norm = {d: amps[d] / amps[0.0] for d in amps}
-    assert norm[1000.0] == pytest.approx(0.5485, rel=1e-3)
-    assert norm[1200.0] == pytest.approx(0.4619, rel=1e-3)
-    assert norm[1800.0] == pytest.approx(0.8650, rel=1e-3)
+    assert norm[1000.0] == pytest.approx(0.5485, rel=1e-3, abs=0)
+    assert norm[1200.0] == pytest.approx(0.4619, rel=1e-3, abs=0)
+    assert norm[1800.0] == pytest.approx(0.8650, rel=1e-3, abs=0)
 
 
 def test_mid_pulse_amplitude_guards():

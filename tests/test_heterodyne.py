@@ -40,9 +40,9 @@ def _probe(**kw):
 
 def test_probe_modulation_wavelength_and_matched_phase():
     p = _probe()
-    assert p.modulation_wavelength == pytest.approx(0.10676369586894585, rel=1e-12)
+    assert p.modulation_wavelength == pytest.approx(0.10676369586894585, rel=1e-12, abs=0)
     assert p.matched_demod_phase == pytest.approx(
-        p.modulation_frequency * p.path_length / C, rel=1e-12
+        p.modulation_frequency * p.path_length / C, rel=1e-12, abs=0
     )
 
 
@@ -61,7 +61,7 @@ def test_probe_validation():
 
 def test_detector_gain_and_validation():
     det = DetectorModel()
-    assert det.gain == pytest.approx(1466.0, rel=1e-12)
+    assert det.gain == pytest.approx(1466.0, rel=1e-12, abs=0)
     with pytest.raises(DomainError):
         DetectorModel(load=0.0)
     with pytest.raises(DomainError):
@@ -72,7 +72,7 @@ def test_detector_gain_and_validation():
 
 def test_atomic_phase_frozen_value():
     phi = atomic_phase(GAMMA_D2_FREQ / 2, 1e6, 800e-6, 0.0)
-    assert phi == pytest.approx(PHI_AT_GOLDEN, rel=1e-9)
+    assert phi == pytest.approx(PHI_AT_GOLDEN, rel=1e-9, abs=0)
 
 
 def test_atomic_phase_properties():
@@ -82,16 +82,16 @@ def test_atomic_phase_properties():
         n = rng.uniform(1e4, 1e6)
         phi = atomic_phase(delta, n, 800e-6, 20e-6)
         # odd in detuning, linear in atom number
-        assert atomic_phase(-delta, n, 800e-6, 20e-6) == pytest.approx(-phi, rel=1e-12)
+        assert atomic_phase(-delta, n, 800e-6, 20e-6) == pytest.approx(-phi, rel=1e-12, abs=0)
         assert atomic_phase(delta, 2 * n, 800e-6, 20e-6) == pytest.approx(
-            2 * phi, rel=1e-12
+            2 * phi, rel=1e-12, abs=0
         )
     # blue detuning gives negative phase; extremum sits at Gamma/2
     grid = np.linspace(0.05, 5, 200) * GAMMA_D2_FREQ
     vals = np.array([atomic_phase(d, 1e6, 800e-6, 0.0) for d in grid])
     assert np.all(vals < 0)
     assert vals.min() >= PHI_AT_GOLDEN - 1e-15  # nothing deeper than Gamma/2
-    assert vals.min() == pytest.approx(PHI_AT_GOLDEN, rel=1e-3)
+    assert vals.min() == pytest.approx(PHI_AT_GOLDEN, rel=1e-3, abs=0)
     # a fat cloud dilutes the column density
     assert abs(atomic_phase(GAMMA_D2_FREQ, 1e6, 800e-6, 400e-6)) < abs(
         atomic_phase(GAMMA_D2_FREQ, 1e6, 800e-6, 0.0)
@@ -123,10 +123,10 @@ def test_atomic_phase_domain_errors():
 def test_exact_terms_zero_and_single_sideband():
     assert exact_phase_terms(PhaseShiftTriple()) == (0.0, 0.0, 2.0, 0.0)
     t = exact_phase_terms(PhaseShiftTriple(phi_plus=0.05))
-    assert t[0] == pytest.approx(math.cos(0.05) - 1.0, rel=1e-12)
-    assert t[1] == pytest.approx(math.sin(0.05), rel=1e-12)
-    assert t[2] == pytest.approx(math.cos(0.05) + 1.0, rel=1e-12)
-    assert t[3] == pytest.approx(math.sin(0.05), rel=1e-12)
+    assert t[0] == pytest.approx(math.cos(0.05) - 1.0, rel=1e-12, abs=0)
+    assert t[1] == pytest.approx(math.sin(0.05), rel=1e-12, abs=0)
+    assert t[2] == pytest.approx(math.cos(0.05) + 1.0, rel=1e-12, abs=0)
+    assert t[3] == pytest.approx(math.sin(0.05), rel=1e-12, abs=0)
 
 
 def test_expansion_matches_exact_within_analytic_bounds():
@@ -200,7 +200,7 @@ def test_demod_matched_single_sideband():
     for phi in (1e-4, 0.01, 0.1, -0.05):
         s = demodulated_signal(probe, PhaseShiftTriple(phi_plus=phi), det)
         want = det.gain * probe.modulation_depth * probe.carrier_power * math.sin(phi)
-        assert s == pytest.approx(want, rel=1e-12)
+        assert s == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_demod_common_phase_invariance():
@@ -242,16 +242,16 @@ def test_demod_quadrature_rotation():
     # a quarter-wave path error rotates in the RAM offset (exact AM term 2)
     quarter = probe.modulation_wavelength / 4
     s = demodulated_signal(probe, zero, det, path_error=quarter)
-    assert s == pytest.approx(scale * probe.ram_asymmetry * 2.0, rel=1e-12)
+    assert s == pytest.approx(scale * probe.ram_asymmetry * 2.0, rel=1e-12, abs=0)
     # explicit demodulation-phase offset does the same rotation
     s2 = demodulated_signal(
         probe, zero, det, demod_phase=probe.matched_demod_phase + math.pi / 2
     )
-    assert s2 == pytest.approx(s, rel=1e-12)
+    assert s2 == pytest.approx(s, rel=1e-12, abs=0)
     # a full modulation wavelength of path error is invisible
     tr = PhaseShiftTriple(phi_plus=0.03)
     s3 = demodulated_signal(probe, tr, det, path_error=probe.modulation_wavelength)
-    assert s3 == pytest.approx(demodulated_signal(probe, tr, det), rel=1e-9)
+    assert s3 == pytest.approx(demodulated_signal(probe, tr, det), rel=1e-9, abs=0)
 
 
 def test_demod_path_error_slope_matches_analytic():
@@ -271,7 +271,7 @@ def test_demod_path_error_slope_matches_analytic():
         * (2 * math.pi / probe.modulation_wavelength)
         * (math.cos(phi) - 1.0)
     )
-    assert slope == pytest.approx(want, rel=1e-6)
+    assert slope == pytest.approx(want, rel=1e-6, abs=0)
 
 
 def test_demod_regime_error():
@@ -297,14 +297,14 @@ def test_length_noise_budget_law():
     probe_ram = _probe(modulation_frequency=2 * math.pi * C / lam_mod)
     got = length_noise_signal(probe_ram, 0.1, det, lam_mod / 100)
     want = scale * (0.1**2 + probe_ram.ram_asymmetry) * (lam_mod / 100) / lam_mod
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_noise_rejection_ratio_frozen_value():
     probe = _probe(modulation_frequency=2 * math.pi * C / 0.1)
-    assert probe.modulation_wavelength == pytest.approx(0.1, rel=1e-12)
+    assert probe.modulation_wavelength == pytest.approx(0.1, rel=1e-12, abs=0)
     got = noise_rejection_ratio(probe, 0.1, wavelength=780.241e-9)
-    assert got == pytest.approx(REJECTION_GOLDEN, rel=1e-12)
+    assert got == pytest.approx(REJECTION_GOLDEN, rel=1e-12, abs=0)
 
 
 def test_rejection_ratio_consistent_with_signal_pair():
@@ -315,15 +315,15 @@ def test_rejection_ratio_consistent_with_signal_pair():
         probe, det, dl, wavelength=780.241e-9
     )
     assert ratio == pytest.approx(
-        noise_rejection_ratio(probe, 0.1, wavelength=780.241e-9), rel=1e-12
+        noise_rejection_ratio(probe, 0.1, wavelength=780.241e-9), rel=1e-12, abs=0
     )
 
 
 def test_detection_snr_values():
-    assert detection_snr(1e4, 1e8, 1e6, 0.01) == pytest.approx(SNR_GOLDEN, rel=1e-12)
+    assert detection_snr(1e4, 1e8, 1e6, 0.01) == pytest.approx(SNR_GOLDEN, rel=1e-12, abs=0)
     # carrier-dominated limit: sqrt(N_s)*sin(phi)
     snr = detection_snr(1e4, 1e12, 0.0, 0.05)
-    assert snr == pytest.approx(math.sqrt(1e4) * math.sin(0.05), rel=1e-3)
+    assert snr == pytest.approx(math.sqrt(1e4) * math.sin(0.05), rel=1e-3, abs=0)
     assert detection_snr(0.0, 1e8, 1e6, 0.1) == 0.0
     assert detection_snr(0.0, 0.0, 0.0, 0.1) == 0.0
     with pytest.raises(DomainError):
@@ -336,10 +336,10 @@ def test_psd_slope_inversion_round_trip():
     psd = np.array([shot_noise_psd(det, p) for p in powers])
     slope, intercept = np.polyfit(powers, psd, 1)
     assert gain_from_psd_slope(slope, det.load, det.sensitivity) == pytest.approx(
-        det.gain, rel=1e-9
+        det.gain, rel=1e-9, abs=0
     )
     # intercept/slope recovers the electronic-noise equivalent power
-    assert intercept / slope == pytest.approx(det.kappa_e, rel=1e-9)
+    assert intercept / slope == pytest.approx(det.kappa_e, rel=1e-9, abs=0)
     # the floor crossover: optical shot noise equals electronics at kappa_e
     assert shot_noise_psd(det, det.kappa_e) == pytest.approx(
         2 * shot_noise_psd(det, 0.0), rel=1e-12, abs=0
@@ -353,7 +353,7 @@ def test_psd_slope_inversion_round_trip():
 
 def test_noise_sigma_frozen_value():
     sig = noise_sigma(DetectorModel(), _probe(), 10e-6)
-    assert sig == pytest.approx(SIGMA_V_GOLDEN, rel=1e-9)
+    assert sig == pytest.approx(SIGMA_V_GOLDEN, rel=1e-9, abs=0)
     with pytest.raises(DomainError):
         noise_sigma(DetectorModel(), _probe(), 0.0)
 
@@ -388,7 +388,7 @@ def test_sample_noisy_signal_zero_noise_limit():
 def test_detected_photons():
     det = DetectorModel()
     n = detected_photons(det, 76e-9, 10e-6)
-    assert n == pytest.approx(0.5 * 76e-9 * 10e-6 / E_CHARGE, rel=1e-12)
+    assert n == pytest.approx(0.5 * 76e-9 * 10e-6 / E_CHARGE, rel=1e-12, abs=0)
     assert detected_photons(det, 0.0, 1.0) == 0.0
     with pytest.raises(DomainError):
         detected_photons(det, -1e-9, 1.0)

@@ -1,9 +1,11 @@
 """Exact 5x5 propagator: oracle comparison against the substep stepper
 without probe scattering, against the Lindblad equation of the 2x2 density
-matrix with level losses, invariant properties of one exact step, and the
-batched detection chain."""
+matrix with level losses, invariant properties of one exact step, the
+stacked generator build against the per-drive builder, and the batched
+detection chain."""
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ import qndsim
 import qndsim.cli as cli
 import qndsim.harness as harness
 import stepper_reference as reference
+import walk_reference
 from qndsim.atoms import (
     LEAK_FRACTION,
     EnsembleState,
@@ -23,7 +26,7 @@ from qndsim.atoms import (
     carrier_pump_rate,
     damping_rate,
     expm,
-    generator,
+    generators,
     light_shift,
     scattering_rate,
     sideband_photon_rate,
@@ -49,7 +52,7 @@ DUTY = 0.125    # 1.25 us probe pulses at 100 kHz
 
 def step(state, drive, tuning, dt, drive_phase=0.0):
     """One exact step of the spin engine, as the sequence walk takes it."""
-    gen = generator(drive, tuning, DUTY, drive_phase)
+    gen = generators([(drive, drive_phase)], tuning, DUTY)[0]
     return with_vector(state, expm(gen * dt) @ state_vector(state))
 
 
@@ -220,7 +223,7 @@ def test_evolve_keeps_invariants(state, drive, tuning, phase, dt):
     assert after.upper_population >= -1e-9 * n_at
     assert after.lower_population >= -1e-9 * n_at
     assert after.n_leak >= state.n_leak * (1 - 1e-12)
-    gen = generator(drive, tuning, DUTY, phase)
+    gen = generators([(drive, phase)], tuning, DUTY)[0]
     assert not gen[4].any()  # the atom number is conserved exactly
 
 
@@ -244,6 +247,50 @@ def test_evolve_is_a_group_without_dissipation(state, drive, phase, a, b):
         assert abs(getattr(split, name) - getattr(joint, name)) <= tol
 
 
+# ------------------------------------------------- stacked generator build
+
+signed = st.sampled_from([0.0, -0.0])
+segment_drives = st.tuples(
+    st.builds(
+        RabiModel,
+        rabi_frequency=st.one_of(signed, st.floats(0.0, 2 * math.pi * 2e4)),
+        detuning=st.one_of(signed, st.floats(-1e5, 1e5)),
+        carrier_light_shift=st.one_of(signed, st.floats(0.0, H * 3e3)),
+        inhomogeneity=st.floats(0.0, 0.3),
+        residual_damping=st.floats(0.0, 500.0),
+    ),
+    st.one_of(signed, st.sampled_from([math.pi / 2, math.pi]), st.floats(-math.pi, math.pi)),
+)
+
+
+def first_outcome(build):
+    """The built generators, or the type and message of the error raised."""
+    try:
+        return [gen.tobytes() for gen in build()]
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY
+@given(st.lists(segment_drives, max_size=6), tunings, st.booleans(),
+       st.one_of(st.just(DUTY), st.floats(0.0, 1.0)),
+       st.one_of(st.none(), st.tuples(*[st.floats(0.0, 1.0)] * 3)))
+def test_stacked_generators_are_the_per_drive_builder_bitwise(drives, tuning, backaction,
+                                                              duty, branching):
+    # an undriven pulse with a light shift leaves the shift damping
+    # undefined, and a small sideband branching makes the damping rest
+    # negative: both builders raise the first such drive's error
+    if branching is not None:
+        tuning = replace(tuning, branching=branching)
+    if not backaction:
+        tuning = replace(tuning, sideband_intensity=0.0, carrier_intensity=0.0)
+    stacked = first_outcome(lambda: generators(drives, tuning, duty))
+    assert stacked == first_outcome(lambda: [
+        walk_reference.generator(drive, tuning, duty, phase) for drive, phase in drives])
+    if isinstance(stacked, list):
+        assert generators(drives, tuning, duty).shape == (len(drives), 5, 5)
+
+
 # ------------------------------------------------------ rates and detection
 
 def test_rates_that_are_not_finite_raise_domain_error():
@@ -254,7 +301,7 @@ def test_rates_that_are_not_finite_raise_domain_error():
     with pytest.raises(DomainError, match="not finite"):
         damping_rate(RabiModel(inhomogeneity=1e308), 0.0)
     with pytest.raises(DomainError, match="not finite"):
-        generator(RabiModel(rabi_frequency=1e300, detuning=1e308), DARK, DUTY)
+        generators([(RabiModel(rabi_frequency=1e300, detuning=1e308), 0.0)], DARK, DUTY)
 
 
 def test_huge_rotation_sets_no_step_count():

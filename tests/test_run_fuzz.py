@@ -3,6 +3,7 @@ a non-finite artifact behind exit 0."""
 import json
 import math
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -85,4 +86,21 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(field=st.sampled_from(FLOAT_FIELDS), value=VALUES)
 def test_run_never_exits_one(fuzz_dir, field, value):
-    assert run_checked(fuzz_dir, *field, value) in (0, 2, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_checked(fuzz_dir, *field, value) in (0, 2, 3)
+
+
+# Finite values that pass `validate` and overflow numpy on the way to a
+# failed finiteness check: the check, not a warning, decides the exit code
+@pytest.mark.parametrize("stem, field, value", [
+    ("rabi", "probe_gate.waist_um", 1e-3),
+    ("noise_sweep", "detector.buffer_gain", 1e308),
+])
+def test_overflow_exits_three_with_warnings_as_errors(tmp_path, capsys, stem, field,
+                                                      value):
+    section, key = field.split(".")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_checked(tmp_path, stem, section, key, value) == 3
+    assert "physics error: " in capsys.readouterr().err

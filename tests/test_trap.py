@@ -52,9 +52,9 @@ def test_zero_power_vanishes_everywhere():
 def test_single_arm_transverse_waist_point_is_e_minus_two():
     on_axis = arm_intensity(BASE, 1, (0.0, 0.0, 0.0))
     at_waist = arm_intensity(BASE, 1, (BASE.waist_par, 0.0, 0.0))
-    assert at_waist / on_axis == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert at_waist / on_axis == pytest.approx(math.exp(-2.0), rel=1e-12, abs=0)
     vert = arm_intensity(BASE, 1, (0.0, 0.0, BASE.waist_perp))
-    assert vert / on_axis == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert vert / on_axis == pytest.approx(math.exp(-2.0), rel=1e-12, abs=0)
 
 
 def test_arm_exchange_symmetry_at_crossing():
@@ -79,19 +79,19 @@ def test_backscatter_modulation_factor():
     base = arm_intensity(BASE, 0, (lam / 4.0, 0.0, 0.0))
     modulated = arm_intensity(cfg, 0, (lam / 4.0, 0.0, 0.0))
     # at u = lambda/4 the standing-wave term is cos(pi) = -1
-    assert modulated == pytest.approx(base * (1 - 0.0436), rel=1e-9)
+    assert modulated == pytest.approx(base * (1 - 0.0436), rel=1e-9, abs=0)
 
 
 # ---------------------------------------------------------------- frequencies
 
 def test_frequencies_against_frozen_hand_values():
     fx, fy, fz = trap_frequencies(BASE)
-    assert fx == pytest.approx(1047.8, rel=1e-3)
-    assert fy == pytest.approx(fx, rel=1e-12)
-    assert fz == pytest.approx(1062.8, rel=1e-3)
+    assert fx == pytest.approx(1047.8, rel=1e-3, abs=0)
+    assert fy == pytest.approx(fx, rel=1e-12, abs=0)
+    assert fz == pytest.approx(1062.8, rel=1e-3, abs=0)
     # vertical/horizontal ratio is sqrt(2)*w_par/w_perp up to axial terms
     assert fz / fx == pytest.approx(
-        math.sqrt(2.0) * BASE.waist_par / BASE.waist_perp, rel=1e-3)
+        math.sqrt(2.0) * BASE.waist_par / BASE.waist_perp, rel=1e-3, abs=0)
 
 
 def test_frequencies_vs_finite_difference_oracle():
@@ -109,13 +109,13 @@ def test_frequencies_vs_finite_difference_oracle():
     freqs = trap_frequencies(BASE)
     for axis in range(3):
         fd = math.sqrt(curvature(axis) / BASE.mass) / (2 * math.pi)
-        assert freqs[axis] == pytest.approx(fd, rel=1e-6)
+        assert freqs[axis] == pytest.approx(fd, rel=1e-6, abs=0)
 
 
 def test_frequency_power_scaling():
     doubled = DipoleTrapConfig(power_per_arm=400.0)
     for f1, f2 in zip(trap_frequencies(BASE), trap_frequencies(doubled)):
-        assert f2 == pytest.approx(math.sqrt(2.0) * f1, rel=1e-12)
+        assert f2 == pytest.approx(math.sqrt(2.0) * f1, rel=1e-12, abs=0)
 
 
 @pytest.mark.xfail(strict=True,
@@ -123,15 +123,15 @@ def test_frequency_power_scaling():
                           "below the quoted 1.6 kHz; x and y are within 13%")
 def test_frequencies_match_quoted_values_within_30_percent():
     fx, fy, fz = trap_frequencies(BASE)
-    assert fx == pytest.approx(1200.0, rel=0.3)
-    assert fy == pytest.approx(1200.0, rel=0.3)
-    assert fz == pytest.approx(1600.0, rel=0.3)
+    assert fx == pytest.approx(1200.0, rel=0.3, abs=0)
+    assert fy == pytest.approx(1200.0, rel=0.3, abs=0)
+    assert fz == pytest.approx(1600.0, rel=0.3, abs=0)
 
 
 def test_quoted_horizontal_frequencies_within_30_percent():
     fx, fy, _ = trap_frequencies(BASE)
-    assert fx == pytest.approx(1200.0, rel=0.3)
-    assert fy == pytest.approx(1200.0, rel=0.3)
+    assert fx == pytest.approx(1200.0, rel=0.3, abs=0)
+    assert fy == pytest.approx(1200.0, rel=0.3, abs=0)
 
 
 def test_not_a_minimum_cases():
@@ -177,7 +177,7 @@ def test_isopotential_radius_against_root_finder():
         r_oracle = brentq(
             lambda rr: depth * math.exp(-2 * rr * rr / (w * w)) - target,
             0.0, 10 * w)
-        assert r == pytest.approx(r_oracle, rel=1e-9)
+        assert r == pytest.approx(r_oracle, rel=1e-9, abs=0)
 
 
 def test_isopotential_radius_ratio_matches_profile_inversion():
@@ -188,7 +188,7 @@ def test_isopotential_radius_ratio_matches_profile_inversion():
     r1 = isopotential_radius(depth, u1, w)
     r2 = isopotential_radius(depth, u2, w)
     assert r2 / r1 == pytest.approx(
-        math.sqrt(math.log(1 / u2) / math.log(1 / u1)), rel=1e-12)
+        math.sqrt(math.log(1 / u2) / math.log(1 / u1)), rel=1e-12, abs=0)
     with pytest.raises(DomainError):
         isopotential_radius(depth, 2.0, w)
 

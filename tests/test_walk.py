@@ -172,12 +172,13 @@ def test_regime_error_matches_reference():
 
 def test_echo_builds_one_generator_per_distinct_segment(monkeypatch):
     made = []
-    real = harness.generator
-    monkeypatch.setattr(harness, "generator", lambda *a: made.append(a) or real(*a))
+    real = harness.generators
+    monkeypatch.setattr(harness, "generators",
+                        lambda drives, *a: made.append(len(drives)) or real(drives, *a))
     seq = build_spin_echo(probe=ProbeGate())
     harness.run_sequence(seq, EnsembleState.all_lower(1e7, cloud_rms=3e-4),
                          ModulatedProbe(), DetectorModel(), noiseless=True)
-    assert len(seq.segments) == 5 and len(made) == 2
+    assert len(seq.segments) == 5 and made == [2]
 
 
 def test_in_place_dot_is_bitwise_the_matvec():
@@ -373,13 +374,13 @@ def test_scan_needs_one_probe_gate_and_segment_durations():
 
 def test_echo_scan_repeats_in_a_warm_worker(monkeypatch, tmp_path):
     # a worker that ran the bundled spin echo runs the full-size seed-131
-    # echo-scan config twice: same bytes, same generator and expm calls
-    counts = Counter()
-    for name in ("generator", "expm"):
-        real = getattr(harness, name)
-        monkeypatch.setattr(harness, name,
-                            lambda *a, _real=real, _name=name: counts.update([_name])
-                            or _real(*a))
+    # echo-scan config twice: same bytes, one stacked generator build of
+    # two generators per trace and one expm call
+    counts, expm, generators = Counter(), harness.expm, harness.generators
+    monkeypatch.setattr(harness, "expm", lambda a: counts.update(expm=1) or expm(a))
+    monkeypatch.setattr(harness, "generators",
+                        lambda drives, *a: counts.update(generators=1, built=len(drives))
+                        or generators(drives, *a))
     body, _ = artifact_digests.runs()["echo-scan/spin_echo@full"]
     config = tmp_path / "echo_scan.json"
     config.write_text(json.dumps(body), encoding="utf-8")
@@ -395,4 +396,5 @@ def test_echo_scan_repeats_in_a_warm_worker(monkeypatch, tmp_path):
     run(CONFIG_DIR / "spin_echo.json")
     first, second = run(config), run(config)
     assert first == second
-    assert first[1] == {"generator": 2 * len(body["echo"]["detunings_hz"]), "expm": 1}
+    assert first[1] == {"generators": 1, "built": 2 * len(body["echo"]["detunings_hz"]),
+                        "expm": 1}

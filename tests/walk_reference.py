@@ -5,23 +5,37 @@
 per-sample Python lists and one generator per segment. Tests require the
 package walk to reproduce it bit for bit. It takes its matrix exponentials
 from `qndsim.atoms.expm`, so those tests compare walks, not exponentials.
+
+Its generators come from `generator` below, the per-drive builder that the
+stacked `qndsim.atoms.generators` replaced, and its segment models from a
+local `_segment_model`, so the walk shares no set-up code with the engine.
 """
 from __future__ import annotations
+
+import math
+from dataclasses import replace
 
 import numpy as np
 
 from qndsim.atoms import (
+    LEAK_FRACTION,
     EnsembleState,
+    ProbeTuning,
     RabiModel,
     broken_invariants,
+    carrier_pump_rate,
+    damping_rate,
     expm,
     f2_population,
-    generator,
+    light_shift,
+    scattering_rate,
+    sideband_photon_rate,
     state_vector,
     with_vector,
 )
-from qndsim.errors import RegimeError, StepError
-from qndsim.harness import PulseSequence, Trace, _segment_model
+from qndsim.constants import H
+from qndsim.errors import DomainError, RegimeError, StepError
+from qndsim.harness import MicrowavePulse, PulseSequence, Trace
 from qndsim.heterodyne import (
     SMALL_PHASE_LIMIT,
     DetectorModel,
@@ -31,6 +45,42 @@ from qndsim.heterodyne import (
     demodulated_signal,
     sample_noisy_signal,
 )
+
+
+def generator(drive: RabiModel, tuning: ProbeTuning, duty_cycle: float,
+              drive_phase: float = 0.0) -> np.ndarray:
+    """Generator G of dv/dt = G v for v = (Jx, Jy, Jz, N_leak, N_at), one
+    drive at a time; see `qndsim.atoms.generators` for the model."""
+    wx = drive.rabi_frequency * math.cos(drive_phase)
+    wy = drive.rabi_frequency * math.sin(drive_phase)
+    wz = 2 * math.pi * (drive.detuning + light_shift(tuning, duty_cycle) / H)
+    beta = damping_rate(drive, scattering_rate(tuning, expansion_rate=0.0) * duty_cycle)
+    leak = sideband_photon_rate(tuning) * duty_cycle * LEAK_FRACTION
+    pump = carrier_pump_rate(tuning) * duty_cycle
+    loss = (leak + pump) / 2
+    if beta - loss < -1e-12 * beta:
+        raise DomainError(f"branching {tuning.branching} is too small for leak fraction "
+                          f"{LEAK_FRACTION}: beta - (leak + pump)/2 is {beta - loss:.3g} 1/s")
+    rot = math.hypot(wx, wy, wz)
+    axis = np.array([wx, wy, wz]) / rot if rot > 0 else np.array([0.0, 0.0, 1.0])
+    gen = np.zeros((5, 5))
+    gen[:3, :3] = [[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]]
+    gen[:3, :3] -= (beta - loss) * (np.eye(3) - np.outer(axis, axis))
+    gen[(0, 1), (0, 1)] -= loss
+    for rate, sign in ((leak, 1.0), (pump, -1.0)):
+        gen += np.outer([0, 0, -sign / 2, 1, 0], [0, 0, sign * rate, -rate / 2, rate / 2])
+    if not np.isfinite(gen).all():
+        raise DomainError("spin-engine rates are not finite")
+    return gen
+
+
+def _segment_model(seg, template: RabiModel) -> RabiModel:
+    if isinstance(seg, MicrowavePulse):
+        return replace(template, rabi_frequency=seg.rabi_frequency,
+                       detuning=seg.detuning)
+    # free evolution drops the drive and the shift-inhomogeneity term
+    return replace(template, rabi_frequency=0.0, detuning=seg.detuning,
+                   carrier_light_shift=0.0)
 
 
 def run_sequence(
