@@ -163,6 +163,8 @@ class EnsembleState:
             raise DomainError("leaked population exceeds total atom number")
         if _over_polarized(self.jx, self.jy, self.jz, coherent):
             raise DomainError("Bloch vector longer than (N_at - n_leak)/2")
+        if not all(map(math.isfinite, (self.jx, self.jy, self.jz, self.n_leak))):
+            raise DomainError("Bloch vector and leaked population must be finite")
 
     @classmethod
     def all_lower(cls, atom_number: float, **kwargs) -> "EnsembleState":
@@ -410,11 +412,11 @@ def state_vector(state: EnsembleState) -> np.ndarray:
 
 
 def broken_invariants(vs: np.ndarray) -> np.ndarray:
-    """Mask of the state vectors (rows of vs) EnsembleState would reject."""
+    """Mask over vs.T of the state vectors EnsembleState rejects or that are not finite."""
     jx, jy, jz, n_leak, n_at = vs.T
     coherent = n_at - n_leak
     return ((n_leak < 0) | (coherent < -1e-9 * np.maximum(1.0, n_at))
-            | _over_polarized(jx, jy, jz, coherent))
+            | _over_polarized(jx, jy, jz, coherent) | ~np.isfinite(vs.T).all(axis=0))
 
 
 def with_vector(state: EnsembleState, v: np.ndarray) -> EnsembleState:

@@ -142,8 +142,7 @@ def atomic_phase(
     """
     if beam_waist <= 0 or cloud_rms < 0:
         raise DomainError("beam waist must be positive, cloud size nonnegative")
-    if (atom_number.min() if isinstance(atom_number, np.ndarray)
-            else atom_number) < 0:
+    if np.min(atom_number) < 0:
         raise DomainError("atom number must be nonnegative")
     if linewidth <= 0:
         raise DomainError("linewidth must be positive")
@@ -392,8 +391,7 @@ def sample_noisy_signal(
     keeps seed-indexed trials independent and deterministic. An array of
     samples takes one batched draw, the stream of one draw per sample.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)    # a Generator comes back as it is
     sigma = noise_sigma(det, probe, pulse_duration)
     if sigma == 0.0:
         return ideal

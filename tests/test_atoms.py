@@ -7,6 +7,7 @@ from qndsim.atoms import (
     EnsembleState,
     ProbeTuning,
     RabiModel,
+    broken_invariants,
     carrier_pump_rate,
     cavity_enhancement,
     damping_rate,
@@ -303,6 +304,22 @@ def test_step_error_on_impossible_inverse():
     state = EnsembleState.css_x(1e6)
     with pytest.raises(StepError):
         step(state, RabiModel(), ProbeTuning(), -1e-3)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index, name", enumerate(["jx", "jy", "jz", "n_leak", None]))
+def test_non_finite_state_is_an_invariant_break(index, name, value):
+    # a NaN passes every comparison, so finiteness is checked on its own
+    state = EnsembleState.all_lower(1e6)
+    v = state_vector(state)
+    v[index] = value
+    with np.errstate(invalid="ignore"):    # inf - inf on the way
+        assert broken_invariants(v[None]).tolist() == [True]
+    if name is not None:    # the atom number is the state's, not the vector's
+        with pytest.raises(DomainError):
+            EnsembleState(1e6, **{name: value})
+        with pytest.raises(StepError, match="invariants violated after step"):
+            with_vector(state, v)
 
 
 def test_zero_dt_is_identity():

@@ -2,9 +2,12 @@
 
 `run_sequence` below is the list-based walk that the run-length walk in
 `qndsim.harness` replaced: one plain matvec per step, per-step and
-per-sample Python lists and one generator per segment. Tests require the
-package walk to reproduce it bit for bit. It takes its matrix exponentials
-from `qndsim.atoms.expm`, so those tests compare walks, not exponentials.
+per-sample Python lists and one generator per segment. The package walk
+fills each run of whole probe periods by doubling, so tests hold it to
+this walk at rtol 1e-12, with an absolute floor of 1e-13 of the largest
+reference value, and require the same exceptions. It takes its matrix
+exponentials from `qndsim.atoms.expm`, so those tests compare walks, not
+exponentials.
 
 Its generators come from `generator` below, the per-drive builder that the
 stacked `qndsim.atoms.generators` replaced, and its segment models from a
