@@ -698,13 +698,11 @@ def _run_spin_echo(v: dict, out: Path, seed: int) -> list[str]:
     template = RabiModel(carrier_light_shift=shift,
                          residual_damping=echo["residual_damping_hz"])
     seqs = _echo_sequences(echo, gate, echo["detunings_hz"])
-    traces = run_scan(seqs, ens, probe, det, seed=seed, template=template,
-                      noiseless=v["options"]["noiseless"])
-    # the traces of a scan share their sample times: one signal row each
-    deltas, times = np.array(echo["detunings_hz"]), traces[0].times
-    signals = np.array([trace.signal for trace in traces])
+    times, signals, _ = run_scan(seqs, ens, probe, det, seed=seed, template=template,
+                                 noiseless=v["options"]["noiseless"])
+    deltas = np.array(echo["detunings_hz"])
     write_csv(out / "spin_echo_traces.csv", "detuning_hz,time_s,signal_v",
-              [(np.repeat(deltas, times.size), np.tile(times, len(traces)),
+              [(np.repeat(deltas, times.size), np.tile(times, len(deltas)),
                 signals.ravel())])
     amps = mid_pulse_amplitudes(times, signals, seqs[0])
     peaks = np.abs(signals).max(axis=1)

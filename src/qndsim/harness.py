@@ -164,34 +164,37 @@ def run_sequence(seq: PulseSequence, initial: EnsembleState, probe: ModulatedPro
     demodulation chain and adds one shot of detection noise. Deterministic
     for a fixed seed. `template` supplies the damping bookkeeping (light
     shift, inhomogeneity, residual damping) reused by every segment. This
-    is `run_scan` of one sequence.
+    is the one-trace `run_scan` wrapped in a Trace.
 
     StepError and RegimeError are re-raised with the index of the segment
     of the first offending step or sample prepended.
     """
-    return run_scan([seq], initial, probe, det, seed, template, noiseless)[0]
+    times, signals, finals = run_scan([seq], initial, probe, det, seed, template, noiseless)
+    return Trace(times, signals[0], with_vector(initial, finals[0]))
 
 
 def run_scan(seqs: list[PulseSequence], initial: EnsembleState, probe: ModulatedProbe,
              det: DetectorModel, seed: int = 0, template: RabiModel | None = None,
-             noiseless: bool = False) -> list[Trace]:
-    """Walk many sequences at once; trace i is bit for bit `run_sequence`
-    of seqs[i] with seed + i.
+             noiseless: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk many sequences at once into (times, signals, finals): the shared
+    sample times, the (n, samples) signals and the (n, 5) final state
+    vectors; row i is bit for bit `run_sequence` of seqs[i] with seed + i.
 
     The sequences share the probe gate and the segment durations
-    (DomainError otherwise), so one schedule serves all: per segment a
-    partial head step, a run of whole periods and a partial tail step.
-    Generators come from one stacked build per scan, one per distinct
+    (DomainError otherwise, or for none), so one schedule serves all: per
+    segment a partial head step, a run of whole periods and a partial tail
+    step. Generators come from one stacked build per scan, one per distinct
     (trace, segment drive), and one batched expm gives a matrix per
     distinct (trace, generator, dt). A run of count whole periods is filled
     by doubling, in about log2(count) stacked np.matmul calls for one trace
-    or many, within rtol 1e-12 of one matvec per step over 10^4 periods.
-    Invariants and the detection chain are checked and run once over every
-    sample; noise is drawn per trace. If a trace fails, the traces are
-    replayed one at a time, so the error raised is the first failing trace's own.
+    or many: within rtol 1e-12 of one matvec per step up to 10^4 periods,
+    within count ulp of the largest state component up to 10^6. Invariants
+    are checked and the detection chain run once over every sample; noise
+    is drawn per trace. If a trace fails, the traces are replayed one at a
+    time, so the error raised is the first failing trace's own.
     """
     if not seqs:
-        return []
+        raise DomainError("a scan needs at least one sequence")
     gate, clock = seqs[0].probe, [seg.duration for seg in seqs[0].segments]
     if any(s.probe != gate or [seg.duration for seg in s.segments] != clock for s in seqs):
         raise DomainError("the sequences of a scan must share the probe gate "
@@ -295,16 +298,14 @@ def _walk(seqs, seed, initial, probe, det, template, noiseless):
     try:
         volts = demodulated_signal(probe, PhaseShiftTriple(phi_plus=phi), det)
     except RegimeError as exc:
-        first = int(np.argmax(np.abs(phi) > SMALL_PHASE_LIMIT)) // len(seqs)
-        seg = np.searchsorted(seg_samples[1:], first, side="right")
+        sample = int(np.argmax(np.abs(phi) > SMALL_PHASE_LIMIT)) // len(seqs)
+        seg = np.searchsorted(seg_samples[1:], sample, side="right")
         raise RegimeError(f"segment {seg}: {exc}") from exc
     if not noiseless:
         for i in range(len(seqs)):
             volts[:, i] = sample_noisy_signal(volts[:, i], det, probe,
                                               gate.pulse_duration, seed + i)
-
-    return [Trace(times.copy(), volts[:, i], with_vector(initial, trajectory[-1, i]))
-            for i in range(len(seqs))]
+    return times, volts.T, trajectory[-1].copy()    # a copy frees the trajectory
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,7 @@ def test_damped_sine_recovers_synthetic_exactly():
     t = np.arange(300) * 1e-5
     y = 2.5e-4 * np.exp(-300.0 * t) * np.cos(2 * np.pi * 6600 * t + 0.3) \
         + 1e-5 + 0.02 * t
-    fit = fit_damped_sine(Trace(t, y, {}))
+    fit = fit_damped_sine(Trace(t, y))
     assert fit.frequency == pytest.approx(6600.0, rel=1e-6, abs=0)
     assert fit.damping == pytest.approx(300.0, rel=1e-6, abs=0)
     assert fit.amplitude == pytest.approx(2.5e-4, rel=1e-6, abs=0)
@@ -192,7 +192,7 @@ def test_damped_sine_recovers_synthetic_exactly():
 def test_damped_sine_sign_canonicalization():
     t = np.arange(200) * 1e-5
     y = -3e-4 * np.cos(2 * np.pi * 5000 * t + 0.2)
-    fit = fit_damped_sine(Trace(t, y, {}))
+    fit = fit_damped_sine(Trace(t, y))
     assert fit.amplitude > 0
     # -cos(x+0.2) = cos(x+0.2-pi)
     assert math.cos(fit.phase) == pytest.approx(math.cos(0.2 - math.pi),
@@ -202,17 +202,17 @@ def test_damped_sine_sign_canonicalization():
 def test_damped_sine_window_selects_prefix():
     t = np.arange(400) * 1e-5
     y = 1e-4 * np.cos(2 * np.pi * 6600 * t)
-    fit = fit_damped_sine(Trace(t, y, {}), window=2e-3)
+    fit = fit_damped_sine(Trace(t, y), window=2e-3)
     assert fit.frequency == pytest.approx(6600.0, rel=1e-6, abs=0)
 
 
 def test_damped_sine_guards():
     t = np.arange(5) * 1e-5
     with pytest.raises(FitDiverged):
-        fit_damped_sine(Trace(t, np.sin(t * 1e5), {}))
+        fit_damped_sine(Trace(t, np.sin(t * 1e5)))
     t = np.arange(50) * 1e-5
     with pytest.raises(FitDiverged):
-        fit_damped_sine(Trace(t, np.full(50, 0.7), {}))
+        fit_damped_sine(Trace(t, np.full(50, 0.7)))
 
 
 # -------------------------------------------------- physics integrations
@@ -355,7 +355,7 @@ def test_mid_pulse_amplitude_guards():
     with pytest.raises(DomainError):
         mid_pulse_amplitude(tr, seq)
     echo = build_spin_echo(probe=IDEAL_GATE)
-    empty = Trace(np.array([1.0]), np.array([0.0]), {})
+    empty = Trace(np.array([1.0]), np.array([0.0]))
     with pytest.raises(DomainError):
         mid_pulse_amplitude(empty, echo)
 
@@ -454,7 +454,7 @@ def test_trace_csv_bytes_match_per_row_formatting(tmp_path):
     times = np.array([0.0, 5e-324, 1.0, 3.0, 1e300, 1.7976931348623157e308])
     signal = np.array([-0.0, 1e300, -5e-324, 2.0, -7.0, 0.1])
     path = tmp_path / "trace.csv"
-    write_trace_csv(Trace(times, signal, {}), path)
+    write_trace_csv(Trace(times, signal), path)
     rows = ["time_s,signal_v\n"] + [f"{float(t)!r},{float(v)!r}\n"
                                      for t, v in zip(times, signal)]
     assert path.read_bytes() == "".join(rows).encode()

@@ -70,8 +70,8 @@ def captured_runs(monkeypatch, tmp_path, engine, config, overrides=()):
         return trace
 
     def capture_scan(seqs, initial, probe, det, seed=0, **kwargs):
-        return [capture(seq, initial, probe, det, seed=seed + i, **kwargs)
-                for i, seq in enumerate(seqs)]
+        return walk_reference.as_scan([capture(seq, initial, probe, det, seed=seed + i, **kwargs)
+                                       for i, seq in enumerate(seqs)])
 
     args = ["run", str(config), "--out", str(tmp_path / engine.__module__)]
     for item in overrides:

@@ -5,8 +5,9 @@ matvec per step. The package walk fills each run of whole probe periods
 by doubling, so it rounds differently: times, signal and final state
 vector must match the reference to rtol 1e-12, with an absolute floor of
 1e-13 of the reference's largest magnitude, and any exception must match
-it in type and text. A scan must still give each trace the bits of its own
-one-trace walk.
+it in type and text. Past 10^4 periods the bound is a rounding budget
+that grows with the run length. A scan must still give each trace the bits
+of its own one-trace walk.
 """
 import contextlib
 import io
@@ -35,6 +36,7 @@ from qndsim.harness import (
     MicrowavePulse,
     ProbeGate,
     PulseSequence,
+    Trace,
     build_spin_echo,
 )
 from qndsim.heterodyne import DetectorModel, ModulatedProbe
@@ -45,21 +47,20 @@ STRONG_SCATTERING = ("probe_gate.sideband_power_nw=2000",
                      "ensemble.atom_number=1e6")
 
 
-def handed_back(trace):
-    """Everything a trace holds, as arrays."""
-    return trace.times, trace.signal, state_vector(trace.final_state)
-
-
 def outcome(engine, args, kwargs):
-    """What a walk hands back: its traces (one for `run_sequence`), or the
-    type and message of the exception it raised."""
+    """What a walk hands back: per trace (one for `run_sequence`) its times,
+    signal row and final state vector, or the type and message of the
+    exception it raised."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
             result = engine(*args, **kwargs)
         except Exception as exc:    # compared by type and message
             return type(exc), str(exc)
-    return [handed_back(trace) for trace in (result if isinstance(result, list) else [result])]
+    if isinstance(result, Trace):
+        result = reference.as_scan([result])
+    times, signals, finals = result
+    return [(times, signal, final) for signal, final in zip(signals, finals)]
 
 
 def assert_close(new, old):
@@ -81,8 +82,8 @@ def assert_same_walk(*args, **kwargs):
 
 def reference_scan(seqs, *args, seed=0, **kwargs):
     """A scan as the reference walks it: one trace after the other."""
-    return [reference.run_sequence(seq, *args, seed=seed + i, **kwargs)
-            for i, seq in enumerate(seqs)]
+    return reference.as_scan([reference.run_sequence(seq, *args, seed=seed + i, **kwargs)
+                              for i, seq in enumerate(seqs)])
 
 
 def assert_same_scan(*args, **kwargs):
@@ -93,7 +94,8 @@ def assert_same_scan(*args, **kwargs):
 
 def cli_calls(monkeypatch, tmp_path, config, overrides=()):
     """The arguments of every run_sequence call of one `qndsim run`, a
-    run_scan call counting as one run_sequence call per trace."""
+    run_scan call counting as one run_sequence call per trace; the scan's
+    (times, signals, finals) record goes back to `cli` unchanged."""
     calls, walk, scan = [], cli.run_sequence, cli.run_scan
 
     def capture(*args, **kwargs):
@@ -235,6 +237,34 @@ def test_doubling_fills_a_run_as_the_sequential_matvec(monkeypatch, tmp_path, co
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.abs(want).max())
 
 
+@pytest.mark.parametrize("overrides", [(), STRONG_SCATTERING], ids=["rabi", "strongly-damped"])
+@pytest.mark.parametrize("count", [10**5, 10**6])
+def test_doubling_error_grows_linearly_to_the_sample_limit(monkeypatch, tmp_path, count,
+                                                           overrides):
+    # a pulse of `count` whole periods of a 1 MHz clock at the config's duty
+    # cycle ends in P^count v0. The doubled power and the sequential product
+    # each carry about an ulp of relative error per factor of P, and
+    # neither corrects it, so their gap grows linearly with count; a 5x5
+    # matvec mixes every component, so it scales with the largest one.
+    # The budget is count ulp of it (measured: 0.015 to 0.05 of that)
+    _, calls = cli_calls(monkeypatch, tmp_path, CONFIG_DIR / "rabi.json", overrides)
+    (seq, initial, *args), kwargs = calls[0]
+    (pulse,) = seq.segments
+    gate = replace(seq.probe, repetition_rate=1e6, pulse_duration=seq.probe.duty_cycle / 1e6)
+    times, _, finals = harness.run_scan(
+        [PulseSequence((replace(pulse, duration=count * gate.period),), probe=gate)],
+        initial, *args, **{**kwargs, "noiseless": True})
+    drive = reference._segment_model(pulse, kwargs.get("template") or RabiModel())
+    period = expm(reference.generator(drive, gate.tuning, gate.duty_cycle, pulse.phase)
+                  * gate.period)
+    want = state_vector(initial)
+    for _ in range(count):
+        want = period @ want
+    assert times.shape == (count + 1,)
+    np.testing.assert_allclose(finals[0], want, rtol=0,
+                               atol=count * np.finfo(float).eps * np.abs(want).max())
+
+
 # ----------------------------------------------------- random segment lists
 
 PERIOD = 10e-6
@@ -321,8 +351,8 @@ def test_echo_scans_match_reference(deltas, noiseless, seed):
 
 @pytest.mark.parametrize("noiseless", [True, False])
 def test_scan_traces_are_their_own_walks_bitwise(noiseless):
-    # trace i of a scan holds the bits of the one-trace walk of seqs[i] at
-    # seed + i, whatever the other traces of the stack hold
+    # row i of a scan's signals and finals holds the bits of the one-trace
+    # walk of seqs[i] at seed + i, whatever the other rows of the stack hold
     deltas = [0.0, -0.0, 1000.0, 1000.0, *np.linspace(-3000.0, 3000.0, 37)]
     seqs = [build_spin_echo(detuning=d, probe=ProbeGate()) for d in deltas]
     kwargs = {"noiseless": noiseless, "template": RabiModel(residual_damping=300.0)}
@@ -420,7 +450,8 @@ def test_scan_needs_one_probe_gate_and_segment_durations():
                   build_spin_echo(probe=ProbeGate(repetition_rate=50e3))):
         with pytest.raises(DomainError, match="probe gate and the segment durations"):
             harness.run_scan([echo, other], *ECHO_ARGS)
-    assert harness.run_scan([], *ECHO_ARGS) == []
+    with pytest.raises(DomainError, match="a scan needs at least one sequence"):
+        harness.run_scan([], *ECHO_ARGS)
 
 
 def test_echo_scan_repeats_in_a_warm_worker(monkeypatch, tmp_path):

@@ -84,7 +84,7 @@ def test_non_finite_row_is_counted_across_blocks(tmp_path):
 
 
 def test_trace_csv_refuses_non_finite_signal(tmp_path):
-    trace = Trace(np.array([0.0, 1.0]), np.array([0.5, np.inf]), {})
+    trace = Trace(np.array([0.0, 1.0]), np.array([0.5, np.inf]))
     with pytest.raises(RegimeError, match="trace.csv: non-finite value in "
                                           "row 2: 1.0,inf"):
         write_trace_csv(trace, tmp_path / "trace.csv")

@@ -175,3 +175,12 @@ def run_sequence(
         volts = sample_noisy_signal(volts, det, probe, gate.pulse_duration, rng)
 
     return Trace(np.array(times), volts, with_vector(initial, trajectory[-1]))
+
+
+def as_scan(traces: list[Trace]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (times, signals, finals) record `harness.run_scan` returns, stacked
+    from traces sampled on one clock."""
+    times = traces[0].times
+    assert all(np.array_equal(trace.times, times) for trace in traces)
+    return (times, np.array([trace.signal for trace in traces]),
+            np.array([state_vector(trace.final_state) for trace in traces]))
