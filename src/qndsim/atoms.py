@@ -2,11 +2,11 @@
 
 The two clock levels |F=1, m=0> and |F=2, m=0> form a pseudo-spin-1/2; the
 ensemble is tracked as a mean-field Bloch vector (Jx, Jy, Jz) in spin units
-(all atoms in the lower level puts Jz at -N/2). Atoms scattered out of the
-coherent manifold into |F=2, m!=0> are counted separately as n_leak: they
-still contribute to the detected F=2 population while no longer taking part
-in the microwave dynamics, which is what lifts the mean of strongly probed
-Rabi traces.
+(all atoms in the lower level puts Jz at -N/2) and the coherent population
+N_coh of the clock levels. Atoms scattered out of the coherent manifold into
+|F=2, m!=0> leave N_coh; these n_leak = N_at - N_coh atoms still contribute
+to the detected F=2 population while no longer taking part in the microwave
+dynamics, which is what lifts the mean of strongly probed Rabi traces.
 
 Scattering follows the saturated-Lorentzian rate model: one near-resonant
 sideband term plus three carrier terms, one per excited hyperfine level,
@@ -38,7 +38,7 @@ DEFAULT_SIDEBAND_INTENSITY = 2 * 76e-9 / (math.pi * 245e-6**2)
 DEFAULT_CARRIER_INTENSITY = 2 * 120e-6 / (math.pi * 245e-6**2)
 DEFAULT_EXPANSION_RATE = 120.0   # Hz, cloud fall/expansion signal loss
 # Share of the upper-level atoms scattering a sideband photon that land in
-# |F=2, m!=0>, out of the coherent manifold (the n_leak pool)
+# |F=2, m!=0>, out of the coherent manifold (into the n_leak pool)
 LEAK_FRACTION = 0.5
 
 
@@ -137,34 +137,35 @@ def _over_polarized(jx, jy, jz, coherent):
     return (jx**2 + jy**2 + jz**2) ** 0.5 > limit * (1 + 1e-9) + 1e-12
 
 
-def f2_population(atom_number, jz, n_leak):
-    """Coherent upper level plus leaked atoms, elementwise for arrays."""
-    return (atom_number - n_leak) / 2 + jz + n_leak
+def f2_population(vs: np.ndarray, atom_number: float):
+    """Upper level plus leaked atoms of state vectors, N_at - N_coh/2 + Jz."""
+    return atom_number - vs[..., 3] / 2 + vs[..., 2]
 
 
 @dataclass(frozen=True)
 class EnsembleState:
-    """Mean-field state: Bloch vector, leaked population, cloud parameters."""
+    """Mean-field state: Bloch vector, coherent population, cloud parameters."""
 
     atom_number: float
     jx: float = 0.0
     jy: float = 0.0
     jz: float = 0.0
-    n_leak: float = 0.0
+    coherent_number: float | None = None    # N_coh; None: every atom
     cloud_rms: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.atom_number < 0 or self.n_leak < 0:
+        if self.coherent_number is None:
+            object.__setattr__(self, "coherent_number", self.atom_number)
+        if self.atom_number < 0 or self.coherent_number > self.atom_number:
             raise DomainError("populations must be nonnegative")
         if self.cloud_rms < 0:
             raise DomainError("cloud size must be nonnegative")
-        coherent = self.atom_number - self.n_leak
-        if coherent < -1e-9 * max(1.0, self.atom_number):
+        if self.coherent_number < -1e-9 * max(1.0, self.atom_number):
             raise DomainError("leaked population exceeds total atom number")
-        if _over_polarized(self.jx, self.jy, self.jz, coherent):
-            raise DomainError("Bloch vector longer than (N_at - n_leak)/2")
-        if not all(map(math.isfinite, (self.jx, self.jy, self.jz, self.n_leak))):
-            raise DomainError("Bloch vector and leaked population must be finite")
+        if _over_polarized(self.jx, self.jy, self.jz, self.coherent_number):
+            raise DomainError("Bloch vector longer than N_coh/2")
+        if not all(map(math.isfinite, (self.atom_number, *state_vector(self)))):
+            raise DomainError("atom number, Bloch vector and N_coh must be finite")
 
     @classmethod
     def all_lower(cls, atom_number: float, **kwargs) -> "EnsembleState":
@@ -181,8 +182,8 @@ class EnsembleState:
         return cls(atom_number, jx=atom_number / 2, **kwargs)
 
     @property
-    def coherent_number(self) -> float:
-        return self.atom_number - self.n_leak
+    def n_leak(self) -> float:
+        return self.atom_number - self.coherent_number
 
     @property
     def upper_population(self) -> float:
@@ -195,7 +196,7 @@ class EnsembleState:
     @property
     def f2_population(self) -> float:
         """Detected F=2 population: coherent upper level plus leaked atoms."""
-        return f2_population(self.atom_number, self.jz, self.n_leak)
+        return float(f2_population(state_vector(self), self.atom_number))
 
     @property
     def bloch_norm(self) -> float:
@@ -321,27 +322,27 @@ def damping_rate(model: RabiModel, spontaneous_rate: float) -> float:
 
 
 def generators(drives, tuning: ProbeTuning, duty_cycle: float) -> np.ndarray:
-    """Generators G of dv/dt = G v for v = (Jx, Jy, Jz, N_leak, N_at), one per
-    (RabiModel, drive phase) pair of `drives`, as an (n, 5, 5) stack.
+    """Generators G of dv/dt = G v for v = (Jx, Jy, Jz, N_coh), one per
+    (RabiModel, drive phase) pair of `drives`, as an (n, 4, 4) stack.
 
     G holds: rotation of the Bloch vector about (Omega_R*cos(phase),
     Omega_R*sin(phase), 2*pi*detuning_total), where detuning_total adds
     the duty-averaged differential light shift to the microwave detuning;
     population transfer: upper-level atoms scatter sideband photons and
     land in |F=2, m!=0> with probability LEAK_FRACTION (rate leak), lower-
-    level atoms are pumped to F=2 by the carrier (rate pump), both joining
-    the incoherent leaked pool; damping at the rate from damping_rate,
-    defined as the fitted envelope rate of the driven oscillation. Of it,
-    (leak + pump)/2 damps Jx and Jy, since a coherence decays with the
-    two populations it connects (the loss term of a trace-decreasing
-    Lindblad generator). The rest damps the components perpendicular to
-    the rotation axis: the inhomogeneous-rate dephasing it models spares
-    the axis-parallel component, and with no rotation at all the z
-    coherence damps. The rest is nonnegative, as damping_rate's
+    level atoms are pumped to F=2 by the carrier (rate pump), both leaving
+    N_coh for the incoherent leaked pool; damping at the rate from
+    damping_rate, defined as the fitted envelope rate of the driven
+    oscillation. Of it, (leak + pump)/2 damps Jx and Jy, since a coherence
+    decays with the two populations it connects (the loss term of a
+    trace-decreasing Lindblad generator). The rest damps the components
+    perpendicular to the rotation axis: the inhomogeneous-rate dephasing
+    it models spares the axis-parallel component, and with no rotation at
+    all the z coherence damps. The rest is nonnegative, as damping_rate's
     spontaneous part is half the sideband rate plus pump, so the evolution
-    is completely positive and keeps |J| <= (N_at - N_leak)/2 by itself.
-    Probe rates are averaged over the probe clock's duty_cycle; sub-period
-    pulse gating is not resolved.
+    is completely positive and keeps |J| <= N_coh/2 by itself. Probe rates
+    are averaged over the probe clock's duty_cycle; sub-period pulse
+    gating is not resolved.
 
     Probe rates are computed once per stack, so a generator's bits do not
     depend on the rest of it; one drive's generator is the stack's [0].
@@ -370,15 +371,15 @@ def generators(drives, tuning: ProbeTuning, duty_cycle: float) -> np.ndarray:
         rows.append((wx, wy, wz, *axis, beta - loss))
     rows = np.array(rows).reshape(-1, 7)
     w, axis = rows[:, :3], rows[:, 3:6]
-    gens = np.zeros((len(rows), 5, 5))
+    gens = np.zeros((len(rows), 4, 4))
     gens[:, (2, 0, 1), (1, 2, 0)] = w    # the cross-product matrix of w
     gens[:, (1, 2, 0), (2, 0, 1)] = -w
     gens[:, :3, :3] -= rows[:, 6, None, None] * (np.eye(3) - axis[..., None] * axis[:, None])
     gens[:, (0, 1), (0, 1)] -= loss
-    # upper ((N_at - N_leak)/2 + Jz) leaks, lower ((N_at - N_leak)/2 - Jz) is
-    # pumped; each atom moved shifts Jz by -/+ 1/2 and joins N_leak
+    # upper (N_coh/2 + Jz) leaks, lower (N_coh/2 - Jz) is pumped; each atom
+    # moved shifts Jz by -/+ 1/2 and leaves N_coh
     for rate, sign in ((leak, 1.0), (pump, -1.0)):
-        gens += np.outer([0, 0, -sign / 2, 1, 0], [0, 0, sign * rate, -rate / 2, rate / 2])
+        gens += np.outer([0, 0, -sign / 2, -1], [0, 0, sign * rate, rate / 2])
     if not np.isfinite(gens).all():
         raise DomainError("spin-engine rates are not finite")
     return gens
@@ -407,23 +408,22 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def state_vector(state: EnsembleState) -> np.ndarray:
-    """(Jx, Jy, Jz, N_leak, N_at), the vector `generators` act on."""
-    return np.array([state.jx, state.jy, state.jz, state.n_leak, state.atom_number])
+    """(Jx, Jy, Jz, N_coh), the vector `generators` act on."""
+    return np.array([state.jx, state.jy, state.jz, state.coherent_number])
 
 
-def broken_invariants(vs: np.ndarray) -> np.ndarray:
-    """Mask over vs.T of the state vectors EnsembleState rejects or that are not finite."""
-    jx, jy, jz, n_leak, n_at = vs.T
-    coherent = n_at - n_leak
-    return ((n_leak < 0) | (coherent < -1e-9 * np.maximum(1.0, n_at))
+def broken_invariants(vs: np.ndarray, atom_number: float) -> np.ndarray:
+    """Mask over vs.T of the state vectors of atom_number atoms EnsembleState rejects."""
+    jx, jy, jz, coherent = vs.T
+    return ((coherent > atom_number) | (coherent < -1e-9 * max(1.0, atom_number))
             | _over_polarized(jx, jy, jz, coherent) | ~np.isfinite(vs.T).all(axis=0))
 
 
 def with_vector(state: EnsembleState, v: np.ndarray) -> EnsembleState:
     """`state` moved to v; StepError if that breaks its invariants."""
-    jx, jy, jz, n_leak, _ = v.tolist()
+    jx, jy, jz, coherent = v.tolist()
     try:
-        return replace(state, jx=jx, jy=jy, jz=jz, n_leak=n_leak)
+        return replace(state, jx=jx, jy=jy, jz=jz, coherent_number=coherent)
     except DomainError as exc:
         raise StepError(f"invariants violated after step: {exc}") from exc
 

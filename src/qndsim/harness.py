@@ -177,21 +177,21 @@ def run_scan(seqs: list[PulseSequence], initial: EnsembleState, probe: Modulated
              det: DetectorModel, seed: int = 0, template: RabiModel | None = None,
              noiseless: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk many sequences at once into (times, signals, finals): the shared
-    sample times, the (n, samples) signals and the (n, 5) final state
-    vectors; row i is bit for bit `run_sequence` of seqs[i] with seed + i.
+    sample times, the (n, samples) signals and each trace's final
+    `state_vector`; row i is bit for bit `run_sequence` of seqs[i], seed + i.
 
     The sequences share the probe gate and the segment durations
-    (DomainError otherwise, or for none), so one schedule serves all: per
-    segment a partial head step, a run of whole periods and a partial tail
-    step. Generators come from one stacked build per scan, one per distinct
-    (trace, segment drive), and one batched expm gives a matrix per
-    distinct (trace, generator, dt). A run of count whole periods is filled
-    by doubling, in about log2(count) stacked np.matmul calls for one trace
-    or many: within rtol 1e-12 of one matvec per step up to 10^4 periods,
-    within count ulp of the largest state component up to 10^6. Invariants
-    are checked and the detection chain run once over every sample; noise
-    is drawn per trace. If a trace fails, the traces are replayed one at a
-    time, so the error raised is the first failing trace's own.
+    (DomainError otherwise, or for none), so one step schedule, one stacked
+    generator build and one batched expm serve them all. A run of count
+    whole periods is filled by doubling in about log2(count) stacked
+    np.matmul calls: within rtol 1e-12 of one matvec per step up to 10^4
+    periods, within count ulp of the largest state component up to 10^6.
+    A period matrix is good to about an ulp per unit of |G dt|_1, so a run
+    ends within count * eps * (1 + |G dt|_1) of its largest component of a
+    60-digit walk of G: after 200 periods 5.2e-5 of it at a 1e12 kHz drive,
+    8e-15 at 6.6 kHz. Invariants are checked and the detection chain run
+    once over every sample; noise is drawn per trace. A failing scan is
+    replayed one trace at a time to raise the first failing trace's error.
     """
     if not seqs:
         raise DomainError("a scan needs at least one sequence")
@@ -264,7 +264,7 @@ def _walk(seqs, seed, initial, probe, det, template, noiseless):
                       gate.tuning, gate.duty_cycle)
     pairs = np.array(list(matrix_of)).reshape(-1, 2)    # (generator, dt) per matrix
     props = expm(gens[pairs[:, 0].astype(np.intp)] * pairs[:, 1, None, None])
-    trajectory = np.empty((n_steps + 1, len(seqs), 5))
+    trajectory = np.empty((n_steps + 1, len(seqs), state_vector(initial).size))
     trajectory[0], done = state_vector(initial), 0
     for j, count in runs:    # row k of a run is P^k v0 per trace, filled by doubling
         rows, power, m = trajectory[done:done + count + 1].swapaxes(0, 1), props[which[j]], 1
@@ -274,7 +274,7 @@ def _walk(seqs, seed, initial, probe, det, template, noiseless):
             np.matmul(rows[:, :n], power, out=rows[:, m:m + n])    # one gemm per trace
             m *= 2
         done += count
-    bad = np.argwhere(broken_invariants(trajectory))    # (trace, step), by trace
+    bad = np.argwhere(broken_invariants(trajectory, initial.atom_number))  # (trace, step)
     if bad.size:
         i, row = bad[0]
         try:
@@ -290,7 +290,7 @@ def _walk(seqs, seed, initial, probe, det, template, noiseless):
     phi = atomic_phase(
         gate.tuning.sideband_detuning * gate.tuning.linewidth,
         # at the Bloch pole rounding may leave the population a few ulp below 0
-        np.maximum(f2_population(at[..., 4], at[..., 2], at[..., 3]), 0.0),
+        np.maximum(f2_population(at, initial.atom_number), 0.0),
         probe.beam_waist,
         initial.cloud_rms,
         linewidth=gate.tuning.linewidth,

@@ -1,8 +1,9 @@
 """Reference spin engine: the substep stepper and per-sample sequence loop.
 
 `evolve` and `_rotate` are the axis-angle substep integrator that the
-exact 5x5 propagator in `qndsim.atoms` replaced, kept verbatim but for
-the duty cycle, which `evolve` takes as an argument like `generators`; the
+exact propagator in `qndsim.atoms` replaced, kept verbatim but for the
+duty cycle, which `evolve` takes as an argument like `generators`, and
+the state it returns, which carries the coherent population; the
 sequence loop is the per-sample `run_sequence` that called it. Tests
 compare the package engine against these where no probe scattering moves
 atoms out of the coherent manifold; there the stepper's over-polarization
@@ -121,7 +122,6 @@ def evolve(
 
     jx, jy, jz = state.jx, state.jy, state.jz
     coherent = state.coherent_number
-    n_leak = state.n_leak
     if rot > 0:
         ax, ay, az = omega_x / rot, omega_y / rot, omega_z / rot
     damp = math.exp(-beta * tau)
@@ -152,13 +152,11 @@ def evolve(
             d_leak = upper * -math.expm1(-leak * tau)
             jz -= d_leak / 2
             coherent -= d_leak
-            n_leak += d_leak
         if pump != 0.0:
             lower = coherent / 2 - jz
             d_pump = lower * -math.expm1(-pump * tau)
             jz += d_pump / 2
             coherent -= d_pump
-            n_leak += d_pump
         # scattering cannot leave the shrunken manifold over-polarized
         limit = max(coherent, 0.0) / 2
         trans = math.hypot(jx, jy)
@@ -168,7 +166,7 @@ def evolve(
             jx *= factor
             jy *= factor
     try:
-        return replace(state, jx=jx, jy=jy, jz=jz, n_leak=n_leak)
+        return replace(state, jx=jx, jy=jy, jz=jz, coherent_number=coherent)
     except DomainError as exc:
         raise StepError(f"invariants violated after step: {exc}") from exc
 

@@ -172,11 +172,14 @@ def test_ensemble_state_validation_and_properties():
     with pytest.raises(DomainError):
         EnsembleState(100.0, jz=60.0)
     with pytest.raises(DomainError):
-        EnsembleState(100.0, n_leak=150.0)
+        EnsembleState(100.0, coherent_number=-50.0)
     with pytest.raises(DomainError):
         EnsembleState(-1.0)
     with pytest.raises(DomainError):
-        EnsembleState(100.0, jz=50.0, n_leak=10.0)  # bound shrinks with leak
+        EnsembleState(100.0, jz=50.0, coherent_number=90.0)  # bound shrinks with leak
+    with pytest.raises(DomainError):
+        EnsembleState(100.0, coherent_number=100.0 + 1e-12)  # a negative leak
+    assert EnsembleState(100.0, coherent_number=90.0).n_leak == 10.0
 
 
 def test_pi_pulse_inverts_population():
@@ -309,17 +312,25 @@ def test_step_error_on_impossible_inverse():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("index, name", enumerate(["jx", "jy", "jz", "n_leak", None]))
 def test_non_finite_state_is_an_invariant_break(index, name, value):
-    # a NaN passes every comparison, so finiteness is checked on its own
+    # a NaN passes every comparison, so finiteness is checked on its own. A
+    # non-finite leak leaves N_coh = N_at - n_leak, the vector's index 3,
+    # non-finite; the atom number is held outside the vector, and a state
+    # with a non-finite one is never built, so no walk starts from it
     state = EnsembleState.all_lower(1e6)
+    if name is None:
+        with pytest.raises(DomainError, match="must be finite|nonnegative"):
+            EnsembleState(value)
+        return
+    if name == "n_leak":
+        name, value = "coherent_number", state.atom_number - value
     v = state_vector(state)
     v[index] = value
     with np.errstate(invalid="ignore"):    # inf - inf on the way
-        assert broken_invariants(v[None]).tolist() == [True]
-    if name is not None:    # the atom number is the state's, not the vector's
-        with pytest.raises(DomainError):
-            EnsembleState(1e6, **{name: value})
-        with pytest.raises(StepError, match="invariants violated after step"):
-            with_vector(state, v)
+        assert broken_invariants(v[None], state.atom_number).tolist() == [True]
+    with pytest.raises(DomainError):
+        EnsembleState(1e6, **{name: value})
+    with pytest.raises(StepError, match="invariants violated after step"):
+        with_vector(state, v)
 
 
 def test_zero_dt_is_identity():

@@ -96,9 +96,9 @@ def test_expm_bits_do_not_depend_on_the_batch_or_the_memory_offset():
 
 
 def test_expm_of_zero_is_exactly_the_identity():
-    assert (expm(np.zeros((5, 5))) == np.eye(5)).all()
-    mixed = expm(np.array([np.zeros((5, 5)), corpus()[0]]))
-    assert (mixed[0] == np.eye(5)).all()
+    assert (expm(np.zeros((4, 4))) == np.eye(4)).all()
+    mixed = expm(np.array([np.zeros((4, 4)), corpus()[0]]))
+    assert (mixed[0] == np.eye(4)).all()
 
 
 @pytest.fixture(scope="module")

@@ -11,8 +11,10 @@ of its own one-trace walk.
 """
 import contextlib
 import io
+import itertools
 import json
 import math
+import tempfile
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -165,18 +167,113 @@ def test_cli_walks_match_reference(monkeypatch, tmp_path, case):
         assert_same_walk(*args, **kwargs)
 
 
-def test_clamp_fallback_and_step_error_match_reference(monkeypatch, tmp_path):
-    # this config once took the clamp fallback; expm's inaccuracy at the
-    # huge drive leaks more atoms than there are, and both walks say so
-    code, calls = cli_calls(monkeypatch, tmp_path, CONFIG_DIR / "rabi.json",
-                            CASES["strong-scattering-huge-drive"][1])
+@pytest.mark.parametrize("khz", ["1e12", "1e9", "1e6", "6.6"])
+def test_huge_drives_stay_within_budget_of_a_60_digit_walk(monkeypatch, tmp_path, khz):
+    # expm's period matrix is good to about an ulp per unit of |G dt|, the
+    # rotation per period (6.3e10 at 1e12 kHz), and the walk adds about an
+    # ulp per period; the final state of `count` periods stays within
+    # count * eps * (1 + |G dt|) of its largest component of the same
+    # generator's walk at 60 digits (measured: 0.02 to 0.2 of that)
+    mpmath = pytest.importorskip("mpmath")
+    code, calls = cli_calls(monkeypatch, tmp_path, CONFIG_DIR / "rabi.json", (
+        "probe_gate.sideband_detuning_linewidths=0.5", *STRONG_SCATTERING,
+        f"drive.rabi_frequency_khz={khz}"))
+    (seq, initial, *args), kwargs = calls[0]
+    (pulse,) = seq.segments
+    gate = seq.probe
+    times, _, finals = harness.run_scan([seq], initial, *args, **{**kwargs, "noiseless": True})
+    count = times.size - 1
+    assert code == 0 and count == 200
+    drive = reference._segment_model(pulse, kwargs.get("template") or RabiModel())
+    step = reference.generator(drive, gate.tuning, gate.duty_cycle, pulse.phase) * gate.period
+    with mpmath.workdps(60):
+        period = mpmath.expm(mpmath.matrix(step.tolist()))
+        v = mpmath.matrix(state_vector(initial).tolist())
+        for _ in range(count):
+            v = period * v
+        want = np.array(v.tolist(), dtype=float)[:, 0]
+    budget = count * np.finfo(float).eps * (1 + np.abs(step).sum(axis=0).max())
+    np.testing.assert_allclose(finals[0], want, rtol=0, atol=budget * np.abs(want).max())
+
+
+def strong_probing_examples(test):
+    """The 18-config grid of sideband power (nW), pulse duration (us) and
+    atom number as explicit examples: most atoms leave the clock levels."""
+    for power, pulse, atoms in itertools.product((500, 2000, 5000), (0.125, 1.25, 5),
+                                                 (1e4, 1e6)):
+        test = example(power, pulse, atoms)(test)
+    return test
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(st.floats(500, 5000), st.floats(0.125, 5), st.floats(1e4, 1e6))
+@strong_probing_examples
+def test_strong_probing_walks_exit_zero_as_the_reference(power, pulse, atoms):
+    # a 0.5 kHz drive probed for 1 s half a linewidth off resonance: the
+    # coherent population falls by over 100 orders of magnitude and the
+    # Bloch vector with it. The run exits 0; the per-step walk raises
+    # nothing either, so it would exit 0 too, and gives the same trace. Its
+    # final state, 10^5 periods on, is held to the doubling's budget of
+    # count ulp of its largest component
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as out:
+        code, calls = cli_calls(patch, Path(out), CONFIG_DIR / "rabi.json", (
+            "drive.rabi_frequency_khz=0.5", "drive.duration_ms=1000",
+            "probe_gate.sideband_detuning_linewidths=0.5",
+            f"probe_gate.sideband_power_nw={power!r}",
+            f"probe_gate.pulse_duration_us={pulse!r}", f"ensemble.atom_number={atoms!r}"))
+    (args, kwargs), = calls
+    new, old = (outcome(walk, args, kwargs) for walk in (harness.run_sequence,
+                                                         reference.run_sequence))
+    assert code == 0 and isinstance(old, list)
+    assert_close([trace[:2] for trace in new], [trace[:2] for trace in old])
+    (times, _, final), = new
+    want = old[0][2]
+    np.testing.assert_allclose(final, want, rtol=0, atol=(times.size - 1)
+                               * np.finfo(float).eps * np.abs(want).max())
+
+
+# the sign of a generator term flipped, and the invariant that trips
+WRONG_SIGNS = {
+    "coherent-population-grows": (np.s_[..., 3, :], "populations must be nonnegative"),
+    "transverse-spin-grows": (np.s_[..., (0, 1), (0, 1)], "Bloch vector longer than N_coh/2"),
+}
+
+
+def with_wrong_sign(monkeypatch, index, rabi_frequency=None):
+    """Both generator builders with gen[index] negated, for every drive or
+    only for drives of the given Rabi frequency."""
+    stacked, single = harness.generators, reference.generator
+
+    def flip(gen, drive):
+        if rabi_frequency in (None, drive.rabi_frequency):
+            gen[index] *= -1
+        return gen
+
+    def flipped(drives, *args):
+        gens = stacked(drives, *args)
+        for gen, (drive, _) in zip(gens, drives):
+            flip(gen, drive)
+        return gens
+
+    monkeypatch.setattr(harness, "generators", flipped)
+    monkeypatch.setattr(reference, "generator", lambda drive, *a: flip(single(drive, *a), drive))
+
+
+@pytest.mark.parametrize("case", WRONG_SIGNS)
+def test_a_wrong_generator_sign_trips_the_invariant_check(monkeypatch, tmp_path, capsys,
+                                                          case):
+    index, message = WRONG_SIGNS[case]
+    with_wrong_sign(monkeypatch, index)
+    code, calls = cli_calls(monkeypatch, tmp_path, CONFIG_DIR / "rabi.json")
     assert code == 3
-    kind, message = assert_same_walk(*calls[0][0], **calls[0][1])
-    assert kind.__name__ == "StepError" and message.startswith("segment 0: ")
+    assert (f"StepError: segment 0: invariants violated after step: {message}"
+            in capsys.readouterr().err)
+    kind, text = assert_same_walk(*calls[0][0], **calls[0][1])
+    assert kind.__name__ == "StepError" and text.endswith(message)
 
 
 def test_a_nan_state_is_a_step_error_and_exits_three(monkeypatch, tmp_path, capsys):
-    # a NaN leaked population passes every invariant comparison; the walk
+    # a NaN coherent population passes every invariant comparison; the walk
     # must still flag the row, and the run exits 3
     def poisoned(a):
         props = expm(a)
@@ -186,8 +283,8 @@ def test_a_nan_state_is_a_step_error_and_exits_three(monkeypatch, tmp_path, caps
     monkeypatch.setattr(harness, "expm", poisoned)
     code = cli.main(["run", str(CONFIG_DIR / "rabi.json"), "--out", str(tmp_path)])
     assert code == 3
-    assert ("StepError: segment 0: invariants violated after step: Bloch vector and "
-            "leaked population must be finite") in capsys.readouterr().err
+    assert ("StepError: segment 0: invariants violated after step: atom number, Bloch "
+            "vector and N_coh must be finite") in capsys.readouterr().err
 
 
 def test_regime_error_matches_reference():
@@ -222,7 +319,7 @@ def test_doubling_fills_a_run_as_the_sequential_matvec(monkeypatch, tmp_path, co
     gate = seq.probe
     walked, real = [], harness.broken_invariants
     monkeypatch.setattr(harness, "broken_invariants",
-                        lambda vs: walked.append(vs.copy()) or real(vs))
+                        lambda vs, n_at: walked.append(vs.copy()) or real(vs, n_at))
     harness.run_sequence(PulseSequence((replace(pulse, duration=count * gate.period),),
                                        probe=gate), initial, *args, **kwargs)
     drive = reference._segment_model(pulse, kwargs.get("template") or RabiModel())
@@ -232,7 +329,7 @@ def test_doubling_fills_a_run_as_the_sequential_matvec(monkeypatch, tmp_path, co
     for _ in range(count):
         rows.append(period @ rows[-1])
     (trajectory,) = walked
-    assert trajectory.shape == (count + 1, 1, 5)
+    assert trajectory.shape == (count + 1, 1, 4)
     for got, want in zip(trajectory[:, 0].T, np.transpose(rows)):    # per component
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.abs(want).max())
 
@@ -244,9 +341,9 @@ def test_doubling_error_grows_linearly_to_the_sample_limit(monkeypatch, tmp_path
     # a pulse of `count` whole periods of a 1 MHz clock at the config's duty
     # cycle ends in P^count v0. The doubled power and the sequential product
     # each carry about an ulp of relative error per factor of P, and
-    # neither corrects it, so their gap grows linearly with count; a 5x5
+    # neither corrects it, so their gap grows linearly with count; a 4x4
     # matvec mixes every component, so it scales with the largest one.
-    # The budget is count ulp of it (measured: 0.015 to 0.05 of that)
+    # The budget is count ulp of it (measured: 0.002 to 0.01 of that)
     _, calls = cli_calls(monkeypatch, tmp_path, CONFIG_DIR / "rabi.json", overrides)
     (seq, initial, *args), kwargs = calls[0]
     (pulse,) = seq.segments
@@ -400,14 +497,14 @@ def test_random_scans_match_reference(seqs, shifted, strong, noiseless, seed):
 
 
 def test_scan_step_error_is_the_failing_trace_own(monkeypatch, tmp_path):
-    # of four traces only the third has the drive whose expm leaks more
-    # atoms than there are
-    _, calls = cli_calls(monkeypatch, tmp_path, CONFIG_DIR / "rabi.json",
-                         CASES["strong-scattering-huge-drive"][1])
-    (seq, *args), kwargs = calls[0]
-    (pulse,) = seq.segments
-    tame = PulseSequence((replace(pulse, rabi_frequency=2 * math.pi * 500),),
-                         probe=seq.probe)
+    # of four traces only the third has the drive whose generator makes its
+    # coherent population grow
+    _, calls = cli_calls(monkeypatch, tmp_path, CONFIG_DIR / "rabi.json", STRONG_SCATTERING)
+    (tame, *args), kwargs = calls[0]
+    (pulse,) = tame.segments
+    seq = PulseSequence((replace(pulse, rabi_frequency=2 * math.pi * 700),), probe=tame.probe)
+    with_wrong_sign(monkeypatch, WRONG_SIGNS["coherent-population-grows"][0],
+                    seq.segments[0].rabi_frequency)
     assert isinstance(outcome(reference_scan, ([tame], *args), kwargs), list)
     kind, message = assert_same_scan([tame, tame, seq, tame], *args, **kwargs)
     assert kind.__name__ == "StepError" and message.startswith("segment 0: ")

@@ -52,8 +52,8 @@ from qndsim.heterodyne import (
 
 def generator(drive: RabiModel, tuning: ProbeTuning, duty_cycle: float,
               drive_phase: float = 0.0) -> np.ndarray:
-    """Generator G of dv/dt = G v for v = (Jx, Jy, Jz, N_leak, N_at), one
-    drive at a time; see `qndsim.atoms.generators` for the model."""
+    """Generator G of dv/dt = G v for v = (Jx, Jy, Jz, N_coh), one drive at
+    a time; see `qndsim.atoms.generators` for the model."""
     wx = drive.rabi_frequency * math.cos(drive_phase)
     wy = drive.rabi_frequency * math.sin(drive_phase)
     wz = 2 * math.pi * (drive.detuning + light_shift(tuning, duty_cycle) / H)
@@ -66,12 +66,12 @@ def generator(drive: RabiModel, tuning: ProbeTuning, duty_cycle: float,
                           f"{LEAK_FRACTION}: beta - (leak + pump)/2 is {beta - loss:.3g} 1/s")
     rot = math.hypot(wx, wy, wz)
     axis = np.array([wx, wy, wz]) / rot if rot > 0 else np.array([0.0, 0.0, 1.0])
-    gen = np.zeros((5, 5))
+    gen = np.zeros((4, 4))
     gen[:3, :3] = [[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]]
     gen[:3, :3] -= (beta - loss) * (np.eye(3) - np.outer(axis, axis))
     gen[(0, 1), (0, 1)] -= loss
     for rate, sign in ((leak, 1.0), (pump, -1.0)):
-        gen += np.outer([0, 0, -sign / 2, 1, 0], [0, 0, sign * rate, -rate / 2, rate / 2])
+        gen += np.outer([0, 0, -sign / 2, -1], [0, 0, sign * rate, rate / 2])
     if not np.isfinite(gen).all():
         raise DomainError("spin-engine rates are not finite")
     return gen
@@ -147,11 +147,12 @@ def run_sequence(
     matrix_of: dict[tuple[int, float], int] = {}
     which = [matrix_of.setdefault(key, len(matrix_of)) for key in zip(stepped_in, dts)]
     props = expm(np.array([gens[i] * dt for i, dt in matrix_of])) if dts else ()
-    trajectory = np.empty((len(dts) + 1, 5))
-    trajectory[0] = v = state_vector(initial)
+    v = state_vector(initial)
+    trajectory = np.empty((len(dts) + 1, v.size))
+    trajectory[0] = v
     for row, m in enumerate(which, 1):
         trajectory[row] = v = props[m] @ v
-    bad = np.flatnonzero(broken_invariants(trajectory))
+    bad = np.flatnonzero(broken_invariants(trajectory, initial.atom_number))
     if bad.size:
         try:
             with_vector(initial, trajectory[bad[0]])
@@ -161,7 +162,7 @@ def run_sequence(
     at = trajectory[taken]
     phi = atomic_phase(
         gate.tuning.sideband_detuning * gate.tuning.linewidth,
-        np.maximum(f2_population(at[:, 4], at[:, 2], at[:, 3]), 0.0),
+        np.maximum(f2_population(at, initial.atom_number), 0.0),
         probe.beam_waist,
         initial.cloud_rms,
         linewidth=gate.tuning.linewidth,
