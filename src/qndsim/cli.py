@@ -504,7 +504,7 @@ def _run_cavity_spectrum(v: dict, out: Path, seed: int) -> list[str]:
     )
     order = sec["max_transverse_order"]
     write_csv(out / "spectrum.csv", "m,n,offset_hz",
-              [tuple(zip(*transverse_spectrum(geom, order, order)))])
+              [map(np.array, zip(*transverse_spectrum(geom, order, order)))])
     mode = solve_mode(geom)
     _write_json(out / "mode.json", {
         "waist_par_um": mode.waist_par * 1e6,
@@ -528,12 +528,14 @@ def _run_trap_map(v: dict, out: Path, seed: int) -> list[str]:
     )
     half = v["grid"]["half_span_um"] * 1e-6
     axis = np.linspace(-half, half, v["grid"]["points_per_axis"])
-    y, z = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
+    iy, iz = (i.ravel() for i in np.indices((axis.size, axis.size)))
+    um = axis * 1e6
     # one x-plane per call: a whole-cube grid would hold several cube-sized
     # temporaries at once
     write_csv(out / "trap_map.csv", "x_um,y_um,z_um,potential_uk",
-              ((np.full(y.size, x * 1e6), y * 1e6, z * 1e6,
-                potential_at(trap, (x, y, z)) / K_B * 1e6) for x in axis))
+              (((um, np.full(iy.size, i)), (um, iy), (um, iz),
+                potential_at(trap, (x, axis[iy], axis[iz])) / K_B * 1e6)
+               for i, x in enumerate(axis)))
     fx, fy, fz = trap_frequencies(trap)
     _write_json(out / "trap_summary.json", {
         "depth_uk": trap_depth(trap) / K_B * 1e6,
@@ -701,9 +703,9 @@ def _run_spin_echo(v: dict, out: Path, seed: int) -> list[str]:
     times, signals, _ = run_scan(seqs, ens, probe, det, seed=seed, template=template,
                                  noiseless=v["options"]["noiseless"])
     deltas = np.array(echo["detunings_hz"])
+    rows, samples = (i.ravel() for i in np.indices(signals.shape))
     write_csv(out / "spin_echo_traces.csv", "detuning_hz,time_s,signal_v",
-              [(np.repeat(deltas, times.size), np.tile(times, len(deltas)),
-                signals.ravel())])
+              [((deltas, rows), (times, samples), signals.ravel())])
     amps = mid_pulse_amplitudes(times, signals, seqs[0])
     peaks = np.abs(signals).max(axis=1)
     # the measured figure's normalization is unspecified, so emit both: per

@@ -546,30 +546,46 @@ def mid_pulse_amplitudes(times: np.ndarray, signals: np.ndarray,
 CSV_BLOCK_ROWS = 4096
 
 
+def _csv_chunks(column):
+    """(cell strings, finite mask) of each CSV_BLOCK_ROWS rows of a column."""
+    if not isinstance(column, tuple):
+        column = np.asarray(column)
+        for start in range(0, len(column), CSV_BLOCK_ROWS):
+            chunk = column[start:start + CSV_BLOCK_ROWS]
+            yield map(repr, chunk.tolist()), np.isfinite(chunk)
+        return
+    values, index = np.asarray(column[0]), np.asarray(column[1])
+    text = np.array(list(map(repr, values.tolist())), dtype=object)
+    finite = np.isfinite(values)
+    for start in range(0, len(index), CSV_BLOCK_ROWS):
+        chunk = index[start:start + CSV_BLOCK_ROWS]
+        yield text[chunk].tolist(), finite[chunk]
+
+
 def write_csv(path, header: str, blocks) -> None:
     """CSV of a header line and the rows of ``blocks``, each a tuple of
     equal-length columns, so a large table can come one slab at a time.
 
-    A cell is the repr of its tolist() value: floats round-trip, integers
-    stay integral. Rows are formatted and written CSV_BLOCK_ROWS at a time.
-    Raises RegimeError naming the first row holding a NaN or an infinity.
+    A column is an array of cells, or a pair ``(values, index)`` of cells
+    ``values[index]``, each value formatted once per block. A cell is the
+    repr of its tolist() value: floats round-trip, integers stay integral.
+    Rows are written CSV_BLOCK_ROWS at a time. Raises RegimeError naming the
+    first row holding a NaN or an infinity; a value no row holds is unchecked.
     """
     path, row = Path(path), 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for columns in blocks:
-            columns = [np.asarray(c) for c in columns]
-            for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-                chunk = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
-                lines = list(map(",".join, zip(
-                    *(map(repr, c.tolist()) for c in chunk))))
-                finite = np.logical_and.reduce([np.isfinite(c) for c in chunk])
+            for chunk in zip(*map(_csv_chunks, columns)):
+                texts, finite = zip(*chunk)
+                lines = list(map(",".join, zip(*texts)))
+                finite = np.logical_and.reduce(finite)
                 if not finite.all():
                     bad = int(np.argmin(finite))
                     raise RegimeError(f"{path.name}: non-finite value in row "
-                                      f"{row + start + bad + 1}: {lines[bad]}")
+                                      f"{row + bad + 1}: {lines[bad]}")
                 fh.write("\n".join(lines) + "\n")
-            row += len(columns[0])
+                row += len(lines)
 
 
 def write_trace_csv(trace: Trace, path) -> None:

@@ -3,12 +3,12 @@
 The runs are the bundled configs at their own seed and at `--seed 7`, and
 the small configs of the `scaled-sweeps`, `long-rabi` and `echo-scan`
 workloads of `bench/workloads.py` at one seed (`cold-bundled` runs the
-bundled configs), plus the full-size `long-rabi` and `echo-scan` configs,
-so the doubling over 10,000 whole probe periods and the batched scan walk
-are covered at benchmark size. `artifact_digests.json` holds, per run,
-the digest of each artifact and of `manifest.json`, with the Python, numpy
-and scipy versions they were made with; `test_artifact_digests.py` reruns
-and compares.
+bundled configs), plus the full-size configs of the same three workloads,
+so the 25^3 trap map, the 3e4-point sweeps, the doubling over 10,000 whole
+probe periods and the batched scan walk are covered at benchmark size.
+`artifact_digests.json` holds, per run, the digest of each artifact and of
+`manifest.json`, with the Python, numpy and scipy versions they were made
+with; `test_artifact_digests.py` reruns and compares.
 
 A change that moves output digits on purpose rewrites the table with
 
@@ -66,7 +66,7 @@ def runs() -> dict:
         for cfg in workloads.generate(workload, WORKLOAD_SEED, CONFIGS.parents[1],
                                       small=True):
             table[f"{workload}/{cfg.name}"] = (cfg.body, [])
-    for workload in ("long-rabi", "echo-scan"):
+    for workload in WORKLOADS:
         for cfg in workloads.generate(workload, WORKLOAD_SEED, CONFIGS.parents[1],
                                       small=False):
             table[f"{workload}/{cfg.name}@full"] = (cfg.body, [])

@@ -1,8 +1,11 @@
 """The blocked CSV writer against the per-row formatter it replaced."""
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qndsim
 from qndsim.cli import main
@@ -88,6 +91,86 @@ def test_trace_csv_refuses_non_finite_signal(tmp_path):
     with pytest.raises(RegimeError, match="trace.csv: non-finite value in "
                                           "row 2: 1.0,inf"):
         write_trace_csv(trace, tmp_path / "trace.csv")
+
+
+def written(directory: Path, header, blocks):
+    """(RegimeError text or None, bytes on disk) of one write to t.csv."""
+    directory.mkdir()
+    path = directory / "t.csv"
+    try:
+        write_csv(path, header, blocks)
+    except RegimeError as exc:
+        return str(exc), path.read_bytes()
+    return None, path.read_bytes()
+
+
+FINITE = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(allow_nan=False, allow_infinity=False))
+SIZES = st.one_of(st.sampled_from([0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                   CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1]),
+                  st.integers(0, 40))
+
+
+@st.composite
+def columns(draw, rows: int, rng):
+    """(values, index, declared) of one column of one block: values[index]
+    are its cells, and rows reference only the first ``used`` values, so a
+    non-finite value at the end may be referenced by no row."""
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
+                               max_size=8))
+    else:
+        values = draw(st.lists(FINITE, min_size=1, max_size=8)) + draw(
+            st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2))
+    used = draw(st.integers(1, len(values)))
+    index = rng.integers(0, used, rows)
+    if draw(st.booleans()):
+        index.sort()    # runs of one value, as the echo's detuning column
+    return np.array(values), index, draw(st.booleans())
+
+
+@st.composite
+def tables(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    width = draw(st.integers(1, 4))
+    return [[draw(columns(rows, rng)) for _ in range(width)]
+            for rows in draw(st.lists(SIZES, min_size=1, max_size=3))]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(tables())
+# signed zeros stay apart, and the NaN no row references raises nothing
+@example([[(np.array([0, 7]), np.array([0, 1, 1, 1, 0]), True),
+           (np.array([-0.0, 0.0, np.nan, 2.5]), np.array([1, 0, 3, 3, 0]), True)]])
+def test_declared_columns_write_the_expanded_table(table):
+    header = ",".join(f"c{j}" for j in range(len(table[0])))
+    plain = [tuple(v[i] for v, i, _ in block) for block in table]
+    declared = [tuple((v, i) if pair else v[i] for v, i, pair in block)
+                for block in table]
+    with tempfile.TemporaryDirectory() as tmp:
+        got = written(Path(tmp) / "declared", header, declared)
+        expected = written(Path(tmp) / "plain", header, plain)
+    # the same bytes, and the same error naming the same row and line
+    assert got == expected
+    # each block keeps its own dtype: an integer column stays integral
+    whole = [sum((c.tolist() for c in column), []) for column in zip(*plain)]
+    finite = np.concatenate([np.all([np.isfinite(c) for c in block], axis=0)
+                             for block in plain])
+    if finite.all():
+        assert got == (None, per_row(header, whole))
+    else:
+        assert got[0].startswith(f"t.csv: non-finite value in row "
+                                 f"{np.argmin(finite) + 1}: ")
+
+
+def test_signed_zero_detunings_stay_distinct(tmp_path):
+    cfg = Path(qndsim.__file__).parent / "configs" / "spin_echo.json"
+    out = tmp_path / "art"
+    assert main(["run", str(cfg), "--out", str(out), "--set",
+                 "echo.detunings_hz=[0.0,-0.0,0.0,1000.0]"]) == 0
+    lines = (out / "spin_echo_traces.csv").read_text().splitlines()
+    assert sum(line.startswith("-0.0,") for line in lines) == 51
+    assert sum(line.startswith("0.0,") for line in lines) == 102
 
 
 def test_non_finite_rabi_trace_exits_three(tmp_path, capsys):
