@@ -35,7 +35,7 @@ def main():
     print(f"mode spacings     {sp_h / 1e6:8.2f} / {sp_v / 1e6:.2f} MHz")
 
     print("\n== lowest transverse orders (offset from the 00 mode)")
-    for m, n, off in transverse_spectrum(geom, 2, 2):
+    for m, n, off in transverse_spectrum(geom, 2):
         print(f"  TEM{m}{n}  {off / 1e6:8.2f} MHz")
 
     # astigmatism correction is the one free knob; the in-plane waist

@@ -88,7 +88,6 @@ class ProbeTuning:
         waist: float = 245e-6,
         sideband_detuning: float = 4.81,
         modulation_frequency: float = 2.808e9,
-        **kwargs,
     ) -> "ProbeTuning":
         """Build a tuning from beam powers and the modulation frequency."""
         if waist <= 0:
@@ -101,7 +100,6 @@ class ProbeTuning:
             carrier_detunings=_carrier_detunings(modulation_frequency),
             sideband_intensity=2 * sideband_power / area,
             carrier_intensity=2 * carrier_power / area,
-            **kwargs,
         )
 
 
@@ -186,33 +184,21 @@ class EnsembleState:
         return self.atom_number - self.coherent_number
 
     @property
-    def upper_population(self) -> float:
-        return self.coherent_number / 2 + self.jz
-
-    @property
-    def lower_population(self) -> float:
-        return self.coherent_number / 2 - self.jz
-
-    @property
     def f2_population(self) -> float:
         """Detected F=2 population: coherent upper level plus leaked atoms."""
         return float(f2_population(state_vector(self), self.atom_number))
-
-    @property
-    def bloch_norm(self) -> float:
-        return math.sqrt(self.jx**2 + self.jy**2 + self.jz**2)
 
 
 def sideband_photon_rate(tuning: ProbeTuning) -> float:
     """Raw sideband photon-scattering rate, before branching, 1/s: the
     saturated Lorentzian on its reference transition, detuning already in
-    linewidth units."""
+    linewidth units. Elementwise for an array of detunings; a scalar
+    detuning gives a numpy float64."""
     s = tuning.sideband_intensity / tuning.saturation_intensities[2]
     gamma_ang = 2 * math.pi * tuning.linewidth
     d = tuning.sideband_detuning
-    # arrays square with pow as scalars do; numpy's x*x can be 1 ulp off it
-    sq = np.float_power(d, 2) if isinstance(d, np.ndarray) else d**2
-    return gamma_ang * (s / 2) / (1 + 4 * sq + s)
+    # float_power squares with libm pow, as d**2 does; numpy's x*x can be 1 ulp off it
+    return gamma_ang * (s / 2) / (1 + 4 * np.float_power(d, 2) + s)
 
 
 def carrier_pump_rate(tuning: ProbeTuning) -> float:

@@ -243,22 +243,21 @@ def _fold_offset(raw: float, fsr: float) -> float:
     return min(folded, fsr - folded)
 
 
-def transverse_spectrum(
-    geom: CavityGeometry, m_max: int, n_max: int
-) -> list[tuple[int, int, float]]:
-    """Offsets of TEM_mn resonances from the nearest fundamental.
+def transverse_spectrum(geom: CavityGeometry, max_order: int) -> list[tuple[int, int, float]]:
+    """Offsets of TEM_mn resonances from the nearest fundamental, for
+    0 <= m, n <= max_order, as (m, n, offset) rows in m-major order.
 
     Each transverse order adds its axis Gouy phase to the round-trip phase,
     shifting the comb by FSR*(m*gouy_par + n*gouy_perp)/(2*pi). Offsets are
     reported as the distance to the nearest fundamental resonance, which is
     what a transmission scan shows.
     """
-    if m_max < 0 or n_max < 0:
+    if max_order < 0:
         raise DomainError("mode orders must be nonnegative")
     mode = solve_mode(geom)
     rows = []
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
+    for m in range(max_order + 1):
+        for n in range(max_order + 1):
             raw = mode.fsr * (m * mode.gouy_par + n * mode.gouy_perp) / (2.0 * math.pi)
             rows.append((m, n, _fold_offset(raw, mode.fsr)))
     return rows
@@ -267,7 +266,7 @@ def transverse_spectrum(
 def mode_spacings(geom: CavityGeometry) -> tuple[float, float]:
     """(horizontal, vertical) first transverse-mode spacings in hertz."""
     spectrum = dict(
-        ((m, n), off) for m, n, off in transverse_spectrum(geom, 1, 1)
+        ((m, n), off) for m, n, off in transverse_spectrum(geom, 1)
     )
     return spectrum[(1, 0)], spectrum[(0, 1)]
 

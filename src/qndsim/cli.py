@@ -504,7 +504,7 @@ def _run_cavity_spectrum(v: dict, out: Path, seed: int) -> list[str]:
     )
     order = sec["max_transverse_order"]
     write_csv(out / "spectrum.csv", "m,n,offset_hz",
-              [map(np.array, zip(*transverse_spectrum(geom, order, order)))])
+              [map(np.array, zip(*transverse_spectrum(geom, order)))])
     mode = solve_mode(geom)
     _write_json(out / "mode.json", {
         "waist_par_um": mode.waist_par * 1e6,

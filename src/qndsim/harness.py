@@ -478,12 +478,12 @@ def build_spin_echo(
     pi_duration: float = 74.5e-6,
     total_duration: float = 500e-6,
     detuning: float = 0.0,
-    rabi_frequency: float | None = None,
     gap: float | None = None,
     *,
     probe: ProbeGate,
 ) -> PulseSequence:
-    """pi/2 - gap - pi - gap - pi/2 sequence about one axis.
+    """pi/2 - gap - pi - gap - pi/2 sequence about one axis, driven at the
+    Rabi frequency pi/pi_duration that makes the middle pulse a pi pulse.
 
     By default the two symmetric free-evolution gaps are sized to fill
     total_duration (the experiments ran the whole sequence inside 500 us);
@@ -494,8 +494,7 @@ def build_spin_echo(
     """
     if pi_duration <= 0:
         raise DomainError("pi duration must be positive")
-    omega = rabi_frequency if rabi_frequency is not None \
-        else math.pi / pi_duration
+    omega = math.pi / pi_duration
     if gap is None:
         gap = (total_duration - 2 * pi_duration) / 2
     if gap < 0:

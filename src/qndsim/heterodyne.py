@@ -126,13 +126,13 @@ def atomic_phase(
     beam_waist: float,
     cloud_rms: float,
     linewidth: float = GAMMA_D2_FREQ,
-    wavelength: float = PROBE_WAVELENGTH,
 ) -> float:
     """Dispersive phase a near-resonant component picks up crossing the cloud.
 
     phi = -(rho_0/2) * (2*delta/Gamma) / (1 + (2*delta/Gamma)^2), with the
     resonant optical density rho_0 = N*sigma_0/(2*pi*(sigma^2 + w^2/4)) from
-    the Gaussian beam/cloud overlap and sigma_0 = 3*lambda^2/(2*pi).
+    the Gaussian beam/cloud overlap and sigma_0 = 3*lambda^2/(2*pi) at the
+    probe wavelength.
 
     This closed form is a standard steady-state two-level model adopted to
     connect atom number to signal; saturation and multilevel structure are
@@ -146,7 +146,7 @@ def atomic_phase(
         raise DomainError("atom number must be nonnegative")
     if linewidth <= 0:
         raise DomainError("linewidth must be positive")
-    sigma_0 = 3.0 * wavelength**2 / (2.0 * math.pi)
+    sigma_0 = 3.0 * PROBE_WAVELENGTH**2 / (2.0 * math.pi)
     rho_0 = atom_number * sigma_0 / (
         2.0 * math.pi * (cloud_rms**2 + beam_waist**2 / 4.0))
     x = 2.0 * detuning / linewidth
@@ -164,16 +164,16 @@ def exact_phase_terms(
         DPhi- = sin(phi_1 - phi_0) - sin(phi_0 - phi_-1)
 
     and the amplitude-modulation pair replaces the difference with a sum.
-    Valid at any phase; no small-angle assumption.
+    Valid at any phase; no small-angle assumption. Elementwise for array
+    phases; scalar phases give numpy float64 coefficients.
     """
     a = phases.phi_plus - phases.phi_carrier
     b = phases.phi_carrier - phases.phi_minus
-    xp = np if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else math
     return (
-        xp.cos(a) - xp.cos(b),
-        xp.sin(a) - xp.sin(b),
-        xp.cos(a) + xp.cos(b),
-        xp.sin(a) + xp.sin(b),
+        np.cos(a) - np.cos(b),
+        np.sin(a) - np.sin(b),
+        np.cos(a) + np.cos(b),
+        np.sin(a) + np.sin(b),
     )
 
 
@@ -239,7 +239,7 @@ def demodulated_signal(
     with chi = 2*pi*path_error/lambda_mod + (Phi_dem - matched). The exact
     trigonometric coefficient forms are used throughout. The phases or
     path_error may be arrays; the voltage is then elementwise and equals
-    the scalar call at every point.
+    the scalar call at every point. A scalar call gives a numpy float64.
 
     Raises RegimeError when the phases leave the small-phase regime the
     calibration assumes.
@@ -251,10 +251,9 @@ def demodulated_signal(
     if demod_phase is not None:
         chi += demod_phase - probe.matched_demod_phase
     scale = det.gain * probe.modulation_depth * probe.carrier_power
-    xp = np if isinstance(chi, np.ndarray) else math
     return scale * (
-        xp.cos(chi) * (d_minus + eps * d_minus_am)
-        + xp.sin(chi) * (d_plus + eps * d_plus_am)
+        np.cos(chi) * (d_minus + eps * d_minus_am)
+        + np.sin(chi) * (d_plus + eps * d_plus_am)
     )
 
 
@@ -389,12 +388,11 @@ def sample_noisy_signal(
     Adds zero-mean Gaussian noise with the variance of noise_sigma. rng is
     a numpy Generator (or a seed for one); callers own the RNG state, which
     keeps seed-indexed trials independent and deterministic. An array of
-    samples takes one batched draw, the stream of one draw per sample.
+    samples takes one batched draw, the stream of one draw per sample; a
+    scalar sample with noise comes back as a numpy float64.
     """
     rng = np.random.default_rng(rng)    # a Generator comes back as it is
     sigma = noise_sigma(det, probe, pulse_duration)
     if sigma == 0.0:
         return ideal
-    if isinstance(ideal, np.ndarray):
-        return ideal + rng.normal(0.0, sigma, size=ideal.shape)
-    return ideal + rng.normal(0.0, sigma)
+    return ideal + rng.normal(0.0, sigma, size=np.shape(ideal))

@@ -148,17 +148,15 @@ def trap_frequencies(config: DipoleTrapConfig) -> tuple[float, float, float]:
     return tuple(freqs)
 
 
-def detuning_to_potential(probe_detuning: float, ratio: float = POLARIZABILITY_RATIO) -> float:
+def detuning_to_potential(probe_detuning: float) -> float:
     """Ground-level potential energy of the atom class resonant at a probe detuning.
 
     The differential light shift between ground and excited levels scales
     with the polarizability ratio, so a probe detuned by delta addresses
-    atoms sitting at |U| = h*delta/(ratio - 1). Signed: red probe detuning
-    maps to negative U.
+    atoms sitting at |U| = h*delta/(POLARIZABILITY_RATIO - 1). Signed: red
+    probe detuning maps to negative U.
     """
-    if ratio <= 1:
-        raise DomainError("polarizability ratio must exceed 1")
-    return H * probe_detuning / (ratio - 1.0)
+    return H * probe_detuning / (POLARIZABILITY_RATIO - 1.0)
 
 
 def isopotential_radius(depth_on_axis: float, target: float, waist: float) -> float:

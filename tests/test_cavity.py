@@ -144,7 +144,7 @@ def test_stability_sweep_never_returns_bad_mode():
 
 def test_fundamental_offset_is_zero():
     rows = dict(((m, n), off) for m, n, off in
-                transverse_spectrum(CavityGeometry(), 2, 2))
+                transverse_spectrum(CavityGeometry(), 2))
     assert rows[(0, 0)] == 0.0
 
 
@@ -153,7 +153,7 @@ def test_spectrum_monotone_along_pure_ladders():
     # mode order is only guaranteed while m*spacing stays below FSR/2; the
     # default geometry keeps both pure ladders below that up to order 3
     rows = dict(((m, n), off) for m, n, off in
-                transverse_spectrum(CavityGeometry(), 3, 3))
+                transverse_spectrum(CavityGeometry(), 3))
     horizontal = [rows[(m, 0)] for m in range(4)]
     vertical = [rows[(0, n)] for n in range(4)]
     assert all(b > a for a, b in zip(horizontal, horizontal[1:]))

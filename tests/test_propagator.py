@@ -219,9 +219,10 @@ def test_evolve_keeps_invariants(state, drive, tuning, phase, dt):
     after = step(state, drive, tuning, dt, phase)
     n_at = state.atom_number
     assert after.atom_number == n_at
-    assert after.bloch_norm <= after.coherent_number / 2 * (1 + 1e-9) + 1e-12
-    assert after.upper_population >= -1e-9 * n_at
-    assert after.lower_population >= -1e-9 * n_at
+    norm = math.hypot(after.jx, after.jy, after.jz)
+    assert norm <= after.coherent_number / 2 * (1 + 1e-9) + 1e-12
+    assert after.coherent_number / 2 + after.jz >= -1e-9 * n_at
+    assert after.coherent_number / 2 - after.jz >= -1e-9 * n_at
     assert after.coherent_number <= state.coherent_number * (1 + 1e-12)
 
 
@@ -306,7 +307,8 @@ def test_huge_rotation_sets_no_step_count():
     # the stepper needed ~1e12 substeps for this probe period
     drive = RabiModel(rabi_frequency=2 * math.pi * 1e15)
     after = step(EnsembleState.all_lower(1e7), drive, ProbeTuning(), 1e-5)
-    assert after.bloch_norm <= after.coherent_number / 2 * (1 + 1e-9) + 1e-12
+    norm = math.hypot(after.jx, after.jy, after.jz)
+    assert norm <= after.coherent_number / 2 * (1 + 1e-9) + 1e-12
 
 
 def test_detection_chain_is_elementwise():
