@@ -14,11 +14,11 @@ byte.
 modulation depth, zero carrier power beside sideband power, RAM, small
 phase (at the full atom number for rabi and spin-echo), echo window, a
 probe clock tick inside the echo's pi pulse, the 1 s sequence cap, the
-budget of 10^6 probe samples per sequence and sweep order. For
-noise-sweep, rabi and spin-echo it builds the run's set-up objects, so a
-config it accepts fails only past set-up, inside a kernel or an output
-check (exit 3); the other scenarios may still fail in their scalar set-up
-(exit 3).
+budget of 10^6 probe samples per sequence and sweep order. It does so by
+building the set-up of noise-sweep, scattering-sweep, rabi and spin-echo,
+which the run then reuses. The run may still fail (exit 3) in a kernel, an
+output check, or the scalar set-up it builds itself: that of cavity-spectrum,
+trap-map and squeezing, and the scattering sweep's probe tuning.
 
 Exit codes: 0 success, 2 config error (with line/field diagnostics),
 3 physics/regime error during a run, 1 internal error.
@@ -87,8 +87,7 @@ SCHEMA_VERSION = 1
 # is recorded in the manifest as its own field, description is annotation
 NON_SEMANTIC_KEYS = ("out_dir", "seed", "description")
 
-_TOP_LEVEL_KEYS = ("schema_version", "scenario", "seed", "out_dir",
-                   "description")
+_TOP_LEVEL_KEYS = ("schema_version", "scenario", *NON_SEMANTIC_KEYS)
 _OPTIONAL_SECTIONS = {"detector", "options", "grid"}
 
 
@@ -319,13 +318,13 @@ def _typed(row: _Field, sec: dict | None, complain):
     return value if row.kind == INTEGER and number is not None else number
 
 
-def _resolve(cfg: dict) -> tuple[dict, list[str]]:
-    """The config resolved against FIELDS, and its diagnostics.
+def _resolve(cfg: dict) -> tuple[dict, dict, list[str]]:
+    """The config resolved against FIELDS, its set-ups, and its diagnostics.
 
     Beside the scenario list, seed and output directory, the resolved config
     maps each scenario to ``{section: {key: value}}`` for every field it
-    reads. It is only complete without diagnostics, when the regime checks
-    run over it.
+    reads. Only when it is complete, without diagnostics, do the set-ups run
+    over it; what each built is kept outside the hashed config.
     """
     problems: list[str] = []
 
@@ -385,15 +384,15 @@ def _resolve(cfg: dict) -> tuple[dict, list[str]]:
             for key in sec:
                 if key not in known[section]:
                     complain(f"{section}.{key}", "unknown field")
-    for name in scenarios if not problems else ():
-        _check_regimes(name, resolved[name], complain)
+    setups = {name: _check_regimes(name, resolved[name], complain)
+              for name in (() if problems else scenarios)}
     # scenarios that share a section report its problems once
-    return resolved, list(dict.fromkeys(problems))
+    return resolved, setups, list(dict.fromkeys(problems))
 
 
 def validate_config(cfg: dict) -> list[str]:
     """Schema plus no-execution physics-regime checks; returns diagnostics."""
-    return _resolve(cfg)[1]
+    return _resolve(cfg)[2]
 
 
 def config_hash(cfg: dict) -> str:
@@ -401,7 +400,7 @@ def config_hash(cfg: dict) -> str:
 
     Raises ConfigError, as `_checked` does, for a config that does not resolve.
     """
-    return _resolved_hash(_checked(cfg, "config"))
+    return _resolved_hash(_checked(cfg, "config")[0])
 
 
 def _resolved_hash(resolved: dict) -> str:
@@ -411,11 +410,12 @@ def _resolved_hash(resolved: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-# --------------------------------------------------------- regime checks
-# A check builds what its runner builds before the walk, yielding the section
-# it builds next. An error names the field _BLAME finds by that section and
-# the words of its message, else the section: a constructor alone does not
-# name it (ModulatedProbe raises DomainError for RAM as for a zero waist).
+# ---------------------------------------------------------------- set-ups
+# A set-up builds what its runner needs before any kernel runs, yielding the
+# section it builds next, and returns it; validation builds it and the run
+# reuses it. An error names the field _BLAME finds by that section and the
+# words of its message, else the section: a constructor alone does not name
+# it (ModulatedProbe raises DomainError for RAM as for a zero waist).
 
 _BLAME = {
     ("probe", "two-sideband"): "probe.modulation_depth",
@@ -433,119 +433,6 @@ _BLAME = {
 }
 
 
-def _noise_sweep_checks(v: dict):
-    yield "probe"
-    _noise_setup(v)
-    check_small_phase(v["sweep"]["phi_at_rad"])
-
-
-def _sweep_order(v: dict):
-    yield "sweep"
-    sweep = v["sweep"]
-    if sweep["detuning_max_linewidths"] <= sweep["detuning_min_linewidths"]:
-        raise DomainError("must exceed detuning_min_linewidths")
-
-
-def _checked_gate(v: dict) -> ProbeGate:
-    """The run's probe gate, once its set-up is built and its phase checked."""
-    gate, probe, _, ens, _ = _probed_setup(v)
-    tuning = gate.tuning
-    phi = atomic_phase(tuning.sideband_detuning * tuning.linewidth,
-                       ens.atom_number, probe.beam_waist, ens.cloud_rms,
-                       linewidth=tuning.linewidth)
-    check_small_phase(phi)  # all N atoms: more than the walk ever detects
-    return gate
-
-
-def _rabi_checks(v: dict):
-    yield "probe_gate"
-    gate = _checked_gate(v)
-    yield "drive"
-    _rabi_sequence(v["drive"], gate)
-
-
-def _spin_echo_checks(v: dict):
-    yield "probe_gate"
-    gate = _checked_gate(v)
-    yield "echo"
-    # one sequence is enough: the detuning bounds nothing
-    _echo_sequences(v["echo"], gate, v["echo"]["detunings_hz"][:1])
-
-
-_CHECKS = {"noise-sweep": _noise_sweep_checks, "scattering-sweep": _sweep_order,
-           "rabi": _rabi_checks, "spin-echo": _spin_echo_checks}
-
-
-def _check_regimes(name: str, v: dict, complain) -> None:
-    section = None
-    try:
-        for section in _CHECKS.get(name, lambda v: ())(v):
-            pass
-    except (ArithmeticError, ValueError, QndSimError) as exc:
-        for (at, words), path in _BLAME.items():
-            if at == section and words in str(exc):
-                return complain(path, str(exc))
-        complain(section, "regime checks cannot be evaluated at these values "
-                          f"({type(exc).__name__}: {exc})")
-
-
-# ---------------------------------------------------------------- runners
-# Each runner takes one scenario's resolved values (see _resolve).
-
-def _run_cavity_spectrum(v: dict, out: Path, seed: int) -> list[str]:
-    sec = v["cavity"]
-    geom = CavityGeometry(
-        round_trip_length=C / (sec["fsr_mhz"] * 1e6),
-        mirror_radius=sec["mirror_radius_mm"] * 1e-3,
-        fold_angle=math.radians(sec["fold_angle_deg"]),
-        segment_ratio=sec["segment_ratio"],
-        astigmatism_correction=sec["astigmatism_factor"],
-        wavelength=sec["wavelength_nm"] * 1e-9,
-    )
-    order = sec["max_transverse_order"]
-    write_csv(out / "spectrum.csv", "m,n,offset_hz",
-              [map(np.array, zip(*transverse_spectrum(geom, order)))])
-    mode = solve_mode(geom)
-    _write_json(out / "mode.json", {
-        "waist_par_um": mode.waist_par * 1e6,
-        "waist_perp_um": mode.waist_perp * 1e6,
-        "rayleigh_par_mm": mode.rayleigh_par * 1e3,
-        "rayleigh_perp_mm": mode.rayleigh_perp * 1e3,
-        "fsr_mhz": mode.fsr / 1e6,
-        "linewidth_khz": mode.linewidth / 1e3,
-        "finesse": mode.finesse,
-    })
-    return ["spectrum.csv", "mode.json"]
-
-
-def _run_trap_map(v: dict, out: Path, seed: int) -> list[str]:
-    sec = v["trap"]
-    trap = DipoleTrapConfig(
-        power_per_arm=sec["power_per_arm_w"],
-        waist_par=sec["waist_par_um"] * 1e-6,
-        waist_perp=sec["waist_perp_um"] * 1e-6,
-        backscatter_depth=sec["backscatter_depth"],
-    )
-    half = v["grid"]["half_span_um"] * 1e-6
-    axis = np.linspace(-half, half, v["grid"]["points_per_axis"])
-    iy, iz = (i.ravel() for i in np.indices((axis.size, axis.size)))
-    um = axis * 1e6
-    # one x-plane per call: a whole-cube grid would hold several cube-sized
-    # temporaries at once
-    write_csv(out / "trap_map.csv", "x_um,y_um,z_um,potential_uk",
-              (((um, np.full(iy.size, i)), (um, iy), (um, iz),
-                potential_at(trap, (x, axis[iy], axis[iz])) / K_B * 1e6)
-               for i, x in enumerate(axis)))
-    fx, fy, fz = trap_frequencies(trap)
-    _write_json(out / "trap_summary.json", {
-        "depth_uk": trap_depth(trap) / K_B * 1e6,
-        "frequency_x_hz": fx,
-        "frequency_y_hz": fy,
-        "frequency_z_hz": fz,
-    })
-    return ["trap_map.csv", "trap_summary.json"]
-
-
 def _detector(sec: dict) -> DetectorModel:
     return DetectorModel(
         sensitivity=sec["sensitivity_a_per_w"],
@@ -557,64 +444,35 @@ def _detector(sec: dict) -> DetectorModel:
     )
 
 
-def _noise_setup(v: dict) -> tuple[ModulatedProbe, DetectorModel]:
+def _noise_sweep_setup(v: dict):
+    yield "probe"
     sec = v["probe"]
     probe = ModulatedProbe(
         carrier_power=sec["carrier_power_uw"] * 1e-6,
         modulation_depth=sec["modulation_depth"],
-        modulation_frequency=2 * math.pi
-        * sec["modulation_frequency_ghz"] * 1e9,
+        modulation_frequency=2 * math.pi * sec["modulation_frequency_ghz"] * 1e9,
         ram_asymmetry=sec["ram_asymmetry"],
         carrier_detuning=sec["carrier_detuning_ghz"] * 1e9,
         sideband_power=sec["sideband_power_nw"] * 1e-9,
         beam_waist=sec["beam_waist_um"] * 1e-6,
         path_length=sec["path_length_m"],
     )
-    return probe, _detector(v["detector"])
+    det = _detector(v["detector"])
+    check_small_phase(v["sweep"]["phi_at_rad"])
+    return probe, det
 
 
-def _run_noise_sweep(v: dict, out: Path, seed: int) -> list[str]:
+def _scattering_sweep_setup(v: dict):
+    yield "sweep"
     sweep = v["sweep"]
-    probe, det = _noise_setup(v)
-    phi = sweep["phi_at_rad"]
-    span = sweep["path_error_max_um"] * 1e-6
-    wavelength = sweep["reference_wavelength_um"] * 1e-6
-    triple = PhaseShiftTriple(phi_plus=phi)
-    base = demodulated_signal(probe, triple, det)
-    pe = np.linspace(-span, span, sweep["points"])
-    write_csv(out / "noise_sweep.csv",
-              "path_error_m,demodulated_shift_v,budget_v,reference_v",
-              [(pe, demodulated_signal(probe, triple, det, path_error=pe) - base,
-                length_noise_signal(probe, phi, det, pe),
-                interferometer_length_signal(probe, det, pe, wavelength))])
-    _write_json(out / "noise_rejection.json", {
-        "phi_at_rad": phi,
-        "ram_asymmetry": probe.ram_asymmetry,
-        "modulation_wavelength_m": probe.modulation_wavelength,
-        "reference_wavelength_m": wavelength,
-        "rejection_ratio": noise_rejection_ratio(probe, phi, wavelength),
-    })
-    return ["noise_sweep.csv", "noise_rejection.json"]
-
-
-def _run_scattering_sweep(v: dict, out: Path, seed: int) -> list[str]:
-    sec, sweep = v["tuning"], v["sweep"]
-    delta = np.linspace(sweep["detuning_min_linewidths"],
-                        sweep["detuning_max_linewidths"], sweep["points"])
-    tuning = ProbeTuning.from_powers(
-        carrier_power=sec["carrier_power_uw"] * 1e-6,
-        sideband_power=sec["sideband_power_nw"] * 1e-9,
-        waist=sec["waist_um"] * 1e-6, sideband_detuning=delta,
-        modulation_frequency=sec["modulation_frequency_ghz"] * 1e9)
-    write_csv(out / "scattering_sweep.csv",
-              "sideband_detuning_linewidths,decay_rate_hz",
-              [(delta, scattering_rate(tuning, sec["expansion_rate_hz"]))])
-    return ["scattering_sweep.csv"]
+    if sweep["detuning_max_linewidths"] <= sweep["detuning_min_linewidths"]:
+        raise DomainError("must exceed detuning_min_linewidths")
 
 
 def _probed_setup(v: dict) -> tuple[ProbeGate, ModulatedProbe, float,
                                     EnsembleState, DetectorModel]:
-    """Probe clock, probe beam, its light shift, ensemble and detector."""
+    """Probe clock, probe beam, its light shift, ensemble and detector, once
+    the phase of all N atoms is checked: more than the walk ever detects."""
     sec = v["probe_gate"]
     pc = sec["carrier_power_uw"] * 1e-6
     ps = sec["sideband_power_nw"] * 1e-9
@@ -650,35 +508,163 @@ def _probed_setup(v: dict) -> tuple[ProbeGate, ModulatedProbe, float,
     shift = light_shift(tuning, gate.duty_cycle) if sec["backaction"] else 0.0
     ens = EnsembleState.all_lower(v["ensemble"]["atom_number"],
                                   cloud_rms=v["ensemble"]["cloud_rms_um"] * 1e-6)
-    return gate, probe, shift, ens, _detector(v["detector"])
+    det = _detector(v["detector"])
+    check_small_phase(atomic_phase(tuning.sideband_detuning * tuning.linewidth,
+                                   ens.atom_number, probe.beam_waist,
+                                   ens.cloud_rms, linewidth=tuning.linewidth))
+    return gate, probe, shift, ens, det
 
 
-def _rabi_sequence(drive: dict, gate: ProbeGate) -> PulseSequence:
-    return PulseSequence(
-        (MicrowavePulse(2 * math.pi * drive["rabi_frequency_khz"] * 1e3,
-                        drive["duration_ms"] * 1e-3,
-                        detuning=drive["detuning_hz"]),),
-        probe=gate)
+def _rabi_setup(v: dict):
+    yield "probe_gate"
+    gate, probe, shift, ens, det = _probed_setup(v)
+    yield "drive"
+    drive = v["drive"]
+    pulse = MicrowavePulse(2 * math.pi * drive["rabi_frequency_khz"] * 1e3,
+                           drive["duration_ms"] * 1e-3, detuning=drive["detuning_hz"])
+    return PulseSequence((pulse,), probe=gate), probe, shift, ens, det
 
 
-def _echo_sequences(echo: dict, gate: ProbeGate, detunings) -> list:
+def _spin_echo_setup(v: dict):
+    yield "probe_gate"
+    gate, probe, shift, ens, det = _probed_setup(v)
+    yield "echo"
+    echo = v["echo"]
     gap = None if echo["gap_us"] is None else echo["gap_us"] * 1e-6
-    return [build_spin_echo(pi_duration=echo["pi_duration_us"] * 1e-6,
+    seqs = [build_spin_echo(pi_duration=echo["pi_duration_us"] * 1e-6,
                             total_duration=echo["total_duration_us"] * 1e-6,
                             detuning=delta, gap=gap, probe=gate)
-            for delta in detunings]
+            for delta in echo["detunings_hz"]]
+    return seqs, probe, shift, ens, det
 
 
-def _run_rabi(v: dict, out: Path, seed: int) -> list[str]:
+_SETUPS = {"noise-sweep": _noise_sweep_setup, "rabi": _rabi_setup,
+           "scattering-sweep": _scattering_sweep_setup, "spin-echo": _spin_echo_setup}
+
+
+def _check_regimes(name: str, v: dict, complain):
+    """What scenario ``name``'s set-up builds from ``v``: None where it has no
+    set-up, or after complaining of the error that stopped it."""
+    steps, section = _SETUPS.get(name, lambda v: iter(()))(v), None
+    try:
+        while True:
+            section = next(steps)
+    except StopIteration as built:
+        return built.value
+    except (ArithmeticError, ValueError, QndSimError) as exc:
+        for (at, words), path in _BLAME.items():
+            if at == section and words in str(exc):
+                return complain(path, str(exc))
+        complain(section, "regime checks cannot be evaluated at these values "
+                          f"({type(exc).__name__}: {exc})")
+
+
+# ---------------------------------------------------------------- runners
+# Each runner takes one scenario's resolved values and what its set-up built
+# (see _resolve), None for a scenario without one.
+
+def _run_cavity_spectrum(v: dict, setup, out: Path, seed: int) -> list[str]:
+    sec = v["cavity"]
+    geom = CavityGeometry(
+        round_trip_length=C / (sec["fsr_mhz"] * 1e6),
+        mirror_radius=sec["mirror_radius_mm"] * 1e-3,
+        fold_angle=math.radians(sec["fold_angle_deg"]),
+        segment_ratio=sec["segment_ratio"],
+        astigmatism_correction=sec["astigmatism_factor"],
+        wavelength=sec["wavelength_nm"] * 1e-9,
+    )
+    order = sec["max_transverse_order"]
+    write_csv(out / "spectrum.csv", "m,n,offset_hz",
+              [map(np.array, zip(*transverse_spectrum(geom, order)))])
+    mode = solve_mode(geom)
+    _write_json(out / "mode.json", {
+        "waist_par_um": mode.waist_par * 1e6,
+        "waist_perp_um": mode.waist_perp * 1e6,
+        "rayleigh_par_mm": mode.rayleigh_par * 1e3,
+        "rayleigh_perp_mm": mode.rayleigh_perp * 1e3,
+        "fsr_mhz": mode.fsr / 1e6,
+        "linewidth_khz": mode.linewidth / 1e3,
+        "finesse": mode.finesse,
+    })
+    return ["spectrum.csv", "mode.json"]
+
+
+def _run_trap_map(v: dict, setup, out: Path, seed: int) -> list[str]:
+    sec = v["trap"]
+    trap = DipoleTrapConfig(
+        power_per_arm=sec["power_per_arm_w"],
+        waist_par=sec["waist_par_um"] * 1e-6,
+        waist_perp=sec["waist_perp_um"] * 1e-6,
+        backscatter_depth=sec["backscatter_depth"],
+    )
+    half = v["grid"]["half_span_um"] * 1e-6
+    axis = np.linspace(-half, half, v["grid"]["points_per_axis"])
+    iy, iz = (i.ravel() for i in np.indices((axis.size, axis.size)))
+    um = axis * 1e6
+    # one x-plane per call: a whole-cube grid would hold several cube-sized
+    # temporaries at once
+    write_csv(out / "trap_map.csv", "x_um,y_um,z_um,potential_uk",
+              (((um, np.full(iy.size, i)), (um, iy), (um, iz),
+                potential_at(trap, (x, axis[iy], axis[iz])) / K_B * 1e6)
+               for i, x in enumerate(axis)))
+    fx, fy, fz = trap_frequencies(trap)
+    _write_json(out / "trap_summary.json", {
+        "depth_uk": trap_depth(trap) / K_B * 1e6,
+        "frequency_x_hz": fx,
+        "frequency_y_hz": fy,
+        "frequency_z_hz": fz,
+    })
+    return ["trap_map.csv", "trap_summary.json"]
+
+
+def _run_noise_sweep(v: dict, setup, out: Path, seed: int) -> list[str]:
+    sweep = v["sweep"]
+    probe, det = setup
+    phi = sweep["phi_at_rad"]
+    span = sweep["path_error_max_um"] * 1e-6
+    wavelength = sweep["reference_wavelength_um"] * 1e-6
+    triple = PhaseShiftTriple(phi_plus=phi)
+    base = demodulated_signal(probe, triple, det)
+    pe = np.linspace(-span, span, sweep["points"])
+    write_csv(out / "noise_sweep.csv",
+              "path_error_m,demodulated_shift_v,budget_v,reference_v",
+              [(pe, demodulated_signal(probe, triple, det, path_error=pe) - base,
+                length_noise_signal(probe, phi, det, pe),
+                interferometer_length_signal(probe, det, pe, wavelength))])
+    _write_json(out / "noise_rejection.json", {
+        "phi_at_rad": phi,
+        "ram_asymmetry": probe.ram_asymmetry,
+        "modulation_wavelength_m": probe.modulation_wavelength,
+        "reference_wavelength_m": wavelength,
+        "rejection_ratio": noise_rejection_ratio(probe, phi, wavelength),
+    })
+    return ["noise_sweep.csv", "noise_rejection.json"]
+
+
+def _run_scattering_sweep(v: dict, setup, out: Path, seed: int) -> list[str]:
+    sec, sweep = v["tuning"], v["sweep"]
+    delta = np.linspace(sweep["detuning_min_linewidths"],
+                        sweep["detuning_max_linewidths"], sweep["points"])
+    tuning = ProbeTuning.from_powers(
+        carrier_power=sec["carrier_power_uw"] * 1e-6,
+        sideband_power=sec["sideband_power_nw"] * 1e-9,
+        waist=sec["waist_um"] * 1e-6, sideband_detuning=delta,
+        modulation_frequency=sec["modulation_frequency_ghz"] * 1e9)
+    write_csv(out / "scattering_sweep.csv",
+              "sideband_detuning_linewidths,decay_rate_hz",
+              [(delta, scattering_rate(tuning, sec["expansion_rate_hz"]))])
+    return ["scattering_sweep.csv"]
+
+
+def _run_rabi(v: dict, setup, out: Path, seed: int) -> list[str]:
     drive = v["drive"]
-    gate, probe, shift, ens, det = _probed_setup(v)
+    seq, probe, shift, ens, det = setup
     template = RabiModel(
         carrier_light_shift=shift,
         inhomogeneity=drive["inhomogeneity"],
         residual_damping=drive["residual_damping_hz"],
     )
-    trace = run_sequence(_rabi_sequence(drive, gate), ens, probe, det,
-                         seed=seed, template=template,
+    trace = run_sequence(seq, ens, probe, det, seed=seed, template=template,
                          noiseless=v["options"]["noiseless"])
     write_trace_csv(trace, out / "rabi_trace.csv")
     window = v["options"]["fit_window_ms"] * 1e-3
@@ -694,12 +680,11 @@ def _run_rabi(v: dict, out: Path, seed: int) -> list[str]:
     return ["rabi_trace.csv", "rabi_fit.json"]
 
 
-def _run_spin_echo(v: dict, out: Path, seed: int) -> list[str]:
+def _run_spin_echo(v: dict, setup, out: Path, seed: int) -> list[str]:
     echo = v["echo"]
-    gate, probe, shift, ens, det = _probed_setup(v)
+    seqs, probe, shift, ens, det = setup
     template = RabiModel(carrier_light_shift=shift,
                          residual_damping=echo["residual_damping_hz"])
-    seqs = _echo_sequences(echo, gate, echo["detunings_hz"])
     times, signals, _ = run_scan(seqs, ens, probe, det, seed=seed, template=template,
                                  noiseless=v["options"]["noiseless"])
     deltas = np.array(echo["detunings_hz"])
@@ -720,7 +705,7 @@ def _run_spin_echo(v: dict, out: Path, seed: int) -> list[str]:
     return ["spin_echo_traces.csv", "spin_echo_amplitudes.csv"]
 
 
-def _run_squeezing(v: dict, out: Path, seed: int) -> list[str]:
+def _run_squeezing(v: dict, setup, out: Path, seed: int) -> list[str]:
     sec = v["squeezing"]
     kappa_sq, xi_sq = squeezing_estimate(
         sec["phase_per_atom_rad"], sec["atom_number"], sec["photon_number"])
@@ -750,13 +735,13 @@ _RUNNERS = {
 
 # ------------------------------------------------------------ subcommands
 
-def _checked(cfg: dict, source: str) -> dict:
-    """The resolved config, or ConfigError listing every diagnostic."""
-    resolved, problems = _resolve(cfg)
+def _checked(cfg: dict, source: str) -> tuple[dict, dict]:
+    """Resolved config and set-ups, or ConfigError listing every diagnostic."""
+    resolved, setups, problems = _resolve(cfg)
     if problems:
         raise ConfigError(
             f"{source}: invalid configuration\n  " + "\n  ".join(problems))
-    return resolved
+    return resolved, setups
 
 
 def _cmd_run(args) -> int:
@@ -765,7 +750,7 @@ def _cmd_run(args) -> int:
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["out_dir"] = args.out
-    resolved = _checked(cfg, args.config)
+    resolved, setups = _checked(cfg, args.config)
     scenarios = resolved["scenario"]
     if not scenarios:
         print("nothing to run: empty scenario list")
@@ -776,9 +761,9 @@ def _cmd_run(args) -> int:
     artifacts: list[str] = []
     for name in scenarios:
         try:
-            artifacts.extend(_RUNNERS[name](resolved[name], out, seed))
+            artifacts.extend(_RUNNERS[name](resolved[name], setups[name], out, seed))
         except ArithmeticError as exc:
-            # an overflow or a zero division in a model's scalar set-up is a
+            # an overflow or a zero division in a runner's scalar set-up is a
             # physics error at these values, like the regime checks' ones
             raise DomainError(
                 f"{name}: {type(exc).__name__}: {exc}") from exc

@@ -1,6 +1,6 @@
 """`qndsim validate` names the field behind each regime limit. For a probed
-scenario it builds the run's set-up and nothing more, so a config it accepts
-does not fail in that set-up."""
+scenario it builds the run's set-up and nothing more, and the run reuses that
+set-up, so a config it accepts does not fail in it."""
 from pathlib import Path
 
 import pytest
@@ -49,8 +49,8 @@ def test_validate_and_run_agree(tmp_path, capsys, stem, override):
 
 def test_validate_builds_one_echo_sequence_and_runs_no_kernel(monkeypatch,
                                                               capsys):
-    # validation builds the set-up only: one echo sequence whatever the
-    # number of detunings, and no walk, demodulation or sweep kernel
+    # validation builds the set-up the run reuses: one echo sequence per
+    # detuning of spin_echo.json, and no walk, demodulation or sweep kernel
     built = []
     monkeypatch.setattr(cli, "build_spin_echo",
                         lambda **kw: built.append(kw) or build_spin_echo(**kw))
@@ -60,7 +60,21 @@ def test_validate_builds_one_echo_sequence_and_runs_no_kernel(monkeypatch,
         monkeypatch.setattr(cli, kernel, None)
     for stem in ("noise_sweep", "scattering_sweep", "rabi", "spin_echo"):
         assert main(["validate", str(CONFIG_DIR / f"{stem}.json")]) == 0
-    assert len(built) == 1
+    assert len(built) == 4
+
+
+@pytest.mark.parametrize("stem, builder, count", [
+    ("rabi", "light_shift", 1),
+    ("spin_echo", "build_spin_echo", 4),   # one per detuning
+])
+def test_run_builds_each_setup_once(monkeypatch, tmp_path, stem, builder, count):
+    # the runner takes the set-up validation built and builds none of its own
+    calls, build = [], getattr(cli, builder)
+    monkeypatch.setattr(cli, builder,
+                        lambda *a, **kw: calls.append(a) or build(*a, **kw))
+    assert main(["run", str(CONFIG_DIR / f"{stem}.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == count
 
 
 @pytest.mark.parametrize("rate", ["1e-10", "1e-300"])
