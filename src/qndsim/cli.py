@@ -11,14 +11,14 @@ Re-running a config with the same seed reproduces every output byte for
 byte.
 
 `validate`, and `run` before it, checks the regimes: probe duty cycle,
-modulation depth, zero carrier power beside sideband power, RAM, small
-phase (at the full atom number for rabi and spin-echo), echo window, a
-probe clock tick inside the echo's pi pulse, the 1 s sequence cap, the
-budget of 10^6 probe samples per sequence and sweep order. It does so by
-building the set-up of noise-sweep, scattering-sweep, rabi and spin-echo,
-which the run then reuses. The run may still fail (exit 3) in a kernel, an
-output check, or the scalar set-up it builds itself: that of cavity-spectrum,
-trap-map and squeezing, and the scattering sweep's probe tuning.
+modulation depth, zero carrier power beside sideband power, RAM, small phase
+(at the full atom number for rabi and spin-echo), echo window, a probe clock
+tick inside the echo's pi pulse, the 1 s sequence cap, the budget of 10^6 probe
+samples per sequence and per scan, and sweep order. It does so by building the
+set-up of noise-sweep, scattering-sweep, rabi and spin-echo, which the run then
+reuses. The run may still fail (exit 3) in a kernel, an output check, or the
+scalar set-up it builds itself: that of cavity-spectrum, trap-map and
+squeezing, and the scattering sweep's probe tuning.
 
 Exit codes: 0 success, 2 config error (with line/field diagnostics),
 3 physics/regime error during a run, 1 internal error.
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import math
 import operator
@@ -35,7 +36,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .atoms import (
@@ -57,6 +57,7 @@ from .errors import (
     RegimeError,
 )
 from .harness import (
+    MAX_PROBE_SAMPLES,
     MicrowavePulse,
     ProbeGate,
     PulseSequence,
@@ -259,6 +260,17 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(text + "\n")
 
 
+def _scipy_version() -> str:
+    """scipy.__version__, read from scipy/version.py without importing scipy."""
+    namespace: dict = {}
+    exec(Path(importlib.util.find_spec("scipy").origin).with_name("version.py").read_bytes(),
+         namespace)
+    return namespace["version"]
+
+
+_VERSIONS = {"qndsim": __version__, "numpy": np.__version__, "scipy": _scipy_version()}
+
+
 # ------------------------------------------------------------- resolution
 
 def _number(path: str, value, bounds: tuple, noun: str, complain):
@@ -428,6 +440,7 @@ _BLAME = {
     ("probe_gate", "small-phase"): "ensemble.atom_number",
     ("drive", "probe samples"): "probe_gate.repetition_rate_khz",
     ("echo", "gaps would be negative"): "echo.total_duration_us",
+    ("echo", "scan budget"): "echo.detunings_hz",
     ("echo", "probe samples"): "probe_gate.repetition_rate_khz",
     ("echo", "no sample inside the pi pulse"): "probe_gate.repetition_rate_khz",
 }
@@ -535,6 +548,10 @@ def _spin_echo_setup(v: dict):
                             total_duration=echo["total_duration_us"] * 1e-6,
                             detuning=delta, gap=gap, probe=gate)
             for delta in echo["detunings_hz"]]
+    periods = len(seqs) * seqs[0].total_duration * gate.repetition_rate
+    if periods > MAX_PROBE_SAMPLES:    # the walk holds every trace at once
+        raise DomainError(f"{len(seqs)} traces span {periods:.7g} probe periods, over the "
+                          f"scan budget of {MAX_PROBE_SAMPLES} samples")
     return seqs, probe, shift, ens, det
 
 
@@ -772,11 +789,7 @@ def _cmd_run(args) -> int:
         "scenario": scenarios,
         "seed": seed,
         "config_sha256": _resolved_hash(resolved),
-        "versions": {
-            "qndsim": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
+        "versions": _VERSIONS,
         "artifacts": artifacts,
     })
     for name in artifacts + ["manifest.json"]:

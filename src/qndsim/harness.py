@@ -42,7 +42,7 @@ from .heterodyne import (
 )
 
 MAX_DURATION = 1.0            # s, the longest sequence
-MAX_PROBE_SAMPLES = 10**6     # probe periods per sequence: 1 s at a 1 MHz clock
+MAX_PROBE_SAMPLES = 10**6     # probe periods per sequence and per scan: 1 s at a 1 MHz clock
 CLOCK_TOLERANCE = 1e-12       # s, below which two times on the probe clock coincide
 
 
@@ -113,7 +113,7 @@ class PulseSequence:
             raise DomainError(f"sequence runs {self.total_duration:.6f} s, "
                               f"over the maximum {MAX_DURATION:g} s")
         if (periods := self.total_duration * self.probe.repetition_rate) > MAX_PROBE_SAMPLES:
-            raise DomainError(f"sequence spans {periods:.3g} probe periods, over the "
+            raise DomainError(f"sequence spans {periods:.7g} probe periods, over the "
                               f"budget of {MAX_PROBE_SAMPLES} probe samples")
 
     @property
@@ -201,10 +201,15 @@ def run_scan(seqs: list[PulseSequence], initial: EnsembleState, probe: Modulated
                           "and the segment durations")
     try:
         return _walk(seqs, seed, initial, probe, det, template, noiseless)
-    except Exception:   # re-raised, by the first failing trace if a replay finds it
-        for i, seq in enumerate(seqs if len(seqs) > 1 else ()):
-            _walk([seq], seed + i, initial, probe, det, template, noiseless)
-        raise
+    except Exception as exc:   # re-raised, by the first failing trace if a replay finds it
+        import traceback    # only a failing scan needs it
+        failure = exc
+        while exc is not None:    # the replay starts once the failed walk's arrays are freed
+            traceback.clear_frames(exc.__traceback__)
+            exc = exc.__context__
+    for i, seq in enumerate(seqs if len(seqs) > 1 else ()):
+        _walk([seq], seed + i, initial, probe, det, template, noiseless)
+    raise failure
 
 
 def _walk(seqs, seed, initial, probe, det, template, noiseless):
@@ -360,6 +365,11 @@ def curve_fit(t, y, p0, maxfev: int = 20000, tol: float = 1.49012e-8):
     raise RuntimeError(f"no convergence in {maxfev} model evaluations")
 
 
+def _median(x):    # np.median of finite x, bit for bit, without loading numpy.ma
+    s = np.sort(x)
+    return (s[(s.size - 1) // 2] + s[s.size // 2]) / 2
+
+
 def fit_damped_sine(trace: Trace, window: float | None = None) -> SineFit:
     """Least-squares fit of a damped cosine with linear offset drift.
 
@@ -379,7 +389,7 @@ def fit_damped_sine(trace: Trace, window: float | None = None) -> SineFit:
     t0 = t - t[0]
     drift0, offset0 = np.polyfit(t0, y, 1)
     resid = y - (offset0 + drift0 * t0)
-    dt = np.median(np.diff(t0))
+    dt = _median(np.diff(t0))
     spectrum = np.fft.rfft(resid)
     freqs = np.fft.rfftfreq(t0.size, dt)
     k = 1 + int(np.argmax(np.abs(spectrum[1:])))
@@ -415,16 +425,8 @@ def fit_damped_sine(trace: Trace, window: float | None = None) -> SineFit:
     resid_rms = float(np.sqrt(np.mean((_sine_model(t0, *popt) - y) ** 2)))
     names = ("amplitude", "damping", "frequency", "phase", "offset", "drift")
     # offset refers to t=0 of the fitted window
-    return SineFit(
-        frequency=float(popt[2]),
-        damping=float(popt[1]),
-        amplitude=float(popt[0]),
-        phase=float(popt[3]),
-        offset=float(popt[4]),
-        drift=float(popt[5]),
-        std_errors=dict(zip(names, (float(e) for e in errs))),
-        residual_rms=resid_rms,
-    )
+    return SineFit(**dict(zip(names, map(float, popt))),
+                   std_errors=dict(zip(names, map(float, errs))), residual_rms=resid_rms)
 
 
 def destructivity_at_unit_snr(

@@ -1,12 +1,17 @@
-"""Cold start: no run loads scipy's heavy submodules.
+"""Cold start: a run loads only what it computes with, so neither scipy nor
+numpy.ma.
 
 `constants` holds literals instead of importing scipy.constants,
 `atoms.expm` and `harness.curve_fit` are numpy code, and the unit-SNR
-sideband power of `destructivity_at_unit_snr` has a closed form.
-These tests pin the literals to scipy's values, check in fresh
-interpreters that every bundled config and the demo that calls
-`destructivity_at_unit_snr` stay free of those submodules, and check the
-diverged-fit warning, which goes through the `harness.curve_fit` seam.
+sideband power of `destructivity_at_unit_snr` has a closed form. The
+manifest's scipy version is read from scipy/version.py, and the fit's
+median sampling step is the middle mean of the sorted steps, without the
+numpy.ma import of np.median's NaN check. These tests pin the literals,
+the version and the median to scipy's and numpy's own, check in fresh
+interpreters that `import qndsim.cli`, every bundled config and the demo
+that calls `destructivity_at_unit_snr` load no module of scipy or numpy.ma
+beyond what `import numpy` itself loads, and check the diverged-fit warning,
+which goes through the `harness.curve_fit` seam.
 """
 import json
 import os
@@ -14,15 +19,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 import scipy.constants as sc
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qndsim
 import qndsim.cli as cli
 from qndsim import constants, harness
 
 CONFIG_DIR = Path(qndsim.__file__).parent / "configs"
-HEAVY = ("scipy.constants", "scipy.linalg", "scipy.optimize")
+UNUSED = ("scipy", "numpy.ma")
 
 
 def test_constants_equal_scipy():
@@ -37,22 +46,50 @@ def test_constants_equal_scipy():
         assert getattr(constants, name) == value, name
 
 
-# a fresh interpreter runs one config and reports which heavy submodules
-# ended up loaded
-PROBE = """
+def test_scipy_version_is_scipy_own():
+    assert cli._scipy_version() == cli._VERSIONS["scipy"] == scipy.__version__
+
+
+# np.median is the mean of the middle one or two of the sorted values; above
+# half the float range the odd-length (a + a) / 2 would overflow where
+# np.median returns a, and a sampling step is far below that
+steps = st.floats(min_value=0.0, max_value=sys.float_info.max / 2, exclude_min=True)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.one_of(steps, st.sampled_from([1e-5, 1e-5 + 2e-21, 5e-324])),
+                min_size=1, max_size=40))
+@example([1e-5] * 10)
+@example([1e-5, 1e-5, 2e-5, 2e-5])
+@example([sys.float_info.max / 2] * 2)
+def test_median_is_numpy_median(values):
+    x = np.array(values)
+    assert harness._median(x).tobytes() == np.median(x).tobytes()
+
+
+# a fresh interpreter runs one config, or imports numpy alone or qndsim.cli,
+# and reports which modules of UNUSED ended up loaded
+LOADED = "sorted(m for m in sys.modules if m in {!r} or m.startswith({!r}))".format(
+    UNUSED, tuple(f"{p}." for p in UNUSED))
+PROBE = f"""
 import json, sys
 from qndsim import cli
 code = cli.main(["run", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps([code, sorted(m for m in {heavy!r} if m in sys.modules)]))
-""".format(heavy=HEAVY)
+print(json.dumps([code, {LOADED}]))
+"""
+IMPORT_PROBE = f"""
+import json, sys
+import {{}}
+print(json.dumps([0, {LOADED}]))
+"""
 
 
 # the same for a demo script, run as __main__
-DEMO_PROBE = """
+DEMO_PROBE = f"""
 import json, runpy, sys
 runpy.run_path(sys.argv[1], run_name="__main__")
-print(json.dumps([0, sorted(m for m in {heavy!r} if m in sys.modules)]))
-""".format(heavy=HEAVY)
+print(json.dumps([0, {LOADED}]))
+"""
 
 
 def loaded_after(probe: str, *args) -> list[str]:
@@ -68,18 +105,28 @@ def loaded_after(probe: str, *args) -> list[str]:
     return loaded
 
 
+@pytest.fixture(scope="module")
+def numpy_alone():
+    # numpy releases before 2.0 import numpy.ma with numpy itself
+    return loaded_after(IMPORT_PROBE.format("numpy"))
+
+
+def test_importing_the_cli_loads_no_heavy_scipy(numpy_alone):
+    assert loaded_after(IMPORT_PROBE.format("qndsim.cli")) == numpy_alone
+
+
 @pytest.mark.parametrize("config", ["cavity_spectrum.json", "trap_map.json",
                                     "noise_sweep.json",
                                     "scattering_sweep.json",
                                     "squeezing.json", "rabi.json",
                                     "spin_echo.json"])
-def test_scipy_free_scenarios_load_no_heavy_scipy(tmp_path, config):
-    assert loaded_after(PROBE, CONFIG_DIR / config, tmp_path) == []
+def test_scipy_free_scenarios_load_no_heavy_scipy(tmp_path, config, numpy_alone):
+    assert loaded_after(PROBE, CONFIG_DIR / config, tmp_path) == numpy_alone
 
 
-def test_detection_budget_demo_loads_no_heavy_scipy():
+def test_detection_budget_demo_loads_no_heavy_scipy(numpy_alone):
     demo = Path(__file__).parents[1] / "demos" / "detection_budget.py"
-    assert loaded_after(DEMO_PROBE, demo) == []
+    assert loaded_after(DEMO_PROBE, demo) == numpy_alone
 
 
 def test_diverged_fit_warns_on_stderr(monkeypatch, tmp_path, capsys):

@@ -1,6 +1,10 @@
 """`qndsim validate` names the field behind each regime limit. For a probed
 scenario it builds the run's set-up and nothing more, and the run reuses that
 set-up, so a config it accepts does not fail in it."""
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,3 +110,55 @@ def test_fast_probe_clock_over_the_sample_budget_is_a_config_error(tmp_path, cap
     assert main(["run", config, "--out", str(out), *overrides]) == 2
     assert "probe_gate.repetition_rate_khz: " in capsys.readouterr().err
     assert not out.exists()
+
+
+# an echo scan walks every trace at once, so its traces share one budget:
+# 16 detunings of a 1 s echo at a 1 MHz clock would hold 1.6e7 samples,
+# several GB; 4 of a 0.25 s echo fill the budget of 10^6
+BIG_ECHO = ["--set", "probe_gate.repetition_rate_khz=1000",
+            "--set", "probe_gate.pulse_duration_us=0.5"]
+DETUNINGS = "echo.detunings_hz=" + str([100.0 * i for i in range(16)])
+
+
+@pytest.mark.parametrize("overrides, span", [
+    (["--set", "echo.total_duration_us=1e6", "--set", DETUNINGS], "16 traces span 1.6e+07"),
+    (["--set", "echo.total_duration_us=250001"], "4 traces span 1000004"),
+])
+def test_scan_over_the_sample_budget_is_a_config_error(tmp_path, capsys, overrides,
+                                                       span):
+    config = str(CONFIG_DIR / "spin_echo.json")
+    assert main(["validate", config, *BIG_ECHO, *overrides]) == 2
+    assert f"echo.detunings_hz: {span} probe periods, over" in capsys.readouterr().err
+    out = tmp_path / "art"
+    assert main(["run", config, "--out", str(out), *BIG_ECHO, *overrides]) == 2
+    assert "echo.detunings_hz: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_admitted_scan_runs_in_a_few_hundred_mib(tmp_path):
+    # a fresh interpreter under a 512 MiB address-space cap; one BLAS
+    # thread, since each thread's buffers count against the cap
+    config, cap = str(CONFIG_DIR / "spin_echo.json"), 512 * 2**20
+    overrides = [*BIG_ECHO, "--set", "echo.total_duration_us=250000"]
+    assert main(["validate", config, *overrides]) == 0
+    src = str(Path(qndsim.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "art"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qndsim.cli", "run", config, "--out", str(out), *overrides],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 0, proc.stderr
+    rows = (out / "spin_echo_traces.csv").read_text(encoding="utf-8").count("\n")
+    assert rows == 1 + 4 * 250001
+
+
+def test_a_sequence_just_over_the_budget_says_by_how_much(capsys):
+    # the count is printed to the sample, not rounded onto the budget
+    assert main(["validate", str(CONFIG_DIR / "rabi.json"), "--set", "drive.duration_ms=1000",
+                 "--set", "probe_gate.repetition_rate_khz=1000.004",
+                 "--set", "probe_gate.pulse_duration_us=0.5"]) == 2
+    assert "sequence spans 1000004 probe periods, over the budget of 1000000" \
+        in capsys.readouterr().err

@@ -16,6 +16,7 @@ import json
 import math
 import tempfile
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -32,7 +33,7 @@ import artifact_digests
 import walk_reference as reference
 from qndsim.atoms import EnsembleState, ProbeTuning, RabiModel, expm, state_vector
 from qndsim.constants import H
-from qndsim.errors import DomainError
+from qndsim.errors import DomainError, StepError
 from qndsim.harness import (
     FreeEvolution,
     MicrowavePulse,
@@ -537,6 +538,31 @@ def test_scan_raises_the_first_failing_trace_error():
         harness.run_scan(seqs[2:], *args)
     kind, message = assert_same_scan(seqs, *args)
     assert kind.__name__ == "RegimeError" and message.startswith("segment 1: ")
+
+
+def test_scan_replay_starts_once_the_failed_walk_is_freed(monkeypatch):
+    # the failed scan's arrays, held by its frame and by the frames of the
+    # error it was raised from, are gone before the one-trace replay walks
+    walk, freed, at_replay = harness._walk, [], []
+
+    def reject(view):
+        raise DomainError("a view of the trajectory")
+
+    def walk_failing_once(seqs, *args):
+        if len(seqs) == 1:
+            at_replay.append(bool(freed))
+            return walk(seqs, *args)
+        trajectory = np.zeros(8)
+        weakref.finalize(trajectory, freed.append, True)
+        try:
+            reject(trajectory[4:])
+        except DomainError as exc:
+            raise StepError("segment 0: the scan") from exc
+
+    monkeypatch.setattr(harness, "_walk", walk_failing_once)
+    with pytest.raises(StepError, match="segment 0: the scan"):
+        harness.run_scan([build_spin_echo(probe=ProbeGate())] * 2, *ECHO_ARGS)
+    assert at_replay == [True, True]
 
 
 def test_scan_needs_one_probe_gate_and_segment_durations():
