@@ -1,12 +1,11 @@
 """qndsim: heterodyne non-demolition probing of cold atoms in a ring cavity.
 
-Subpackages model the folded cavity (cavity), the crossed dipole trap
-(trap), the modulation/detection chain (heterodyne), collective-spin
-dynamics (atoms), and simulated experiments with fitting (harness).
-The command line entry point lives in qndsim.cli.
+Modules model the folded cavity (cavity), the crossed dipole trap (trap),
+the modulation/detection chain (heterodyne), collective-spin dynamics
+(atoms), and simulated experiments with fitting (harness). The command line
+entry point lives in qndsim.cli. Each module is imported on first access,
+so a run loads only the modules its scenarios use.
 """
-
-from . import atoms, cavity, constants, errors, harness, heterodyne, trap
 
 __all__ = [
     "atoms",
@@ -19,3 +18,10 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        import importlib
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -38,49 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .atoms import (
-    EnsembleState,
-    ProbeTuning,
-    RabiModel,
-    cavity_enhancement,
-    light_shift,
-    scattering_rate,
-    squeezing_estimate,
-)
-from .cavity import CavityGeometry, solve_mode, transverse_spectrum
 from .constants import C, K_B
-from .errors import (
-    ConfigError,
-    DomainError,
-    FitDiverged,
-    QndSimError,
-    RegimeError,
-)
-from .harness import (
-    MAX_PROBE_SAMPLES,
-    MicrowavePulse,
-    ProbeGate,
-    PulseSequence,
-    build_spin_echo,
-    fit_damped_sine,
-    mid_pulse_amplitudes,
-    run_scan,
-    run_sequence,
-    write_csv,
-    write_trace_csv,
-)
-from .heterodyne import (
-    DetectorModel,
-    ModulatedProbe,
-    PhaseShiftTriple,
-    atomic_phase,
-    check_small_phase,
-    demodulated_signal,
-    interferometer_length_signal,
-    length_noise_signal,
-    noise_rejection_ratio,
-)
-from .trap import DipoleTrapConfig, potential_at, trap_depth, trap_frequencies
+from .errors import ConfigError, DomainError, FitDiverged, QndSimError, RegimeError
 
 SCHEMA_VERSION = 1
 
@@ -260,6 +219,51 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(text + "\n")
 
 
+CSV_BLOCK_ROWS = 4096
+
+
+def _csv_chunks(column):
+    """(cell strings, finite mask) of each CSV_BLOCK_ROWS rows of a column."""
+    if not isinstance(column, tuple):
+        column = np.asarray(column)
+        for start in range(0, len(column), CSV_BLOCK_ROWS):
+            chunk = column[start:start + CSV_BLOCK_ROWS]
+            yield map(repr, chunk.tolist()), np.isfinite(chunk)
+        return
+    values, index = np.asarray(column[0]), np.asarray(column[1])
+    text = np.array(list(map(repr, values.tolist())), dtype=object)
+    finite = np.isfinite(values)
+    for start in range(0, len(index), CSV_BLOCK_ROWS):
+        chunk = index[start:start + CSV_BLOCK_ROWS]
+        yield text[chunk].tolist(), finite[chunk]
+
+
+def write_csv(path, header: str, blocks) -> None:
+    """CSV of a header line and the rows of ``blocks``, each a tuple of
+    equal-length columns, so a large table can come one slab at a time.
+
+    A column is an array of cells, or a pair ``(values, index)`` of cells
+    ``values[index]``, each value formatted once per block. A cell is the
+    repr of its tolist() value: floats round-trip, integers stay integral.
+    Rows are written CSV_BLOCK_ROWS at a time. Raises RegimeError naming the
+    first row holding a NaN or an infinity; a value no row holds is unchecked.
+    """
+    path, row = Path(path), 0
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for columns in blocks:
+            for chunk in zip(*map(_csv_chunks, columns)):
+                texts, finite = zip(*chunk)
+                lines = list(map(",".join, zip(*texts)))
+                finite = np.logical_and.reduce(finite)
+                if not finite.all():
+                    bad = int(np.argmin(finite))
+                    raise RegimeError(f"{path.name}: non-finite value in row "
+                                      f"{row + bad + 1}: {lines[bad]}")
+                fh.write("\n".join(lines) + "\n")
+                row += len(lines)
+
+
 def _scipy_version() -> str:
     """scipy.__version__, read from scipy/version.py without importing scipy."""
     namespace: dict = {}
@@ -428,6 +432,8 @@ def _resolved_hash(resolved: dict) -> str:
 # reuses it. An error names the field _BLAME finds by that section and the
 # words of its message, else the section: a constructor alone does not name
 # it (ModulatedProbe raises DomainError for RAM as for a zero waist).
+# Set-ups and runners import the model modules they use where they use them,
+# so a run loads only those of its scenarios.
 
 _BLAME = {
     ("probe", "two-sideband"): "probe.modulation_depth",
@@ -446,7 +452,8 @@ _BLAME = {
 }
 
 
-def _detector(sec: dict) -> DetectorModel:
+def _detector(sec: dict):
+    from .heterodyne import DetectorModel
     return DetectorModel(
         sensitivity=sec["sensitivity_a_per_w"],
         transimpedance=sec["transimpedance_v_per_a"],
@@ -458,6 +465,7 @@ def _detector(sec: dict) -> DetectorModel:
 
 
 def _noise_sweep_setup(v: dict):
+    from .heterodyne import ModulatedProbe, check_small_phase
     yield "probe"
     sec = v["probe"]
     probe = ModulatedProbe(
@@ -482,10 +490,12 @@ def _scattering_sweep_setup(v: dict):
         raise DomainError("must exceed detuning_min_linewidths")
 
 
-def _probed_setup(v: dict) -> tuple[ProbeGate, ModulatedProbe, float,
-                                    EnsembleState, DetectorModel]:
+def _probed_setup(v: dict) -> tuple:
     """Probe clock, probe beam, its light shift, ensemble and detector, once
     the phase of all N atoms is checked: more than the walk ever detects."""
+    from .atoms import EnsembleState, ProbeTuning, light_shift
+    from .harness import ProbeGate
+    from .heterodyne import ModulatedProbe, atomic_phase, check_small_phase
     sec = v["probe_gate"]
     pc = sec["carrier_power_uw"] * 1e-6
     ps = sec["sideband_power_nw"] * 1e-9
@@ -529,6 +539,7 @@ def _probed_setup(v: dict) -> tuple[ProbeGate, ModulatedProbe, float,
 
 
 def _rabi_setup(v: dict):
+    from .harness import MicrowavePulse, PulseSequence
     yield "probe_gate"
     gate, probe, shift, ens, det = _probed_setup(v)
     yield "drive"
@@ -539,6 +550,7 @@ def _rabi_setup(v: dict):
 
 
 def _spin_echo_setup(v: dict):
+    from .harness import MAX_PROBE_SAMPLES, build_spin_echo
     yield "probe_gate"
     gate, probe, shift, ens, det = _probed_setup(v)
     yield "echo"
@@ -581,6 +593,7 @@ def _check_regimes(name: str, v: dict, complain):
 # (see _resolve), None for a scenario without one.
 
 def _run_cavity_spectrum(v: dict, setup, out: Path, seed: int) -> list[str]:
+    from .cavity import CavityGeometry, solve_mode, transverse_spectrum
     sec = v["cavity"]
     geom = CavityGeometry(
         round_trip_length=C / (sec["fsr_mhz"] * 1e6),
@@ -607,6 +620,7 @@ def _run_cavity_spectrum(v: dict, setup, out: Path, seed: int) -> list[str]:
 
 
 def _run_trap_map(v: dict, setup, out: Path, seed: int) -> list[str]:
+    from .trap import DipoleTrapConfig, potential_at, trap_depth, trap_frequencies
     sec = v["trap"]
     trap = DipoleTrapConfig(
         power_per_arm=sec["power_per_arm_w"],
@@ -635,6 +649,8 @@ def _run_trap_map(v: dict, setup, out: Path, seed: int) -> list[str]:
 
 
 def _run_noise_sweep(v: dict, setup, out: Path, seed: int) -> list[str]:
+    from .heterodyne import (PhaseShiftTriple, demodulated_signal, interferometer_length_signal,
+                             length_noise_signal, noise_rejection_ratio)
     sweep = v["sweep"]
     probe, det = setup
     phi = sweep["phi_at_rad"]
@@ -659,6 +675,7 @@ def _run_noise_sweep(v: dict, setup, out: Path, seed: int) -> list[str]:
 
 
 def _run_scattering_sweep(v: dict, setup, out: Path, seed: int) -> list[str]:
+    from .atoms import ProbeTuning, scattering_rate
     sec, sweep = v["tuning"], v["sweep"]
     delta = np.linspace(sweep["detuning_min_linewidths"],
                         sweep["detuning_max_linewidths"], sweep["points"])
@@ -674,6 +691,8 @@ def _run_scattering_sweep(v: dict, setup, out: Path, seed: int) -> list[str]:
 
 
 def _run_rabi(v: dict, setup, out: Path, seed: int) -> list[str]:
+    from .atoms import RabiModel
+    from .harness import fit_damped_sine, run_sequence
     drive = v["drive"]
     seq, probe, shift, ens, det = setup
     template = RabiModel(
@@ -683,7 +702,7 @@ def _run_rabi(v: dict, setup, out: Path, seed: int) -> list[str]:
     )
     trace = run_sequence(seq, ens, probe, det, seed=seed, template=template,
                          noiseless=v["options"]["noiseless"])
-    write_trace_csv(trace, out / "rabi_trace.csv")
+    write_csv(out / "rabi_trace.csv", "time_s,signal_v", [(trace.times, trace.signal)])
     window = v["options"]["fit_window_ms"] * 1e-3
     try:
         fit = fit_damped_sine(trace, window=window)
@@ -698,6 +717,8 @@ def _run_rabi(v: dict, setup, out: Path, seed: int) -> list[str]:
 
 
 def _run_spin_echo(v: dict, setup, out: Path, seed: int) -> list[str]:
+    from .atoms import RabiModel
+    from .harness import mid_pulse_amplitudes, run_scan
     echo = v["echo"]
     seqs, probe, shift, ens, det = setup
     template = RabiModel(carrier_light_shift=shift,
@@ -723,6 +744,7 @@ def _run_spin_echo(v: dict, setup, out: Path, seed: int) -> list[str]:
 
 
 def _run_squeezing(v: dict, setup, out: Path, seed: int) -> list[str]:
+    from .atoms import cavity_enhancement, squeezing_estimate
     sec = v["squeezing"]
     kappa_sq, xi_sq = squeezing_estimate(
         sec["phase_per_atom_rad"], sec["atom_number"], sec["photon_number"])

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -375,7 +374,9 @@ def fit_damped_sine(trace: Trace, window: float | None = None) -> SineFit:
 
     Start: frequency from the spectral peak of the detrended window, damping
     from a log-envelope fit of chunk maxima, the rest by linear least squares.
-    Raises FitDiverged for degenerate input or a non-converging fit.
+    Raises FitDiverged for degenerate input, a non-converging fit, or a fit
+    that is none: a frequency whose standard error exceeds it, or less than
+    one of its periods in the window.
     """
     t = trace.times
     y = trace.signal
@@ -422,6 +423,11 @@ def fit_damped_sine(trace: Trace, window: float | None = None) -> SineFit:
         popt[2] = -popt[2]
         popt[3] = -popt[3]
     errs = np.sqrt(np.abs(np.diag(pcov)))
+    if errs[2] > popt[2]:
+        raise FitDiverged(f"frequency {popt[2]:.3g} Hz has a standard error of {errs[2]:.3g} Hz")
+    if popt[2] * t0[-1] < 1:
+        raise FitDiverged(f"the {t0[-1]:.3g} s window holds {popt[2] * t0[-1]:.3g} periods "
+                          f"of the fitted {popt[2]:.3g} Hz, under one")
     resid_rms = float(np.sqrt(np.mean((_sine_model(t0, *popt) - y) ** 2)))
     names = ("amplitude", "damping", "frequency", "phase", "offset", "drift")
     # offset refers to t=0 of the fitted window
@@ -542,53 +548,3 @@ def mid_pulse_amplitudes(times: np.ndarray, signals: np.ndarray,
         raise DomainError("no samples inside the central pulse")
     window = signals[..., inside]
     return (window.max(axis=-1) - window.min(axis=-1)) / 2
-
-
-CSV_BLOCK_ROWS = 4096
-
-
-def _csv_chunks(column):
-    """(cell strings, finite mask) of each CSV_BLOCK_ROWS rows of a column."""
-    if not isinstance(column, tuple):
-        column = np.asarray(column)
-        for start in range(0, len(column), CSV_BLOCK_ROWS):
-            chunk = column[start:start + CSV_BLOCK_ROWS]
-            yield map(repr, chunk.tolist()), np.isfinite(chunk)
-        return
-    values, index = np.asarray(column[0]), np.asarray(column[1])
-    text = np.array(list(map(repr, values.tolist())), dtype=object)
-    finite = np.isfinite(values)
-    for start in range(0, len(index), CSV_BLOCK_ROWS):
-        chunk = index[start:start + CSV_BLOCK_ROWS]
-        yield text[chunk].tolist(), finite[chunk]
-
-
-def write_csv(path, header: str, blocks) -> None:
-    """CSV of a header line and the rows of ``blocks``, each a tuple of
-    equal-length columns, so a large table can come one slab at a time.
-
-    A column is an array of cells, or a pair ``(values, index)`` of cells
-    ``values[index]``, each value formatted once per block. A cell is the
-    repr of its tolist() value: floats round-trip, integers stay integral.
-    Rows are written CSV_BLOCK_ROWS at a time. Raises RegimeError naming the
-    first row holding a NaN or an infinity; a value no row holds is unchecked.
-    """
-    path, row = Path(path), 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for columns in blocks:
-            for chunk in zip(*map(_csv_chunks, columns)):
-                texts, finite = zip(*chunk)
-                lines = list(map(",".join, zip(*texts)))
-                finite = np.logical_and.reduce(finite)
-                if not finite.all():
-                    bad = int(np.argmin(finite))
-                    raise RegimeError(f"{path.name}: non-finite value in row "
-                                      f"{row + bad + 1}: {lines[bad]}")
-                fh.write("\n".join(lines) + "\n")
-                row += len(lines)
-
-
-def write_trace_csv(trace: Trace, path) -> None:
-    """CSV of (time s, signal V). repr keeps round-trip exactness."""
-    write_csv(path, "time_s,signal_v", [(trace.times, trace.signal)])

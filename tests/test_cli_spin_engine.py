@@ -52,3 +52,19 @@ def test_huge_rabi_frequency_finishes_with_finite_artifacts(tmp_path):
                 continue
             for row in text.splitlines()[1:]:
                 assert all(math.isfinite(float(cell)) for cell in row.split(",")), row
+
+
+@pytest.mark.parametrize("ms", [200, 500, 1000])
+def test_a_fit_over_a_long_window_finds_the_drive_or_says_it_diverged(tmp_path, capsys, ms):
+    # the probed Rabi signal damps out within a few ms, so over a long window
+    # the fit may lose the 6.9 kHz drive; what it then finds (a sub-Hz
+    # frequency) must be written as a diverged fit, not as a fit
+    argv = ["run", str(RABI), "--out", str(tmp_path), "--set", f"drive.duration_ms={ms}",
+            "--set", f"options.fit_window_ms={ms}"]
+    assert main(argv) == 0
+    fit = json.loads((tmp_path / "rabi_fit.json").read_text(encoding="utf-8"))
+    if "error" in fit:
+        assert fit["error"].startswith("fit diverged: ")
+        assert capsys.readouterr().err.startswith("warning: rabi fit diverged: ")
+    else:
+        assert fit["frequency"] == pytest.approx(6.9e3, rel=0.01, abs=0)

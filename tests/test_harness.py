@@ -14,7 +14,7 @@ from qndsim.atoms import (
     light_shift,
 )
 from qndsim import harness
-from qndsim.cli import _write_json
+from qndsim.cli import _write_json, write_csv
 from qndsim.constants import H
 from qndsim.errors import DomainError, FitDiverged, RegimeError
 from qndsim.harness import (
@@ -28,7 +28,6 @@ from qndsim.harness import (
     fit_damped_sine,
     mid_pulse_amplitude,
     run_sequence,
-    write_trace_csv,
 )
 from qndsim.heterodyne import (
     DetectorModel,
@@ -187,6 +186,15 @@ def test_damped_sine_recovers_synthetic_exactly():
     assert fit.offset == pytest.approx(1e-5, rel=1e-4, abs=0)
     assert fit.drift == pytest.approx(0.02, rel=1e-4, abs=0)
     assert fit.residual_rms < 1e-12
+
+
+@pytest.mark.parametrize("periods", [0.5, 0.9])
+def test_a_window_under_one_period_of_the_fit_is_no_fit(periods):
+    # the exact model is found, but under one period in the window
+    t = np.linspace(0.0, periods * 1e-3, 60)
+    y = 0.3 * np.exp(-200.0 * t) * np.cos(2 * np.pi * 1e3 * t + 0.4) + 0.01
+    with pytest.raises(FitDiverged, match="periods of the fitted 1e\\+03 Hz, under one"):
+        fit_damped_sine(Trace(t, y))
 
 
 def test_damped_sine_sign_canonicalization():
@@ -440,7 +448,7 @@ def test_destructivity_needs_population():
 def test_trace_csv_roundtrip(tmp_path):
     _, tr = ideal_rabi_trace(duration=3e-4, seed=2)
     path = tmp_path / "trace.csv"
-    write_trace_csv(tr, path)
+    write_csv(path, "time_s,signal_v", [(tr.times, tr.signal)])
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "time_s,signal_v"
     assert len(rows) == tr.times.size + 1
@@ -454,7 +462,7 @@ def test_trace_csv_bytes_match_per_row_formatting(tmp_path):
     times = np.array([0.0, 5e-324, 1.0, 3.0, 1e300, 1.7976931348623157e308])
     signal = np.array([-0.0, 1e300, -5e-324, 2.0, -7.0, 0.1])
     path = tmp_path / "trace.csv"
-    write_trace_csv(Trace(times, signal), path)
+    write_csv(path, "time_s,signal_v", [(times, signal)])
     rows = ["time_s,signal_v\n"] + [f"{float(t)!r},{float(v)!r}\n"
                                      for t, v in zip(times, signal)]
     assert path.read_bytes() == "".join(rows).encode()

@@ -105,14 +105,14 @@ def test_expm_of_zero_is_exactly_the_identity():
 def rabi_fits(tmp_path_factory):
     """(trace, window) of the fits of 24 seeds each of rabi.json and of
     its 100 ms trace, as `qndsim run` hands them to fit_damped_sine."""
-    seen, real = [], cli.fit_damped_sine
+    seen, real = [], harness.fit_damped_sine
 
     def capture(trace, window=None):
         seen.append((trace, window))
         return real(trace, window=window)
 
     out = tmp_path_factory.mktemp("rabi")
-    cli.fit_damped_sine = capture
+    harness.fit_damped_sine = capture
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -122,7 +122,7 @@ def rabi_fits(tmp_path_factory):
                                  str(out / str(seed)), "--seed", str(seed),
                                  *extra]) == 0
     finally:
-        cli.fit_damped_sine = real
+        harness.fit_damped_sine = real
     return seen
 
 

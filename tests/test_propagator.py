@@ -61,15 +61,24 @@ def step(state, drive, tuning, dt, drive_phase=0.0):
 
 def captured_runs(monkeypatch, tmp_path, engine, config, overrides=()):
     """Every run_sequence call of one CLI run, made through `engine`; a
-    run_scan call is made as one run_sequence call per trace."""
-    calls = []
+    run_scan call is made as one run_sequence call per trace. The seams are
+    harness's names, which `cli` imports where it calls them."""
+    calls, scan, inside = [], harness.run_scan, []
 
     def capture(seq, initial, probe, det, **kwargs):
-        trace = engine(seq, initial, probe, det, **kwargs)
+        inside.append(True)
+        try:
+            trace = engine(seq, initial, probe, det, **kwargs)
+        finally:
+            inside.pop()
         calls.append((seq, initial, probe, det, kwargs, trace))
         return trace
 
-    def capture_scan(seqs, initial, probe, det, seed=0, **kwargs):
+    def capture_scan(*args, **kwargs):
+        if inside:    # harness.run_sequence's own scan, inside a captured call
+            return scan(*args, **kwargs)
+        seqs, initial, probe, det = args
+        seed = kwargs.pop("seed", 0)
         return walk_reference.as_scan([capture(seq, initial, probe, det, seed=seed + i, **kwargs)
                                        for i, seq in enumerate(seqs)])
 
@@ -77,8 +86,8 @@ def captured_runs(monkeypatch, tmp_path, engine, config, overrides=()):
     for item in overrides:
         args += ["--set", item]
     with monkeypatch.context() as patch, warnings.catch_warnings():
-        patch.setattr(cli, "run_sequence", capture)
-        patch.setattr(cli, "run_scan", capture_scan)
+        patch.setattr(harness, "run_sequence", capture)
+        patch.setattr(harness, "run_scan", capture_scan)
         warnings.simplefilter("ignore")
         assert cli.main(args) == 0
     return calls

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qndsim
-import qndsim.cli as cli
+from qndsim import atoms, harness, heterodyne
 from qndsim.cli import main
 from qndsim.harness import build_spin_echo
 
@@ -56,12 +56,15 @@ def test_validate_builds_one_echo_sequence_and_runs_no_kernel(monkeypatch,
     # validation builds the set-up the run reuses: one echo sequence per
     # detuning of spin_echo.json, and no walk, demodulation or sweep kernel
     built = []
-    monkeypatch.setattr(cli, "build_spin_echo",
+    monkeypatch.setattr(harness, "build_spin_echo",
                         lambda **kw: built.append(kw) or build_spin_echo(**kw))
-    for kernel in ("run_scan", "run_sequence", "demodulated_signal",
-                   "length_noise_signal", "interferometer_length_signal",
-                   "noise_rejection_ratio", "scattering_rate"):
-        monkeypatch.setattr(cli, kernel, None)
+    for module, kernel in ((harness, "run_scan"), (harness, "run_sequence"),
+                           (heterodyne, "demodulated_signal"),
+                           (heterodyne, "length_noise_signal"),
+                           (heterodyne, "interferometer_length_signal"),
+                           (heterodyne, "noise_rejection_ratio"),
+                           (atoms, "scattering_rate")):
+        monkeypatch.setattr(module, kernel, None)
     for stem in ("noise_sweep", "scattering_sweep", "rabi", "spin_echo"):
         assert main(["validate", str(CONFIG_DIR / f"{stem}.json")]) == 0
     assert len(built) == 4
@@ -72,10 +75,17 @@ def test_validate_builds_one_echo_sequence_and_runs_no_kernel(monkeypatch,
     ("spin_echo", "build_spin_echo", 4),   # one per detuning
 ])
 def test_run_builds_each_setup_once(monkeypatch, tmp_path, stem, builder, count):
-    # the runner takes the set-up validation built and builds none of its own
-    calls, build = [], getattr(cli, builder)
-    monkeypatch.setattr(cli, builder,
-                        lambda *a, **kw: calls.append(a) or build(*a, **kw))
+    # the runner takes the set-up validation built and builds none of its own;
+    # only calls from cli count, not the spin engine's own light shift
+    module = atoms if builder == "light_shift" else harness
+    calls, build = [], getattr(module, builder)
+
+    def counted(*a, **kw):
+        if sys._getframe(1).f_globals["__name__"] == "qndsim.cli":
+            calls.append(a)
+        return build(*a, **kw)
+
+    monkeypatch.setattr(module, builder, counted)
     assert main(["run", str(CONFIG_DIR / f"{stem}.json"),
                  "--out", str(tmp_path)]) == 0
     assert len(calls) == count

@@ -98,24 +98,33 @@ def assert_same_scan(*args, **kwargs):
 def cli_calls(monkeypatch, tmp_path, config, overrides=()):
     """The arguments of every run_sequence call of one `qndsim run`, a
     run_scan call counting as one run_sequence call per trace; the scan's
-    (times, signals, finals) record goes back to `cli` unchanged."""
-    calls, walk, scan = [], cli.run_sequence, cli.run_scan
+    (times, signals, finals) record goes back to `cli` unchanged. `cli`
+    imports both from `harness` where it calls them, so the seams are
+    harness's names; the run_scan inside a captured run_sequence is that
+    same walk and is not captured again."""
+    calls, walk, scan, inside = [], harness.run_sequence, harness.run_scan, []
 
     def capture(*args, **kwargs):
         calls.append((args, kwargs))
-        return walk(*args, **kwargs)
+        inside.append(True)
+        try:
+            return walk(*args, **kwargs)
+        finally:
+            inside.pop()
 
-    def capture_scan(seqs, *args, seed=0, **kwargs):
-        calls.extend(((seq, *args), {**kwargs, "seed": seed + i})
-                     for i, seq in enumerate(seqs))
-        return scan(seqs, *args, seed=seed, **kwargs)
+    def capture_scan(seqs, *args, **kwargs):
+        if not inside:
+            seed = kwargs.get("seed", 0)
+            calls.extend(((seq, *args), {**kwargs, "seed": seed + i})
+                         for i, seq in enumerate(seqs))
+        return scan(seqs, *args, **kwargs)
 
     argv = ["run", str(config), "--out", str(tmp_path)]
     for item in overrides:
         argv += ["--set", item]
     with monkeypatch.context() as patch, warnings.catch_warnings():
-        patch.setattr(cli, "run_sequence", capture)
-        patch.setattr(cli, "run_scan", capture_scan)
+        patch.setattr(harness, "run_sequence", capture)
+        patch.setattr(harness, "run_scan", capture_scan)
         warnings.simplefilter("ignore")
         code = cli.main(argv)
     assert calls
@@ -162,7 +171,7 @@ def unchecked_echo(*, probe, **kwargs):
 def test_cli_walks_match_reference(monkeypatch, tmp_path, case):
     config, overrides = CASES[case]
     if case in UNSAMPLED_PI:
-        monkeypatch.setattr(cli, "build_spin_echo", unchecked_echo)
+        monkeypatch.setattr(harness, "build_spin_echo", unchecked_echo)
     _, calls = cli_calls(monkeypatch, tmp_path, CONFIG_DIR / config, overrides)
     for args, kwargs in calls:
         assert_same_walk(*args, **kwargs)

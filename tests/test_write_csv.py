@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qndsim
-from qndsim.cli import main
+from qndsim.cli import CSV_BLOCK_ROWS, main, write_csv
 from qndsim.errors import RegimeError
-from qndsim.harness import CSV_BLOCK_ROWS, Trace, write_csv, write_trace_csv
+from qndsim.harness import Trace
 
 
 def per_row(header, columns):
@@ -90,7 +90,7 @@ def test_trace_csv_refuses_non_finite_signal(tmp_path):
     trace = Trace(np.array([0.0, 1.0]), np.array([0.5, np.inf]))
     with pytest.raises(RegimeError, match="trace.csv: non-finite value in "
                                           "row 2: 1.0,inf"):
-        write_trace_csv(trace, tmp_path / "trace.csv")
+        write_csv(tmp_path / "trace.csv", "time_s,signal_v", [(trace.times, trace.signal)])
 
 
 def written(directory: Path, header, blocks):
