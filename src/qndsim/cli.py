@@ -7,8 +7,7 @@ diagnostics or to typed values with every default filled in, which the
 runners read and the manifest's config hash covers; an omitted default and
 the same value written out hash alike. NaN and Infinity are rejected with
 their field path, and no run writes a non-finite number into an artifact.
-Re-running a config with the same seed reproduces every output byte for
-byte.
+Re-running a config with the same seed reproduces every output byte for byte.
 
 `validate`, and `run` before it, checks the regimes: probe duty cycle,
 modulation depth, zero carrier power beside sideband power, RAM, small phase
@@ -19,6 +18,10 @@ set-up of noise-sweep, scattering-sweep, rabi and spin-echo, which the run then
 reuses. The run may still fail (exit 3) in a kernel, an output check, or the
 scalar set-up it builds itself: that of cavity-spectrum, trap-map and
 squeezing, and the scattering sweep's probe tuning.
+
+numpy is imported only by code that computes with arrays, the model modules
+but cavity and the array runners: help, list-scenarios, schema errors,
+validation without a model set-up and a cavity-spectrum run never load it.
 
 Exit codes: 0 success, 2 config error (with line/field diagnostics),
 3 physics/regime error during a run, 1 internal error.
@@ -32,10 +35,9 @@ import json
 import math
 import operator
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .constants import C, K_B
@@ -223,56 +225,55 @@ CSV_BLOCK_ROWS = 4096
 
 
 def _csv_chunks(column):
-    """(cell strings, finite mask) of each CSV_BLOCK_ROWS rows of a column."""
-    if not isinstance(column, tuple):
-        column = np.asarray(column)
-        for start in range(0, len(column), CSV_BLOCK_ROWS):
-            chunk = column[start:start + CSV_BLOCK_ROWS]
-            yield map(repr, chunk.tolist()), np.isfinite(chunk)
-        return
-    values, index = np.asarray(column[0]), np.asarray(column[1])
-    text = np.array(list(map(repr, values.tolist())), dtype=object)
-    finite = np.isfinite(values)
-    for start in range(0, len(index), CSV_BLOCK_ROWS):
-        chunk = index[start:start + CSV_BLOCK_ROWS]
-        yield text[chunk].tolist(), finite[chunk]
+    """Cell strings of each CSV_BLOCK_ROWS rows of a column."""
+    cell = repr
+    if isinstance(column, tuple):
+        values, column = column
+        cell = list(map(repr, values if isinstance(values, list) else values.tolist())).__getitem__
+    for start in range(0, len(column), CSV_BLOCK_ROWS):
+        chunk = column[start:start + CSV_BLOCK_ROWS]
+        yield map(cell, chunk if isinstance(chunk, list) else chunk.tolist())
 
 
 def write_csv(path, header: str, blocks) -> None:
     """CSV of a header line and the rows of ``blocks``, each a tuple of
     equal-length columns, so a large table can come one slab at a time.
 
-    A column is an array of cells, or a pair ``(values, index)`` of cells
-    ``values[index]``, each value formatted once per block. A cell is the
-    repr of its tolist() value: floats round-trip, integers stay integral.
-    Rows are written CSV_BLOCK_ROWS at a time. Raises RegimeError naming the
-    first row holding a NaN or an infinity; a value no row holds is unchecked.
+    A column is an array or a list of cells, or a pair ``(values, index)`` of
+    cells ``values[index]``, each value formatted once per block (a tuple is a
+    pair). A cell is the repr of a Python number, as an array's tolist() gives:
+    floats round-trip, integers stay integral. Rows are written CSV_BLOCK_ROWS
+    at a time. Raises RegimeError naming the first row holding a NaN or an
+    infinity, the only numbers whose repr holds an "n"; a value no row holds
+    is unchecked.
     """
     path, row = Path(path), 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for columns in blocks:
             for chunk in zip(*map(_csv_chunks, columns)):
-                texts, finite = zip(*chunk)
-                lines = list(map(",".join, zip(*texts)))
-                finite = np.logical_and.reduce(finite)
-                if not finite.all():
-                    bad = int(np.argmin(finite))
+                lines = list(map(",".join, zip(*chunk)))
+                text = "\n".join(lines)
+                if "n" in text:
+                    bad = next(i for i, line in enumerate(lines) if "n" in line)
                     raise RegimeError(f"{path.name}: non-finite value in row "
                                       f"{row + bad + 1}: {lines[bad]}")
-                fh.write("\n".join(lines) + "\n")
+                fh.write(text + "\n")
                 row += len(lines)
 
 
-def _scipy_version() -> str:
-    """scipy.__version__, read from scipy/version.py without importing scipy."""
-    namespace: dict = {}
-    exec(Path(importlib.util.find_spec("scipy").origin).with_name("version.py").read_bytes(),
-         namespace)
-    return namespace["version"]
+def _version(package: str) -> str:
+    """package.__version__, read from the package's version.py, which a
+    versioneer build alone makes import the package (numpy before 2.0)."""
+    spec = importlib.util.find_spec(package)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {package!r}", name=package)
+    namespace = {"__name__": f"{package}.version", "__package__": package}
+    exec(Path(spec.origin).with_name("version.py").read_bytes(), namespace)
+    return namespace.get("__version__", namespace["version"])
 
 
-_VERSIONS = {"qndsim": __version__, "numpy": np.__version__, "scipy": _scipy_version()}
+_VERSIONS = {"qndsim": __version__, "numpy": _version("numpy"), "scipy": _version("scipy")}
 
 
 # ------------------------------------------------------------- resolution
@@ -605,7 +606,7 @@ def _run_cavity_spectrum(v: dict, setup, out: Path, seed: int) -> list[str]:
     )
     order = sec["max_transverse_order"]
     write_csv(out / "spectrum.csv", "m,n,offset_hz",
-              [map(np.array, zip(*transverse_spectrum(geom, order)))])
+              [map(list, zip(*transverse_spectrum(geom, order)))])
     mode = solve_mode(geom)
     _write_json(out / "mode.json", {
         "waist_par_um": mode.waist_par * 1e6,
@@ -620,6 +621,7 @@ def _run_cavity_spectrum(v: dict, setup, out: Path, seed: int) -> list[str]:
 
 
 def _run_trap_map(v: dict, setup, out: Path, seed: int) -> list[str]:
+    import numpy as np
     from .trap import DipoleTrapConfig, potential_at, trap_depth, trap_frequencies
     sec = v["trap"]
     trap = DipoleTrapConfig(
@@ -649,6 +651,7 @@ def _run_trap_map(v: dict, setup, out: Path, seed: int) -> list[str]:
 
 
 def _run_noise_sweep(v: dict, setup, out: Path, seed: int) -> list[str]:
+    import numpy as np
     from .heterodyne import (PhaseShiftTriple, demodulated_signal, interferometer_length_signal,
                              length_noise_signal, noise_rejection_ratio)
     sweep = v["sweep"]
@@ -675,6 +678,7 @@ def _run_noise_sweep(v: dict, setup, out: Path, seed: int) -> list[str]:
 
 
 def _run_scattering_sweep(v: dict, setup, out: Path, seed: int) -> list[str]:
+    import numpy as np
     from .atoms import ProbeTuning, scattering_rate
     sec, sweep = v["tuning"], v["sweep"]
     delta = np.linspace(sweep["detuning_min_linewidths"],
@@ -717,6 +721,7 @@ def _run_rabi(v: dict, setup, out: Path, seed: int) -> list[str]:
 
 
 def _run_spin_echo(v: dict, setup, out: Path, seed: int) -> list[str]:
+    import numpy as np
     from .atoms import RabiModel
     from .harness import mid_pulse_amplitudes, run_scan
     echo = v["echo"]
@@ -831,12 +836,11 @@ def _cmd_list_scenarios(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qndsim",
-        description="Simulations of heterodyne non-demolition probing of "
-                    "cold atoms: cavity modes, dipole trap, detection "
-                    "chain, spin dynamics.")
+        description="Simulations of heterodyne non-demolition probing of cold atoms: "
+                    "cavity modes, dipole trap, detection chain, spin dynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a scenario config")
@@ -855,15 +859,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ls = sub.add_parser("list-scenarios", help="list scenario names")
     ls.set_defaults(func=_cmd_list_scenarios)
-    return parser
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # no numpy warning: the models' and writers' finiteness checks decide
-        with np.errstate(all="ignore"):
+        # no RuntimeWarning, numpy's for floating point: finiteness checks decide
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -872,8 +872,7 @@ def main(argv=None) -> int:
         print(f"physics error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:   # pragma: no cover - defensive
-        print(f"internal error: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -11,12 +11,23 @@ the version and the median to scipy's and numpy's own, check in fresh
 interpreters that `import qndsim.cli`, every bundled config and the demo
 that calls `destructivity_at_unit_snr` load no module of scipy or numpy.ma
 beyond what `import numpy` itself loads, and check the diverged-fit warning,
-which goes through the `harness.curve_fit` seam. Of qndsim's own modules,
+which goes through the `harness.curve_fit` seam, and that a numpy overflow
+in a valid run is no warning under `-W error`. Of qndsim's own modules,
 `import qndsim.cli` loads the four of CORE, each bundled config's run loads
 those and its model modules (MODEL_MODULES), validating a config without a
 set-up loads no model module, and a bare `import qndsim` still resolves each
 module on first access and in a star import.
+
+numpy is loaded only by code that computes with arrays. The manifest's
+numpy version is read from numpy/version.py the way scipy's is, so
+`import qndsim.cli`, `list-scenarios`, validating a config without a set-up
+and a cavity-spectrum run load no numpy module; every other bundled run
+does. An older numpy whose version.py imports numpy (a versioneer build)
+skips those pins, and a synthetic package of that layout checks that its
+version is still read.
 """
+import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -51,7 +62,54 @@ def test_constants_equal_scipy():
 
 
 def test_scipy_version_is_scipy_own():
-    assert cli._scipy_version() == cli._VERSIONS["scipy"] == scipy.__version__
+    assert cli._version("scipy") == cli._VERSIONS["scipy"] == scipy.__version__
+
+
+def test_numpy_version_is_numpy_own():
+    assert cli._version("numpy") == cli._VERSIONS["numpy"] == np.__version__
+
+
+def test_a_missing_package_is_named(monkeypatch):
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+    with pytest.raises(ModuleNotFoundError, match="'scipy'") as missing:
+        cli._version("scipy")
+    assert missing.value.name == "scipy"
+
+
+# a package's __init__, _version.py and version.py: numpy 2 and scipy write
+# version.py as plain assignments; numpy before 2.0 builds it with
+# versioneer, and its version.py imports the sibling _version and with it
+# the package
+LAYOUTS = {
+    "plain": ("raise ImportError('the package ran')\n", None,
+              'version = "2.4.6"\n__version__ = version\n'),
+    "versioneer": ("RAN = True\n",
+                   "def get_versions():\n    return {'version': '1.24.4'}\n",
+                   "from __future__ import annotations\n\n"
+                   "from ._version import get_versions\n\n"
+                   "vinfo: dict[str, str] = get_versions()\n"
+                   "version = vinfo['version']\n"
+                   "__version__ = vinfo.get('closest-tag', vinfo['version'])\n"
+                   "del get_versions, vinfo\n"),
+}
+
+
+@pytest.mark.parametrize("layout, version", [("plain", "2.4.6"), ("versioneer", "1.24.4")])
+def test_version_is_read_from_either_layout(tmp_path, monkeypatch, layout, version):
+    name = f"qndsim_{layout}_layout"
+    (tmp_path / name).mkdir()
+    for file, text in zip(("__init__.py", "_version.py", "version.py"), LAYOUTS[layout]):
+        if text is not None:
+            (tmp_path / name / file).write_text(text, encoding="utf-8")
+    monkeypatch.syspath_prepend(tmp_path)
+    try:
+        assert cli._version(name) == version
+        # only the versioneer layout runs the package
+        assert (name in sys.modules) == (layout == "versioneer")
+        assert layout == "plain" or sys.modules[name].RAN
+    finally:
+        for module in (name, f"{name}._version"):
+            sys.modules.pop(module, None)
 
 
 # np.median is the mean of the middle one or two of the sorted values; above
@@ -102,13 +160,18 @@ MODEL_MODULES = {
 }
 
 
-def loaded_after(probe: str, *args) -> list[str]:
+def fresh(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on ``args``, with this package importable."""
     src = str(Path(qndsim.__file__).parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,
            "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    proc = subprocess.run([sys.executable, "-c", probe, *map(str, args)],
+    return subprocess.run([sys.executable, *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def loaded_after(probe: str, *args) -> list[str]:
+    proc = fresh("-c", probe, *args)
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert code == 0
@@ -139,6 +202,42 @@ def test_detection_budget_demo_loads_no_heavy_scipy(numpy_alone):
     assert loaded_after(DEMO_PROBE, demo) == numpy_alone
 
 
+# the installed numpy/version.py imports numpy where it is a versioneer build
+NUMPY_VERSION_PY = Path(importlib.util.find_spec("numpy").origin).with_name("version.py")
+versioneer_numpy = any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in
+                       ast.walk(ast.parse(NUMPY_VERSION_PY.read_bytes())))
+numpy_free = pytest.mark.skipif(
+    versioneer_numpy, reason=f"{NUMPY_VERSION_PY} imports numpy to give its version")
+NUMPY = "sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy')"
+SET_UP_FREE = ["cavity_spectrum.json", "trap_map.json", "scattering_sweep.json",
+               "squeezing.json"]
+
+
+@numpy_free
+def test_importing_the_cli_loads_no_numpy():
+    assert loaded_after(probe("import qndsim.cli\ncode = 0", NUMPY)) == []
+
+
+@numpy_free
+@pytest.mark.parametrize("argv", [["list-scenarios"],
+                                  *(["validate", CONFIG_DIR / c] for c in SET_UP_FREE)],
+                         ids=lambda argv: " ".join(Path(a).name for a in argv))
+def test_commands_without_arrays_load_no_numpy(argv):
+    assert loaded_after(probe(MAIN, NUMPY), *argv) == []
+
+
+@numpy_free
+def test_cavity_spectrum_run_loads_no_numpy(tmp_path):
+    config = CONFIG_DIR / "cavity_spectrum.json"
+    assert loaded_after(probe(MAIN, NUMPY), "run", config, "--out", tmp_path) == []
+
+
+@pytest.mark.parametrize("config", sorted(set(MODEL_MODULES) - {"cavity_spectrum.json"}))
+def test_array_runs_load_numpy(tmp_path, config):
+    assert "numpy" in loaded_after(probe(MAIN, NUMPY), "run", CONFIG_DIR / config,
+                                   "--out", tmp_path)
+
+
 def test_importing_the_cli_loads_only_the_core_modules():
     assert loaded_after(probe("import qndsim.cli\ncode = 0", OWN)) == CORE
 
@@ -150,8 +249,7 @@ def test_each_config_loads_only_its_model_modules(tmp_path, config):
                         "run", CONFIG_DIR / config, "--out", tmp_path) == want
 
 
-@pytest.mark.parametrize("config", ["cavity_spectrum.json", "trap_map.json",
-                                    "scattering_sweep.json", "squeezing.json"])
+@pytest.mark.parametrize("config", SET_UP_FREE)
 def test_validating_a_config_without_set_up_loads_no_model_module(config):
     assert loaded_after(probe(MAIN, OWN),
                         "validate", CONFIG_DIR / config) == CORE
@@ -170,6 +268,14 @@ code = 0"""
     bare, run_scan, resolved = loaded_after(probe(body, "[bare, run_scan, resolved]"))
     assert bare == [] and run_scan == "qndsim.harness"
     assert resolved == sorted(qndsim.__all__)
+
+
+def test_an_overflow_in_a_run_is_no_warning(tmp_path):
+    # float_power overflows to inf in the scattering rate on the way to finite
+    # rows; main quiets it, so -W error does not turn it into exit 1
+    proc = fresh("-W", "error", "-m", "qndsim.cli", "run", CONFIG_DIR / "scattering_sweep.json",
+                 "--set", "sweep.detuning_max_linewidths=1e200", "--out", tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_diverged_fit_warns_on_stderr(monkeypatch, tmp_path, capsys):

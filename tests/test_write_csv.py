@@ -1,4 +1,6 @@
-"""The blocked CSV writer against the per-row formatter it replaced."""
+"""The blocked CSV writer against the per-row formatter it replaced, and its
+finiteness check on the written text against the numpy masks it replaced."""
+import math
 import tempfile
 from pathlib import Path
 
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qndsim
+from qndsim.cavity import CavityGeometry, transverse_spectrum
 from qndsim.cli import CSV_BLOCK_ROWS, main, write_csv
 from qndsim.errors import RegimeError
 from qndsim.harness import Trace
@@ -183,3 +186,49 @@ def test_non_finite_rabi_trace_exits_three(tmp_path, capsys):
     assert "rabi_trace.csv: non-finite value in row 1" in \
         capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+# every float, subnormals, the largest magnitudes and the non-finite ones
+# included, and every int64, as a column's tolist() hands it to repr
+CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, np.nan, np.inf, -np.inf]),
+    st.integers(-2**63, 2**63 - 1).map(lambda i: np.array([i]).tolist()[0]),
+)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(CELLS)
+@example(float("nan"))
+@example(float("-inf"))
+@example(-0.0)
+@example(5e-324)
+def test_a_cell_holds_an_n_exactly_when_its_value_is_not_finite(value):
+    assert ("n" in repr(value)) == (not math.isfinite(value)) == (not np.isfinite(value))
+
+
+def test_spectrum_lists_write_the_bytes_of_their_arrays(tmp_path):
+    columns = list(zip(*transverse_spectrum(CavityGeometry(), 5)))
+    lists, arrays = tmp_path / "lists.csv", tmp_path / "arrays.csv"
+    write_csv(lists, "m,n,offset_hz", [map(list, columns)])
+    write_csv(arrays, "m,n,offset_hz", [map(np.array, columns)])
+    assert lists.read_bytes() == arrays.read_bytes()
+    # the integral orders stay integral, the fundamental's offset a float
+    assert lists.read_text().splitlines()[1] == "0,0,0.0"
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.one_of(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=9),
+              st.lists(CELLS.filter(lambda x: isinstance(x, float)), min_size=1, max_size=9)),
+    min_size=width, max_size=width)))
+def test_list_columns_write_what_their_arrays_write(columns):
+    rows = min(map(len, columns))
+    columns = [column[:rows] for column in columns]
+    header = ",".join(f"c{j}" for j in range(len(columns)))
+    with tempfile.TemporaryDirectory() as tmp:
+        lists = written(Path(tmp) / "lists", header, [columns])
+        arrays = written(Path(tmp) / "arrays", header, [tuple(map(np.array, columns))])
+    # the same bytes, and the same error naming the same row and line
+    assert lists == arrays
