@@ -217,8 +217,7 @@ def _write_json(path: Path, payload: dict) -> None:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise RegimeError(f"{path.name}: non-finite value in output") from exc
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 CSV_BLOCK_ROWS = 4096
@@ -260,6 +259,14 @@ def write_csv(path, header: str, blocks) -> None:
                                       f"{row + bad + 1}: {lines[bad]}")
                 fh.write(text + "\n")
                 row += len(lines)
+
+
+def _distinct(values):
+    """The (values, index) pair of a float64 array's distinct bit patterns,
+    which keep 0.0 and -0.0 apart, unlike its distinct values."""
+    import numpy as np
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), index
 
 
 def _version(package: str) -> str:
@@ -635,10 +642,10 @@ def _run_trap_map(v: dict, setup, out: Path, seed: int) -> list[str]:
     iy, iz = (i.ravel() for i in np.indices((axis.size, axis.size)))
     um = axis * 1e6
     # one x-plane per call: a whole-cube grid would hold several cube-sized
-    # temporaries at once
+    # temporaries at once; the grid's mirror symmetry repeats potentials
     write_csv(out / "trap_map.csv", "x_um,y_um,z_um,potential_uk",
               (((um, np.full(iy.size, i)), (um, iy), (um, iz),
-                potential_at(trap, (x, axis[iy], axis[iz])) / K_B * 1e6)
+                _distinct(potential_at(trap, (x, axis[iy], axis[iz])) / K_B * 1e6))
                for i, x in enumerate(axis)))
     fx, fy, fz = trap_frequencies(trap)
     _write_json(out / "trap_summary.json", {
@@ -709,14 +716,11 @@ def _run_rabi(v: dict, setup, out: Path, seed: int) -> list[str]:
     write_csv(out / "rabi_trace.csv", "time_s,signal_v", [(trace.times, trace.signal)])
     window = v["options"]["fit_window_ms"] * 1e-3
     try:
-        fit = fit_damped_sine(trace, window=window)
+        fit = {**vars(fit_damped_sine(trace, window=window)), "fit_window_s": window}
     except FitDiverged as exc:
         print(f"warning: rabi fit diverged: {exc}", file=sys.stderr)
-        _write_json(out / "rabi_fit.json",
-                    {"error": f"fit diverged: {exc}", "seed": seed})
-    else:
-        _write_json(out / "rabi_fit.json",
-                    {**vars(fit), "seed": seed, "fit_window_s": window})
+        fit = {"error": f"fit diverged: {exc}"}
+    _write_json(out / "rabi_fit.json", {**fit, "seed": seed})
     return ["rabi_trace.csv", "rabi_fit.json"]
 
 
@@ -732,8 +736,11 @@ def _run_spin_echo(v: dict, setup, out: Path, seed: int) -> list[str]:
                                  noiseless=v["options"]["noiseless"])
     deltas = np.array(echo["detunings_hz"])
     rows, samples = (i.ravel() for i in np.indices(signals.shape))
+    signal = signals.ravel()
+    if v["options"]["noiseless"] and not v["probe_gate"]["backaction"]:
+        signal = _distinct(signal)    # free evolution holds Jz: gap samples repeat
     write_csv(out / "spin_echo_traces.csv", "detuning_hz,time_s,signal_v",
-              [((deltas, rows), (times, samples), signals.ravel())])
+              [((deltas, rows), (times, samples), signal)])
     amps = mid_pulse_amplitudes(times, signals, seqs[0])
     peaks = np.abs(signals).max(axis=1)
     # the measured figure's normalization is unspecified, so emit both: per
@@ -766,15 +773,9 @@ def _run_squeezing(v: dict, setup, out: Path, seed: int) -> list[str]:
     return ["squeezing.json"]
 
 
-_RUNNERS = {
-    "cavity-spectrum": _run_cavity_spectrum,
-    "trap-map": _run_trap_map,
-    "noise-sweep": _run_noise_sweep,
-    "scattering-sweep": _run_scattering_sweep,
-    "rabi": _run_rabi,
-    "spin-echo": _run_spin_echo,
-    "squeezing": _run_squeezing,
-}
+_RUNNERS = {"cavity-spectrum": _run_cavity_spectrum, "trap-map": _run_trap_map,
+            "noise-sweep": _run_noise_sweep, "scattering-sweep": _run_scattering_sweep,
+            "rabi": _run_rabi, "spin-echo": _run_spin_echo, "squeezing": _run_squeezing}
 
 
 # ------------------------------------------------------------ subcommands
@@ -831,8 +832,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_list_scenarios(args) -> int:
-    for name in SCENARIOS:
-        print(name)
+    print("\n".join(SCENARIOS))
     return 0
 
 

@@ -5,7 +5,8 @@ the small configs of the `scaled-sweeps`, `long-rabi` and `echo-scan`
 workloads of `bench/workloads.py` at one seed (`cold-bundled` runs the
 bundled configs), plus the full-size configs of the same three workloads,
 so the 25^3 trap map, the 3e4-point sweeps, the doubling over 10,000 whole
-probe periods and the batched scan walk are covered at benchmark size.
+probe periods and the batched scan walk are covered at benchmark size, and
+the full-size echo scan once with detection noise and once with back-action.
 `artifact_digests.json` holds, per run, the digest of each artifact and of
 `manifest.json`, with the Python, numpy and scipy versions they were made
 with; `test_artifact_digests.py` reruns and compares.
@@ -70,6 +71,12 @@ def runs() -> dict:
         for cfg in workloads.generate(workload, WORKLOAD_SEED, CONFIGS.parents[1],
                                       small=False):
             table[f"{workload}/{cfg.name}@full"] = (cfg.body, [])
+    # the echo scan with detection noise and with back-action, whose signals
+    # are all distinct, beside the noiseless scan without back-action
+    echo = table["echo-scan/spin_echo@full"][0]
+    for variant, field in (("noisy", "options.noiseless=false"),
+                           ("backaction", "probe_gate.backaction=true")):
+        table[f"echo-scan/spin_echo@full+{variant}"] = (echo, ["--set", field])
     return table
 
 

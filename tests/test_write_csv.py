@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import qndsim
 from qndsim.cavity import CavityGeometry, transverse_spectrum
-from qndsim.cli import CSV_BLOCK_ROWS, main, write_csv
+from qndsim.cli import CSV_BLOCK_ROWS, _distinct, main, write_csv
 from qndsim.errors import RegimeError
 from qndsim.harness import Trace
 
@@ -232,3 +232,45 @@ def test_list_columns_write_what_their_arrays_write(columns):
         arrays = written(Path(tmp) / "arrays", header, [tuple(map(np.array, columns))])
     # the same bytes, and the same error naming the same row and line
     assert lists == arrays
+
+
+def bits(*values) -> list:
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+# bit patterns: signed zeros, subnormals, the extremes, infinities and quiet,
+# signalling and negative NaNs of distinct payloads
+SPECIAL_BITS = bits(0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310,
+                    1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf) + [
+    0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001,
+    0x7FFFFFFFFFFFFFFF]
+BITS = st.one_of(st.sampled_from(SPECIAL_BITS), st.floats().map(lambda x: bits(x)[0]))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(st.lists(BITS, min_size=1, max_size=12), SIZES, st.integers(0, 2**32))
+# a -0.0 beside 0.0 and two NaN payloads, over two blocks
+@example([bits(0.0)[0], bits(-0.0)[0], 0x7FF8000000000001, 0xFFF8000000000000],
+         CSV_BLOCK_ROWS + 1, 3)
+def test_distinct_column_writes_the_plain_column(pool, rows, seed):
+    # few values, many repeats: the column as the echo signal or a trap plane
+    index = np.random.default_rng(seed).integers(0, len(pool), rows)
+    x = np.array(pool, dtype=np.uint64)[index].view(np.float64)
+    values, inverse = _distinct(x)
+    assert values.dtype == np.float64
+    assert np.array_equal(values[inverse].view(np.uint64), x.view(np.uint64))
+    assert np.unique(values.view(np.uint64)).size == values.size
+    n = np.arange(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        got = written(Path(tmp) / "distinct", "n,x", [(n, (values, inverse))])
+        expected = written(Path(tmp) / "plain", "n,x", [(n, x)])
+    # the same bytes, and the same error naming the same row and line
+    assert got == expected
+
+
+def test_distinct_keeps_signed_zeros_and_nan_payloads_apart():
+    values, index = _distinct(np.array([0.0, -0.0, 0.0, -0.0]))
+    assert sorted(map(repr, values.tolist())) == ["-0.0", "0.0"]
+    assert list(map(repr, values[index].tolist())) == ["0.0", "-0.0", "0.0", "-0.0"]
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.uint64)
+    assert _distinct(nans.view(np.float64))[0].size == 2
