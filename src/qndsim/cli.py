@@ -217,7 +217,8 @@ def _write_json(path: Path, payload: dict) -> None:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise RegimeError(f"{path.name}: non-finite value in output") from exc
-    path.write_text(text + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 CSV_BLOCK_ROWS = 4096
@@ -716,11 +717,14 @@ def _run_rabi(v: dict, setup, out: Path, seed: int) -> list[str]:
     write_csv(out / "rabi_trace.csv", "time_s,signal_v", [(trace.times, trace.signal)])
     window = v["options"]["fit_window_ms"] * 1e-3
     try:
-        fit = {**vars(fit_damped_sine(trace, window=window)), "fit_window_s": window}
+        fit = fit_damped_sine(trace, window=window)
     except FitDiverged as exc:
         print(f"warning: rabi fit diverged: {exc}", file=sys.stderr)
-        fit = {"error": f"fit diverged: {exc}"}
-    _write_json(out / "rabi_fit.json", {**fit, "seed": seed})
+        _write_json(out / "rabi_fit.json",
+                    {"error": f"fit diverged: {exc}", "seed": seed})
+    else:
+        _write_json(out / "rabi_fit.json",
+                    {**vars(fit), "seed": seed, "fit_window_s": window})
     return ["rabi_trace.csv", "rabi_fit.json"]
 
 
@@ -736,11 +740,9 @@ def _run_spin_echo(v: dict, setup, out: Path, seed: int) -> list[str]:
                                  noiseless=v["options"]["noiseless"])
     deltas = np.array(echo["detunings_hz"])
     rows, samples = (i.ravel() for i in np.indices(signals.shape))
-    signal = signals.ravel()
-    if v["options"]["noiseless"] and not v["probe_gate"]["backaction"]:
-        signal = _distinct(signal)    # free evolution holds Jz: gap samples repeat
+    # free evolution without noise or back-action holds Jz, so gap samples repeat
     write_csv(out / "spin_echo_traces.csv", "detuning_hz,time_s,signal_v",
-              [((deltas, rows), (times, samples), signal)])
+              [((deltas, rows), (times, samples), _distinct(signals.ravel()))])
     amps = mid_pulse_amplitudes(times, signals, seqs[0])
     peaks = np.abs(signals).max(axis=1)
     # the measured figure's normalization is unspecified, so emit both: per
@@ -773,9 +775,15 @@ def _run_squeezing(v: dict, setup, out: Path, seed: int) -> list[str]:
     return ["squeezing.json"]
 
 
-_RUNNERS = {"cavity-spectrum": _run_cavity_spectrum, "trap-map": _run_trap_map,
-            "noise-sweep": _run_noise_sweep, "scattering-sweep": _run_scattering_sweep,
-            "rabi": _run_rabi, "spin-echo": _run_spin_echo, "squeezing": _run_squeezing}
+_RUNNERS = {
+    "cavity-spectrum": _run_cavity_spectrum,
+    "trap-map": _run_trap_map,
+    "noise-sweep": _run_noise_sweep,
+    "scattering-sweep": _run_scattering_sweep,
+    "rabi": _run_rabi,
+    "spin-echo": _run_spin_echo,
+    "squeezing": _run_squeezing,
+}
 
 
 # ------------------------------------------------------------ subcommands
@@ -832,7 +840,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_list_scenarios(args) -> int:
-    print("\n".join(SCENARIOS))
+    for name in SCENARIOS:
+        print(name)
     return 0
 
 
