@@ -22,6 +22,7 @@ squeezing, and the scattering sweep's probe tuning.
 numpy is imported only by code that computes with arrays, the model modules
 but cavity and the array runners: help, list-scenarios, schema errors,
 validation without a model set-up and a cavity-spectrum run never load it.
+At exit a command freezes the heap (gc.freeze), so no final collection walks it.
 
 Exit codes: 0 success, 2 config error (with line/field diagnostics),
 3 physics/regime error during a run, 1 internal error.
@@ -29,6 +30,8 @@ Exit codes: 0 success, 2 config error (with line/field diagnostics),
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import hashlib
 import importlib.util
 import json
@@ -846,6 +849,10 @@ def _cmd_list_scenarios(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; freeze the heap at process exit."""
+    # exit-time collections would walk ~22k loaded objects that the ending process frees anyway
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = argparse.ArgumentParser(
         prog="qndsim",
         description="Simulations of heterodyne non-demolition probing of cold atoms: "

@@ -90,6 +90,11 @@ def digests(config, extra: list, out: Path) -> dict:
         warnings.simplefilter("ignore")
         code = cli.main(["run", str(config), "--out", str(out), *extra])
     assert code == 0, f"qndsim run {config} exited {code}"
+    return hashes(out)
+
+
+def hashes(out: Path) -> dict:
+    """File name -> sha256 of every file in ``out``."""
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir())}
 

@@ -25,6 +25,12 @@ and a cavity-spectrum run load no numpy module; every other bundled run
 does. An older numpy whose version.py imports numpy (a versioneer build)
 skips those pins, and a synthetic package of that layout checks that its
 version is still read.
+
+A command's process ends with its heap frozen: `cli.main` registers
+gc.freeze with atexit once, however often it runs, and `import qndsim.cli`
+registers nothing. With no exit-time collection to close a file, no run
+leaves one open, and a cold run of each bundled config writes the bytes of
+the digest table, which is made in process.
 """
 import ast
 import importlib.util
@@ -41,11 +47,13 @@ import scipy.constants as sc
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import artifact_digests
 import qndsim
 import qndsim.cli as cli
 from qndsim import constants, harness
 
 CONFIG_DIR = Path(qndsim.__file__).parent / "configs"
+TABLE = json.loads(artifact_digests.TABLE.read_text(encoding="utf-8"))
 UNUSED = ("scipy", "numpy.ma")
 
 
@@ -297,3 +305,72 @@ def test_diverged_fit_warns_on_stderr(monkeypatch, tmp_path, capsys):
     # only the fit failed: the trace is the converged run's
     assert ((out / "rabi_trace.csv").read_bytes()
             == (tmp_path / "ok" / "rabi_trace.csv").read_bytes())
+
+
+# `cli.main` registers gc.freeze with atexit, so a command's process ends
+# without the final collections walking the heap it loaded. A checker
+# registered before main runs after the hook (atexit is last in, first
+# out) and prints how often gc.freeze ran and how many objects it froze.
+AT_EXIT = """import atexit, gc
+freeze, calls = gc.freeze, []
+gc.freeze = lambda: (calls.append(None), freeze())
+atexit.register(lambda: print(json.dumps([len(calls), gc.get_freeze_count()])))
+"""
+TWICE = "from qndsim import cli\ncode = max(cli.main(sys.argv[1:]) for _ in range(2))"
+
+
+def at_exit(body: str, *args) -> list:
+    proc = fresh("-c", probe(AT_EXIT + body, "None"), *args)
+    assert proc.returncode == 0, proc.stderr
+    (code, _), frozen = map(json.loads, proc.stdout.strip().splitlines()[-2:])
+    assert code == 0
+    return frozen
+
+
+def test_main_freezes_the_heap_once_at_exit():
+    calls, count = at_exit(TWICE, "list-scenarios")
+    assert calls == 1 and count > 0
+
+
+def test_the_exit_hook_is_gc_freeze_itself():
+    # so a program embedding main can take it off with one unregister
+    assert at_exit(TWICE + "\natexit.unregister(gc.freeze)", "list-scenarios") == [0, 0]
+
+
+def test_importing_the_cli_registers_no_exit_hook():
+    assert at_exit("import qndsim.cli\ncode = 0") == [0, 0]
+
+
+# no collection runs at exit to close a file a run left open, and buffered
+# bytes of such a file would be lost: after main returns, the only open files
+# are the standard streams and the buffers and raw files beneath them (under
+# -u or PYTHONUNBUFFERED, stdout's buffer is its raw file)
+STREAMS = """import gc, io
+def layers(f):
+    while f is not None:
+        yield f
+        f = getattr(f, "buffer", getattr(f, "raw", None))
+std = [s for f in (sys.stdin, sys.stdout, sys.stderr) for s in layers(f)]
+"""
+OPEN = ("sorted(repr(o) for o in gc.get_objects() if isinstance(o, io.IOBase)"
+        " and not o.closed and not any(o is s for s in std))")
+
+
+@pytest.mark.parametrize("config", sorted(MODEL_MODULES))
+def test_a_run_leaves_no_file_open(tmp_path, config):
+    assert loaded_after(probe(STREAMS + MAIN, OPEN),
+                        "run", CONFIG_DIR / config, "--out", tmp_path) == []
+
+
+# the digest table is made in process; a cold `python -m qndsim.cli run` of
+# each bundled config, which exits frozen, writes the same bytes
+@pytest.mark.skipif(TABLE["versions"] != artifact_digests.versions(),
+                    reason=f"digests recorded with {TABLE['versions']}, "
+                           f"running {artifact_digests.versions()}")
+@pytest.mark.parametrize("config", sorted(MODEL_MODULES))
+def test_a_cold_run_writes_the_pinned_bytes(tmp_path, config):
+    out = tmp_path / "out"
+    proc = fresh("-m", "qndsim.cli", "run", CONFIG_DIR / config, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(out / "manifest.json")
+    assert artifact_digests.hashes(out) == TABLE["runs"][Path(config).stem]
