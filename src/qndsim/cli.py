@@ -232,7 +232,7 @@ def _csv_chunks(column):
     cell = repr
     if isinstance(column, tuple):
         values, column = column
-        cell = list(map(repr, values if isinstance(values, list) else values.tolist())).__getitem__
+        cell = list(map(repr, values.tolist())).__getitem__
     for start in range(0, len(column), CSV_BLOCK_ROWS):
         chunk = column[start:start + CSV_BLOCK_ROWS]
         yield map(cell, chunk if isinstance(chunk, list) else chunk.tolist())
@@ -243,12 +243,12 @@ def write_csv(path, header: str, blocks) -> None:
     equal-length columns, so a large table can come one slab at a time.
 
     A column is an array or a list of cells, or a pair ``(values, index)`` of
-    cells ``values[index]``, each value formatted once per block (a tuple is a
-    pair). A cell is the repr of a Python number, as an array's tolist() gives:
-    floats round-trip, integers stay integral. Rows are written CSV_BLOCK_ROWS
-    at a time. Raises RegimeError naming the first row holding a NaN or an
-    infinity, the only numbers whose repr holds an "n"; a value no row holds
-    is unchecked.
+    arrays giving cells ``values[index]``, each value formatted once per block
+    (a tuple is a pair). A cell is the repr of a Python number, as an array's
+    tolist() gives: floats round-trip, integers stay integral. Rows are written
+    CSV_BLOCK_ROWS at a time. Raises RegimeError naming the first row holding
+    a NaN or an infinity, the only numbers whose repr holds an "n"; a value no
+    row holds is unchecked.
     """
     path, row = Path(path), 0
     with open(path, "w", encoding="utf-8") as fh:
@@ -506,8 +506,8 @@ def _probed_setup(v: dict) -> tuple:
     """Probe clock, probe beam, its light shift, ensemble and detector, once
     the phase of all N atoms is checked: more than the walk ever detects."""
     from .atoms import EnsembleState, ProbeTuning, light_shift
-    from .harness import ProbeGate
-    from .heterodyne import ModulatedProbe, atomic_phase, check_small_phase
+    from .harness import ProbeGate, sideband_phase
+    from .heterodyne import ModulatedProbe, check_small_phase
     sec = v["probe_gate"]
     pc = sec["carrier_power_uw"] * 1e-6
     ps = sec["sideband_power_nw"] * 1e-9
@@ -544,9 +544,7 @@ def _probed_setup(v: dict) -> tuple:
     ens = EnsembleState.all_lower(v["ensemble"]["atom_number"],
                                   cloud_rms=v["ensemble"]["cloud_rms_um"] * 1e-6)
     det = _detector(v["detector"])
-    check_small_phase(atomic_phase(tuning.sideband_detuning * tuning.linewidth,
-                                   ens.atom_number, probe.beam_waist,
-                                   ens.cloud_rms, linewidth=tuning.linewidth))
+    check_small_phase(sideband_phase(gate, probe, ens.atom_number, ens.cloud_rms))
     return gate, probe, shift, ens, det
 
 

@@ -96,6 +96,15 @@ class ProbeGate:
         return 1.0 / self.repetition_rate
 
 
+def sideband_phase(gate: ProbeGate, probe: ModulatedProbe, f2_population,
+                   cloud_rms: float):
+    """Dispersive phase of the gate's probing sideband across a cloud whose
+    F=2 population, a number or an array of samples, it detects."""
+    return atomic_phase(gate.tuning.sideband_detuning * gate.tuning.linewidth,
+                        f2_population, probe.beam_waist, cloud_rms,
+                        linewidth=gate.tuning.linewidth)
+
+
 @dataclass(frozen=True)
 class PulseSequence:
     segments: tuple
@@ -291,14 +300,9 @@ def _walk(seqs, seed, initial, probe, det, template, noiseless):
     for i, t in off:
         times[i] = t
     at = trajectory[np.concatenate([np.arange(r, r + n) for r, n in samples])]
-    phi = atomic_phase(
-        gate.tuning.sideband_detuning * gate.tuning.linewidth,
-        # at the Bloch pole rounding may leave the population a few ulp below 0
-        np.maximum(f2_population(at, initial.atom_number), 0.0),
-        probe.beam_waist,
-        initial.cloud_rms,
-        linewidth=gate.tuning.linewidth,
-    )
+    # at the Bloch pole rounding may leave the population a few ulp below 0
+    phi = sideband_phase(gate, probe, np.maximum(f2_population(at, initial.atom_number), 0.0),
+                         initial.cloud_rms)
     try:
         volts = demodulated_signal(probe, PhaseShiftTriple(phi_plus=phi), det)
     except RegimeError as exc:
@@ -456,13 +460,7 @@ def destructivity_at_unit_snr(
     """
     if ensemble.f2_population <= 0:
         raise DomainError("need detectable F=2 population")
-    phi = atomic_phase(
-        gate.tuning.sideband_detuning * gate.tuning.linewidth,
-        ensemble.f2_population,
-        probe.beam_waist,
-        ensemble.cloud_rms,
-        linewidth=gate.tuning.linewidth,
-    )
+    phi = sideband_phase(gate, probe, ensemble.f2_population, ensemble.cloud_rms)
     base_ps = probe.sideband_power if probe.sideband_power > 0 else 76e-9
     top = 0.09 * probe.carrier_power
     ref = min(base_ps, top)

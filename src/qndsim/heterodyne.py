@@ -9,10 +9,9 @@ enters only through the modulation wavelength lambda_mod = 2*pi*c/Omega,
 not the optical wavelength, which is the source of the scheme's common-mode
 noise rejection.
 
-Sign conventions follow the demodulation by sin(Omega*t + Phi_dem) with the
-matched phase Phi_dem = Omega*L/c: the in-phase quadrature carries the
-dispersive terms (DeltaPhi_minus), the orthogonal quadrature the
-path-length-sensitive terms (DeltaPhi_plus).
+Sign conventions follow demodulation matched to the nominal path: the
+in-phase quadrature carries the dispersive terms (DeltaPhi_minus), the
+orthogonal quadrature the path-length-sensitive terms (DeltaPhi_plus).
 """
 from __future__ import annotations
 
@@ -68,11 +67,6 @@ class ModulatedProbe:
     def modulation_wavelength(self) -> float:
         """lambda_mod = 2*pi*c/Omega, the length scale of path-noise pickup."""
         return 2.0 * math.pi * C / self.modulation_frequency
-
-    @property
-    def matched_demod_phase(self) -> float:
-        """Demodulation phase that selects the dispersive quadrature."""
-        return self.modulation_frequency * self.path_length / C
 
 
 @dataclass(frozen=True)
@@ -214,32 +208,34 @@ def small_phase_expansion(
     )
 
 
+def signal_scale(probe: ModulatedProbe, det: DetectorModel) -> float:
+    """G_PD * beta * P_opt, the demodulated volts per unit phase coefficient."""
+    return det.gain * probe.modulation_depth * probe.carrier_power
+
+
 def demodulated_signal(
     probe: ModulatedProbe,
     phases: PhaseShiftTriple,
     det: DetectorModel,
-    demod_phase: float | None = None,
     path_error: float = 0.0,
 ) -> float:
     """Demodulated detector voltage for a given atomic phase triple.
 
-    Mixes the beat note with sin(Omega*t + Phi_dem). At the matched phase
-    (the default) and zero path error the output is the pure dispersive
-    quadrature
+    At zero path error the output is the pure dispersive quadrature
 
         S = G_PD * beta * P_opt * (DPhi- + eps*DPhi-AM)
 
     so a single probed upper sideband gives S = G_PD*beta*P_opt*sin(phi_at).
-    A path-length error deltaL (or a deliberate demodulation offset)
-    rotates in the orthogonal quadrature at 2*pi*deltaL/lambda_mod:
+    A path-length error deltaL is the only quadrature rotation: it mixes in
+    the orthogonal quadrature at chi = 2*pi*deltaL/lambda_mod:
 
         S = G*beta*P*[cos(chi)*(DPhi- + eps*DPhi-AM)
                       + sin(chi)*(DPhi+ + eps*DPhi+AM)]
 
-    with chi = 2*pi*path_error/lambda_mod + (Phi_dem - matched). The exact
-    trigonometric coefficient forms are used throughout. The phases or
-    path_error may be arrays; the voltage is then elementwise and equals
-    the scalar call at every point. A scalar call gives a numpy float64.
+    The exact trigonometric coefficient forms are used throughout. The
+    phases or path_error may be arrays; the voltage is then elementwise and
+    equals the scalar call at every point. A scalar call gives a numpy
+    float64.
 
     Raises RegimeError when the phases leave the small-phase regime the
     calibration assumes.
@@ -248,10 +244,7 @@ def demodulated_signal(
     d_plus, d_minus, d_plus_am, d_minus_am = exact_phase_terms(phases)
     eps = probe.ram_asymmetry
     chi = 2.0 * math.pi * path_error / probe.modulation_wavelength
-    if demod_phase is not None:
-        chi += demod_phase - probe.matched_demod_phase
-    scale = det.gain * probe.modulation_depth * probe.carrier_power
-    return scale * (
+    return signal_scale(probe, det) * (
         np.cos(chi) * (d_minus + eps * d_minus_am)
         + np.sin(chi) * (d_plus + eps * d_plus_am)
     )
@@ -273,14 +266,8 @@ def length_noise_signal(
     between the phi^2 and eps terms); both are kept because the budget
     figure is what sensitivity ratios are quoted against.
     """
-    return (
-        det.gain
-        * probe.modulation_depth
-        * probe.carrier_power
-        * (phi_at**2 + probe.ram_asymmetry)
-        * path_error
-        / probe.modulation_wavelength
-    )
+    return (signal_scale(probe, det) * (phi_at**2 + probe.ram_asymmetry)
+            * path_error / probe.modulation_wavelength)
 
 
 def interferometer_length_signal(
@@ -296,13 +283,7 @@ def interferometer_length_signal(
     """
     if wavelength <= 0:
         raise DomainError("wavelength must be positive")
-    return (
-        det.gain
-        * probe.modulation_depth
-        * probe.carrier_power
-        * path_error
-        / wavelength
-    )
+    return signal_scale(probe, det) * path_error / wavelength
 
 
 def noise_rejection_ratio(

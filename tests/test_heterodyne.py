@@ -38,12 +38,9 @@ def _probe(**kw):
     return ModulatedProbe(**kw)
 
 
-def test_probe_modulation_wavelength_and_matched_phase():
+def test_probe_modulation_wavelength():
     p = _probe()
     assert p.modulation_wavelength == pytest.approx(0.10676369586894585, rel=1e-12, abs=0)
-    assert p.matched_demod_phase == pytest.approx(
-        p.modulation_frequency * p.path_length / C, rel=1e-12, abs=0
-    )
 
 
 def test_probe_validation():
@@ -243,11 +240,6 @@ def test_demod_quadrature_rotation():
     quarter = probe.modulation_wavelength / 4
     s = demodulated_signal(probe, zero, det, path_error=quarter)
     assert s == pytest.approx(scale * probe.ram_asymmetry * 2.0, rel=1e-12, abs=0)
-    # explicit demodulation-phase offset does the same rotation
-    s2 = demodulated_signal(
-        probe, zero, det, demod_phase=probe.matched_demod_phase + math.pi / 2
-    )
-    assert s2 == pytest.approx(s, rel=1e-12, abs=0)
     # a full modulation wavelength of path error is invisible
     tr = PhaseShiftTriple(phi_plus=0.03)
     s3 = demodulated_signal(probe, tr, det, path_error=probe.modulation_wavelength)

@@ -133,9 +133,9 @@ def test_demodulated_signal_is_elementwise_in_path_error_and_phase():
                 for e in pe.tolist()])
     both = PhaseShiftTriple(phi_minus=-phi, phi_plus=phi)
     assert_ulp(
-        demodulated_signal(probe, both, det, demod_phase=0.4, path_error=pe),
+        demodulated_signal(probe, both, det, path_error=pe),
         [demodulated_signal(probe, PhaseShiftTriple(phi_minus=-a, phi_plus=a),
-                            det, demod_phase=0.4, path_error=e)
+                            det, path_error=e)
          for a, e in zip(phi.tolist(), pe.tolist())])
 
 
