@@ -256,13 +256,55 @@ def write_csv(path, header: str, blocks) -> None:
         for columns in blocks:
             for chunk in zip(*map(_csv_chunks, columns)):
                 lines = list(map(",".join, zip(*chunk)))
-                text = "\n".join(lines)
-                if "n" in text:
-                    bad = next(i for i, line in enumerate(lines) if "n" in line)
-                    raise RegimeError(f"{path.name}: non-finite value in row "
-                                      f"{row + bad + 1}: {lines[bad]}")
-                fh.write(text + "\n")
+                fh.write(_finite(path, row, "\n".join(lines) + "\n"))
                 row += len(lines)
+
+
+def _finite(path: Path, row: int, text: str) -> str:
+    """``text``, the lines of the rows after ``row``, or RegimeError naming
+    the first that holds an "n", so a NaN or an infinity."""
+    if "n" in text:
+        lines = text.split("\n")
+        bad = next(i for i, line in enumerate(lines) if "n" in line)
+        raise RegimeError(f"{path.name}: non-finite value in row {row + bad + 1}: {lines[bad]}")
+    return text
+
+
+def _mirror_cells(front, back):
+    """Cells of ``front`` and of ``back``, whose k-th value is the mirror of
+    ``front[k]`` (one fewer at an odd table's centre row), each in row order."""
+    import numpy as np
+    bits = front[:back.size].view(np.int64) ^ back.view(np.int64)
+    flipped = ((bits == np.iinfo(np.int64).min) & ~np.isnan(back)).tolist()
+    cells = list(map(repr, front.tolist()))
+    mirrored = [(s[1:] if s[0] == "-" else "-" + s) if flip else repr(x)
+                for s, flip, x in zip(cells, flipped, back.tolist())]
+    return cells, mirrored[::-1]
+
+
+def write_mirrored_csv(path, header: str, columns) -> None:
+    """``write_csv(path, header, [columns])`` for equal-length float64 array
+    columns whose row i mirrors row n-1-i: a cell whose value is the bitwise
+    negation of its mirror cell's (NaN never is) is that cell's text with its
+    sign flipped, as repr gives it, so the pair is formatted once.
+
+    Rows go CSV_BLOCK_ROWS // 8 mirror pairs at a time from both ends inward:
+    the first half is written at once, the later half held as text, which
+    the small chunks leave room for.
+    """
+    path, n = Path(path), len(columns[0])
+    half, later = (n + 1) // 2, []
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for start in range(0, half, CSV_BLOCK_ROWS // 8):
+            stop = min(start + CSV_BLOCK_ROWS // 8, half)
+            mirror = max(n - stop, half)   # the later rows mirroring these
+            front, back = zip(*(_mirror_cells(x[start:stop], x[mirror:n - start][::-1])
+                                for x in columns))
+            fh.write(_finite(path, start, "\n".join([*map(",".join, zip(*front)), ""])))
+            later.append((mirror, "\n".join([*map(",".join, zip(*back)), ""])))
+        for row, text in reversed(later):
+            fh.write(_finite(path, row, text))
 
 
 def _distinct(values):
@@ -271,6 +313,17 @@ def _distinct(values):
     import numpy as np
     bits, index = np.unique(values.view(np.int64), return_inverse=True)
     return bits.view(np.float64), index
+
+
+def _mirrored_axis(half: float, n: int):
+    """``np.linspace(-half, half, n)`` made exactly antisymmetric: its
+    non-negative half, centred on +0.0 for odd n, after that half negated
+    and reversed, so mirror-image points hold negated bits."""
+    import numpy as np
+    upper = np.linspace(-half, half, n)[n // 2:]
+    if n % 2:
+        upper[0] = 0.0
+    return np.concatenate((-upper[n % 2:][::-1], upper))
 
 
 def _version(package: str) -> str:
@@ -639,8 +692,7 @@ def _run_trap_map(v: dict, setup, out: Path, seed: int) -> list[str]:
         waist_perp=sec["waist_perp_um"] * 1e-6,
         backscatter_depth=sec["backscatter_depth"],
     )
-    half = v["grid"]["half_span_um"] * 1e-6
-    axis = np.linspace(-half, half, v["grid"]["points_per_axis"])
+    axis = _mirrored_axis(v["grid"]["half_span_um"] * 1e-6, v["grid"]["points_per_axis"])
     iy, iz = (i.ravel() for i in np.indices((axis.size, axis.size)))
     um = axis * 1e6
     # one x-plane per call: a whole-cube grid would hold several cube-sized
@@ -660,22 +712,21 @@ def _run_trap_map(v: dict, setup, out: Path, seed: int) -> list[str]:
 
 
 def _run_noise_sweep(v: dict, setup, out: Path, seed: int) -> list[str]:
-    import numpy as np
     from .heterodyne import (PhaseShiftTriple, demodulated_signal, interferometer_length_signal,
                              length_noise_signal, noise_rejection_ratio)
     sweep = v["sweep"]
     probe, det = setup
     phi = sweep["phi_at_rad"]
-    span = sweep["path_error_max_um"] * 1e-6
     wavelength = sweep["reference_wavelength_um"] * 1e-6
     triple = PhaseShiftTriple(phi_plus=phi)
     base = demodulated_signal(probe, triple, det)
-    pe = np.linspace(-span, span, sweep["points"])
-    write_csv(out / "noise_sweep.csv",
-              "path_error_m,demodulated_shift_v,budget_v,reference_v",
-              [(pe, demodulated_signal(probe, triple, det, path_error=pe) - base,
-                length_noise_signal(probe, phi, det, pe),
-                interferometer_length_signal(probe, det, pe, wavelength))])
+    pe = _mirrored_axis(sweep["path_error_max_um"] * 1e-6, sweep["points"])
+    # K*pe/lambda commutes with negation, so the budget and reference are odd
+    write_mirrored_csv(out / "noise_sweep.csv",
+                       "path_error_m,demodulated_shift_v,budget_v,reference_v",
+                       (pe, demodulated_signal(probe, triple, det, path_error=pe) - base,
+                        length_noise_signal(probe, phi, det, pe),
+                        interferometer_length_signal(probe, det, pe, wavelength)))
     _write_json(out / "noise_rejection.json", {
         "phi_at_rad": phi,
         "ram_asymmetry": probe.ram_asymmetry,

@@ -10,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import artifact_digests as digests
 import qndsim
 from qndsim.atoms import ProbeTuning, scattering_rate
-from qndsim.cli import main
+from qndsim.cli import _mirrored_axis, main
 from qndsim.constants import K_B
 from qndsim.heterodyne import (
     DetectorModel,
@@ -59,13 +62,65 @@ def test_trap_map_rows_equal_scalar_potential(tmp_path, overrides):
         waist_par=sec["waist_par_um"] * 1e-6,
         waist_perp=sec["waist_perp_um"] * 1e-6,
         backscatter_depth=sec.get("backscatter_depth", 0.0))
-    half = grid["half_span_um"] * 1e-6
-    axis = np.linspace(-half, half, grid["points_per_axis"])
+    axis = _mirrored_axis(grid["half_span_um"] * 1e-6, grid["points_per_axis"])
     points = [(x, y, z) for x in axis for y in axis for z in axis]
     # the coordinate columns name exactly the grid points
     np.testing.assert_array_equal(rows[:, :3], np.array(points) * 1e6)
     assert_ulp(rows[:, 3], [potential_at(trap, p) / K_B * 1e6
                             for p in points])
+
+
+# -------------------------------------------------------- mirrored axes
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.one_of(st.integers(2, 101), st.integers(2, 100_001)),
+       st.one_of(st.sampled_from([150e-6, 100e-6, 87.3e-6, 1.0]), st.floats(1e-300, 1e300)))
+@example(25, 150e-6)
+@example(30_000, 87.3e-6)
+def test_mirrored_axis_is_linspace_made_antisymmetric(n, half):
+    axis, plain = _mirrored_axis(half, n), np.linspace(-half, half, n)
+    bits = axis.view(np.int64)
+    # linspace rounds each point at the scale of its span, so its own mirror
+    # defect, the distance here, stays under 2 ulp of 2*half (1.5 measured)
+    assert np.all(np.abs(axis - plain) <= 2 * np.spacing(2 * half))
+    assert np.array_equal(bits[:n // 2], (-axis[::-1]).view(np.int64)[:n // 2])
+    if n % 2:
+        assert bits[n // 2] == 0    # +0.0, where linspace may miss 0
+    assert axis[0] == -half and axis[-1] == half
+    assert np.all(np.diff(axis) > 0)
+
+
+def artifact_cells(tmp_path, name: str) -> list:
+    """The cell strings of each row of the CSV that digest-table run
+    ``name`` writes."""
+    config, extra = digests.runs()[name]
+    digests.digests(config, extra, tmp_path / "out")
+    csv = next((tmp_path / "out").glob("*.csv"))
+    return [line.split(",") for line in csv.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("name", ["trap_map", "scaled-sweeps/trap_map",
+                                  "scaled-sweeps/trap_map@full"])
+def test_trap_cube_equals_its_mirror_images(tmp_path, name):
+    rows = artifact_cells(tmp_path, name)
+    n = round(len(rows) ** (1 / 3))
+    assert len(rows) == n**3
+    cube = np.array([row[3] for row in rows]).reshape(n, n, n)
+    for axis in range(3):
+        assert np.array_equal(cube, np.flip(cube, axis))
+
+
+@pytest.mark.parametrize("name", ["noise_sweep", "scaled-sweeps/noise_sweep",
+                                  "scaled-sweeps/noise_sweep@full"])
+def test_odd_noise_sweep_cells_flip_sign_in_their_mirror_rows(tmp_path, name):
+    rows = artifact_cells(tmp_path, name)
+    n = len(rows)
+    for column in (0, 2, 3):    # path_error_m, budget_v, reference_v
+        for i in range(n // 2):
+            cell, mirror = rows[i][column], rows[n - 1 - i][column]
+            assert cell == "-" + mirror or mirror == "-" + cell, (i, column)
+    if n % 2:
+        assert rows[n // 2][0] == "0.0"
 
 
 @pytest.mark.parametrize("overrides", [

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import qndsim
 from qndsim.cavity import CavityGeometry, transverse_spectrum
-from qndsim.cli import CSV_BLOCK_ROWS, _distinct, main, write_csv
+from qndsim.cli import CSV_BLOCK_ROWS, _distinct, _mirror_cells, main, write_csv, write_mirrored_csv
 from qndsim.errors import RegimeError
 from qndsim.harness import Trace
 
@@ -96,12 +96,12 @@ def test_trace_csv_refuses_non_finite_signal(tmp_path):
         write_csv(tmp_path / "trace.csv", "time_s,signal_v", [(trace.times, trace.signal)])
 
 
-def written(directory: Path, header, blocks):
+def written(directory: Path, header, blocks, writer=write_csv):
     """(RegimeError text or None, bytes on disk) of one write to t.csv."""
     directory.mkdir()
     path = directory / "t.csv"
     try:
-        write_csv(path, header, blocks)
+        writer(path, header, blocks)
     except RegimeError as exc:
         return str(exc), path.read_bytes()
     return None, path.read_bytes()
@@ -274,3 +274,73 @@ def test_distinct_keeps_signed_zeros_and_nan_payloads_apart():
     assert list(map(repr, values[index].tolist())) == ["0.0", "-0.0", "0.0", "-0.0"]
     nans = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.uint64)
     assert _distinct(nans.view(np.float64))[0].size == 2
+
+
+SIGN = np.uint64(1 << 63)
+FINITE_BITS = st.one_of(st.sampled_from(SPECIAL_BITS[:8]),
+                        st.floats(allow_nan=False, allow_infinity=False).map(lambda x: bits(x)[0]))
+MIRROR_SIZES = st.one_of(
+    st.sampled_from([0, 1, 2, 3, CSV_BLOCK_ROWS // 4 - 1, CSV_BLOCK_ROWS // 4,
+                     CSV_BLOCK_ROWS // 4 + 1,
+                     CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                     2 * CSV_BLOCK_ROWS + 3]),
+    st.integers(0, 40))
+
+
+@st.composite
+def mirrored_column(draw, rows: int, rng):
+    """Bit patterns of a column whose later half negates its first half's
+    bits in mirror order, with some cells then set to values that need not
+    negate their mirror's: pool values (infinities and NaNs of either sign
+    and payload among them), or their mirror's own value."""
+    pool = np.array(draw(st.lists(FINITE_BITS, min_size=1, max_size=8))
+                    + draw(st.lists(st.sampled_from(SPECIAL_BITS[8:]), max_size=2)),
+                    dtype=np.uint64)
+    x = pool[rng.integers(0, pool.size, rows)]
+    x[rows - rows // 2:] = x[:rows // 2][::-1] ^ SIGN
+    for at in rng.integers(0, max(rows, 1), draw(st.integers(0, 3)) if rows else 0):
+        x[at] = pool[rng.integers(pool.size)] if draw(st.booleans()) else x[rows - 1 - at]
+    return x
+
+
+@st.composite
+def mirrored_tables(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rows = draw(MIRROR_SIZES)
+    return [draw(mirrored_column(rows, rng)) for _ in range(draw(st.integers(1, 4)))]
+
+
+def mirror(*front):
+    """Bit patterns of a column: ``front``'s values, then their negations
+    in mirror order."""
+    return bits(*front, *(-np.array(front[::-1])))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(mirrored_tables())
+# signed zeros, subnormals and the extremes pair up; a negated NaN does not
+@example([mirror(0.0, -0.0, 5e-324, -1.7976931348623157e308, 3.0),
+          mirror(-5e-324, 2.0, 1e-310, 0.1, -0.0)])
+@example([bits(0.0, 1.0, -1.0, 0.0), bits(np.nan, 2.0, -2.0, -np.nan)])
+@example([mirror(1.0, 2.0) + [0x7FF8000000000001, 0xFFF8000000000001]
+          + mirror(3.0, 4.0)[2:]])
+@example([mirror(*range(2 * CSV_BLOCK_ROWS)) + bits(np.inf)])
+@example([bits(np.inf, 0.0, -np.inf)])
+def test_mirrored_columns_write_the_plain_table(table):
+    columns = tuple(np.array(column, dtype=np.uint64).view(np.float64) for column in table)
+    header = ",".join(f"c{j}" for j in range(len(columns)))
+    with tempfile.TemporaryDirectory() as tmp:
+        got = written(Path(tmp) / "mirrored", header, columns, write_mirrored_csv)
+        expected = written(Path(tmp) / "plain", header, [columns])
+    # the same bytes, or the same error naming the same row and line
+    assert got[0] == expected[0]
+    if expected[0] is None:
+        assert got[1] == expected[1]
+
+
+def test_a_negated_nan_is_not_a_mirror_pair():
+    # a NaN's own row raises first in the writer; its cells still say nan
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000001], dtype=np.uint64).view(np.float64)
+    assert _mirror_cells(nans[:1], nans[1:]) == (["nan"], ["nan"])
+    assert _mirror_cells(nans[1:], nans[:1]) == (["nan"], ["nan"])
+    assert _mirror_cells(np.array([0.0, 2.5]), np.array([-0.0])) == (["0.0", "2.5"], ["-0.0"])
