@@ -14,13 +14,13 @@ weighted by the branching probabilities into F=2. Rates come out in 1/s;
 detunings are entered in ordinary frequency units against the natural
 linewidth (the carrier ones in Hz, the sideband one in units of the
 linewidth).
+
+numpy is imported only inside the functions that compute with arrays.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .constants import (
     BRANCHING,
@@ -194,6 +194,7 @@ def sideband_photon_rate(tuning: ProbeTuning) -> float:
     saturated Lorentzian on its reference transition, detuning already in
     linewidth units. Elementwise for an array of detunings; a scalar
     detuning gives a numpy float64."""
+    import numpy as np
     s = tuning.sideband_intensity / tuning.saturation_intensities[2]
     gamma_ang = 2 * math.pi * tuning.linewidth
     d = tuning.sideband_detuning
@@ -337,6 +338,7 @@ def generators(drives, tuning: ProbeTuning, duty_cycle: float) -> np.ndarray:
     leaves the rest negative beyond rounding (checked drive by drive), or
     a non-finite rate (checked over the whole stack).
     """
+    import numpy as np
     shift = light_shift(tuning, duty_cycle) / H
     spontaneous = scattering_rate(tuning, expansion_rate=0.0) * duty_cycle
     leak = sideband_photon_rate(tuning) * duty_cycle * LEAK_FRACTION
@@ -380,6 +382,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     """exp of a square matrix or of each of a stack: Pade-13 scaling and squaring
     (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005) with the scaling chosen
     per matrix, so a matrix's bits never depend on the rest of the batch."""
+    import numpy as np
     s = np.maximum(np.frexp(abs(a).sum(axis=-2).max(axis=-1) / 5.371920351148152)[1], 0)
     m, b, eye = np.ldexp(a, -s[..., None, None]), _PADE13, np.eye(a.shape[-1])
     m2 = m @ m
@@ -395,11 +398,13 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 def state_vector(state: EnsembleState) -> np.ndarray:
     """(Jx, Jy, Jz, N_coh), the vector `generators` act on."""
+    import numpy as np
     return np.array([state.jx, state.jy, state.jz, state.coherent_number])
 
 
 def broken_invariants(vs: np.ndarray, atom_number: float) -> np.ndarray:
     """Mask over vs.T of the state vectors of atom_number atoms EnsembleState rejects."""
+    import numpy as np
     jx, jy, jz, coherent = vs.T
     return ((coherent > atom_number) | (coherent < -1e-9 * max(1.0, atom_number))
             | _over_polarized(jx, jy, jz, coherent) | ~np.isfinite(vs.T).all(axis=0))

@@ -21,10 +21,12 @@ module on first access and in a star import.
 numpy is loaded only by code that computes with arrays. The manifest's
 numpy version is read from numpy/version.py the way scipy's is, so
 `import qndsim.cli`, `list-scenarios`, validating a config without a set-up
-and a cavity-spectrum run load no numpy module; every other bundled run
-does. An older numpy whose version.py imports numpy (a versioneer build)
-skips those pins, and a synthetic package of that layout checks that its
-version is still read.
+and a cavity-spectrum or squeezing run load no numpy module; every other
+bundled run does. An older numpy whose version.py imports numpy (a
+versioneer build) skips those pins, and a synthetic package of that layout
+checks that its version is still read. `import qndsim.atoms` loads no numpy
+either, as its array functions import it themselves; called first in a
+fresh interpreter, they compute the bits they compute in process.
 
 A command's process ends with its heap frozen: `cli.main` registers
 gc.freeze with atexit once, however often it runs, and `import qndsim.cli`
@@ -33,9 +35,11 @@ leaves one open, and a cold run of each bundled config writes the bytes of
 the digest table, which is made in process.
 """
 import ast
+import dataclasses
 import importlib.util
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -234,16 +238,73 @@ def test_commands_without_arrays_load_no_numpy(argv):
     assert loaded_after(probe(MAIN, NUMPY), *argv) == []
 
 
+# `cavity` is math and cmath, and the squeezing estimate is math
+MATH_RUNS = ["cavity_spectrum.json", "squeezing.json"]
+
+
 @numpy_free
-def test_cavity_spectrum_run_loads_no_numpy(tmp_path):
-    config = CONFIG_DIR / "cavity_spectrum.json"
-    assert loaded_after(probe(MAIN, NUMPY), "run", config, "--out", tmp_path) == []
+@pytest.mark.parametrize("config", MATH_RUNS)
+def test_cavity_spectrum_run_loads_no_numpy(tmp_path, config):
+    assert loaded_after(probe(MAIN, NUMPY), "run", CONFIG_DIR / config,
+                        "--out", tmp_path) == []
 
 
-@pytest.mark.parametrize("config", sorted(set(MODEL_MODULES) - {"cavity_spectrum.json"}))
+def test_importing_atoms_loads_no_numpy():
+    # no version is read, so this holds where numpy/version.py imports numpy too
+    assert loaded_after(probe("import qndsim.atoms\ncode = 0", NUMPY)) == []
+
+
+@pytest.mark.parametrize("config", sorted(set(MODEL_MODULES) - set(MATH_RUNS)))
 def test_array_runs_load_numpy(tmp_path, config):
     assert "numpy" in loaded_after(probe(MAIN, NUMPY), "run", CONFIG_DIR / config,
                                    "--out", tmp_path)
+
+
+# each array function of `atoms`, the validation of EnsembleState, and the
+# scattering rate at a scalar and at an array detuning. Run first in a fresh
+# interpreter, the first call imports numpy; the inputs built with numpy come
+# after those calls
+ARRAY_CALLS = """from qndsim.atoms import (EnsembleState, ProbeTuning, RabiModel,
+    broken_invariants, expm, generators, scattering_rate, sideband_photon_rate,
+    state_vector)
+tuning = ProbeTuning()
+results = {"sideband_photon_rate": sideband_photon_rate(tuning)}
+results["generators"] = gens = generators(
+    [(RabiModel(), 0.0), (RabiModel(detuning=250.0), 1.3)], tuning, 0.1)
+results["expm"] = steps = expm(gens * 1e-3)
+results["all_lower"] = state = EnsembleState.all_lower(1e6, cloud_rms=1e-3)
+results["state_vector"] = vector = state_vector(state)
+results["scattering_rate"] = scattering_rate(tuning)
+import numpy as np
+vs = steps @ vector
+results["broken_invariants"] = broken_invariants(np.concatenate([vs, 2 * vs]), 1e6)
+results["scattering_rate[array]"] = scattering_rate(
+    ProbeTuning(sideband_detuning=np.linspace(-20.0, 20.0, 41)))
+"""
+
+
+def bits(value):
+    """The type of value and of each number in it, with the numbers' bytes."""
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, [bits(x) for x in dataclasses.astuple(value)]
+    array = np.asarray(value)
+    return type(value).__name__, array.dtype.str, array.shape, array.tobytes()
+
+
+def test_atoms_imported_first_computes_the_same_bits():
+    body = ("import qndsim.atoms\nimport pickle, sys\n" + ARRAY_CALLS
+            + "sys.stdout.write(pickle.dumps(results).hex())\n")
+    proc = fresh("-c", body)
+    assert proc.returncode == 0, proc.stderr
+    cold = pickle.loads(bytes.fromhex(proc.stdout))
+    warm = {}
+    exec(ARRAY_CALLS, warm)
+    assert {k: bits(v) for k, v in cold.items()} == {
+        k: bits(v) for k, v in warm["results"].items()}
+    assert warm["results"]["broken_invariants"].tolist() == [False, False, True, True]
+    # as sideband_photon_rate's docstring says of a scalar detuning
+    assert type(cold["sideband_photon_rate"]) is np.float64
+    assert type(cold["scattering_rate"]) is np.float64
 
 
 def test_importing_the_cli_loads_only_the_core_modules():
