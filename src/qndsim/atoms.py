@@ -308,9 +308,10 @@ def damping_rate(model: RabiModel, spontaneous_rate: float) -> float:
     return rate
 
 
-def generators(drives, tuning: ProbeTuning, duty_cycle: float) -> np.ndarray:
+def generators(drives, tuning: ProbeTuning, duty_cycle: float, detunings=None) -> np.ndarray:
     """Generators G of dv/dt = G v for v = (Jx, Jy, Jz, N_coh), one per
-    (RabiModel, drive phase) pair of `drives`, as an (n, 4, 4) stack.
+    (RabiModel, drive phase) pair of `drives`, as an (n, 4, 4) stack; given m
+    detunings (Hz), an (n, m, 4, 4) stack of each drive at each detuning.
 
     G holds: rotation of the Bloch vector about (Omega_R*cos(phase),
     Omega_R*sin(phase), 2*pi*detuning_total), where detuning_total adds
@@ -344,19 +345,20 @@ def generators(drives, tuning: ProbeTuning, duty_cycle: float) -> np.ndarray:
     leak = sideband_photon_rate(tuning) * duty_cycle * LEAK_FRACTION
     pump = carrier_pump_rate(tuning) * duty_cycle
     loss = (leak + pump) / 2
-    rows = []    # per drive: rotation vector w, its unit axis, beta - loss
+    rows = []    # per drive and detuning: rotation vector w, its unit axis, beta - loss
     for drive, phase in drives:
         wx = drive.rabi_frequency * math.cos(phase)
         wy = drive.rabi_frequency * math.sin(phase)
-        wz = 2 * math.pi * (drive.detuning + shift)
         beta = damping_rate(drive, spontaneous)
         if beta - loss < -1e-12 * beta:
             raise DomainError(f"branching {tuning.branching} is too small for leak "
                               f"fraction {LEAK_FRACTION}: beta - (leak + pump)/2 is "
                               f"{beta - loss:.3g} 1/s")
-        rot = math.hypot(wx, wy, wz)
-        axis = (wx / rot, wy / rot, wz / rot) if rot > 0 else (0.0, 0.0, 1.0)
-        rows.append((wx, wy, wz, *axis, beta - loss))
+        for detuning in (drive.detuning,) if detunings is None else detunings:
+            wz = 2 * math.pi * (detuning + shift)
+            rot = math.hypot(wx, wy, wz)
+            axis = (wx / rot, wy / rot, wz / rot) if rot > 0 else (0.0, 0.0, 1.0)
+            rows.append((wx, wy, wz, *axis, beta - loss))
     rows = np.array(rows).reshape(-1, 7)
     w, axis = rows[:, :3], rows[:, 3:6]
     gens = np.zeros((len(rows), 4, 4))
@@ -370,7 +372,7 @@ def generators(drives, tuning: ProbeTuning, duty_cycle: float) -> np.ndarray:
         gens += np.outer([0, 0, -sign / 2, -1], [0, 0, sign * rate, rate / 2])
     if not np.isfinite(gens).all():
         raise DomainError("spin-engine rates are not finite")
-    return gens
+    return gens if detunings is None else gens.reshape(len(drives), len(detunings), 4, 4)
 
 
 # Pade-13 coefficients (2m-k)! m!/((2m)! k! (m-k)!); b_0 = 1 keeps exp(0) = I exact

@@ -619,15 +619,15 @@ def _spin_echo_setup(v: dict):
     yield "echo"
     echo = v["echo"]
     gap = None if echo["gap_us"] is None else echo["gap_us"] * 1e-6
-    seqs = [build_spin_echo(pi_duration=echo["pi_duration_us"] * 1e-6,
-                            total_duration=echo["total_duration_us"] * 1e-6,
-                            detuning=delta, gap=gap, probe=gate)
-            for delta in echo["detunings_hz"]]
-    periods = len(seqs) * seqs[0].total_duration * gate.repetition_rate
+    # one echo for every detuning: none of its checks depends on the detuning
+    seq = build_spin_echo(pi_duration=echo["pi_duration_us"] * 1e-6,
+                          total_duration=echo["total_duration_us"] * 1e-6, gap=gap, probe=gate)
+    traces = len(echo["detunings_hz"])
+    periods = traces * seq.total_duration * gate.repetition_rate
     if periods > MAX_PROBE_SAMPLES:    # the walk holds every trace at once
-        raise DomainError(f"{len(seqs)} traces span {periods:.7g} probe periods, over the "
+        raise DomainError(f"{traces} traces span {periods:.7g} probe periods, over the "
                           f"scan budget of {MAX_PROBE_SAMPLES} samples")
-    return seqs, probe, shift, ens, det
+    return seq, probe, shift, ens, det
 
 
 _SETUPS = {"noise-sweep": _noise_sweep_setup, "rabi": _rabi_setup,
@@ -785,17 +785,17 @@ def _run_spin_echo(v: dict, setup, out: Path, seed: int) -> list[str]:
     from .atoms import RabiModel
     from .harness import mid_pulse_amplitudes, run_scan
     echo = v["echo"]
-    seqs, probe, shift, ens, det = setup
+    seq, probe, shift, ens, det = setup
     template = RabiModel(carrier_light_shift=shift,
                          residual_damping=echo["residual_damping_hz"])
-    times, signals, _ = run_scan(seqs, ens, probe, det, seed=seed, template=template,
-                                 noiseless=v["options"]["noiseless"])
+    times, signals, _ = run_scan(seq, echo["detunings_hz"], ens, probe, det, seed=seed,
+                                 template=template, noiseless=v["options"]["noiseless"])
     deltas = np.array(echo["detunings_hz"])
     rows, samples = (i.ravel() for i in np.indices(signals.shape))
     # free evolution without noise or back-action holds Jz, so gap samples repeat
     write_csv(out / "spin_echo_traces.csv", "detuning_hz,time_s,signal_v",
               [((deltas, rows), (times, samples), _distinct(signals.ravel()))])
-    amps = mid_pulse_amplitudes(times, signals, seqs[0])
+    amps = mid_pulse_amplitudes(times, signals, seq)
     peaks = np.abs(signals).max(axis=1)
     # the measured figure's normalization is unspecified, so emit both: per
     # trace (against that trace's own peak) and global (against the last

@@ -43,6 +43,7 @@ from .heterodyne import (
 MAX_DURATION = 1.0            # s, the longest sequence
 MAX_PROBE_SAMPLES = 10**6     # probe periods per sequence and per scan: 1 s at a 1 MHz clock
 CLOCK_TOLERANCE = 1e-12       # s, below which two times on the probe clock coincide
+EXPM_BLOCK = 4096             # matrices per expm call: bounds the temporaries of a large scan
 
 
 @dataclass(frozen=True)
@@ -172,25 +173,25 @@ def run_sequence(seq: PulseSequence, initial: EnsembleState, probe: ModulatedPro
     demodulation chain and adds one shot of detection noise. Deterministic
     for a fixed seed. `template` supplies the damping bookkeeping (light
     shift, inhomogeneity, residual damping) reused by every segment. This
-    is the one-trace `run_scan` wrapped in a Trace.
+    is `run_scan`'s walk at the segments' own detunings, in a Trace.
 
     StepError and RegimeError are re-raised with the index of the segment
     of the first offending step or sample prepended.
     """
-    times, signals, finals = run_scan([seq], initial, probe, det, seed, template, noiseless)
+    times, signals, finals = _walk(seq, None, seed, initial, probe, det, template, noiseless)
     return Trace(times, signals[0], with_vector(initial, finals[0]))
 
 
-def run_scan(seqs: list[PulseSequence], initial: EnsembleState, probe: ModulatedProbe,
+def run_scan(seq: PulseSequence, detunings, initial: EnsembleState, probe: ModulatedProbe,
              det: DetectorModel, seed: int = 0, template: RabiModel | None = None,
              noiseless: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walk many sequences at once into (times, signals, finals): the shared
-    sample times, the (n, samples) signals and each trace's final
-    `state_vector`; row i is bit for bit `run_sequence` of seqs[i], seed + i.
+    """Walk one sequence at n detunings (Hz) into (times, signals, finals):
+    the shared sample times, the (n, samples) signals and each trace's final
+    `state_vector`; row i is bit for bit `run_sequence` of seq with every
+    segment's detuning set to detunings[i], at seed + i.
 
-    The sequences share the probe gate and the segment durations
-    (DomainError otherwise, or for none), so one step schedule, one stacked
-    generator build and one batched expm serve them all. A run of count
+    One step schedule, one generator build and one expm per EXPM_BLOCK
+    matrices serve every trace (DomainError for no detuning). A run of count
     whole periods is filled by doubling in about log2(count) stacked
     np.matmul calls: within rtol 1e-12 of one matvec per step up to 10^4
     periods, within count ulp of the largest state component up to 10^6.
@@ -201,28 +202,24 @@ def run_scan(seqs: list[PulseSequence], initial: EnsembleState, probe: Modulated
     once over every sample; noise is drawn per trace. A failing scan is
     replayed one trace at a time to raise the first failing trace's error.
     """
-    if not seqs:
-        raise DomainError("a scan needs at least one sequence")
-    gate, clock = seqs[0].probe, [seg.duration for seg in seqs[0].segments]
-    if any(s.probe != gate or [seg.duration for seg in s.segments] != clock for s in seqs):
-        raise DomainError("the sequences of a scan must share the probe gate "
-                          "and the segment durations")
+    if not len(detunings):
+        raise DomainError("a scan needs at least one detuning")
     try:
-        return _walk(seqs, seed, initial, probe, det, template, noiseless)
+        return _walk(seq, detunings, seed, initial, probe, det, template, noiseless)
     except Exception as exc:   # re-raised, by the first failing trace if a replay finds it
         import traceback    # only a failing scan needs it
         failure = exc
         while exc is not None:    # the replay starts once the failed walk's arrays are freed
             traceback.clear_frames(exc.__traceback__)
             exc = exc.__context__
-    for i, seq in enumerate(seqs if len(seqs) > 1 else ()):
-        _walk([seq], seed + i, initial, probe, det, template, noiseless)
+    for i, delta in enumerate(detunings if len(detunings) > 1 else ()):
+        _walk(seq, [delta], seed + i, initial, probe, det, template, noiseless)
     raise failure
 
 
-def _walk(seqs, seed, initial, probe, det, template, noiseless):
+def _walk(seq, detunings, seed, initial, probe, det, template, noiseless):
     base = template if template is not None else RabiModel()
-    gate = seqs[0].probe
+    gate, traces = seq.probe, 1 if detunings is None else len(detunings)
     eps, period = CLOCK_TOLERANCE, gate.period
     # steps are runs (slot, count), one slot per (segment, dt); samples runs
     # (first row, count); off-clock samples keep the time the walk reached
@@ -234,7 +231,7 @@ def _walk(seqs, seed, initial, probe, det, template, noiseless):
         runs.append((slot_of.setdefault((s, dt), len(slot_of)), count))
         n_steps += count
 
-    for s, seg in enumerate(seqs[0].segments):
+    for s, seg in enumerate(seq.segments):
         seg_steps.append(n_steps)
         seg_samples.append(k)
         seg_end = t_now + seg.duration
@@ -263,24 +260,25 @@ def _walk(seqs, seed, initial, probe, det, template, noiseless):
             step(s, seg_end - t_now)
             t_now = seg_end
 
-    # per trace one generator per distinct segment drive, built from its
-    # first segment, and one matrix per distinct (generator, dt): slot j of
-    # trace i steps with matrix which[j, i]
+    # one generator per distinct segment drive (with its own detuning when
+    # detunings is None), built from its first segment, and one matrix per
+    # distinct (drive, dt) and trace: slot j steps trace i with props[which[j] + i]
     first, matrix_of = {}, {}
-    which = np.empty((len(slot_of), len(seqs)), dtype=np.intp)
-    for i, seq in enumerate(seqs):
-        g = [first.setdefault((i, getattr(seg, "rabi_frequency", None), seg.detuning,
-                               getattr(seg, "phase", 0.0)), (len(first), seg))[0]
-             for seg in seq.segments]
-        which[:, i] = [matrix_of.setdefault((g[s], dt), len(matrix_of)) for s, dt in slot_of]
+    g = [first.setdefault((getattr(seg, "rabi_frequency", None), getattr(seg, "phase", 0.0),
+                           seg.detuning if detunings is None else None), (len(first), seg))[0]
+         for seg in seq.segments]
+    which = [matrix_of.setdefault((g[s], dt), len(matrix_of)) * traces for s, dt in slot_of]
     gens = generators([_segment_drive(seg, base) for _, seg in first.values()],
-                      gate.tuning, gate.duty_cycle)
+                      gate.tuning, gate.duty_cycle, detunings).reshape(len(first), traces, 4, 4)
     pairs = np.array(list(matrix_of)).reshape(-1, 2)    # (generator, dt) per matrix
-    props = expm(gens[pairs[:, 0].astype(np.intp)] * pairs[:, 1, None, None])
-    trajectory = np.empty((n_steps + 1, len(seqs), state_vector(initial).size))
+    props = (gens[pairs[:, 0].astype(np.intp)] * pairs[:, 1, None, None, None]).reshape(-1, 4, 4)
+    for b in range(0, len(props), EXPM_BLOCK):
+        props[b:b + EXPM_BLOCK] = expm(props[b:b + EXPM_BLOCK])
+    trajectory = np.empty((n_steps + 1, traces, state_vector(initial).size))
     trajectory[0], done = state_vector(initial), 0
     for j, count in runs:    # row k of a run is P^k v0 per trace, filled by doubling
-        rows, power, m = trajectory[done:done + count + 1].swapaxes(0, 1), props[which[j]], 1
+        rows, m = trajectory[done:done + count + 1].swapaxes(0, 1), 1
+        power = props[which[j]:which[j] + traces]
         while m <= count:    # rows [m, m + n) are rows [0, n) times (P^m)^T
             power = power.swapaxes(1, 2) if m == 1 else power @ power
             n = min(m, count + 1 - m)
@@ -306,11 +304,11 @@ def _walk(seqs, seed, initial, probe, det, template, noiseless):
     try:
         volts = demodulated_signal(probe, PhaseShiftTriple(phi_plus=phi), det)
     except RegimeError as exc:
-        sample = int(np.argmax(np.abs(phi) > SMALL_PHASE_LIMIT)) // len(seqs)
+        sample = int(np.argmax(np.abs(phi) > SMALL_PHASE_LIMIT)) // traces
         seg = np.searchsorted(seg_samples[1:], sample, side="right")
         raise RegimeError(f"segment {seg}: {exc}") from exc
     if not noiseless:
-        for i in range(len(seqs)):
+        for i in range(traces):
             volts[:, i] = sample_noisy_signal(volts[:, i], det, probe,
                                               gate.pulse_duration, seed + i)
     return times, volts.T, trajectory[-1].copy()    # a copy frees the trajectory

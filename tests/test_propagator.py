@@ -61,8 +61,9 @@ def step(state, drive, tuning, dt, drive_phase=0.0):
 
 def captured_runs(monkeypatch, tmp_path, engine, config, overrides=()):
     """Every run_sequence call of one CLI run, made through `engine`; a
-    run_scan call is made as one run_sequence call per trace. The seams are
-    harness's names, which `cli` imports where it calls them."""
+    run_scan call is made as one run_sequence call per detuning, of the
+    sequence with every segment at that detuning. The seams are harness's
+    names, which `cli` imports where it calls them."""
     calls, scan, inside = [], harness.run_scan, []
 
     def capture(seq, initial, probe, det, **kwargs):
@@ -75,12 +76,13 @@ def captured_runs(monkeypatch, tmp_path, engine, config, overrides=()):
         return trace
 
     def capture_scan(*args, **kwargs):
-        if inside:    # harness.run_sequence's own scan, inside a captured call
+        if inside:    # a scan inside a captured call is that call's own walk
             return scan(*args, **kwargs)
-        seqs, initial, probe, det = args
+        seq, detunings, initial, probe, det = args
         seed = kwargs.pop("seed", 0)
-        return walk_reference.as_scan([capture(seq, initial, probe, det, seed=seed + i, **kwargs)
-                                       for i, seq in enumerate(seqs)])
+        return walk_reference.as_scan([capture(walk_reference.detuned(seq, d), initial, probe,
+                                               det, seed=seed + i, **kwargs)
+                                       for i, d in enumerate(detunings)])
 
     args = ["run", str(config), "--out", str(tmp_path / engine.__module__)]
     for item in overrides:

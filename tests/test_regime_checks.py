@@ -1,6 +1,7 @@
 """`qndsim validate` names the field behind each regime limit. For a probed
 scenario it builds the run's set-up and nothing more, and the run reuses that
 set-up, so a config it accepts does not fail in it."""
+import json
 import os
 import resource
 import subprocess
@@ -53,8 +54,9 @@ def test_validate_and_run_agree(tmp_path, capsys, stem, override):
 
 def test_validate_builds_one_echo_sequence_and_runs_no_kernel(monkeypatch,
                                                               capsys):
-    # validation builds the set-up the run reuses: one echo sequence per
-    # detuning of spin_echo.json, and no walk, demodulation or sweep kernel
+    # validation builds the set-up the run reuses: one echo sequence for
+    # every detuning of spin_echo.json, and no walk, demodulation or sweep
+    # kernel
     built = []
     monkeypatch.setattr(harness, "build_spin_echo",
                         lambda **kw: built.append(kw) or build_spin_echo(**kw))
@@ -67,12 +69,12 @@ def test_validate_builds_one_echo_sequence_and_runs_no_kernel(monkeypatch,
         monkeypatch.setattr(module, kernel, None)
     for stem in ("noise_sweep", "scattering_sweep", "rabi", "spin_echo"):
         assert main(["validate", str(CONFIG_DIR / f"{stem}.json")]) == 0
-    assert len(built) == 4
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("stem, builder, count", [
     ("rabi", "light_shift", 1),
-    ("spin_echo", "build_spin_echo", 4),   # one per detuning
+    ("spin_echo", "build_spin_echo", 1),   # one for every detuning
 ])
 def test_run_builds_each_setup_once(monkeypatch, tmp_path, stem, builder, count):
     # the runner takes the set-up validation built and builds none of its own;
@@ -145,24 +147,39 @@ def test_scan_over_the_sample_budget_is_a_config_error(tmp_path, capsys, overrid
     assert not out.exists()
 
 
-def test_largest_admitted_scan_runs_in_a_few_hundred_mib(tmp_path):
-    # a fresh interpreter under a 512 MiB address-space cap; one BLAS
-    # thread, since each thread's buffers count against the cap
-    config, cap = str(CONFIG_DIR / "spin_echo.json"), 512 * 2**20
-    overrides = [*BIG_ECHO, "--set", "echo.total_duration_us=250000"]
-    assert main(["validate", config, *overrides]) == 0
+def run_capped(config, out, overrides=()):
+    """`qndsim run` in a fresh interpreter under a 512 MiB address-space cap;
+    one BLAS thread, since each thread's buffers count against the cap."""
+    cap = 512 * 2**20
     src = str(Path(qndsim.__file__).parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = tmp_path / "art"
     proc = subprocess.run(
-        [sys.executable, "-m", "qndsim.cli", "run", config, "--out", str(out), *overrides],
+        [sys.executable, "-m", "qndsim.cli", "run", str(config), "--out", str(out), *overrides],
         env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert proc.returncode == 0, proc.stderr
-    rows = (out / "spin_echo_traces.csv").read_text(encoding="utf-8").count("\n")
-    assert rows == 1 + 4 * 250001
+    return (out / "spin_echo_traces.csv").read_text(encoding="utf-8").count("\n")
+
+
+def test_largest_admitted_scan_runs_in_a_few_hundred_mib(tmp_path):
+    # the longest traces the scan budget admits: 4 of 250,001 samples
+    config = str(CONFIG_DIR / "spin_echo.json")
+    overrides = [*BIG_ECHO, "--set", "echo.total_duration_us=250000"]
+    assert main(["validate", config, *overrides]) == 0
+    assert run_capped(config, tmp_path / "art", overrides) == 1 + 4 * 250001
+
+
+def test_scan_of_the_most_admitted_traces_runs_in_a_few_hundred_mib(tmp_path):
+    # the most traces the scan budget admits: 20,000 detunings of the
+    # bundled 500 us echo at 100 kHz, 50 probe periods and 51 samples each
+    body = json.loads((CONFIG_DIR / "spin_echo.json").read_text(encoding="utf-8"))
+    body["echo"]["detunings_hz"] = [0.25 * i for i in range(-10_000, 10_000)]
+    config = tmp_path / "most_traces.json"
+    config.write_text(json.dumps(body), encoding="utf-8")
+    assert main(["validate", str(config)]) == 0
+    assert run_capped(config, tmp_path / "art") == 1 + 20_000 * 51
 
 
 def test_a_sequence_just_over_the_budget_says_by_how_much(capsys):

@@ -6,8 +6,9 @@ by doubling, so it rounds differently: times, signal and final state
 vector must match the reference to rtol 1e-12, with an absolute floor of
 1e-13 of the reference's largest magnitude, and any exception must match
 it in type and text. Past 10^4 periods the bound is a rounding budget
-that grows with the run length. A scan must still give each trace the bits
-of its own one-trace walk.
+that grows with the run length. A detuning scan of one sequence must still
+give each trace the bits of the one-trace walk of its own sequence, the
+sequence with every segment's detuning set to the trace's.
 """
 import contextlib
 import io
@@ -83,10 +84,22 @@ def assert_same_walk(*args, **kwargs):
     return new
 
 
-def reference_scan(seqs, *args, seed=0, **kwargs):
-    """A scan as the reference walks it: one trace after the other."""
-    return reference.as_scan([reference.run_sequence(seq, *args, seed=seed + i, **kwargs)
-                              for i, seq in enumerate(seqs)])
+def walked_one_by_one(walk):
+    """A scan as `walk` walks it: the sequence of one trace after the other."""
+    def scan(seq, detunings, *args, seed=0, **kwargs):
+        return reference.as_scan([walk(reference.detuned(seq, d), *args, seed=seed + i, **kwargs)
+                                  for i, d in enumerate(detunings)])
+    return scan
+
+
+reference_scan = walked_one_by_one(reference.run_sequence)
+own_walks = walked_one_by_one(harness.run_sequence)
+
+
+def bits(result):
+    """An outcome with every array as its bytes."""
+    return result if isinstance(result, tuple) else [[a.tobytes() for a in trace]
+                                                     for trace in result]
 
 
 def assert_same_scan(*args, **kwargs):
@@ -112,12 +125,12 @@ def cli_calls(monkeypatch, tmp_path, config, overrides=()):
         finally:
             inside.pop()
 
-    def capture_scan(seqs, *args, **kwargs):
+    def capture_scan(seq, detunings, *args, **kwargs):
         if not inside:
             seed = kwargs.get("seed", 0)
-            calls.extend(((seq, *args), {**kwargs, "seed": seed + i})
-                         for i, seq in enumerate(seqs))
-        return scan(seqs, *args, **kwargs)
+            calls.extend(((reference.detuned(seq, d), *args), {**kwargs, "seed": seed + i})
+                         for i, d in enumerate(detunings))
+        return scan(seq, detunings, *args, **kwargs)
 
     argv = ["run", str(config), "--out", str(tmp_path)]
     for item in overrides:
@@ -191,7 +204,8 @@ def test_huge_drives_stay_within_budget_of_a_60_digit_walk(monkeypatch, tmp_path
     (seq, initial, *args), kwargs = calls[0]
     (pulse,) = seq.segments
     gate = seq.probe
-    times, _, finals = harness.run_scan([seq], initial, *args, **{**kwargs, "noiseless": True})
+    times, _, finals = harness.run_scan(seq, [pulse.detuning], initial, *args,
+                                        **{**kwargs, "noiseless": True})
     count = times.size - 1
     assert code == 0 and count == 200
     drive = reference._segment_model(pulse, kwargs.get("template") or RabiModel())
@@ -249,24 +263,26 @@ WRONG_SIGNS = {
 }
 
 
-def with_wrong_sign(monkeypatch, index, rabi_frequency=None):
+def with_wrong_sign(monkeypatch, index, detuning=None):
     """Both generator builders with gen[index] negated, for every drive or
-    only for drives of the given Rabi frequency."""
+    only for drives at the given detuning."""
     stacked, single = harness.generators, reference.generator
 
-    def flip(gen, drive):
-        if rabi_frequency in (None, drive.rabi_frequency):
+    def flip(gen, at):
+        if detuning in (None, at):
             gen[index] *= -1
         return gen
 
-    def flipped(drives, *args):
-        gens = stacked(drives, *args)
-        for gen, (drive, _) in zip(gens, drives):
-            flip(gen, drive)
+    def flipped(drives, tuning, duty_cycle, detunings=None):
+        gens = stacked(drives, tuning, duty_cycle, detunings)
+        for row, (drive, _) in zip(gens, drives):
+            for gen, at in zip(row.reshape(-1, 4, 4), detunings or [drive.detuning]):
+                flip(gen, at)
         return gens
 
     monkeypatch.setattr(harness, "generators", flipped)
-    monkeypatch.setattr(reference, "generator", lambda drive, *a: flip(single(drive, *a), drive))
+    monkeypatch.setattr(reference, "generator",
+                        lambda drive, *a: flip(single(drive, *a), drive.detuning))
 
 
 @pytest.mark.parametrize("case", WRONG_SIGNS)
@@ -359,8 +375,8 @@ def test_doubling_error_grows_linearly_to_the_sample_limit(monkeypatch, tmp_path
     (pulse,) = seq.segments
     gate = replace(seq.probe, repetition_rate=1e6, pulse_duration=seq.probe.duty_cycle / 1e6)
     times, _, finals = harness.run_scan(
-        [PulseSequence((replace(pulse, duration=count * gate.period),), probe=gate)],
-        initial, *args, **{**kwargs, "noiseless": True})
+        PulseSequence((replace(pulse, duration=count * gate.period),), probe=gate),
+        [pulse.detuning], initial, *args, **{**kwargs, "noiseless": True})
     drive = reference._segment_model(pulse, kwargs.get("template") or RabiModel())
     period = expm(reference.generator(drive, gate.tuning, gate.duty_cycle, pulse.phase)
                   * gate.period)
@@ -447,105 +463,88 @@ detunings = st.one_of(st.sampled_from([0.0, -0.0, 1000.0, -1800.0]),
 @example([1200.0], False, 3)
 @example([0.0, -0.0, 0.0, 1000.0, 1000.0], False, 5)
 def test_echo_scans_match_reference(deltas, noiseless, seed):
-    # every trace of a scan is bit for bit the reference walk of its own
-    # sequence with its own seed: times, signal and final state
-    gate = ProbeGate()
-    seqs = [build_spin_echo(detuning=d, probe=gate) for d in deltas]
-    traces = assert_same_scan(seqs, *ECHO_ARGS, seed=seed, noiseless=noiseless,
-                              template=RabiModel(residual_damping=300.0))
+    # every trace of a scan is the reference walk of its own sequence with
+    # its own seed: times, signal and final state
+    traces = assert_same_scan(build_spin_echo(probe=ProbeGate()), deltas, *ECHO_ARGS, seed=seed,
+                              noiseless=noiseless, template=RabiModel(residual_damping=300.0))
     assert len(traces) == len(deltas)
 
 
 @pytest.mark.parametrize("noiseless", [True, False])
 def test_scan_traces_are_their_own_walks_bitwise(noiseless):
     # row i of a scan's signals and finals holds the bits of the one-trace
-    # walk of seqs[i] at seed + i, whatever the other rows of the stack hold
+    # walk of the echo built at detunings[i], at seed + i, whatever the
+    # other rows of the stack hold; with back-action and without
     deltas = [0.0, -0.0, 1000.0, 1000.0, *np.linspace(-3000.0, 3000.0, 37)]
-    seqs = [build_spin_echo(detuning=d, probe=ProbeGate()) for d in deltas]
     kwargs = {"noiseless": noiseless, "template": RabiModel(residual_damping=300.0)}
-    scan = outcome(harness.run_scan, (seqs, *ECHO_ARGS), {**kwargs, "seed": 11})
-    own = [outcome(harness.run_sequence, (seq, *ECHO_ARGS), {**kwargs, "seed": 11 + i})[0]
-           for i, seq in enumerate(seqs)]
-    assert len(scan) == len(own) == 41
-    assert [[a.tobytes() for a in trace] for trace in scan] == \
-        [[a.tobytes() for a in trace] for trace in own]
-
-
-@st.composite
-def scans(draw):
-    """Sequences on one clock: the segment durations are shared, each
-    segment's kind, drive, detuning and phase are drawn per sequence."""
-    clock = draw(st.lists(durations, min_size=1, max_size=5))
-    gate = ProbeGate(repetition_rate=draw(st.sampled_from([100e3, 50e3, 30e3])))
-
-    def segment(duration):
-        return draw(st.one_of(
-            st.builds(MicrowavePulse, st.sampled_from([0.0, 2 * math.pi * 6.6e3, 4.2e4]),
-                      st.just(duration), st.sampled_from([0.0, -0.0, 1500.0]),
-                      st.sampled_from([0.0, -0.0, math.pi / 2])),
-            st.builds(FreeEvolution, st.just(duration), st.sampled_from([0.0, 1500.0]))))
-
-    return [PulseSequence(tuple(segment(d) for d in clock), probe=gate)
-            for _ in range(draw(st.integers(1, 4)))]
+    for gate in (ProbeGate(), ProbeGate(tuning=ProbeTuning(sideband_intensity=0.0,
+                                                            carrier_intensity=0.0))):
+        scan = outcome(harness.run_scan, (build_spin_echo(probe=gate), deltas, *ECHO_ARGS),
+                       {**kwargs, "seed": 11})
+        own = [outcome(harness.run_sequence, (build_spin_echo(detuning=d, probe=gate),
+                                              *ECHO_ARGS), {**kwargs, "seed": 11 + i})[0]
+               for i, d in enumerate(deltas)]
+        assert len(scan) == len(own) == 41
+        assert bits(scan) == bits(own)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(scans(), st.booleans(), st.booleans(), st.booleans(), st.integers(0, 3))
-def test_random_scans_match_reference(seqs, shifted, strong, noiseless, seed):
-    # traces share no generator pattern; a shifted template makes an
-    # undriven pulse a DomainError, which the scan must report as the
-    # first failing trace does
+@given(sequences(), st.lists(detunings, min_size=1, max_size=4), st.booleans(),
+       st.booleans(), st.booleans(), st.integers(0, 3))
+def test_random_scans_match_reference(seq, deltas, shifted, strong, noiseless, seed):
+    # each trace is the reference walk of its own sequence to rounding and
+    # the package's one-trace walk of it bit for bit; a shifted template
+    # makes an undriven pulse a DomainError, which the scan must report as
+    # the first failing trace does
     template = RabiModel(residual_damping=300.0,
                          carrier_light_shift=2e3 * H if shifted else 0.0)
     if strong:
-        gate = ProbeGate(seqs[0].probe.repetition_rate, tuning=ProbeTuning.from_powers(
+        gate = ProbeGate(seq.probe.repetition_rate, tuning=ProbeTuning.from_powers(
             sideband_power=2e-6, sideband_detuning=0.5, waist=245e-6))
-        seqs = [PulseSequence(seq.segments, probe=gate) for seq in seqs]
-    assert_same_scan(seqs, EnsembleState.all_lower(1e6, cloud_rms=3e-4),
-                     ModulatedProbe(), DetectorModel(), seed=seed,
-                     template=template, noiseless=noiseless)
+        seq = PulseSequence(seq.segments, probe=gate)
+    args = (seq, deltas, EnsembleState.all_lower(1e6, cloud_rms=3e-4), ModulatedProbe(),
+            DetectorModel())
+    kwargs = {"seed": seed, "template": template, "noiseless": noiseless}
+    scan = assert_same_scan(*args, **kwargs)
+    assert bits(scan) == bits(outcome(own_walks, args, kwargs))
 
 
 def test_scan_step_error_is_the_failing_trace_own(monkeypatch, tmp_path):
-    # of four traces only the third has the drive whose generator makes its
-    # coherent population grow
+    # of four traces only the third has the detuning at which the generator
+    # makes the coherent population grow
     _, calls = cli_calls(monkeypatch, tmp_path, CONFIG_DIR / "rabi.json", STRONG_SCATTERING)
-    (tame, *args), kwargs = calls[0]
-    (pulse,) = tame.segments
-    seq = PulseSequence((replace(pulse, rabi_frequency=2 * math.pi * 700),), probe=tame.probe)
-    with_wrong_sign(monkeypatch, WRONG_SIGNS["coherent-population-grows"][0],
-                    seq.segments[0].rabi_frequency)
-    assert isinstance(outcome(reference_scan, ([tame], *args), kwargs), list)
-    kind, message = assert_same_scan([tame, tame, seq, tame], *args, **kwargs)
+    (seq, *args), kwargs = calls[0]
+    (pulse,) = seq.segments
+    with_wrong_sign(monkeypatch, WRONG_SIGNS["coherent-population-grows"][0], 700.0)
+    assert isinstance(outcome(reference_scan, (seq, [pulse.detuning], *args), kwargs), list)
+    kind, message = assert_same_scan(seq, [pulse.detuning] * 2 + [700.0, pulse.detuning],
+                                     *args, **kwargs)
     assert kind.__name__ == "StepError" and message.startswith("segment 0: ")
 
 
-def far_or_on_resonance(*detunings):
-    # no F=2 atoms, so no phase, until a resonant pulse in segment 1; a
-    # pulse 1 GHz off resonance transfers about 2e-11 of the atoms
-    gate = ProbeGate(tuning=ProbeTuning(sideband_intensity=0.0, carrier_intensity=0.0))
-    return [PulseSequence((FreeEvolution(15e-6), MicrowavePulse(3e4, 40e-6, detuning=d)),
-                          probe=gate) for d in detunings]
+# no F=2 atoms, so no phase, until a resonant pulse in segment 1; a pulse
+# 1 GHz off resonance transfers about 2e-11 of the atoms
+FAR_OR_ON_RESONANCE = (
+    PulseSequence((FreeEvolution(15e-6), MicrowavePulse(3e4, 40e-6)), probe=ProbeGate(
+        tuning=ProbeTuning(sideband_intensity=0.0, carrier_intensity=0.0))),
+    EnsembleState.all_lower(1e12, cloud_rms=1e-4), ModulatedProbe(), DetectorModel())
 
 
 def test_scan_regime_error_is_the_failing_trace_own():
-    args = (EnsembleState.all_lower(1e12, cloud_rms=1e-4), ModulatedProbe(), DetectorModel())
-    assert isinstance(outcome(reference_scan, (far_or_on_resonance(1e9), *args), {}), list)
-    kind, message = assert_same_scan(far_or_on_resonance(1e9, 1e9, 0.0, 1e9), *args)
+    seq, *args = FAR_OR_ON_RESONANCE
+    assert isinstance(outcome(reference_scan, (seq, [1e9], *args), {}), list)
+    kind, message = assert_same_scan(seq, [1e9, 1e9, 0.0, 1e9], *args)
     assert kind.__name__ == "RegimeError" and message.startswith("segment 1: ")
 
 
 def test_scan_raises_the_first_failing_trace_error():
     # trace 1 leaves the small-phase regime in its walk; trace 2 fails
-    # earlier in a batch, building its generator (an undriven pulse leaves
-    # the shift damping undefined); the scan still raises trace 1's error
-    seqs = far_or_on_resonance(1e9, 0.0, 1e9)
-    seqs[2] = PulseSequence((seqs[2].segments[0], MicrowavePulse(0.0, 40e-6)),
-                            probe=seqs[2].probe)
-    args = (EnsembleState.all_lower(1e12, cloud_rms=1e-4), ModulatedProbe(), DetectorModel())
-    with pytest.raises(DomainError, match="shift damping"):
-        harness.run_scan(seqs[2:], *args)
-    kind, message = assert_same_scan(seqs, *args)
+    # earlier in a batch, building its generator (its detuning makes the
+    # rotation infinite); the scan still raises trace 1's error
+    seq, *args = FAR_OR_ON_RESONANCE
+    with pytest.raises(DomainError, match="not finite"):
+        harness.run_scan(seq, [1e308], *args)
+    kind, message = assert_same_scan(seq, [1e9, 0.0, 1e308], *args)
     assert kind.__name__ == "RegimeError" and message.startswith("segment 1: ")
 
 
@@ -557,10 +556,10 @@ def test_scan_replay_starts_once_the_failed_walk_is_freed(monkeypatch):
     def reject(view):
         raise DomainError("a view of the trajectory")
 
-    def walk_failing_once(seqs, *args):
-        if len(seqs) == 1:
+    def walk_failing_once(seq, detunings, *args):
+        if len(detunings) == 1:
             at_replay.append(bool(freed))
-            return walk(seqs, *args)
+            return walk(seq, detunings, *args)
         trajectory = np.zeros(8)
         weakref.finalize(trajectory, freed.append, True)
         try:
@@ -570,31 +569,28 @@ def test_scan_replay_starts_once_the_failed_walk_is_freed(monkeypatch):
 
     monkeypatch.setattr(harness, "_walk", walk_failing_once)
     with pytest.raises(StepError, match="segment 0: the scan"):
-        harness.run_scan([build_spin_echo(probe=ProbeGate())] * 2, *ECHO_ARGS)
+        harness.run_scan(build_spin_echo(probe=ProbeGate()), [0.0, 0.0], *ECHO_ARGS)
     assert at_replay == [True, True]
-
-
-def test_scan_needs_one_probe_gate_and_segment_durations():
-    gate = ProbeGate()
-    echo = build_spin_echo(probe=gate)
-    for other in (build_spin_echo(pi_duration=70e-6, probe=gate),
-                  build_spin_echo(gap=0.0, probe=gate),
-                  build_spin_echo(probe=ProbeGate(repetition_rate=50e3))):
-        with pytest.raises(DomainError, match="probe gate and the segment durations"):
-            harness.run_scan([echo, other], *ECHO_ARGS)
-    with pytest.raises(DomainError, match="a scan needs at least one sequence"):
-        harness.run_scan([], *ECHO_ARGS)
+    with pytest.raises(DomainError, match="a scan needs at least one detuning"):
+        harness.run_scan(build_spin_echo(probe=ProbeGate()), [], *ECHO_ARGS)
 
 
 def test_echo_scan_repeats_in_a_warm_worker(monkeypatch, tmp_path):
     # a worker that ran the bundled spin echo runs the full-size seed-131
-    # echo-scan config twice: same bytes, one stacked generator build of
-    # two generators per trace and one expm call
+    # echo-scan config twice: same bytes, one echo built, one stacked
+    # generator build of two generators per trace and one expm call
     counts, expm, generators = Counter(), harness.expm, harness.generators
+    echo = harness.build_spin_echo
     monkeypatch.setattr(harness, "expm", lambda a: counts.update(expm=1) or expm(a))
-    monkeypatch.setattr(harness, "generators",
-                        lambda drives, *a: counts.update(generators=1, built=len(drives))
-                        or generators(drives, *a))
+    monkeypatch.setattr(harness, "build_spin_echo",
+                        lambda **kw: counts.update(echoes=1) or echo(**kw))
+
+    def counted(*args):
+        gens = generators(*args)
+        counts.update(generators=1, built=gens[..., 0, 0].size)
+        return gens
+
+    monkeypatch.setattr(harness, "generators", counted)
     body, _ = artifact_digests.runs()["echo-scan/spin_echo@full"]
     config = tmp_path / "echo_scan.json"
     config.write_text(json.dumps(body), encoding="utf-8")
@@ -610,5 +606,5 @@ def test_echo_scan_repeats_in_a_warm_worker(monkeypatch, tmp_path):
     run(CONFIG_DIR / "spin_echo.json")
     first, second = run(config), run(config)
     assert first == second
-    assert first[1] == {"generators": 1, "built": 2 * len(body["echo"]["detunings_hz"]),
-                        "expm": 1}
+    assert first[1] == {"echoes": 1, "generators": 1,
+                        "built": 2 * len(body["echo"]["detunings_hz"]), "expm": 1}

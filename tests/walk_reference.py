@@ -178,6 +178,13 @@ def run_sequence(
     return Trace(np.array(times), volts, with_vector(initial, trajectory[-1]))
 
 
+def detuned(seq: PulseSequence, detuning: float) -> PulseSequence:
+    """The sequence a `harness.run_scan` row at `detuning` walks: seq with
+    every segment's detuning set to it."""
+    return PulseSequence(tuple(replace(seg, detuning=detuning) for seg in seq.segments),
+                         probe=seq.probe)
+
+
 def as_scan(traces: list[Trace]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (times, signals, finals) record `harness.run_scan` returns, stacked
     from traces sampled on one clock."""
