@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 from .constants import (
     BRANCHING,
+    DEFAULTS,
     EXCITED_SPLITTINGS,
     GAMMA_D2_FREQ,
     H,
@@ -32,11 +33,10 @@ from .constants import (
 )
 from .errors import DomainError, StepError
 
-# Probe of the destructivity measurement: 120 uW carrier / 76 nW sideband
-# focused to a 245 um waist. Peak intensity of a Gaussian beam, 2P/(pi w^2).
-DEFAULT_SIDEBAND_INTENSITY = 2 * 76e-9 / (math.pi * 245e-6**2)
-DEFAULT_CARRIER_INTENSITY = 2 * 120e-6 / (math.pi * 245e-6**2)
-DEFAULT_EXPANSION_RATE = 120.0   # Hz, cloud fall/expansion signal loss
+# Peak intensities 2P/(pi w^2) of the default probe beam
+DEFAULT_SIDEBAND_INTENSITY = 2 * DEFAULTS["sideband_power"] / (math.pi * DEFAULTS["beam_waist"]**2)
+DEFAULT_CARRIER_INTENSITY = 2 * DEFAULTS["carrier_power"] / (math.pi * DEFAULTS["beam_waist"]**2)
+DEFAULT_EXPANSION_RATE = DEFAULTS["expansion_rate"]   # Hz, cloud fall/expansion signal loss
 # Share of the upper-level atoms scattering a sideband photon that land in
 # |F=2, m!=0>, out of the coherent manifold (into the n_leak pool)
 LEAK_FRACTION = 0.5
@@ -61,7 +61,8 @@ class ProbeTuning:
     """
 
     sideband_detuning: float = 4.81
-    carrier_detunings: tuple[float, float, float] = _carrier_detunings(2.808e9)
+    carrier_detunings: tuple[float, float, float] = _carrier_detunings(
+        DEFAULTS["modulation_frequency"])
     sideband_intensity: float = DEFAULT_SIDEBAND_INTENSITY
     carrier_intensity: float = DEFAULT_CARRIER_INTENSITY
     linewidth: float = GAMMA_D2_FREQ
@@ -83,11 +84,11 @@ class ProbeTuning:
     @classmethod
     def from_powers(
         cls,
-        carrier_power: float = 120e-6,
-        sideband_power: float = 76e-9,
-        waist: float = 245e-6,
+        carrier_power: float = DEFAULTS["carrier_power"],
+        sideband_power: float = DEFAULTS["sideband_power"],
+        waist: float = DEFAULTS["beam_waist"],
         sideband_detuning: float = 4.81,
-        modulation_frequency: float = 2.808e9,
+        modulation_frequency: float = DEFAULTS["modulation_frequency"],
     ) -> "ProbeTuning":
         """Build a tuning from beam powers and the modulation frequency."""
         if waist <= 0:
@@ -113,11 +114,11 @@ class RabiModel:
     probe clock's duty cycle is an argument of `generators`.
     """
 
-    rabi_frequency: float = 2 * math.pi * 6.6e3   # rad/s
+    rabi_frequency: float = 2 * math.pi * DEFAULTS["rabi_frequency"]   # rad/s
     detuning: float = 0.0                         # Hz
     carrier_light_shift: float = H * 2e3          # J
-    inhomogeneity: float = 0.162
-    residual_damping: float = 90.0                # Hz
+    inhomogeneity: float = DEFAULTS["inhomogeneity"]
+    residual_damping: float = DEFAULTS["residual_damping"]   # Hz
 
     def __post_init__(self) -> None:
         if self.rabi_frequency < 0:

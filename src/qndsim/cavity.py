@@ -21,10 +21,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .constants import C
+from .constants import C, DEFAULTS
 from .errors import DomainError, UnstableCavity
 
-DEFAULT_FSR = 976.2e6  # Hz, measured free spectral range
+DEFAULT_FSR = DEFAULTS["fsr"]  # Hz, measured free spectral range
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class CavityGeometry:
     ----------
     round_trip_length : float
         Optical round-trip length in meters. Defaults to c/FSR with the
-        measured FSR of 976.2 MHz rather than to a nominal mechanical
-        drawing; the measured FSR is the ground truth for spectra.
+        measured FSR rather than to a nominal mechanical drawing; the
+        measured FSR is the ground truth for spectra.
     mirror_radius : float
         Concave mirror radius of curvature R in meters (may be math.inf).
     fold_angle : float
@@ -56,12 +56,12 @@ class CavityGeometry:
     """
 
     round_trip_length: float = C / DEFAULT_FSR
-    mirror_radius: float = 0.1
-    fold_angle: float = math.pi / 4
-    segment_ratio: float = math.sqrt(2.0)
-    astigmatism_correction: float = 1.020
+    mirror_radius: float = DEFAULTS["mirror_radius"]
+    fold_angle: float = DEFAULTS["fold_angle"]
+    segment_ratio: float = DEFAULTS["segment_ratio"]
+    astigmatism_correction: float = DEFAULTS["astigmatism_factor"]
     amplitude_reflectivity: float = 0.99956
-    wavelength: float = 1560e-9
+    wavelength: float = DEFAULTS["wavelength"]
 
     def __post_init__(self) -> None:
         if self.round_trip_length <= 0:

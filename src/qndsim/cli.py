@@ -2,22 +2,26 @@
 
 Configs are JSON with unit-suffixed field names (waist_um, carrier_power_uw)
 so a number can never silently change meaning. FIELDS gives each field its
-kind, default and bounds. A config resolves against it either to field-path
-diagnostics or to typed values with every default filled in, which the
-runners read and the manifest's config hash covers; an omitted default and
-the same value written out hash alike. NaN and Infinity are rejected with
-their field path, and no run writes a non-finite number into an artifact.
-Re-running a config with the same seed reproduces every output byte for byte.
+kind, default and bounds; a default that a model dataclass shares is read
+from constants.APPARATUS. A config resolves against FIELDS either to
+field-path diagnostics or to typed values in config units with every default
+filled in, which the manifest's config hash covers; an omitted default and
+the same value written out hash alike. The set-ups and runners read its SI
+view (constants.to_si): each value times its unit suffix's factor, under the
+model attribute it sets. NaN and Infinity are rejected with their field
+path, and no run writes a non-finite number into an artifact. Re-running a
+config with the same seed reproduces every output byte for byte.
 
 `validate`, and `run` before it, checks the regimes: probe duty cycle,
 modulation depth, zero carrier power beside sideband power, RAM, small phase
 (at the full atom number for rabi and spin-echo), echo window, a probe clock
 tick inside the echo's pi pulse, the 1 s sequence cap, the budget of 10^6 probe
-samples per sequence and per scan, and sweep order. It does so by building the
-set-up of noise-sweep, scattering-sweep, rabi and spin-echo, which the run then
-reuses. The run may still fail (exit 3) in a kernel, an output check, or the
-scalar set-up it builds itself: that of cavity-spectrum, trap-map and
-squeezing, and the scattering sweep's probe tuning.
+samples per sequence and per scan, a Rabi trace probed with back-action but
+undriven, and sweep order. It does so by building the set-up of noise-sweep,
+scattering-sweep, rabi and spin-echo, which the run then reuses. The run may
+still fail (exit 3) in a kernel, an output check, or the scalar set-up it
+builds itself: that of cavity-spectrum, trap-map and squeezing, and the
+scattering sweep's probe tuning.
 
 numpy is imported only by code that computes with arrays, the model modules
 but cavity and the array runners: help, list-scenarios, schema errors,
@@ -43,7 +47,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .constants import C, K_B
+from .constants import APPARATUS, C, K_B, to_si
 from .errors import ConfigError, DomainError, FitDiverged, QndSimError, RegimeError
 
 SCHEMA_VERSION = 1
@@ -74,21 +78,25 @@ class _Field:
     section: str
     key: str
     kind: str
-    default: object     # REQUIRED, or the value an omitted field takes
+    default: object     # REQUIRED, APPARATUS (its value there) or an omitted field's value
     bounds: tuple = ()  # "<op> <limit>" strings, each read "must be ..."
+
+    def __post_init__(self) -> None:
+        if self.default is APPARATUS:
+            object.__setattr__(self, "default", APPARATUS[self.key])
 
 
 _DETECTOR = (
-    _Field("detector", "sensitivity_a_per_w", NUMBER, 0.5, POSITIVE),
-    _Field("detector", "transimpedance_v_per_a", NUMBER, 1466.0, POSITIVE),
-    _Field("detector", "buffer_gain", NUMBER, 2.0, POSITIVE),
-    _Field("detector", "load_ohm", NUMBER, 50.0, POSITIVE),
-    _Field("detector", "bandwidth_mhz", NUMBER, 1.0, POSITIVE),
-    _Field("detector", "kappa_e_uw", NUMBER, 165.0, NONNEGATIVE),
+    _Field("detector", "sensitivity_a_per_w", NUMBER, APPARATUS, POSITIVE),
+    _Field("detector", "transimpedance_v_per_a", NUMBER, APPARATUS, POSITIVE),
+    _Field("detector", "buffer_gain", NUMBER, APPARATUS, POSITIVE),
+    _Field("detector", "load_ohm", NUMBER, APPARATUS, POSITIVE),
+    _Field("detector", "bandwidth_mhz", NUMBER, APPARATUS, POSITIVE),
+    _Field("detector", "kappa_e_uw", NUMBER, APPARATUS, NONNEGATIVE),
 )
 _GATE_AND_ENSEMBLE = (
-    _Field("probe_gate", "repetition_rate_khz", NUMBER, 100.0, POSITIVE),
-    _Field("probe_gate", "pulse_duration_us", NUMBER, 1.25, POSITIVE),
+    _Field("probe_gate", "repetition_rate_khz", NUMBER, APPARATUS, POSITIVE),
+    _Field("probe_gate", "pulse_duration_us", NUMBER, APPARATUS, POSITIVE),
     _Field("probe_gate", "sideband_detuning_linewidths", NUMBER, 7.9),
     _Field("probe_gate", "carrier_power_uw", NUMBER, 70.0, NONNEGATIVE),
     _Field("probe_gate", "sideband_power_nw", NUMBER, 90.0, NONNEGATIVE),
@@ -104,18 +112,17 @@ _GATE_AND_ENSEMBLE = (
 # fills in its own defaults.
 FIELDS = {
     "cavity-spectrum": (
-        _Field("cavity", "fsr_mhz", NUMBER, 976.2, POSITIVE),
-        _Field("cavity", "mirror_radius_mm", NUMBER, 100.0, POSITIVE),
-        _Field("cavity", "fold_angle_deg", NUMBER, 45.0,
-               ("> 0.0", "<= 90.0")),
-        _Field("cavity", "segment_ratio", NUMBER, math.sqrt(2.0), POSITIVE),
-        _Field("cavity", "astigmatism_factor", NUMBER, 1.020, POSITIVE),
-        _Field("cavity", "wavelength_nm", NUMBER, 1560.0, POSITIVE),
+        _Field("cavity", "fsr_mhz", NUMBER, APPARATUS, POSITIVE),
+        _Field("cavity", "mirror_radius_mm", NUMBER, APPARATUS, POSITIVE),
+        _Field("cavity", "fold_angle_deg", NUMBER, APPARATUS, ("> 0.0", "<= 90.0")),
+        _Field("cavity", "segment_ratio", NUMBER, APPARATUS, POSITIVE),
+        _Field("cavity", "astigmatism_factor", NUMBER, APPARATUS, POSITIVE),
+        _Field("cavity", "wavelength_nm", NUMBER, APPARATUS, POSITIVE),
         _Field("cavity", "max_transverse_order", INTEGER, 5,
                (">= 0", "<= 50")),
     ),
     "trap-map": (
-        _Field("trap", "power_per_arm_w", NUMBER, 200.0, NONNEGATIVE),
+        _Field("trap", "power_per_arm_w", NUMBER, APPARATUS, NONNEGATIVE),
         _Field("trap", "waist_par_um", NUMBER, REQUIRED, POSITIVE),
         _Field("trap", "waist_perp_um", NUMBER, REQUIRED, POSITIVE),
         _Field("trap", "backscatter_depth", NUMBER, 0.0,
@@ -124,44 +131,44 @@ FIELDS = {
         _Field("grid", "points_per_axis", INTEGER, 13, (">= 2", "<= 101")),
     ),
     "noise-sweep": (
-        _Field("probe", "carrier_power_uw", NUMBER, 120.0, NONNEGATIVE),
-        _Field("probe", "sideband_power_nw", NUMBER, 76.0, NONNEGATIVE),
-        _Field("probe", "modulation_depth", NUMBER, 0.025, NONNEGATIVE),
-        _Field("probe", "modulation_frequency_ghz", NUMBER, 2.808, POSITIVE),
-        _Field("probe", "ram_asymmetry", NUMBER, 0.01),
-        _Field("probe", "path_length_m", NUMBER, 1.0, NONNEGATIVE),
+        _Field("probe", "carrier_power_uw", NUMBER, APPARATUS, NONNEGATIVE),
+        _Field("probe", "sideband_power_nw", NUMBER, APPARATUS, NONNEGATIVE),
+        _Field("probe", "modulation_depth", NUMBER, APPARATUS, NONNEGATIVE),
+        _Field("probe", "modulation_frequency_ghz", NUMBER, APPARATUS, POSITIVE),
+        _Field("probe", "ram_asymmetry", NUMBER, APPARATUS),
+        _Field("probe", "path_length_m", NUMBER, APPARATUS, NONNEGATIVE),
         _Field("probe", "beam_waist_um", NUMBER, REQUIRED, POSITIVE),
-        _Field("probe", "carrier_detuning_ghz", NUMBER, -2.808),
+        _Field("probe", "carrier_detuning_ghz", NUMBER, APPARATUS),
         *_DETECTOR,
         _Field("sweep", "phi_at_rad", NUMBER, 0.1),
         _Field("sweep", "path_error_max_um", NUMBER, 100.0, POSITIVE),
         _Field("sweep", "points", INTEGER, 41, (">= 2", "<= 100001")),
-        _Field("sweep", "reference_wavelength_um", NUMBER, 1.0, POSITIVE),
+        _Field("sweep", "reference_wavelength_um", NUMBER, APPARATUS, POSITIVE),
     ),
     "scattering-sweep": (
-        _Field("tuning", "carrier_power_uw", NUMBER, 120.0, NONNEGATIVE),
-        _Field("tuning", "sideband_power_nw", NUMBER, 76.0, NONNEGATIVE),
+        _Field("tuning", "carrier_power_uw", NUMBER, APPARATUS, NONNEGATIVE),
+        _Field("tuning", "sideband_power_nw", NUMBER, APPARATUS, NONNEGATIVE),
         _Field("tuning", "waist_um", NUMBER, REQUIRED, POSITIVE),
-        _Field("tuning", "modulation_frequency_ghz", NUMBER, 2.808, POSITIVE),
-        _Field("tuning", "expansion_rate_hz", NUMBER, 120.0, NONNEGATIVE),
+        _Field("tuning", "modulation_frequency_ghz", NUMBER, APPARATUS, POSITIVE),
+        _Field("tuning", "expansion_rate_hz", NUMBER, APPARATUS, NONNEGATIVE),
         _Field("sweep", "detuning_min_linewidths", NUMBER, 0.5),
         _Field("sweep", "detuning_max_linewidths", NUMBER, 10.0),
         _Field("sweep", "points", INTEGER, 96, (">= 2", "<= 100001")),
     ),
     "rabi": (
-        _Field("drive", "rabi_frequency_khz", NUMBER, 6.6, NONNEGATIVE),
+        _Field("drive", "rabi_frequency_khz", NUMBER, APPARATUS, NONNEGATIVE),
         _Field("drive", "detuning_hz", NUMBER, 0.0),
         _Field("drive", "duration_ms", NUMBER, 2.0, POSITIVE),
-        _Field("drive", "residual_damping_hz", NUMBER, 90.0, NONNEGATIVE),
-        _Field("drive", "inhomogeneity", NUMBER, 0.162, NONNEGATIVE),
+        _Field("drive", "residual_damping_hz", NUMBER, APPARATUS, NONNEGATIVE),
+        _Field("drive", "inhomogeneity", NUMBER, APPARATUS, NONNEGATIVE),
         *_GATE_AND_ENSEMBLE,
         *_DETECTOR,
         _Field("options", "noiseless", BOOL, False),
         _Field("options", "fit_window_ms", NUMBER, 0.8, POSITIVE),
     ),
     "spin-echo": (
-        _Field("echo", "pi_duration_us", NUMBER, 74.5, POSITIVE),
-        _Field("echo", "total_duration_us", NUMBER, 500.0, POSITIVE),
+        _Field("echo", "pi_duration_us", NUMBER, APPARATUS, POSITIVE),
+        _Field("echo", "total_duration_us", NUMBER, APPARATUS, POSITIVE),
         _Field("echo", "gap_us", NULLABLE, None, (">= 0",)),
         _Field("echo", "detunings_hz", NUMBER_LIST,
                (0.0, 1000.0, 1200.0, 1800.0)),
@@ -399,13 +406,14 @@ def _typed(row: _Field, sec: dict | None, complain):
     return value if row.kind == INTEGER and number is not None else number
 
 
-def _resolve(cfg: dict) -> tuple[dict, dict, list[str]]:
-    """The config resolved against FIELDS, its set-ups, and its diagnostics.
+def _resolve(cfg: dict) -> tuple[dict, dict, dict, list[str]]:
+    """The config resolved against FIELDS, its SI view, set-ups and diagnostics.
 
     Beside the scenario list, seed and output directory, the resolved config
     maps each scenario to ``{section: {key: value}}`` for every field it
-    reads. Only when it is complete, without diagnostics, do the set-ups run
-    over it; what each built is kept outside the hashed config.
+    reads. Only when it is complete, without diagnostics, are its SI view,
+    ``{section: {stem: SI value}}`` per scenario, and the set-ups made; what
+    they hold is kept outside the hashed config.
     """
     problems: list[str] = []
 
@@ -465,15 +473,17 @@ def _resolve(cfg: dict) -> tuple[dict, dict, list[str]]:
             for key in sec:
                 if key not in known[section]:
                     complain(f"{section}.{key}", "unknown field")
-    setups = {name: _check_regimes(name, resolved[name], complain)
-              for name in (() if problems else scenarios)}
+    si = {name: {section: dict(to_si(key, x) for key, x in sec.items())
+                 for section, sec in resolved[name].items()}
+          for name in (() if problems else scenarios)}
+    setups = {name: _check_regimes(name, resolved[name], si[name], complain) for name in si}
     # scenarios that share a section report its problems once
-    return resolved, setups, list(dict.fromkeys(problems))
+    return resolved, si, setups, list(dict.fromkeys(problems))
 
 
 def validate_config(cfg: dict) -> list[str]:
     """Schema plus no-execution physics-regime checks; returns diagnostics."""
-    return _resolve(cfg)[2]
+    return _resolve(cfg)[-1]
 
 
 def config_hash(cfg: dict) -> str:
@@ -494,11 +504,12 @@ def _resolved_hash(resolved: dict) -> str:
 # ---------------------------------------------------------------- set-ups
 # A set-up builds what its runner needs before any kernel runs, yielding the
 # section it builds next, and returns it; validation builds it and the run
-# reuses it. An error names the field _BLAME finds by that section and the
-# words of its message, else the section: a constructor alone does not name
-# it (ModulatedProbe raises DomainError for RAM as for a zero waist).
-# Set-ups and runners import the model modules they use where they use them,
-# so a run loads only those of its scenarios.
+# reuses it. It reads the SI view, and the config-unit values where a test of
+# zero or a wider product (2*pi*f_ghz*1e9) needs them. An error names the
+# field _BLAME finds by that section and the words of its message, else the
+# section: a constructor alone does not name it (ModulatedProbe raises
+# DomainError for RAM as for a zero waist). Set-ups and runners import the
+# model modules they use where they use them, so a run loads only those.
 
 _BLAME = {
     ("probe", "two-sideband"): "probe.modulation_depth",
@@ -509,6 +520,7 @@ _BLAME = {
     ("probe_gate", "two-sideband"): "probe_gate.sideband_power_nw",
     ("probe_gate", "carrier power must"): "probe_gate.carrier_power_uw",
     ("probe_gate", "small-phase"): "ensemble.atom_number",
+    ("drive", "undriven"): "drive.rabi_frequency_khz",
     ("drive", "probe samples"): "probe_gate.repetition_rate_khz",
     ("echo", "gaps would be negative"): "echo.total_duration_us",
     ("echo", "scan budget"): "echo.detunings_hz",
@@ -517,112 +529,85 @@ _BLAME = {
 }
 
 
-def _detector(sec: dict):
-    from .heterodyne import DetectorModel
-    return DetectorModel(
-        sensitivity=sec["sensitivity_a_per_w"],
-        transimpedance=sec["transimpedance_v_per_a"],
-        buffer_gain=sec["buffer_gain"],
-        load=sec["load_ohm"],
-        bandwidth=sec["bandwidth_mhz"] * 1e6,
-        kappa_e=sec["kappa_e_uw"] * 1e-6,
-    )
-
-
-def _noise_sweep_setup(v: dict):
-    from .heterodyne import ModulatedProbe, check_small_phase
+def _noise_sweep_setup(v: dict, si: dict):
+    from .heterodyne import DetectorModel, ModulatedProbe, check_small_phase
     yield "probe"
-    sec = v["probe"]
-    probe = ModulatedProbe(
-        carrier_power=sec["carrier_power_uw"] * 1e-6,
-        modulation_depth=sec["modulation_depth"],
-        modulation_frequency=2 * math.pi * sec["modulation_frequency_ghz"] * 1e9,
-        ram_asymmetry=sec["ram_asymmetry"],
-        carrier_detuning=sec["carrier_detuning_ghz"] * 1e9,
-        sideband_power=sec["sideband_power_nw"] * 1e-9,
-        beam_waist=sec["beam_waist_um"] * 1e-6,
-        path_length=sec["path_length_m"],
-    )
-    det = _detector(v["detector"])
-    check_small_phase(v["sweep"]["phi_at_rad"])
+    probe = ModulatedProbe(**{**si["probe"], "modulation_frequency":
+                              2 * math.pi * v["probe"]["modulation_frequency_ghz"] * 1e9})
+    det = DetectorModel(**si["detector"])
+    check_small_phase(si["sweep"]["phi_at_rad"])
     return probe, det
 
 
-def _scattering_sweep_setup(v: dict):
+def _scattering_sweep_setup(v: dict, si: dict):
     yield "sweep"
     sweep = v["sweep"]
     if sweep["detuning_max_linewidths"] <= sweep["detuning_min_linewidths"]:
         raise DomainError("must exceed detuning_min_linewidths")
 
 
-def _probed_setup(v: dict) -> tuple:
+def _probed_setup(v: dict, si: dict) -> tuple:
     """Probe clock, probe beam, its light shift, ensemble and detector, once
     the phase of all N atoms is checked: more than the walk ever detects."""
     from .atoms import EnsembleState, ProbeTuning, light_shift
     from .harness import ProbeGate, sideband_phase
-    from .heterodyne import ModulatedProbe, check_small_phase
-    sec = v["probe_gate"]
-    pc = sec["carrier_power_uw"] * 1e-6
-    ps = sec["sideband_power_nw"] * 1e-9
-    waist = sec["waist_um"] * 1e-6
-    mod_ghz = sec["modulation_frequency_ghz"]
+    from .heterodyne import DetectorModel, ModulatedProbe, check_small_phase
+    raw, sec = v["probe_gate"], si["probe_gate"]
+    pc, ps, waist = sec["carrier_power"], sec["sideband_power"], sec["waist"]
     tuning = ProbeTuning.from_powers(
         carrier_power=pc, sideband_power=ps, waist=waist,
         sideband_detuning=sec["sideband_detuning_linewidths"],
-        modulation_frequency=mod_ghz * 1e9)
+        modulation_frequency=sec["modulation_frequency"])
     if not sec["backaction"]:
         # pure sampling clock: no scattering, no light shift; microwave
         # detunings are then relative to the dressed resonance
         tuning = replace(tuning, sideband_intensity=0.0,
                          carrier_intensity=0.0)
-    gate = ProbeGate(
-        repetition_rate=sec["repetition_rate_khz"] * 1e3,
-        pulse_duration=sec["pulse_duration_us"] * 1e-6,
-        tuning=tuning,
-    )
+    gate = ProbeGate(repetition_rate=sec["repetition_rate"],
+                     pulse_duration=sec["pulse_duration"], tuning=tuning)
     # zero tests read the unit-free raw fields: an SI underflow is no zero
-    if sec["carrier_power_uw"] == 0 and sec["sideband_power_nw"] > 0:
+    if raw["carrier_power_uw"] == 0 and raw["sideband_power_nw"] > 0:
         raise DomainError("carrier power must be positive when the sideband "
                           "carries power")
     probe = ModulatedProbe(
         carrier_power=pc,
-        modulation_depth=math.sqrt(ps / pc) if sec["carrier_power_uw"] > 0
-        else 0.0,
-        modulation_frequency=2 * math.pi * mod_ghz * 1e9,
-        carrier_detuning=-mod_ghz * 1e9,
+        modulation_depth=math.sqrt(ps / pc) if raw["carrier_power_uw"] > 0 else 0.0,
+        modulation_frequency=2 * math.pi * raw["modulation_frequency_ghz"] * 1e9,
+        carrier_detuning=-sec["modulation_frequency"],
         sideband_power=ps,
         beam_waist=waist,
     )
     shift = light_shift(tuning, gate.duty_cycle) if sec["backaction"] else 0.0
-    ens = EnsembleState.all_lower(v["ensemble"]["atom_number"],
-                                  cloud_rms=v["ensemble"]["cloud_rms_um"] * 1e-6)
-    det = _detector(v["detector"])
+    ens = EnsembleState.all_lower(si["ensemble"]["atom_number"],
+                                  cloud_rms=si["ensemble"]["cloud_rms"])
+    det = DetectorModel(**si["detector"])
     check_small_phase(sideband_phase(gate, probe, ens.atom_number, ens.cloud_rms))
     return gate, probe, shift, ens, det
 
 
-def _rabi_setup(v: dict):
+def _rabi_setup(v: dict, si: dict):
     from .harness import MicrowavePulse, PulseSequence
     yield "probe_gate"
-    gate, probe, shift, ens, det = _probed_setup(v)
+    gate, probe, shift, ens, det = _probed_setup(v, si)
     yield "drive"
-    drive = v["drive"]
-    pulse = MicrowavePulse(2 * math.pi * drive["rabi_frequency_khz"] * 1e3,
-                           drive["duration_ms"] * 1e-3, detuning=drive["detuning_hz"])
+    drive = si["drive"]
+    if v["drive"]["rabi_frequency_khz"] == 0 and shift != 0:   # see atoms.damping_rate
+        raise DomainError("an undriven trace leaves the probe's shift damping undefined")
+    pulse = MicrowavePulse(2 * math.pi * v["drive"]["rabi_frequency_khz"] * 1e3,
+                           drive["duration"], detuning=drive["detuning"])
     return PulseSequence((pulse,), probe=gate), probe, shift, ens, det
 
 
-def _spin_echo_setup(v: dict):
+def _spin_echo_setup(v: dict, si: dict):
     from .harness import MAX_PROBE_SAMPLES, build_spin_echo
     yield "probe_gate"
-    gate, probe, shift, ens, det = _probed_setup(v)
+    gate, probe, shift, ens, det = _probed_setup(v, si)
     yield "echo"
-    echo = v["echo"]
-    gap = None if echo["gap_us"] is None else echo["gap_us"] * 1e-6
+    echo = si["echo"]
     # one echo for every detuning: none of its checks depends on the detuning
-    seq = build_spin_echo(pi_duration=echo["pi_duration_us"] * 1e-6,
-                          total_duration=echo["total_duration_us"] * 1e-6, gap=gap, probe=gate)
-    traces = len(echo["detunings_hz"])
+    seq = build_spin_echo(pi_duration=echo["pi_duration"],
+                          total_duration=echo["total_duration"], gap=echo["gap"], probe=gate)
+    traces = len(echo["detunings"])
     periods = traces * seq.total_duration * gate.repetition_rate
     if periods > MAX_PROBE_SAMPLES:    # the walk holds every trace at once
         raise DomainError(f"{traces} traces span {periods:.7g} probe periods, over the "
@@ -634,10 +619,10 @@ _SETUPS = {"noise-sweep": _noise_sweep_setup, "rabi": _rabi_setup,
            "scattering-sweep": _scattering_sweep_setup, "spin-echo": _spin_echo_setup}
 
 
-def _check_regimes(name: str, v: dict, complain):
-    """What scenario ``name``'s set-up builds from ``v``: None where it has no
-    set-up, or after complaining of the error that stopped it."""
-    steps, section = _SETUPS.get(name, lambda v: iter(()))(v), None
+def _check_regimes(name: str, v: dict, si: dict, complain):
+    """What scenario ``name``'s set-up builds from ``v`` and its SI view: None
+    where it has no set-up, or after complaining of the error that stopped it."""
+    steps, section = _SETUPS.get(name, lambda v, si: iter(()))(v, si), None
     try:
         while True:
             section = next(steps)
@@ -652,19 +637,19 @@ def _check_regimes(name: str, v: dict, complain):
 
 
 # ---------------------------------------------------------------- runners
-# Each runner takes one scenario's resolved values and what its set-up built
-# (see _resolve), None for a scenario without one.
+# Each runner takes one scenario's SI view and what its set-up built (see
+# _resolve), None for a scenario without one.
 
-def _run_cavity_spectrum(v: dict, setup, out: Path, seed: int) -> list[str]:
+def _run_cavity_spectrum(si: dict, setup, out: Path, seed: int) -> list[str]:
     from .cavity import CavityGeometry, solve_mode, transverse_spectrum
-    sec = v["cavity"]
+    sec = si["cavity"]
     geom = CavityGeometry(
-        round_trip_length=C / (sec["fsr_mhz"] * 1e6),
-        mirror_radius=sec["mirror_radius_mm"] * 1e-3,
-        fold_angle=math.radians(sec["fold_angle_deg"]),
+        round_trip_length=C / sec["fsr"],
+        mirror_radius=sec["mirror_radius"],
+        fold_angle=sec["fold_angle"],
         segment_ratio=sec["segment_ratio"],
         astigmatism_correction=sec["astigmatism_factor"],
-        wavelength=sec["wavelength_nm"] * 1e-9,
+        wavelength=sec["wavelength"],
     )
     order = sec["max_transverse_order"]
     write_csv(out / "spectrum.csv", "m,n,offset_hz",
@@ -682,17 +667,11 @@ def _run_cavity_spectrum(v: dict, setup, out: Path, seed: int) -> list[str]:
     return ["spectrum.csv", "mode.json"]
 
 
-def _run_trap_map(v: dict, setup, out: Path, seed: int) -> list[str]:
+def _run_trap_map(si: dict, setup, out: Path, seed: int) -> list[str]:
     import numpy as np
     from .trap import DipoleTrapConfig, potential_at, trap_depth, trap_frequencies
-    sec = v["trap"]
-    trap = DipoleTrapConfig(
-        power_per_arm=sec["power_per_arm_w"],
-        waist_par=sec["waist_par_um"] * 1e-6,
-        waist_perp=sec["waist_perp_um"] * 1e-6,
-        backscatter_depth=sec["backscatter_depth"],
-    )
-    axis = _mirrored_axis(v["grid"]["half_span_um"] * 1e-6, v["grid"]["points_per_axis"])
+    trap = DipoleTrapConfig(**si["trap"])
+    axis = _mirrored_axis(si["grid"]["half_span"], si["grid"]["points_per_axis"])
     iy, iz = (i.ravel() for i in np.indices((axis.size, axis.size)))
     um = axis * 1e6
     # one x-plane per call: a whole-cube grid would hold several cube-sized
@@ -711,16 +690,16 @@ def _run_trap_map(v: dict, setup, out: Path, seed: int) -> list[str]:
     return ["trap_map.csv", "trap_summary.json"]
 
 
-def _run_noise_sweep(v: dict, setup, out: Path, seed: int) -> list[str]:
+def _run_noise_sweep(si: dict, setup, out: Path, seed: int) -> list[str]:
     from .heterodyne import (PhaseShiftTriple, demodulated_signal, interferometer_length_signal,
                              length_noise_signal, noise_rejection_ratio)
-    sweep = v["sweep"]
+    sweep = si["sweep"]
     probe, det = setup
     phi = sweep["phi_at_rad"]
-    wavelength = sweep["reference_wavelength_um"] * 1e-6
+    wavelength = sweep["reference_wavelength"]
     triple = PhaseShiftTriple(phi_plus=phi)
     base = demodulated_signal(probe, triple, det)
-    pe = _mirrored_axis(sweep["path_error_max_um"] * 1e-6, sweep["points"])
+    pe = _mirrored_axis(sweep["path_error_max"], sweep["points"])
     # K*pe/lambda commutes with negation, so the budget and reference are odd
     write_mirrored_csv(out / "noise_sweep.csv",
                        "path_error_m,demodulated_shift_v,budget_v,reference_v",
@@ -737,37 +716,36 @@ def _run_noise_sweep(v: dict, setup, out: Path, seed: int) -> list[str]:
     return ["noise_sweep.csv", "noise_rejection.json"]
 
 
-def _run_scattering_sweep(v: dict, setup, out: Path, seed: int) -> list[str]:
+def _run_scattering_sweep(si: dict, setup, out: Path, seed: int) -> list[str]:
     import numpy as np
     from .atoms import ProbeTuning, scattering_rate
-    sec, sweep = v["tuning"], v["sweep"]
+    sec, sweep = si["tuning"], si["sweep"]
     delta = np.linspace(sweep["detuning_min_linewidths"],
                         sweep["detuning_max_linewidths"], sweep["points"])
     tuning = ProbeTuning.from_powers(
-        carrier_power=sec["carrier_power_uw"] * 1e-6,
-        sideband_power=sec["sideband_power_nw"] * 1e-9,
-        waist=sec["waist_um"] * 1e-6, sideband_detuning=delta,
-        modulation_frequency=sec["modulation_frequency_ghz"] * 1e9)
+        carrier_power=sec["carrier_power"], sideband_power=sec["sideband_power"],
+        waist=sec["waist"], sideband_detuning=delta,
+        modulation_frequency=sec["modulation_frequency"])
     write_csv(out / "scattering_sweep.csv",
               "sideband_detuning_linewidths,decay_rate_hz",
-              [(delta, scattering_rate(tuning, sec["expansion_rate_hz"]))])
+              [(delta, scattering_rate(tuning, sec["expansion_rate"]))])
     return ["scattering_sweep.csv"]
 
 
-def _run_rabi(v: dict, setup, out: Path, seed: int) -> list[str]:
+def _run_rabi(si: dict, setup, out: Path, seed: int) -> list[str]:
     from .atoms import RabiModel
     from .harness import fit_damped_sine, run_sequence
-    drive = v["drive"]
+    drive = si["drive"]
     seq, probe, shift, ens, det = setup
     template = RabiModel(
         carrier_light_shift=shift,
         inhomogeneity=drive["inhomogeneity"],
-        residual_damping=drive["residual_damping_hz"],
+        residual_damping=drive["residual_damping"],
     )
     trace = run_sequence(seq, ens, probe, det, seed=seed, template=template,
-                         noiseless=v["options"]["noiseless"])
+                         noiseless=si["options"]["noiseless"])
     write_csv(out / "rabi_trace.csv", "time_s,signal_v", [(trace.times, trace.signal)])
-    window = v["options"]["fit_window_ms"] * 1e-3
+    window = si["options"]["fit_window"]
     try:
         fit = fit_damped_sine(trace, window=window)
     except FitDiverged as exc:
@@ -780,17 +758,17 @@ def _run_rabi(v: dict, setup, out: Path, seed: int) -> list[str]:
     return ["rabi_trace.csv", "rabi_fit.json"]
 
 
-def _run_spin_echo(v: dict, setup, out: Path, seed: int) -> list[str]:
+def _run_spin_echo(si: dict, setup, out: Path, seed: int) -> list[str]:
     import numpy as np
     from .atoms import RabiModel
     from .harness import mid_pulse_amplitudes, run_scan
-    echo = v["echo"]
+    echo = si["echo"]
     seq, probe, shift, ens, det = setup
     template = RabiModel(carrier_light_shift=shift,
-                         residual_damping=echo["residual_damping_hz"])
-    times, signals, _ = run_scan(seq, echo["detunings_hz"], ens, probe, det, seed=seed,
-                                 template=template, noiseless=v["options"]["noiseless"])
-    deltas = np.array(echo["detunings_hz"])
+                         residual_damping=echo["residual_damping"])
+    times, signals, _ = run_scan(seq, echo["detunings"], ens, probe, det, seed=seed,
+                                 template=template, noiseless=si["options"]["noiseless"])
+    deltas = np.array(echo["detunings"])
     rows, samples = (i.ravel() for i in np.indices(signals.shape))
     # free evolution without noise or back-action holds Jz, so gap samples repeat
     write_csv(out / "spin_echo_traces.csv", "detuning_hz,time_s,signal_v",
@@ -809,9 +787,9 @@ def _run_spin_echo(v: dict, setup, out: Path, seed: int) -> list[str]:
     return ["spin_echo_traces.csv", "spin_echo_amplitudes.csv"]
 
 
-def _run_squeezing(v: dict, setup, out: Path, seed: int) -> list[str]:
+def _run_squeezing(si: dict, setup, out: Path, seed: int) -> list[str]:
     from .atoms import cavity_enhancement, squeezing_estimate
-    sec = v["squeezing"]
+    sec = si["squeezing"]     # no field has a unit: the SI view is the config
     kappa_sq, xi_sq = squeezing_estimate(
         sec["phase_per_atom_rad"], sec["atom_number"], sec["photon_number"])
     # the inputs are echoed, the finesse only when one is given
@@ -840,13 +818,13 @@ _RUNNERS = {
 
 # ------------------------------------------------------------ subcommands
 
-def _checked(cfg: dict, source: str) -> tuple[dict, dict]:
-    """Resolved config and set-ups, or ConfigError listing every diagnostic."""
-    resolved, setups, problems = _resolve(cfg)
+def _checked(cfg: dict, source: str) -> tuple[dict, dict, dict]:
+    """Resolved config, SI view and set-ups, or ConfigError listing every diagnostic."""
+    resolved, si, setups, problems = _resolve(cfg)
     if problems:
         raise ConfigError(
             f"{source}: invalid configuration\n  " + "\n  ".join(problems))
-    return resolved, setups
+    return resolved, si, setups
 
 
 def _cmd_run(args) -> int:
@@ -855,7 +833,7 @@ def _cmd_run(args) -> int:
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["out_dir"] = args.out
-    resolved, setups = _checked(cfg, args.config)
+    resolved, si, setups = _checked(cfg, args.config)
     scenarios = resolved["scenario"]
     if not scenarios:
         print("nothing to run: empty scenario list")
@@ -866,7 +844,7 @@ def _cmd_run(args) -> int:
     artifacts: list[str] = []
     for name in scenarios:
         try:
-            artifacts.extend(_RUNNERS[name](resolved[name], setups[name], out, seed))
+            artifacts.extend(_RUNNERS[name](si[name], setups[name], out, seed))
         except ArithmeticError as exc:
             # an overflow or a zero division in a runner's scalar set-up is a
             # physics error at these values, like the regime checks' ones

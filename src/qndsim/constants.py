@@ -1,10 +1,14 @@
-"""Physical constants and rubidium-87 line data used across the package.
+"""Physical constants, rubidium-87 line data and the apparatus defaults.
 
 Fundamental constants are pinned CODATA 2022 literals, bitwise equal to
 scipy.constants, which is never imported. The rubidium numbers are the
 standard D2-line values; saturation intensities and branching ratios are
 for pi transitions out of |F=1> with Zeeman sub-levels equally populated.
+
+APPARATUS holds once, in config units, each apparatus default that a model
+dataclass and a config field share; DEFAULTS holds them in SI units.
 """
+import math
 
 C = 299792458.0                  # m/s
 H = 6.62607015e-34               # J s
@@ -32,3 +36,41 @@ EXCITED_SPLITTINGS = (229.165e6, 156.947e6, 0.0)
 # ground 5S1/2 polarizability at 1560 nm and the 5P3/2:5S1/2 ratio
 GROUND_POLARIZABILITY = 6.83e-39   # Re(alpha), J m^2 V^-2
 POLARIZABILITY_RATIO = 47.7
+
+# unit suffix of a config field name -> SI factor, a compound suffix before
+# its tail; x * (pi / 180) is math.radians(x), bit for bit
+UNITS = {"_a_per_w": 1.0, "_v_per_a": 1.0, "_ohm": 1.0, "_w": 1.0, "_m": 1.0, "_hz": 1.0,
+         "_uw": 1e-6, "_nw": 1e-9, "_um": 1e-6, "_mm": 1e-3, "_nm": 1e-9, "_khz": 1e3,
+         "_mhz": 1e6, "_ghz": 1e9, "_ms": 1e-3, "_us": 1e-6, "_deg": math.pi / 180}
+
+
+def to_si(key: str, value):
+    """``(stem, SI value)`` of config field ``key``: the name without its unit
+    suffix, the model attribute it sets, and the value times the unit's
+    factor; a value of factor 1, without a unit, or None stays as it is."""
+    for suffix, factor in UNITS.items():
+        if key.endswith(suffix):
+            return key[:-len(suffix)], value if factor == 1 or value is None else value * factor
+    return key, value
+
+
+APPARATUS = {
+    # DetectorModel
+    "sensitivity_a_per_w": 0.5, "transimpedance_v_per_a": 1466.0, "buffer_gain": 2.0,
+    "load_ohm": 50.0, "bandwidth_mhz": 1.0, "kappa_e_uw": 165.0,
+    # ModulatedProbe, ProbeTuning.from_powers and the expansion rate: the
+    # probe of the destructivity measurement; then the reference wavelength
+    "carrier_power_uw": 120.0, "sideband_power_nw": 76.0, "modulation_depth": 0.025,
+    "modulation_frequency_ghz": 2.808, "ram_asymmetry": 0.01, "path_length_m": 1.0,
+    "beam_waist_um": 245.0, "carrier_detuning_ghz": -2.808, "expansion_rate_hz": 120.0,
+    "reference_wavelength_um": 1.0,
+    # ProbeGate, CavityGeometry (the measured FSR) and DipoleTrapConfig
+    "repetition_rate_khz": 100.0, "pulse_duration_us": 1.25,
+    "fsr_mhz": 976.2, "mirror_radius_mm": 100.0, "fold_angle_deg": 45.0,
+    "segment_ratio": math.sqrt(2.0), "astigmatism_factor": 1.020, "wavelength_nm": 1560.0,
+    "power_per_arm_w": 200.0,
+    # RabiModel and build_spin_echo
+    "rabi_frequency_khz": 6.6, "inhomogeneity": 0.162, "residual_damping_hz": 90.0,
+    "pi_duration_us": 74.5, "total_duration_us": 500.0,
+}
+DEFAULTS = dict(to_si(key, value) for key, value in APPARATUS.items())

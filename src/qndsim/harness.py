@@ -4,7 +4,7 @@ simulated experiments, adds Monte Carlo detection noise, and fits traces.
 A sequence is an ordered list of microwave-pulse and free-evolution
 segments; probing is a global sampling clock (repetition rate, pulse
 duration, probe tuning) that runs concurrently with every segment, the way
-the experiments interleave 1.25 us detection pulses with the microwave
+the experiments interleave short detection pulses with the microwave
 drive. All phases are tracked in the frame of the microwave oscillator, so
 a detuned frame keeps precessing during free evolution; that precession is
 the interferometric phase.
@@ -28,6 +28,7 @@ from .atoms import (
     state_vector,
     with_vector,
 )
+from .constants import DEFAULTS
 from .errors import DomainError, FitDiverged, RegimeError, StepError
 from .heterodyne import (
     SMALL_PHASE_LIMIT,
@@ -78,8 +79,8 @@ class FreeEvolution:
 class ProbeGate:
     """Probe sampling clock: pulse timing plus the optical tuning."""
 
-    repetition_rate: float = 100e3
-    pulse_duration: float = 1.25e-6
+    repetition_rate: float = DEFAULTS["repetition_rate"]
+    pulse_duration: float = DEFAULTS["pulse_duration"]
     tuning: ProbeTuning = field(default_factory=ProbeTuning)
 
     def __post_init__(self) -> None:
@@ -459,7 +460,7 @@ def destructivity_at_unit_snr(
     if ensemble.f2_population <= 0:
         raise DomainError("need detectable F=2 population")
     phi = sideband_phase(gate, probe, ensemble.f2_population, ensemble.cloud_rms)
-    base_ps = probe.sideband_power if probe.sideband_power > 0 else 76e-9
+    base_ps = probe.sideband_power if probe.sideband_power > 0 else DEFAULTS["sideband_power"]
     top = 0.09 * probe.carrier_power
     ref = min(base_ps, top)
     scaled = replace(probe, sideband_power=ref,
@@ -479,8 +480,8 @@ def destructivity_at_unit_snr(
 
 
 def build_spin_echo(
-    pi_duration: float = 74.5e-6,
-    total_duration: float = 500e-6,
+    pi_duration: float = DEFAULTS["pi_duration"],
+    total_duration: float = DEFAULTS["total_duration"],
     detuning: float = 0.0,
     gap: float | None = None,
     *,
@@ -490,7 +491,7 @@ def build_spin_echo(
     Rabi frequency pi/pi_duration that makes the middle pulse a pi pulse.
 
     By default the two symmetric free-evolution gaps are sized to fill
-    total_duration (the experiments ran the whole sequence inside 500 us);
+    total_duration (by default the experiments' window);
     pass gap explicitly (0 suppresses free evolution) to override.
 
     Raises DomainError when no probe clock tick k*period falls in the pi

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import C, E_CHARGE, GAMMA_D2_FREQ, PROBE_WAVELENGTH
+from .constants import C, DEFAULTS, E_CHARGE, GAMMA_D2_FREQ, PROBE_WAVELENGTH
 from .errors import DomainError, RegimeError
 
 SMALL_PHASE_LIMIT = 0.3    # rad, validity bound for the expansions
@@ -37,14 +37,14 @@ class ModulatedProbe:
     between the two sidebands.
     """
 
-    carrier_power: float = 120e-6          # W
-    modulation_depth: float = 0.025        # beta
-    modulation_frequency: float = 2 * math.pi * 2.808e9   # Omega, rad/s
-    ram_asymmetry: float = 1e-2            # epsilon
-    carrier_detuning: float = -2.808e9     # Hz
-    sideband_power: float = 76e-9          # W per sideband
-    beam_waist: float = 245e-6             # m
-    path_length: float = 1.0               # modulator-to-detector, m
+    carrier_power: float = DEFAULTS["carrier_power"]          # W
+    modulation_depth: float = DEFAULTS["modulation_depth"]    # beta
+    modulation_frequency: float = 2 * math.pi * DEFAULTS["modulation_frequency"]  # Omega, rad/s
+    ram_asymmetry: float = DEFAULTS["ram_asymmetry"]          # epsilon
+    carrier_detuning: float = DEFAULTS["carrier_detuning"]    # Hz
+    sideband_power: float = DEFAULTS["sideband_power"]        # W per sideband
+    beam_waist: float = DEFAULTS["beam_waist"]                # m
+    path_length: float = DEFAULTS["path_length"]              # modulator-to-detector, m
 
     def __post_init__(self) -> None:
         if self.modulation_depth < 0:
@@ -93,12 +93,12 @@ class PhaseShiftTriple:
 class DetectorModel:
     """Fast photodiode with integrated transimpedance amplifier and buffer."""
 
-    sensitivity: float = 0.5      # eta, A/W
-    transimpedance: float = 1466.0  # R_F, ohm
-    buffer_gain: float = 2.0      # g
-    load: float = 50.0            # R_L, ohm
-    bandwidth: float = 1e6        # Hz
-    kappa_e: float = 165e-6       # electronic-noise-equivalent optical power, W
+    sensitivity: float = DEFAULTS["sensitivity"]        # eta, A/W
+    transimpedance: float = DEFAULTS["transimpedance"]  # R_F, ohm
+    buffer_gain: float = DEFAULTS["buffer_gain"]        # g
+    load: float = DEFAULTS["load"]                      # R_L, ohm
+    bandwidth: float = DEFAULTS["bandwidth"]            # Hz
+    kappa_e: float = DEFAULTS["kappa_e"]    # electronic-noise-equivalent optical power, W
 
     def __post_init__(self) -> None:
         for name in ("sensitivity", "transimpedance", "buffer_gain", "load",
@@ -274,7 +274,7 @@ def interferometer_length_signal(
     probe: ModulatedProbe,
     det: DetectorModel,
     path_error: float,
-    wavelength: float = 1e-6,
+    wavelength: float = DEFAULTS["reference_wavelength"],
 ) -> float:
     """Path-length signal of an optical-wavelength-referenced interferometer.
 
@@ -287,7 +287,7 @@ def interferometer_length_signal(
 
 
 def noise_rejection_ratio(
-    probe: ModulatedProbe, phi_at: float, wavelength: float = 1e-6
+    probe: ModulatedProbe, phi_at: float, wavelength: float = DEFAULTS["reference_wavelength"]
 ) -> float:
     """Length-noise sensitivity relative to a lambda-referenced interferometer.
 

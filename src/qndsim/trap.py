@@ -20,6 +20,7 @@ import numpy as np
 
 from .constants import (
     C,
+    DEFAULTS,
     EPSILON_0,
     GROUND_POLARIZABILITY,
     H,
@@ -40,7 +41,7 @@ class DipoleTrapConfig:
     to off because the backscattered fraction is a small perturbation.
     """
 
-    power_per_arm: float = 200.0
+    power_per_arm: float = DEFAULTS["power_per_arm"]
     waist_par: float = 93.1e-6
     waist_perp: float = 129.8e-6
     polarizability: float = GROUND_POLARIZABILITY

@@ -30,6 +30,21 @@ def test_underflowing_rabi_frequency_is_physics_error(tmp_path, capsys, khz):
     assert "DomainError" in capsys.readouterr().err
 
 
+def test_undriven_probed_trace_is_config_error(tmp_path, capsys):
+    # with back-action on, the shift damping divides by the Rabi frequency:
+    # the raw zero is rejected by its field before any run; a pure sampling
+    # clock shifts nothing and runs undriven
+    override = "drive.rabi_frequency_khz=0"
+    assert main(["validate", str(RABI), "--set", override]) == 2
+    assert "drive.rabi_frequency_khz: an undriven trace" in capsys.readouterr().err
+    assert main(["run", str(RABI), "--out", str(tmp_path / "art"), "--set", override]) == 2
+    assert not (tmp_path / "art").exists()
+    assert main(["run", str(RABI), "--out", str(tmp_path / "clock"), "--set", override,
+                 "--set", "probe_gate.backaction=false"]) == 0
+    trace = (tmp_path / "clock" / "rabi_trace.csv").read_text().splitlines()
+    assert len(trace) == 202    # header and 2 ms at 100 kHz
+
+
 def test_huge_rabi_frequency_finishes_with_finite_artifacts(tmp_path):
     # the substep stepper split each probe period into ~1e12 rotations at
     # the huge drive, and the clamp fallback into ~2.5e22 substeps at the
