@@ -522,7 +522,9 @@ _BLAME = {
     ("probe_gate", "small-phase"): "ensemble.atom_number",
     ("drive", "undriven"): "drive.rabi_frequency_khz",
     ("drive", "probe samples"): "probe_gate.repetition_rate_khz",
+    ("drive", "over the maximum"): "drive.duration_ms",
     ("echo", "gaps would be negative"): "echo.total_duration_us",
+    ("echo", "over the maximum"): "echo.total_duration_us",
     ("echo", "scan budget"): "echo.detunings_hz",
     ("echo", "probe samples"): "probe_gate.repetition_rate_khz",
     ("echo", "no sample inside the pi pulse"): "probe_gate.repetition_rate_khz",

@@ -192,10 +192,13 @@ def run_scan(seq: PulseSequence, detunings, initial: EnsembleState, probe: Modul
     segment's detuning set to detunings[i], at seed + i.
 
     One step schedule, one generator build and one expm per EXPM_BLOCK
-    matrices serve every trace (DomainError for no detuning). A run of count
-    whole periods is filled by doubling in about log2(count) stacked
-    np.matmul calls: within rtol 1e-12 of one matvec per step up to 10^4
-    periods, within count ulp of the largest state component up to 10^6.
+    matrices serve every trace (DomainError for no detuning). A trace takes
+    one matrix per segment drive and step length; lengths within 4 ulp of the
+    end time are one length rounded at two boundaries and share it, so an
+    echo takes 4. A run of count whole periods is filled by doubling in about
+    log2(count) stacked np.matmul calls: within rtol 1e-12 of one matvec
+    per step up to 10^4 periods, within count ulp of the largest state
+    component up to 10^6.
     A period matrix is good to about an ulp per unit of |G dt|_1, so a run
     ends within count * eps * (1 + |G dt|_1) of its largest component of a
     60-digit walk of G: after 200 periods 5.2e-5 of it at a 1e12 kHz drive,
@@ -221,14 +224,19 @@ def run_scan(seq: PulseSequence, detunings, initial: EnsembleState, probe: Modul
 def _walk(seq, detunings, seed, initial, probe, det, template, noiseless):
     base = template if template is not None else RabiModel()
     gate, traces = seq.probe, 1 if detunings is None else len(detunings)
-    eps, period = CLOCK_TOLERANCE, gate.period
+    eps, period, near = CLOCK_TOLERANCE, gate.period, 4 * math.ulp(seq.total_duration)
     # steps are runs (slot, count), one slot per (segment, dt); samples runs
     # (first row, count); off-clock samples keep the time the walk reached
-    slot_of, runs, off, seg_steps, seg_samples = {}, [], [], [], []
+    slot_of, runs, off, seg_steps, seg_samples, taken = {}, [], [], [], [], {}
     t_now, n_steps, k, samples = 0.0, 0, 1, [(0, 1)]    # sample 0 is at t = 0
 
     def step(s: int, dt: float, count: int = 1) -> None:
         nonlocal n_steps
+        # a dt within near of a length already taken (looked up in bins near
+        # wide) is that length rounded at another boundary
+        b = math.floor(dt / near)
+        dt = next((x for x in map(taken.get, (b, b - 1, b + 1)) if x and abs(x - dt) <= near), dt)
+        taken.setdefault(b, dt)
         runs.append((slot_of.setdefault((s, dt), len(slot_of)), count))
         n_steps += count
 
@@ -505,15 +513,9 @@ def build_spin_echo(
     if gap < 0:
         raise DomainError("gaps would be negative; enlarge total_duration")
     half = MicrowavePulse(omega, pi_duration / 2, detuning=detuning)
-    full = MicrowavePulse(omega, pi_duration, detuning=detuning)
-    segments: list = [half]
-    if gap > 0:
-        segments.append(FreeEvolution(gap, detuning=detuning))
-    segments.append(full)
-    if gap > 0:
-        segments.append(FreeEvolution(gap, detuning=detuning))
-    segments.append(half)
-    seq = PulseSequence(tuple(segments), probe=probe)
+    wait = (FreeEvolution(gap, detuning=detuning),) if gap > 0 else ()
+    segments = (half, *wait, replace(half, duration=pi_duration), *wait, half)
+    seq = PulseSequence(segments, probe=probe)
     start, end = seq.segment_window(len(segments) // 2)
     first = math.ceil((start - CLOCK_TOLERANCE) / probe.period)   # the rounded quotient: +-1
     if not any(start - CLOCK_TOLERANCE <= k * probe.period <= end + CLOCK_TOLERANCE

@@ -27,6 +27,8 @@ CONFIG_DIR = Path(qndsim.__file__).parent / "configs"
     ("rabi", "probe_gate.carrier_power_uw=0", "probe_gate.carrier_power_uw"),
     ("noise_sweep", "probe.ram_asymmetry=1.5", "probe.ram_asymmetry"),
     ("spin_echo", "echo.total_duration_us=100", "echo.total_duration_us"),
+    ("rabi", "drive.duration_ms=2000", "drive.duration_ms"),
+    ("spin_echo", "echo.total_duration_us=2e6", "echo.total_duration_us"),
     ("scattering_sweep", "sweep.detuning_min_linewidths=20",
      "sweep.detuning_max_linewidths"),
 ])

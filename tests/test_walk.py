@@ -4,7 +4,8 @@
 matvec per step. The package walk fills each run of whole probe periods
 by doubling, so it rounds differently: times, signal and final state
 vector must match the reference to rtol 1e-12, with an absolute floor of
-1e-13 of the reference's largest magnitude, and any exception must match
+1e-13 of the reference's largest magnitude (for a `qndsim` run's signal,
+at least 1e-13 of its full-scale signal), and any exception must match
 it in type and text. Past 10^4 periods the bound is a rounding budget
 that grows with the run length. A detuning scan of one sequence must still
 give each trace the bits of the one-trace walk of its own sequence, the
@@ -43,7 +44,12 @@ from qndsim.harness import (
     Trace,
     build_spin_echo,
 )
-from qndsim.heterodyne import DetectorModel, ModulatedProbe
+from qndsim.heterodyne import (
+    DetectorModel,
+    ModulatedProbe,
+    PhaseShiftTriple,
+    demodulated_signal,
+)
 
 CONFIG_DIR = Path(qndsim.__file__).parent / "configs"
 STRONG_SCATTERING = ("probe_gate.sideband_power_nw=2000",
@@ -67,20 +73,29 @@ def outcome(engine, args, kwargs):
     return [(times, signal, final) for signal, final in zip(signals, finals)]
 
 
-def assert_close(new, old):
-    """Exceptions alike in type and text, or traces alike to rounding."""
+def assert_close(new, old, signal_floor=0.0):
+    """Exceptions alike in type and text, or traces alike to rounding; a
+    signal's absolute floor is at least signal_floor."""
     if isinstance(old, tuple) or isinstance(new, tuple):
         assert new == old
         return
     assert len(new) == len(old)
     for got, want in zip(new, old):
-        for a, b in zip(got, want):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13 * np.abs(b).max())
+        for a, b, floor in zip(got, want, (0.0, signal_floor, 0.0)):
+            np.testing.assert_allclose(a, b, rtol=1e-12,
+                                       atol=max(1e-13 * np.abs(b).max(), floor))
 
 
-def assert_same_walk(*args, **kwargs):
+def full_scale(seq, initial, probe, det):
+    """The signal of every atom of `initial` in F=2: in the small-phase
+    regime, which a `qndsim` set-up checks."""
+    phi = harness.sideband_phase(seq.probe, probe, initial.atom_number, initial.cloud_rms)
+    return abs(float(demodulated_signal(probe, PhaseShiftTriple(phi_plus=phi), det)))
+
+
+def assert_same_walk(*args, signal_floor=0.0, **kwargs):
     new = outcome(harness.run_sequence, args, kwargs)
-    assert_close(new, outcome(reference.run_sequence, args, kwargs))
+    assert_close(new, outcome(reference.run_sequence, args, kwargs), signal_floor)
     return new
 
 
@@ -186,8 +201,11 @@ def test_cli_walks_match_reference(monkeypatch, tmp_path, case):
     if case in UNSAMPLED_PI:
         monkeypatch.setattr(harness, "build_spin_echo", unchecked_echo)
     _, calls = cli_calls(monkeypatch, tmp_path, CONFIG_DIR / config, overrides)
+    # a sample is a cancellation remainder where the F=2 population is a few
+    # atoms of many (-1.8e-10 V of an unsampled pi): one ulp of Jz moves it
+    # by 1e-10 of itself, so the signal's floor is 1e-13 of full scale
     for args, kwargs in calls:
-        assert_same_walk(*args, **kwargs)
+        assert_same_walk(*args, signal_floor=1e-13 * full_scale(*args), **kwargs)
 
 
 @pytest.mark.parametrize("khz", ["1e12", "1e9", "1e6", "6.6"])
@@ -331,6 +349,44 @@ def test_echo_builds_one_generator_per_distinct_segment(monkeypatch):
     harness.run_sequence(seq, EnsembleState.all_lower(1e7, cloud_rms=3e-4),
                          ModulatedProbe(), DetectorModel(), noiseless=True)
     assert len(seq.segments) == 5 and made == [2]
+
+
+def expm_batches(monkeypatch):
+    """The number of matrices of each batch the walk hands to expm."""
+    batches, real = [], harness.expm
+    monkeypatch.setattr(harness, "expm", lambda a: batches.append(len(a)) or real(a))
+    return batches
+
+
+@pytest.mark.parametrize("run", ["spin_echo", "echo-scan/spin_echo@full"])
+def test_echo_exponentiates_four_matrices_per_trace(monkeypatch, tmp_path, run):
+    # the echo's 2.75 us and 7.25 us partial steps are each `boundary - tick`
+    # at four boundaries, four roundings of one length: the drive's and the
+    # gap's generator each take one matrix per step length, the period and
+    # one partial step, not one per rounding (10 per trace)
+    config, _ = artifact_digests.runs()[run]
+    if isinstance(config, dict):    # a generated config's body
+        body, config = config, tmp_path / "echo.json"
+        config.write_text(json.dumps(body), encoding="utf-8")
+    batches = expm_batches(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert batches == [4 * len(json.loads(config.read_text())["echo"]["detunings_hz"])]
+
+
+def test_step_lengths_apart_by_more_than_rounding_keep_their_matrices(monkeypatch):
+    # one drive, a 30 us clock: a 20 us first segment, then a step to the
+    # first tick, whole periods, and a last step of 20 us + 1e-15 s. The two
+    # 20 us steps differ by far more than the rounding of a 500 us boundary
+    # (4 ulp: 4.3e-19 s) and less than CLOCK_TOLERANCE, so they keep one
+    # matrix each: four in all
+    pulse = MicrowavePulse(4.2e4, 20e-6)
+    seq = PulseSequence((pulse, replace(pulse, duration=480e-6 + 1e-15)),
+                        probe=ProbeGate(repetition_rate=1 / 30e-6))
+    assert 1e-15 > 4 * math.ulp(seq.total_duration) and 1e-15 < harness.CLOCK_TOLERANCE
+    batches = expm_batches(monkeypatch)
+    assert_same_walk(seq, *ECHO_ARGS, noiseless=True)
+    assert batches == [4]
 
 
 @pytest.mark.parametrize("overrides", [(), STRONG_SCATTERING], ids=["rabi", "strongly-damped"])
