@@ -20,7 +20,6 @@ numpy is imported only inside the functions that compute with arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .constants import (
     BRANCHING,
@@ -30,6 +29,8 @@ from .constants import (
     H,
     HBAR,
     I_SAT,
+    Record,
+    replace,
 )
 from .errors import DomainError, StepError
 
@@ -49,8 +50,7 @@ def _carrier_detunings(modulation_frequency: float) -> tuple[float, float, float
     return tuple(abs(modulation_frequency - s) for s in EXCITED_SPLITTINGS)
 
 
-@dataclass(frozen=True)
-class ProbeTuning:
+class ProbeTuning(Record):
     """Probe frequencies and intensities entering the scattering model.
 
     sideband_detuning is in units of the natural linewidth, and may be an
@@ -104,8 +104,7 @@ class ProbeTuning:
         )
 
 
-@dataclass(frozen=True)
-class RabiModel:
+class RabiModel(Record):
     """Microwave drive plus the light-shift bookkeeping of the damping model.
 
     carrier_light_shift is the in-pulse differential shift of the clock
@@ -141,8 +140,7 @@ def f2_population(vs: np.ndarray, atom_number: float):
     return atom_number - vs[..., 3] / 2 + vs[..., 2]
 
 
-@dataclass(frozen=True)
-class EnsembleState:
+class EnsembleState(Record):
     """Mean-field state: Bloch vector, coherent population, cloud parameters."""
 
     atom_number: float

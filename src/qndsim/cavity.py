@@ -19,16 +19,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .constants import C, DEFAULTS
+from .constants import C, DEFAULTS, Record
 from .errors import DomainError, UnstableCavity
 
 DEFAULT_FSR = DEFAULTS["fsr"]  # Hz, measured free spectral range
 
 
-@dataclass(frozen=True)
-class CavityGeometry:
+class CavityGeometry(Record):
     """Geometry and mirror data of the folded square ring cavity.
 
     Parameters
@@ -107,8 +105,7 @@ class CavityGeometry:
         return C / self.round_trip_length
 
 
-@dataclass(frozen=True)
-class GaussianMode:
+class GaussianMode(Record):
     """Fundamental Gaussian eigenmode of the cavity, per transverse axis."""
 
     waist_par: float        # m, in-plane (horizontal) waist at the crossing

@@ -2,7 +2,7 @@
 
 Configs are JSON with unit-suffixed field names (waist_um, carrier_power_uw)
 so a number can never silently change meaning. FIELDS gives each field its
-kind, default and bounds; a default that a model dataclass shares is read
+kind, default and bounds; a default that a model record shares is read
 from constants.APPARATUS. A config resolves against FIELDS either to
 field-path diagnostics or to typed values in config units with every default
 filled in, which the manifest's config hash covers; an omitted default and
@@ -43,11 +43,10 @@ import math
 import operator
 import sys
 import warnings
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .constants import APPARATUS, C, K_B, to_si
+from .constants import APPARATUS, C, K_B, Record, replace, to_si
 from .errors import ConfigError, DomainError, FitDiverged, QndSimError, RegimeError
 
 SCHEMA_VERSION = 1
@@ -73,8 +72,7 @@ NONNEGATIVE = (">= 0.0",)
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
-@dataclass(frozen=True)
-class _Field:
+class _Field(Record):
     section: str
     key: str
     kind: str
@@ -524,7 +522,8 @@ _BLAME = {
     ("drive", "probe samples"): "probe_gate.repetition_rate_khz",
     ("drive", "over the maximum"): "drive.duration_ms",
     ("echo", "gaps would be negative"): "echo.total_duration_us",
-    ("echo", "over the maximum"): "echo.total_duration_us",
+    ("echo", "over the maximum"):    # a given gap, not the total duration, sets the length
+        lambda v: "echo.total_duration_us" if v["echo"]["gap_us"] is None else "echo.gap_us",
     ("echo", "scan budget"): "echo.detunings_hz",
     ("echo", "probe samples"): "probe_gate.repetition_rate_khz",
     ("echo", "no sample inside the pi pulse"): "probe_gate.repetition_rate_khz",
@@ -633,7 +632,7 @@ def _check_regimes(name: str, v: dict, si: dict, complain):
     except (ArithmeticError, ValueError, QndSimError) as exc:
         for (at, words), path in _BLAME.items():
             if at == section and words in str(exc):
-                return complain(path, str(exc))
+                return complain(path(v) if callable(path) else path, str(exc))
         complain(section, "regime checks cannot be evaluated at these values "
                           f"({type(exc).__name__}: {exc})")
 

@@ -6,7 +6,8 @@ standard D2-line values; saturation intensities and branching ratios are
 for pi transitions out of |F=1> with Zeeman sub-levels equally populated.
 
 APPARATUS holds once, in config units, each apparatus default that a model
-dataclass and a config field share; DEFAULTS holds them in SI units.
+record and a config field share; DEFAULTS holds them in SI units. Record is
+the frozen base of every model record, built without generated code.
 """
 import math
 
@@ -74,3 +75,50 @@ APPARATUS = {
     "pi_duration_us": 74.5, "total_duration_us": 500.0,
 }
 DEFAULTS = dict(to_si(key, value) for key, value in APPARATUS.items())
+
+
+class Record:
+    """An immutable record. Its fields are the subclass's own annotations, in
+    order, and a class attribute is a field's default; ``__post_init__`` checks
+    them and may set an attribute through ``object.__setattr__``. It compares,
+    hashes and prints by its fields and exact class."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
+
+    def __init__(self, *args, **kwargs) -> None:
+        names, given = self._fields, dict(zip(self._fields, args))
+        values = {**self._defaults, **given, **kwargs}
+        if len(args) > len(names) or given.keys() & kwargs or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}, got "
+                            f"{len(args)} by position and {tuple(kwargs)} by name")
+        self.__dict__.update(zip(names, map(values.__getitem__, names)))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """A subclass checks its fields here."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ \
+            else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of ``record`` with ``changes`` to its fields, checked again."""
+    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})

@@ -12,7 +12,6 @@ the interferometric phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .atoms import (
     state_vector,
     with_vector,
 )
-from .constants import DEFAULTS
+from .constants import DEFAULTS, Record, replace
 from .errors import DomainError, FitDiverged, RegimeError, StepError
 from .heterodyne import (
     SMALL_PHASE_LIMIT,
@@ -47,8 +46,7 @@ CLOCK_TOLERANCE = 1e-12       # s, below which two times on the probe clock coin
 EXPM_BLOCK = 4096             # matrices per expm call: bounds the temporaries of a large scan
 
 
-@dataclass(frozen=True)
-class MicrowavePulse:
+class MicrowavePulse(Record):
     """Drive segment: Rabi frequency (rad/s), duration, detuning (Hz), phase."""
 
     rabi_frequency: float
@@ -63,8 +61,7 @@ class MicrowavePulse:
             raise DomainError("Rabi frequency must be nonnegative")
 
 
-@dataclass(frozen=True)
-class FreeEvolution:
+class FreeEvolution(Record):
     """Undriven segment; the frame detuning keeps accumulating phase."""
 
     duration: float
@@ -75,13 +72,12 @@ class FreeEvolution:
             raise DomainError("segment duration must be positive")
 
 
-@dataclass(frozen=True)
-class ProbeGate:
+class ProbeGate(Record):
     """Probe sampling clock: pulse timing plus the optical tuning."""
 
     repetition_rate: float = DEFAULTS["repetition_rate"]
     pulse_duration: float = DEFAULTS["pulse_duration"]
-    tuning: ProbeTuning = field(default_factory=ProbeTuning)
+    tuning: ProbeTuning = ProbeTuning()     # one shared default: a record is immutable
 
     def __post_init__(self) -> None:
         if self.repetition_rate <= 0 or self.pulse_duration <= 0:
@@ -107,8 +103,7 @@ def sideband_phase(gate: ProbeGate, probe: ModulatedProbe, f2_population,
                         linewidth=gate.tuning.linewidth)
 
 
-@dataclass(frozen=True)
-class PulseSequence:
+class PulseSequence(Record):
     segments: tuple
     probe: ProbeGate
 
@@ -136,8 +131,7 @@ class PulseSequence:
         return start, start + self.segments[index].duration
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """Sampled detector record and the ensemble state it ends in."""
 
     times: np.ndarray
@@ -323,8 +317,7 @@ def _walk(seq, detunings, seed, initial, probe, det, template, noiseless):
     return times, volts.T, trajectory[-1].copy()    # a copy frees the trajectory
 
 
-@dataclass(frozen=True)
-class SineFit:
+class SineFit(Record):
     frequency: float      # Hz
     damping: float        # 1/s
     amplitude: float

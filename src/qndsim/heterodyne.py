@@ -16,19 +16,17 @@ orthogonal quadrature the path-length-sensitive terms (DeltaPhi_plus).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import C, DEFAULTS, E_CHARGE, GAMMA_D2_FREQ, PROBE_WAVELENGTH
+from .constants import C, DEFAULTS, E_CHARGE, GAMMA_D2_FREQ, PROBE_WAVELENGTH, Record
 from .errors import DomainError, RegimeError
 
 SMALL_PHASE_LIMIT = 0.3    # rad, validity bound for the expansions
 SMALL_BETA_LIMIT = 0.3     # modulation depth bound for the two-sideband model
 
 
-@dataclass(frozen=True)
-class ModulatedProbe:
+class ModulatedProbe(Record):
     """Phase-modulated probe beam.
 
     carrier_detuning is the carrier offset from the reference transition;
@@ -69,15 +67,13 @@ class ModulatedProbe:
         return 2.0 * math.pi * C / self.modulation_frequency
 
 
-@dataclass(frozen=True)
-class PhaseShiftTriple:
+class PhaseShiftTriple(Record):
     """Atomic phase on (lower sideband, carrier, upper sideband), radians;
     a component may be an array of samples."""
 
     phi_minus: float = 0.0
     phi_carrier: float = 0.0
     phi_plus: float = 0.0
-    max_abs: float = field(init=False, repr=False, compare=False)  # largest |phi|
 
     def __post_init__(self) -> None:
         peak = 0.0
@@ -86,11 +82,10 @@ class PhaseShiftTriple:
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite")
             peak = max(peak, value)
-        object.__setattr__(self, "max_abs", peak)
+        object.__setattr__(self, "max_abs", peak)     # largest |phi|, derived: no field
 
 
-@dataclass(frozen=True)
-class DetectorModel:
+class DetectorModel(Record):
     """Fast photodiode with integrated transimpedance amplifier and buffer."""
 
     sensitivity: float = DEFAULTS["sensitivity"]        # eta, A/W

@@ -14,7 +14,6 @@ polarizability and circulating power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +25,13 @@ from .constants import (
     H,
     POLARIZABILITY_RATIO,
     RB87_MASS,
+    Record,
     TRAP_WAVELENGTH,
 )
 from .errors import DomainError, NotAMinimum
 
 
-@dataclass(frozen=True)
-class DipoleTrapConfig:
+class DipoleTrapConfig(Record):
     """Crossed-trap parameters.
 
     waist_par is the in-plane transverse waist of each arm, waist_perp the

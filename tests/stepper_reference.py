@@ -12,7 +12,7 @@ clamp never acts and both engines model the same dynamics.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from qndsim.constants import replace
 
 import numpy as np
 

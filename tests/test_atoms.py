@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from qndsim.constants import replace
 
 import numpy as np
 import pytest

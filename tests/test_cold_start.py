@@ -26,7 +26,9 @@ bundled run does. An older numpy whose version.py imports numpy (a
 versioneer build) skips those pins, and a synthetic package of that layout
 checks that its version is still read. `import qndsim.atoms` loads no numpy
 either, as its array functions import it themselves; called first in a
-fresh interpreter, they compute the bits they compute in process.
+fresh interpreter, they compute the bits they compute in process. The model
+records are built without generated code, so those same commands, and
+`--help`, load neither dataclasses nor inspect.
 
 A command's process ends with its heap frozen: `cli.main` registers
 gc.freeze with atexit once, however often it runs, and `import qndsim.cli`
@@ -35,7 +37,6 @@ leaves one open, and a cold run of each bundled config writes the bytes of
 the digest table, which is made in process.
 """
 import ast
-import dataclasses
 import importlib.util
 import json
 import os
@@ -249,6 +250,38 @@ def test_cavity_spectrum_run_loads_no_numpy(tmp_path, config):
                         "--out", tmp_path) == []
 
 
+# the model records are built without generated code, so a command that
+# computes with math alone loads neither dataclasses nor inspect
+CODEGEN = "sorted(m for m in sys.modules if m in ('dataclasses', 'inspect'))"
+HELP = ("from qndsim import cli\ntry:\n    code = cli.main(sys.argv[1:])\n"
+        "except SystemExit as exit:\n    code = exit.code")
+
+
+@numpy_free
+def test_importing_the_cli_loads_no_code_generation():
+    assert loaded_after(probe("import qndsim.cli\ncode = 0", CODEGEN)) == []
+
+
+@numpy_free
+def test_help_loads_no_code_generation():
+    assert loaded_after(probe(HELP, CODEGEN), "--help") == []
+
+
+@numpy_free
+@pytest.mark.parametrize("argv", [["list-scenarios"],
+                                  *(["validate", CONFIG_DIR / c] for c in SET_UP_FREE)],
+                         ids=lambda argv: " ".join(Path(a).name for a in argv))
+def test_commands_without_arrays_load_no_code_generation(argv):
+    assert loaded_after(probe(MAIN, CODEGEN), *argv) == []
+
+
+@numpy_free
+@pytest.mark.parametrize("config", MATH_RUNS)
+def test_math_runs_load_no_code_generation(tmp_path, config):
+    assert loaded_after(probe(MAIN, CODEGEN), "run", CONFIG_DIR / config,
+                        "--out", tmp_path) == []
+
+
 def test_importing_atoms_loads_no_numpy():
     # no version is read, so this holds where numpy/version.py imports numpy too
     assert loaded_after(probe("import qndsim.atoms\ncode = 0", NUMPY)) == []
@@ -285,8 +318,8 @@ results["scattering_rate[array]"] = scattering_rate(
 
 def bits(value):
     """The type of value and of each number in it, with the numbers' bytes."""
-    if dataclasses.is_dataclass(value):
-        return type(value).__name__, [bits(x) for x in dataclasses.astuple(value)]
+    if isinstance(value, constants.Record):
+        return type(value).__name__, [bits(getattr(value, name)) for name in value._fields]
     array = np.asarray(value)
     return type(value).__name__, array.dtype.str, array.shape, array.tobytes()
 

@@ -1,7 +1,7 @@
 """Sequence engine, trace fitting, and the spin-echo/Rabi experiments."""
 import json
 import math
-from dataclasses import replace
+from qndsim.constants import replace
 
 import numpy as np
 import pytest

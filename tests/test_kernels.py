@@ -9,7 +9,7 @@ the root `scipy.optimize.brentq` finds on the same SNR function.
 import json
 import math
 import warnings
-from dataclasses import replace
+from qndsim.constants import replace
 from pathlib import Path
 
 import numpy as np

@@ -5,7 +5,7 @@ stacked generator build against the per-drive builder, and the batched
 detection chain."""
 import math
 import warnings
-from dataclasses import replace
+from qndsim.constants import replace
 from pathlib import Path
 
 import numpy as np

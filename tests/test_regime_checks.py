@@ -38,6 +38,21 @@ def test_regime_diagnostic_names_field(capsys, stem, override, path):
     assert f"{path}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, path", [
+    (["echo.total_duration_us=2e6"], "echo.total_duration_us"),
+    (["echo.gap_us=6e5"], "echo.gap_us"),
+    (["echo.gap_us=6e5", "echo.total_duration_us=2e6"], "echo.gap_us"),
+    (["echo.gap_us=6e5", "echo.total_duration_us=100"], "echo.gap_us"),
+])
+def test_an_echo_over_the_cap_names_the_field_that_set_its_length(capsys, overrides, path):
+    # a given gap sets the echo's length and the total duration is then unread
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    assert main(["validate", str(CONFIG_DIR / "spin_echo.json"), *sets]) == 2
+    diagnostics = capsys.readouterr().err.splitlines()[1:]
+    assert len(diagnostics) == 1 and diagnostics[0].startswith(f"  {path}: sequence runs ")
+    assert diagnostics[0].endswith(", over the maximum 1 s")
+
+
 @pytest.mark.parametrize("stem, override", [
     ("noise_sweep", "probe.beam_waist_um=5e-324"),
     ("rabi", "drive.duration_ms=2000"),

@@ -28,7 +28,7 @@ import qndsim
 import qndsim.cli as cli
 from qndsim import atoms, cavity, harness, heterodyne, trap
 from qndsim.cli import FIELDS, NULLABLE, NUMBER, main
-from qndsim.constants import APPARATUS, DEFAULTS, UNITS, to_si
+from qndsim.constants import APPARATUS, DEFAULTS, UNITS, Record, to_si
 
 CONFIG_DIR = Path(qndsim.__file__).parent / "configs"
 BUILDERS = {"cavity-spectrum": "cavity_spectrum", "trap-map": "trap_map",
@@ -81,11 +81,20 @@ def bits(x):
 
 
 def arguments(func, args, kwargs) -> dict:
-    """The bits of each argument of ``func(*args, **kwargs)`` but ANY."""
-    bound = inspect.signature(func).bind(*args, **kwargs)
-    bound.apply_defaults()
-    return {key: bits(x) for key, x in bound.arguments.items()
-            if x is not ANY and key != "self"}
+    """The bits of each argument of ``func(*args, **kwargs)`` but ANY; a
+    record's construction, by its class or its ``__init__``, binds its own
+    fields, a default where an argument is left out."""
+    if func is Record.__init__:
+        func, args = type(args[0]), args[1:]
+    if isinstance(func, type) and issubclass(func, Record):
+        given = {**func._defaults, **dict(zip(func._fields, args)), **kwargs}
+        assert len(args) <= len(func._fields) and given.keys() == set(func._fields)
+        bound = {name: given[name] for name in func._fields}
+    else:
+        signature = inspect.signature(func).bind(*args, **kwargs)
+        signature.apply_defaults()
+        bound = signature.arguments
+    return {key: bits(x) for key, x in bound.items() if x is not ANY and key != "self"}
 
 
 @contextmanager

@@ -20,7 +20,7 @@ import tempfile
 import warnings
 import weakref
 from collections import Counter
-from dataclasses import replace
+from qndsim.constants import replace
 from pathlib import Path
 
 import numpy as np

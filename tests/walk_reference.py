@@ -16,7 +16,7 @@ local `_segment_model`, so the walk shares no set-up code with the engine.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from qndsim.constants import replace
 
 import numpy as np
 
