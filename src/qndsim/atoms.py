@@ -119,14 +119,6 @@ class RabiModel(Record):
     inhomogeneity: float = DEFAULTS["inhomogeneity"]
     residual_damping: float = DEFAULTS["residual_damping"]   # Hz
 
-    def __post_init__(self) -> None:
-        if self.rabi_frequency < 0:
-            raise DomainError("Rabi frequency must be nonnegative")
-        if self.inhomogeneity < 0:
-            raise DomainError("inhomogeneity factor must be nonnegative")
-        if self.residual_damping < 0:
-            raise DomainError("residual damping must be nonnegative")
-
 
 def _over_polarized(jx, jy, jz, coherent):
     # |J| > coherent/2 beyond rounding, elementwise for arrays;
@@ -153,10 +145,8 @@ class EnsembleState(Record):
     def __post_init__(self) -> None:
         if self.coherent_number is None:
             object.__setattr__(self, "coherent_number", self.atom_number)
-        if self.atom_number < 0 or self.coherent_number > self.atom_number:
+        if self.coherent_number > self.atom_number:
             raise DomainError("populations must be nonnegative")
-        if self.cloud_rms < 0:
-            raise DomainError("cloud size must be nonnegative")
         if self.coherent_number < -1e-9 * max(1.0, self.atom_number):
             raise DomainError("leaked population exceeds total atom number")
         if _over_polarized(self.jx, self.jy, self.jz, self.coherent_number):

@@ -68,14 +68,6 @@ class CavityGeometry(Record):
             raise DomainError("amplitude_reflectivity must lie in (0, 1)")
         if self.astigmatism_correction <= 0:
             raise DomainError("astigmatism_correction must be positive")
-        if not 0 <= self.fold_angle < math.pi:
-            raise DomainError("fold_angle must lie in [0, pi)")
-        if self.segment_ratio <= 0:
-            raise DomainError("segment_ratio must be positive")
-        if self.mirror_radius <= 0:
-            raise DomainError("mirror_radius must be positive")
-        if self.wavelength <= 0:
-            raise DomainError("wavelength must be positive")
 
     @property
     def incidence_angle(self) -> float:
@@ -105,7 +97,7 @@ class CavityGeometry(Record):
         return C / self.round_trip_length
 
 
-class GaussianMode(Record):
+class GaussianMode(Record, limited=False):    # unchecked: the writer names a non-finite figure
     """Fundamental Gaussian eigenmode of the cavity, per transverse axis."""
 
     waist_par: float        # m, in-plane (horizontal) waist at the crossing

@@ -2,26 +2,27 @@
 
 Configs are JSON with unit-suffixed field names (waist_um, carrier_power_uw)
 so a number can never silently change meaning. FIELDS gives each field its
-kind, default and bounds; a default that a model record shares is read
-from constants.APPARATUS. A config resolves against FIELDS either to
-field-path diagnostics or to typed values in config units with every default
-filled in, which the manifest's config hash covers; an omitted default and
-the same value written out hash alike. The set-ups and runners read its SI
-view (constants.to_si): each value times its unit suffix's factor, under the
-model attribute it sets. NaN and Infinity are rejected with their field
-path, and no run writes a non-finite number into an artifact. Re-running a
-config with the same seed reproduces every output byte for byte.
+kind, default and bounds; a default or bound that a model record shares is
+read from constants.APPARATUS or constants.LIMITS, and the record checks the
+bound too. A config resolves against FIELDS either to field-path diagnostics
+or to typed values in config units with every default filled in, which the
+manifest's config hash covers; an omitted default and the same value written
+out hash alike. The set-ups and runners read its SI view (constants.to_si):
+each value times its unit suffix's factor, under the model attribute it sets.
+NaN and Infinity are rejected with their field path, and no run writes a
+non-finite number into an artifact. Re-running a config with the same seed
+reproduces every output byte for byte.
 
 `validate`, and `run` before it, checks the regimes: probe duty cycle,
-modulation depth, zero carrier power beside sideband power, RAM, small phase
-(at the full atom number for rabi and spin-echo), echo window, a probe clock
-tick inside the echo's pi pulse, the 1 s sequence cap, the budget of 10^6 probe
-samples per sequence and per scan, a Rabi trace probed with back-action but
-undriven, and sweep order. It does so by building the set-up of noise-sweep,
-scattering-sweep, rabi and spin-echo, which the run then reuses. The run may
-still fail (exit 3) in a kernel, an output check, or the scalar set-up it
-builds itself: that of cavity-spectrum, trap-map and squeezing, and the
-scattering sweep's probe tuning.
+modulation depth, zero carrier power beside sideband power, small phase (at
+the full atom number for rabi and spin-echo), echo window, a probe clock tick
+inside the echo's pi pulse, the 1 s sequence cap, the budget of 10^6 probe
+samples per sequence and per scan, a Rabi drive that leaves the probe's shift
+damping undefined, and sweep order. It does so by building the set-up of
+noise-sweep, scattering-sweep, rabi and spin-echo, which the run then reuses.
+The run may still fail (exit 3) in a kernel, an output check, or the scalar
+set-up it builds itself: that of cavity-spectrum, trap-map and squeezing, and
+the scattering sweep's probe tuning.
 
 numpy is imported only by code that computes with arrays, the model modules
 but cavity and the array runners: help, list-scenarios, schema errors,
@@ -40,13 +41,13 @@ import hashlib
 import importlib.util
 import json
 import math
-import operator
 import sys
 import warnings
 from pathlib import Path
 
 from . import __version__
-from .constants import APPARATUS, C, K_B, Record, replace, to_si
+from .constants import (APPARATUS, COMPARE, C, K_B, LIMITS, NONNEGATIVE, POSITIVE, Record,
+                        replace, to_si)
 from .errors import ConfigError, DomainError, FitDiverged, QndSimError, RegimeError
 
 SCHEMA_VERSION = 1
@@ -67,9 +68,6 @@ BOOL = "bool"
 NULLABLE = "number or null"
 NUMBER_LIST = "number list"
 REQUIRED = "required"
-POSITIVE = ("> 0.0",)
-NONNEGATIVE = (">= 0.0",)
-_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 class _Field(Record):
@@ -77,32 +75,33 @@ class _Field(Record):
     key: str
     kind: str
     default: object     # REQUIRED, APPARATUS (its value there) or an omitted field's value
-    bounds: tuple = ()  # "<op> <limit>" strings, each read "must be ..."
+    bounds: tuple = ()  # LIMITS (its bounds there) or "<op> <limit>" strings read "must be ..."
 
     def __post_init__(self) -> None:
-        if self.default is APPARATUS:
-            object.__setattr__(self, "default", APPARATUS[self.key])
+        for name, table in (("default", APPARATUS), ("bounds", LIMITS)):
+            if getattr(self, name) is table:
+                object.__setattr__(self, name, table[self.key])
 
 
 _DETECTOR = (
-    _Field("detector", "sensitivity_a_per_w", NUMBER, APPARATUS, POSITIVE),
-    _Field("detector", "transimpedance_v_per_a", NUMBER, APPARATUS, POSITIVE),
-    _Field("detector", "buffer_gain", NUMBER, APPARATUS, POSITIVE),
-    _Field("detector", "load_ohm", NUMBER, APPARATUS, POSITIVE),
-    _Field("detector", "bandwidth_mhz", NUMBER, APPARATUS, POSITIVE),
-    _Field("detector", "kappa_e_uw", NUMBER, APPARATUS, NONNEGATIVE),
+    _Field("detector", "sensitivity_a_per_w", NUMBER, APPARATUS, LIMITS),
+    _Field("detector", "transimpedance_v_per_a", NUMBER, APPARATUS, LIMITS),
+    _Field("detector", "buffer_gain", NUMBER, APPARATUS, LIMITS),
+    _Field("detector", "load_ohm", NUMBER, APPARATUS, LIMITS),
+    _Field("detector", "bandwidth_mhz", NUMBER, APPARATUS, LIMITS),
+    _Field("detector", "kappa_e_uw", NUMBER, APPARATUS, LIMITS),
 )
 _GATE_AND_ENSEMBLE = (
-    _Field("probe_gate", "repetition_rate_khz", NUMBER, APPARATUS, POSITIVE),
-    _Field("probe_gate", "pulse_duration_us", NUMBER, APPARATUS, POSITIVE),
+    _Field("probe_gate", "repetition_rate_khz", NUMBER, APPARATUS, LIMITS),
+    _Field("probe_gate", "pulse_duration_us", NUMBER, APPARATUS, LIMITS),
     _Field("probe_gate", "sideband_detuning_linewidths", NUMBER, 7.9),
-    _Field("probe_gate", "carrier_power_uw", NUMBER, 70.0, NONNEGATIVE),
-    _Field("probe_gate", "sideband_power_nw", NUMBER, 90.0, NONNEGATIVE),
+    _Field("probe_gate", "carrier_power_uw", NUMBER, 70.0, LIMITS),
+    _Field("probe_gate", "sideband_power_nw", NUMBER, 90.0, LIMITS),
     _Field("probe_gate", "waist_um", NUMBER, REQUIRED, POSITIVE),
-    _Field("probe_gate", "modulation_frequency_ghz", NUMBER, 2.5, POSITIVE),
+    _Field("probe_gate", "modulation_frequency_ghz", NUMBER, 2.5, LIMITS),
     _Field("probe_gate", "backaction", BOOL, True),
-    _Field("ensemble", "atom_number", NUMBER, 1e7, NONNEGATIVE),
-    _Field("ensemble", "cloud_rms_um", NUMBER, 300.0, NONNEGATIVE),
+    _Field("ensemble", "atom_number", NUMBER, 1e7, LIMITS),
+    _Field("ensemble", "cloud_rms_um", NUMBER, 300.0, LIMITS),
 )
 
 # Every field each scenario reads. Scenarios share a section by its name:
@@ -111,31 +110,30 @@ _GATE_AND_ENSEMBLE = (
 FIELDS = {
     "cavity-spectrum": (
         _Field("cavity", "fsr_mhz", NUMBER, APPARATUS, POSITIVE),
-        _Field("cavity", "mirror_radius_mm", NUMBER, APPARATUS, POSITIVE),
-        _Field("cavity", "fold_angle_deg", NUMBER, APPARATUS, ("> 0.0", "<= 90.0")),
-        _Field("cavity", "segment_ratio", NUMBER, APPARATUS, POSITIVE),
+        _Field("cavity", "mirror_radius_mm", NUMBER, APPARATUS, LIMITS),
+        _Field("cavity", "fold_angle_deg", NUMBER, APPARATUS, LIMITS),
+        _Field("cavity", "segment_ratio", NUMBER, APPARATUS, LIMITS),
         _Field("cavity", "astigmatism_factor", NUMBER, APPARATUS, POSITIVE),
-        _Field("cavity", "wavelength_nm", NUMBER, APPARATUS, POSITIVE),
+        _Field("cavity", "wavelength_nm", NUMBER, APPARATUS, LIMITS),
         _Field("cavity", "max_transverse_order", INTEGER, 5,
                (">= 0", "<= 50")),
     ),
     "trap-map": (
-        _Field("trap", "power_per_arm_w", NUMBER, APPARATUS, NONNEGATIVE),
-        _Field("trap", "waist_par_um", NUMBER, REQUIRED, POSITIVE),
-        _Field("trap", "waist_perp_um", NUMBER, REQUIRED, POSITIVE),
-        _Field("trap", "backscatter_depth", NUMBER, 0.0,
-               (">= 0.0", "<= 0.999999")),
+        _Field("trap", "power_per_arm_w", NUMBER, APPARATUS, LIMITS),
+        _Field("trap", "waist_par_um", NUMBER, REQUIRED, LIMITS),
+        _Field("trap", "waist_perp_um", NUMBER, REQUIRED, LIMITS),
+        _Field("trap", "backscatter_depth", NUMBER, 0.0, LIMITS),
         _Field("grid", "half_span_um", NUMBER, 150.0, POSITIVE),
         _Field("grid", "points_per_axis", INTEGER, 13, (">= 2", "<= 101")),
     ),
     "noise-sweep": (
-        _Field("probe", "carrier_power_uw", NUMBER, APPARATUS, NONNEGATIVE),
-        _Field("probe", "sideband_power_nw", NUMBER, APPARATUS, NONNEGATIVE),
-        _Field("probe", "modulation_depth", NUMBER, APPARATUS, NONNEGATIVE),
-        _Field("probe", "modulation_frequency_ghz", NUMBER, APPARATUS, POSITIVE),
-        _Field("probe", "ram_asymmetry", NUMBER, APPARATUS),
-        _Field("probe", "path_length_m", NUMBER, APPARATUS, NONNEGATIVE),
-        _Field("probe", "beam_waist_um", NUMBER, REQUIRED, POSITIVE),
+        _Field("probe", "carrier_power_uw", NUMBER, APPARATUS, LIMITS),
+        _Field("probe", "sideband_power_nw", NUMBER, APPARATUS, LIMITS),
+        _Field("probe", "modulation_depth", NUMBER, APPARATUS, LIMITS),
+        _Field("probe", "modulation_frequency_ghz", NUMBER, APPARATUS, LIMITS),
+        _Field("probe", "ram_asymmetry", NUMBER, APPARATUS, LIMITS),
+        _Field("probe", "path_length_m", NUMBER, APPARATUS, LIMITS),
+        _Field("probe", "beam_waist_um", NUMBER, REQUIRED, LIMITS),
         _Field("probe", "carrier_detuning_ghz", NUMBER, APPARATUS),
         *_DETECTOR,
         _Field("sweep", "phi_at_rad", NUMBER, 0.1),
@@ -144,21 +142,21 @@ FIELDS = {
         _Field("sweep", "reference_wavelength_um", NUMBER, APPARATUS, POSITIVE),
     ),
     "scattering-sweep": (
-        _Field("tuning", "carrier_power_uw", NUMBER, APPARATUS, NONNEGATIVE),
-        _Field("tuning", "sideband_power_nw", NUMBER, APPARATUS, NONNEGATIVE),
+        _Field("tuning", "carrier_power_uw", NUMBER, APPARATUS, LIMITS),
+        _Field("tuning", "sideband_power_nw", NUMBER, APPARATUS, LIMITS),
         _Field("tuning", "waist_um", NUMBER, REQUIRED, POSITIVE),
-        _Field("tuning", "modulation_frequency_ghz", NUMBER, APPARATUS, POSITIVE),
+        _Field("tuning", "modulation_frequency_ghz", NUMBER, APPARATUS, LIMITS),
         _Field("tuning", "expansion_rate_hz", NUMBER, APPARATUS, NONNEGATIVE),
         _Field("sweep", "detuning_min_linewidths", NUMBER, 0.5),
         _Field("sweep", "detuning_max_linewidths", NUMBER, 10.0),
         _Field("sweep", "points", INTEGER, 96, (">= 2", "<= 100001")),
     ),
     "rabi": (
-        _Field("drive", "rabi_frequency_khz", NUMBER, APPARATUS, NONNEGATIVE),
+        _Field("drive", "rabi_frequency_khz", NUMBER, APPARATUS, LIMITS),
         _Field("drive", "detuning_hz", NUMBER, 0.0),
-        _Field("drive", "duration_ms", NUMBER, 2.0, POSITIVE),
-        _Field("drive", "residual_damping_hz", NUMBER, APPARATUS, NONNEGATIVE),
-        _Field("drive", "inhomogeneity", NUMBER, APPARATUS, NONNEGATIVE),
+        _Field("drive", "duration_ms", NUMBER, 2.0, LIMITS),
+        _Field("drive", "residual_damping_hz", NUMBER, APPARATUS, LIMITS),
+        _Field("drive", "inhomogeneity", NUMBER, APPARATUS, LIMITS),
         *_GATE_AND_ENSEMBLE,
         *_DETECTOR,
         _Field("options", "noiseless", BOOL, False),
@@ -170,14 +168,14 @@ FIELDS = {
         _Field("echo", "gap_us", NULLABLE, None, (">= 0",)),
         _Field("echo", "detunings_hz", NUMBER_LIST,
                (0.0, 1000.0, 1200.0, 1800.0)),
-        _Field("echo", "residual_damping_hz", NUMBER, 0.0, NONNEGATIVE),
+        _Field("echo", "residual_damping_hz", NUMBER, 0.0, LIMITS),
         *_GATE_AND_ENSEMBLE,
         *_DETECTOR,
         _Field("options", "noiseless", BOOL, True),
     ),
     "squeezing": (
         _Field("squeezing", "phase_per_atom_rad", NUMBER, 1e-5),
-        _Field("squeezing", "atom_number", NUMBER, 1e6, NONNEGATIVE),
+        _Field("squeezing", "atom_number", NUMBER, 1e6, LIMITS),
         _Field("squeezing", "photon_number", NUMBER, 1e5, NONNEGATIVE),
         _Field("squeezing", "finesse", NULLABLE, None, ("> 0",)),
     ),
@@ -362,7 +360,7 @@ def _number(path: str, value, bounds: tuple, noun: str, complain):
         return None
     for bound in bounds:
         op, limit = bound.split()
-        if not _COMPARE[op](number, float(limit)):
+        if not COMPARE[op](number, float(limit)):
             complain(path, f"must be {bound}")
     return number
 
@@ -505,20 +503,19 @@ def _resolved_hash(resolved: dict) -> str:
 # reuses it. It reads the SI view, and the config-unit values where a test of
 # zero or a wider product (2*pi*f_ghz*1e9) needs them. An error names the
 # field _BLAME finds by that section and the words of its message, else the
-# section: a constructor alone does not name it (ModulatedProbe raises
-# DomainError for RAM as for a zero waist). Set-ups and runners import the
-# model modules they use where they use them, so a run loads only those.
+# section; a record's bounds are its fields' (constants.LIMITS), so only an SI
+# underflow to 0 fails one here. Set-ups and runners import the model modules
+# they use where they use them, so a run loads only those.
 
 _BLAME = {
     ("probe", "two-sideband"): "probe.modulation_depth",
-    ("probe", "ram_asymmetry"): "probe.ram_asymmetry",
     ("probe", "small-phase"): "sweep.phi_at_rad",
     ("sweep", "detuning_min"): "sweep.detuning_max_linewidths",
     ("probe_gate", "duty cycle exceeds"): "probe_gate.pulse_duration_us",
     ("probe_gate", "two-sideband"): "probe_gate.sideband_power_nw",
     ("probe_gate", "carrier power must"): "probe_gate.carrier_power_uw",
     ("probe_gate", "small-phase"): "ensemble.atom_number",
-    ("drive", "undriven"): "drive.rabi_frequency_khz",
+    ("drive", "shift damping undefined"): "drive.rabi_frequency_khz",
     ("drive", "probe samples"): "probe_gate.repetition_rate_khz",
     ("drive", "over the maximum"): "drive.duration_ms",
     ("echo", "gaps would be negative"): "echo.total_duration_us",
@@ -587,16 +584,18 @@ def _probed_setup(v: dict, si: dict) -> tuple:
 
 
 def _rabi_setup(v: dict, si: dict):
+    from .atoms import RabiModel, damping_rate
     from .harness import MicrowavePulse, PulseSequence
     yield "probe_gate"
     gate, probe, shift, ens, det = _probed_setup(v, si)
     yield "drive"
     drive = si["drive"]
-    if v["drive"]["rabi_frequency_khz"] == 0 and shift != 0:   # see atoms.damping_rate
-        raise DomainError("an undriven trace leaves the probe's shift damping undefined")
     pulse = MicrowavePulse(2 * math.pi * v["drive"]["rabi_frequency_khz"] * 1e3,
                            drive["duration"], detuning=drive["detuning"])
-    return PulseSequence((pulse,), probe=gate), probe, shift, ens, det
+    template = RabiModel(carrier_light_shift=shift, inhomogeneity=drive["inhomogeneity"],
+                         residual_damping=drive["residual_damping"])
+    damping_rate(replace(template, rabi_frequency=pulse.rabi_frequency), 0.0)   # the walk's drive
+    return PulseSequence((pulse,), probe=gate), probe, template, ens, det
 
 
 def _spin_echo_setup(v: dict, si: dict):
@@ -734,15 +733,8 @@ def _run_scattering_sweep(si: dict, setup, out: Path, seed: int) -> list[str]:
 
 
 def _run_rabi(si: dict, setup, out: Path, seed: int) -> list[str]:
-    from .atoms import RabiModel
     from .harness import fit_damped_sine, run_sequence
-    drive = si["drive"]
-    seq, probe, shift, ens, det = setup
-    template = RabiModel(
-        carrier_light_shift=shift,
-        inhomogeneity=drive["inhomogeneity"],
-        residual_damping=drive["residual_damping"],
-    )
+    seq, probe, template, ens, det = setup
     trace = run_sequence(seq, ens, probe, det, seed=seed, template=template,
                          noiseless=si["options"]["noiseless"])
     write_csv(out / "rabi_trace.csv", "time_s,signal_v", [(trace.times, trace.signal)])

@@ -5,11 +5,14 @@ scipy.constants, which is never imported. The rubidium numbers are the
 standard D2-line values; saturation intensities and branching ratios are
 for pi transitions out of |F=1> with Zeeman sub-levels equally populated.
 
-APPARATUS holds once, in config units, each apparatus default that a model
-record and a config field share; DEFAULTS holds them in SI units. Record is
-the frozen base of every model record, built without generated code.
+APPARATUS and LIMITS hold once, in config units, each default and bound that a
+model record and a config field share; DEFAULTS and SI_LIMITS hold them in SI
+units. Record is the frozen base of every model record, with no generated code.
 """
 import math
+import operator
+
+from .errors import DomainError
 
 C = 299792458.0                  # m/s
 H = 6.62607015e-34               # J s
@@ -76,16 +79,40 @@ APPARATUS = {
 }
 DEFAULTS = dict(to_si(key, value) for key, value in APPARATUS.items())
 
+# bounds "<op> <limit>", each read "must be ...", of each config field whose stem a model
+# record holds; a nonzero limit needs the record to hold the SI value, not 2*pi times it
+POSITIVE, NONNEGATIVE = ("> 0.0",), (">= 0.0",)
+COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+LIMITS = {
+    **dict.fromkeys(("sensitivity_a_per_w", "transimpedance_v_per_a", "buffer_gain", "load_ohm",
+                     "bandwidth_mhz", "modulation_frequency_ghz", "beam_waist_um",
+                     "repetition_rate_khz", "pulse_duration_us", "mirror_radius_mm",
+                     "segment_ratio", "wavelength_nm", "waist_par_um", "waist_perp_um",
+                     "duration_ms"), POSITIVE),
+    **dict.fromkeys(("kappa_e_uw", "carrier_power_uw", "sideband_power_nw", "modulation_depth",
+                     "path_length_m", "atom_number", "cloud_rms_um", "power_per_arm_w",
+                     "rabi_frequency_khz", "inhomogeneity", "residual_damping_hz"), NONNEGATIVE),
+    "ram_asymmetry": ("> -1.0", "< 1.0"), "fold_angle_deg": (">= 0.0", "<= 90.0"),
+    "backscatter_depth": (">= 0.0", "< 1.0"),
+}
+# each LIMITS stem -> the (op, SI limit) of each of its bounds
+SI_LIMITS = {to_si(key, None)[0]: tuple((op, to_si(key, float(limit))[1])
+                                        for op, limit in map(str.split, bounds))
+             for key, bounds in LIMITS.items()}
+
 
 class Record:
     """An immutable record. Its fields are the subclass's own annotations, in
-    order, and a class attribute is a field's default; ``__post_init__`` checks
-    them and may set an attribute through ``object.__setattr__``. It compares,
-    hashes and prints by its fields and exact class."""
+    order, and a class attribute is a field's default. A field named by a
+    SI_LIMITS stem must meet its bounds unless the class passes ``limited=False``;
+    ``__post_init__`` checks the rest and may set an attribute through
+    ``object.__setattr__``. It compares, hashes and prints by its fields and exact class."""
 
-    def __init_subclass__(cls) -> None:
+    def __init_subclass__(cls, limited: bool = True) -> None:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
+        cls._limits = tuple((n, *check) for n in cls._fields if limited
+                            for check in SI_LIMITS.get(n, ()))
 
     def __init__(self, *args, **kwargs) -> None:
         names, given = self._fields, dict(zip(self._fields, args))
@@ -94,6 +121,9 @@ class Record:
             raise TypeError(f"{type(self).__name__} takes the fields {names}, got "
                             f"{len(args)} by position and {tuple(kwargs)} by name")
         self.__dict__.update(zip(names, map(values.__getitem__, names)))
+        for name, op, limit in self._limits:
+            if not COMPARE[op](values[name], limit):
+                raise DomainError(f"{name} must be {op} {limit!r}, got {values[name]}")
         self.__post_init__()
 
     def __post_init__(self) -> None:

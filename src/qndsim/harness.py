@@ -54,22 +54,12 @@ class MicrowavePulse(Record):
     detuning: float = 0.0
     phase: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise DomainError("segment duration must be positive")
-        if self.rabi_frequency < 0:
-            raise DomainError("Rabi frequency must be nonnegative")
-
 
 class FreeEvolution(Record):
     """Undriven segment; the frame detuning keeps accumulating phase."""
 
     duration: float
     detuning: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise DomainError("segment duration must be positive")
 
 
 class ProbeGate(Record):
@@ -80,8 +70,6 @@ class ProbeGate(Record):
     tuning: ProbeTuning = ProbeTuning()     # one shared default: a record is immutable
 
     def __post_init__(self) -> None:
-        if self.repetition_rate <= 0 or self.pulse_duration <= 0:
-            raise DomainError("probe timing must be positive")
         if self.duty_cycle > 1:
             raise DomainError("probe duty cycle exceeds 1")
 

@@ -45,21 +45,11 @@ class ModulatedProbe(Record):
     path_length: float = DEFAULTS["path_length"]              # modulator-to-detector, m
 
     def __post_init__(self) -> None:
-        if self.modulation_depth < 0:
-            raise DomainError("modulation depth must be nonnegative")
         if self.modulation_depth > SMALL_BETA_LIMIT:
             raise RegimeError(
                 f"modulation depth {self.modulation_depth:.3g} outside the "
                 f"two-sideband regime (beta <= {SMALL_BETA_LIMIT})"
             )
-        if not abs(self.ram_asymmetry) < 1:
-            raise DomainError("|ram_asymmetry| must be below 1")
-        if self.carrier_power < 0 or self.sideband_power < 0:
-            raise DomainError("optical powers must be nonnegative")
-        if self.modulation_frequency <= 0:
-            raise DomainError("modulation frequency must be positive")
-        if self.beam_waist <= 0:
-            raise DomainError("beam waist must be positive")
 
     @property
     def modulation_wavelength(self) -> float:
@@ -94,14 +84,6 @@ class DetectorModel(Record):
     load: float = DEFAULTS["load"]                      # R_L, ohm
     bandwidth: float = DEFAULTS["bandwidth"]            # Hz
     kappa_e: float = DEFAULTS["kappa_e"]    # electronic-noise-equivalent optical power, W
-
-    def __post_init__(self) -> None:
-        for name in ("sensitivity", "transimpedance", "buffer_gain", "load",
-                     "bandwidth"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
-        if self.kappa_e < 0:
-            raise DomainError("kappa_e must be nonnegative")
 
     @property
     def gain(self) -> float:

@@ -50,18 +50,10 @@ class DipoleTrapConfig(Record):
     wavelength: float = TRAP_WAVELENGTH
 
     def __post_init__(self) -> None:
-        if self.power_per_arm < 0:
-            raise DomainError("power_per_arm must be nonnegative")
-        if self.waist_par <= 0 or self.waist_perp <= 0:
-            raise DomainError("waists must be positive")
         if self.polarizability_ratio <= 1:
             raise DomainError("polarizability_ratio must exceed 1")
         if self.mass <= 0:
             raise DomainError("mass must be positive")
-        if not 0 <= self.backscatter_depth < 1:
-            raise DomainError("backscatter_depth must lie in [0, 1)")
-        if self.wavelength <= 0:
-            raise DomainError("wavelength must be positive")
 
     @property
     def rayleigh_par(self) -> float:

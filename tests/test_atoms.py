@@ -319,7 +319,7 @@ def test_non_finite_state_is_an_invariant_break(index, name, value):
     # with a non-finite one is never built, so no walk starts from it
     state = EnsembleState.all_lower(1e6)
     if name is None:
-        with pytest.raises(DomainError, match="must be finite|nonnegative"):
+        with pytest.raises(DomainError, match="must be finite|must be >= 0.0"):
             EnsembleState(value)
         return
     if name == "n_leak":

@@ -20,23 +20,25 @@ def reject_constant(token):
 
 
 @pytest.mark.parametrize("khz", ["1e-308", "5e-324"])
-def test_underflowing_rabi_frequency_is_physics_error(tmp_path, capsys, khz):
-    # the config is valid; the shift-damping denominator 2*hbar^2*Omega_R
-    # underflows to zero
+def test_underflowing_rabi_frequency_is_config_error(tmp_path, capsys, khz):
+    # inside the field's bound, the shift-damping denominator 2*hbar^2*Omega_R
+    # underflows to zero: the set-up asks atoms.damping_rate of the walk's
+    # drive, so validate and run both stop before the walk
     override = f"drive.rabi_frequency_khz={khz}"
-    assert main(["validate", str(RABI), "--set", override]) == 0
+    assert main(["validate", str(RABI), "--set", override]) == 2
+    assert "  drive.rabi_frequency_khz: shift damping undefined" in capsys.readouterr().err
     assert main(["run", str(RABI), "--out", str(tmp_path / "art"),
-                 "--set", override]) == 3
-    assert "DomainError" in capsys.readouterr().err
+                 "--set", override]) == 2
+    assert not (tmp_path / "art").exists()
 
 
 def test_undriven_probed_trace_is_config_error(tmp_path, capsys):
     # with back-action on, the shift damping divides by the Rabi frequency:
-    # the raw zero is rejected by its field before any run; a pure sampling
+    # the zero is rejected by its field before any run; a pure sampling
     # clock shifts nothing and runs undriven
     override = "drive.rabi_frequency_khz=0"
     assert main(["validate", str(RABI), "--set", override]) == 2
-    assert "drive.rabi_frequency_khz: an undriven trace" in capsys.readouterr().err
+    assert "drive.rabi_frequency_khz: shift damping undefined" in capsys.readouterr().err
     assert main(["run", str(RABI), "--out", str(tmp_path / "art"), "--set", override]) == 2
     assert not (tmp_path / "art").exists()
     assert main(["run", str(RABI), "--out", str(tmp_path / "clock"), "--set", override,
