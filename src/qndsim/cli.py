@@ -7,8 +7,8 @@ read from constants.APPARATUS or constants.LIMITS, and the record checks the
 bound too. A config resolves against FIELDS either to field-path diagnostics
 or to typed values in config units with every default filled in, which the
 manifest's config hash covers; an omitted default and the same value written
-out hash alike. The set-ups and runners read its SI view (constants.to_si):
-each value times its unit suffix's factor, under the model attribute it sets.
+out hash alike. The scenarios read its SI view (constants.to_si): each value
+times its unit suffix's factor, under the model attribute it sets.
 NaN and Infinity are rejected with their field path, and no run writes a
 non-finite number into an artifact. Re-running a config with the same seed
 reproduces every output byte for byte.
@@ -18,14 +18,14 @@ modulation depth, zero carrier power beside sideband power, small phase (at
 the full atom number for rabi and spin-echo), echo window, a probe clock tick
 inside the echo's pi pulse, the 1 s sequence cap, the budget of 10^6 probe
 samples per sequence and per scan, a Rabi drive that leaves the probe's shift
-damping undefined, and sweep order. It does so by building the set-up of
-noise-sweep, scattering-sweep, rabi and spin-echo, which the run then reuses.
-The run may still fail (exit 3) in a kernel, an output check, or the scalar
-set-up it builds itself: that of cavity-spectrum, trap-map and squeezing, and
-the scattering sweep's probe tuning.
+damping undefined, and sweep order. It does so by running each scenario, a
+generator, up to the None it yields once its set-up is built; the run resumes
+it there. The run may still fail (exit 3) in a kernel, an output check, or the
+scalar set-up after that marker: that of cavity-spectrum, trap-map and
+squeezing, and the scattering sweep's probe tuning.
 
 numpy is imported only by code that computes with arrays, the model modules
-but cavity and the array runners: help, list-scenarios, schema errors,
+but cavity and the array scenarios: help, list-scenarios, schema errors,
 validation without a model set-up and a cavity-spectrum run never load it.
 At exit a command freezes the heap (gc.freeze), so no final collection walks it.
 
@@ -402,14 +402,14 @@ def _typed(row: _Field, sec: dict | None, complain):
     return value if row.kind == INTEGER and number is not None else number
 
 
-def _resolve(cfg: dict) -> tuple[dict, dict, dict, list[str]]:
-    """The config resolved against FIELDS, its SI view, set-ups and diagnostics.
+def _resolve(cfg: dict) -> tuple[dict, dict, list[str]]:
+    """The config resolved against FIELDS, its paused scenarios and diagnostics.
 
     Beside the scenario list, seed and output directory, the resolved config
     maps each scenario to ``{section: {key: value}}`` for every field it
-    reads. Only when it is complete, without diagnostics, are its SI view,
-    ``{section: {stem: SI value}}`` per scenario, and the set-ups made; what
-    they hold is kept outside the hashed config.
+    reads. Only when it is complete, without diagnostics, is each scenario
+    run up to its built set-up (_check_regimes); what that holds is kept
+    outside the hashed config.
     """
     problems: list[str] = []
 
@@ -469,12 +469,10 @@ def _resolve(cfg: dict) -> tuple[dict, dict, dict, list[str]]:
             for key in sec:
                 if key not in known[section]:
                     complain(f"{section}.{key}", "unknown field")
-    si = {name: {section: dict(to_si(key, x) for key, x in sec.items())
-                 for section, sec in resolved[name].items()}
-          for name in (() if problems else scenarios)}
-    setups = {name: _check_regimes(name, resolved[name], si[name], complain) for name in si}
+    runs = {name: _check_regimes(name, resolved[name], Path(resolved["out_dir"]), seed, complain)
+            for name in (() if problems else scenarios)}
     # scenarios that share a section report its problems once
-    return resolved, si, setups, list(dict.fromkeys(problems))
+    return resolved, runs, list(dict.fromkeys(problems))
 
 
 def validate_config(cfg: dict) -> list[str]:
@@ -497,15 +495,16 @@ def _resolved_hash(resolved: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-# ---------------------------------------------------------------- set-ups
-# A set-up builds what its runner needs before any kernel runs, yielding the
-# section it builds next, and returns it; validation builds it and the run
-# reuses it. It reads the SI view, and the config-unit values where a test of
-# zero or a wider product (2*pi*f_ghz*1e9) needs them. An error names the
-# field _BLAME finds by that section and the words of its message, else the
-# section; a record's bounds are its fields' (constants.LIMITS), so only an SI
-# underflow to 0 fails one here. Set-ups and runners import the model modules
-# they use where they use them, so a run loads only those.
+# -------------------------------------------------------------- scenarios
+# A scenario is a generator of its config values, their SI view, the output
+# directory and the seed. Before any kernel runs it yields the section it
+# builds next, then None once its set-up is built: validation stops there and
+# writes nothing, and the run resumes it, which returns the artifacts written.
+# It reads the SI view, and the config-unit values where a test of zero or a
+# wider product (2*pi*f_ghz*1e9) needs them. An error before the None names
+# the field _BLAME finds by that section and the words of its message, or the
+# one whose record bound (constants.LIMITS) fails, else the section. A
+# scenario imports the model modules it uses where it uses them.
 
 _BLAME = {
     ("probe", "two-sideband"): "probe.modulation_depth",
@@ -527,21 +526,108 @@ _BLAME = {
 }
 
 
-def _noise_sweep_setup(v: dict, si: dict):
-    from .heterodyne import DetectorModel, ModulatedProbe, check_small_phase
+def _cavity_spectrum(v: dict, si: dict, out: Path, seed: int):
+    yield None
+    from .cavity import CavityGeometry, solve_mode, transverse_spectrum
+    sec = si["cavity"]
+    geom = CavityGeometry(
+        round_trip_length=C / sec["fsr"],
+        mirror_radius=sec["mirror_radius"],
+        fold_angle=sec["fold_angle"],
+        segment_ratio=sec["segment_ratio"],
+        astigmatism_correction=sec["astigmatism_factor"],
+        wavelength=sec["wavelength"],
+    )
+    order = sec["max_transverse_order"]
+    write_csv(out / "spectrum.csv", "m,n,offset_hz",
+              [map(list, zip(*transverse_spectrum(geom, order)))])
+    mode = solve_mode(geom)
+    _write_json(out / "mode.json", {
+        "waist_par_um": mode.waist_par * 1e6,
+        "waist_perp_um": mode.waist_perp * 1e6,
+        "rayleigh_par_mm": mode.rayleigh_par * 1e3,
+        "rayleigh_perp_mm": mode.rayleigh_perp * 1e3,
+        "fsr_mhz": mode.fsr / 1e6,
+        "linewidth_khz": mode.linewidth / 1e3,
+        "finesse": mode.finesse,
+    })
+    return ["spectrum.csv", "mode.json"]
+
+
+def _trap_map(v: dict, si: dict, out: Path, seed: int):
+    yield None
+    import numpy as np
+    from .trap import DipoleTrapConfig, potential_at, trap_depth, trap_frequencies
+    trap = DipoleTrapConfig(**si["trap"])
+    axis = _mirrored_axis(si["grid"]["half_span"], si["grid"]["points_per_axis"])
+    iy, iz = (i.ravel() for i in np.indices((axis.size, axis.size)))
+    um = axis * 1e6
+    # one x-plane per call: a whole-cube grid would hold several cube-sized
+    # temporaries at once; the grid's mirror symmetry repeats potentials
+    write_csv(out / "trap_map.csv", "x_um,y_um,z_um,potential_uk",
+              (((um, np.full(iy.size, i)), (um, iy), (um, iz),
+                _distinct(potential_at(trap, (x, axis[iy], axis[iz])) / K_B * 1e6))
+               for i, x in enumerate(axis)))
+    fx, fy, fz = trap_frequencies(trap)
+    _write_json(out / "trap_summary.json", {
+        "depth_uk": trap_depth(trap) / K_B * 1e6,
+        "frequency_x_hz": fx,
+        "frequency_y_hz": fy,
+        "frequency_z_hz": fz,
+    })
+    return ["trap_map.csv", "trap_summary.json"]
+
+
+def _noise_sweep(v: dict, si: dict, out: Path, seed: int):
+    from .heterodyne import (DetectorModel, ModulatedProbe, PhaseShiftTriple, check_small_phase,
+                             demodulated_signal, interferometer_length_signal,
+                             length_noise_signal, noise_rejection_ratio)
     yield "probe"
     probe = ModulatedProbe(**{**si["probe"], "modulation_frequency":
                               2 * math.pi * v["probe"]["modulation_frequency_ghz"] * 1e9})
     det = DetectorModel(**si["detector"])
-    check_small_phase(si["sweep"]["phi_at_rad"])
-    return probe, det
+    sweep = si["sweep"]
+    phi = sweep["phi_at_rad"]
+    check_small_phase(phi)
+    yield None
+    wavelength = sweep["reference_wavelength"]
+    triple = PhaseShiftTriple(phi_plus=phi)
+    base = demodulated_signal(probe, triple, det)
+    pe = _mirrored_axis(sweep["path_error_max"], sweep["points"])
+    # K*pe/lambda commutes with negation, so the budget and reference are odd
+    write_mirrored_csv(out / "noise_sweep.csv",
+                       "path_error_m,demodulated_shift_v,budget_v,reference_v",
+                       (pe, demodulated_signal(probe, triple, det, path_error=pe) - base,
+                        length_noise_signal(probe, phi, det, pe),
+                        interferometer_length_signal(probe, det, pe, wavelength)))
+    _write_json(out / "noise_rejection.json", {
+        "phi_at_rad": phi,
+        "ram_asymmetry": probe.ram_asymmetry,
+        "modulation_wavelength_m": probe.modulation_wavelength,
+        "reference_wavelength_m": wavelength,
+        "rejection_ratio": noise_rejection_ratio(probe, phi, wavelength),
+    })
+    return ["noise_sweep.csv", "noise_rejection.json"]
 
 
-def _scattering_sweep_setup(v: dict, si: dict):
+def _scattering_sweep(v: dict, si: dict, out: Path, seed: int):
     yield "sweep"
-    sweep = v["sweep"]
-    if sweep["detuning_max_linewidths"] <= sweep["detuning_min_linewidths"]:
+    if v["sweep"]["detuning_max_linewidths"] <= v["sweep"]["detuning_min_linewidths"]:
         raise DomainError("must exceed detuning_min_linewidths")
+    yield None
+    import numpy as np
+    from .atoms import ProbeTuning, scattering_rate
+    sec, sweep = si["tuning"], si["sweep"]
+    delta = np.linspace(sweep["detuning_min_linewidths"],
+                        sweep["detuning_max_linewidths"], sweep["points"])
+    tuning = ProbeTuning.from_powers(
+        carrier_power=sec["carrier_power"], sideband_power=sec["sideband_power"],
+        waist=sec["waist"], sideband_detuning=delta,
+        modulation_frequency=sec["modulation_frequency"])
+    write_csv(out / "scattering_sweep.csv",
+              "sideband_detuning_linewidths,decay_rate_hz",
+              [(delta, scattering_rate(tuning, sec["expansion_rate"]))])
+    return ["scattering_sweep.csv"]
 
 
 def _probed_setup(v: dict, si: dict) -> tuple:
@@ -583,9 +669,9 @@ def _probed_setup(v: dict, si: dict) -> tuple:
     return gate, probe, shift, ens, det
 
 
-def _rabi_setup(v: dict, si: dict):
+def _rabi(v: dict, si: dict, out: Path, seed: int):
     from .atoms import RabiModel, damping_rate
-    from .harness import MicrowavePulse, PulseSequence
+    from .harness import MicrowavePulse, PulseSequence, fit_damped_sine, run_sequence
     yield "probe_gate"
     gate, probe, shift, ens, det = _probed_setup(v, si)
     yield "drive"
@@ -595,146 +681,8 @@ def _rabi_setup(v: dict, si: dict):
     template = RabiModel(carrier_light_shift=shift, inhomogeneity=drive["inhomogeneity"],
                          residual_damping=drive["residual_damping"])
     damping_rate(replace(template, rabi_frequency=pulse.rabi_frequency), 0.0)   # the walk's drive
-    return PulseSequence((pulse,), probe=gate), probe, template, ens, det
-
-
-def _spin_echo_setup(v: dict, si: dict):
-    from .harness import MAX_PROBE_SAMPLES, build_spin_echo
-    yield "probe_gate"
-    gate, probe, shift, ens, det = _probed_setup(v, si)
-    yield "echo"
-    echo = si["echo"]
-    # one echo for every detuning: none of its checks depends on the detuning
-    seq = build_spin_echo(pi_duration=echo["pi_duration"],
-                          total_duration=echo["total_duration"], gap=echo["gap"], probe=gate)
-    traces = len(echo["detunings"])
-    periods = traces * seq.total_duration * gate.repetition_rate
-    if periods > MAX_PROBE_SAMPLES:    # the walk holds every trace at once
-        raise DomainError(f"{traces} traces span {periods:.7g} probe periods, over the "
-                          f"scan budget of {MAX_PROBE_SAMPLES} samples")
-    return seq, probe, shift, ens, det
-
-
-_SETUPS = {"noise-sweep": _noise_sweep_setup, "rabi": _rabi_setup,
-           "scattering-sweep": _scattering_sweep_setup, "spin-echo": _spin_echo_setup}
-
-
-def _check_regimes(name: str, v: dict, si: dict, complain):
-    """What scenario ``name``'s set-up builds from ``v`` and its SI view: None
-    where it has no set-up, or after complaining of the error that stopped it."""
-    steps, section = _SETUPS.get(name, lambda v, si: iter(()))(v, si), None
-    try:
-        while True:
-            section = next(steps)
-    except StopIteration as built:
-        return built.value
-    except (ArithmeticError, ValueError, QndSimError) as exc:
-        for (at, words), path in _BLAME.items():
-            if at == section and words in str(exc):
-                return complain(path(v) if callable(path) else path, str(exc))
-        complain(section, "regime checks cannot be evaluated at these values "
-                          f"({type(exc).__name__}: {exc})")
-
-
-# ---------------------------------------------------------------- runners
-# Each runner takes one scenario's SI view and what its set-up built (see
-# _resolve), None for a scenario without one.
-
-def _run_cavity_spectrum(si: dict, setup, out: Path, seed: int) -> list[str]:
-    from .cavity import CavityGeometry, solve_mode, transverse_spectrum
-    sec = si["cavity"]
-    geom = CavityGeometry(
-        round_trip_length=C / sec["fsr"],
-        mirror_radius=sec["mirror_radius"],
-        fold_angle=sec["fold_angle"],
-        segment_ratio=sec["segment_ratio"],
-        astigmatism_correction=sec["astigmatism_factor"],
-        wavelength=sec["wavelength"],
-    )
-    order = sec["max_transverse_order"]
-    write_csv(out / "spectrum.csv", "m,n,offset_hz",
-              [map(list, zip(*transverse_spectrum(geom, order)))])
-    mode = solve_mode(geom)
-    _write_json(out / "mode.json", {
-        "waist_par_um": mode.waist_par * 1e6,
-        "waist_perp_um": mode.waist_perp * 1e6,
-        "rayleigh_par_mm": mode.rayleigh_par * 1e3,
-        "rayleigh_perp_mm": mode.rayleigh_perp * 1e3,
-        "fsr_mhz": mode.fsr / 1e6,
-        "linewidth_khz": mode.linewidth / 1e3,
-        "finesse": mode.finesse,
-    })
-    return ["spectrum.csv", "mode.json"]
-
-
-def _run_trap_map(si: dict, setup, out: Path, seed: int) -> list[str]:
-    import numpy as np
-    from .trap import DipoleTrapConfig, potential_at, trap_depth, trap_frequencies
-    trap = DipoleTrapConfig(**si["trap"])
-    axis = _mirrored_axis(si["grid"]["half_span"], si["grid"]["points_per_axis"])
-    iy, iz = (i.ravel() for i in np.indices((axis.size, axis.size)))
-    um = axis * 1e6
-    # one x-plane per call: a whole-cube grid would hold several cube-sized
-    # temporaries at once; the grid's mirror symmetry repeats potentials
-    write_csv(out / "trap_map.csv", "x_um,y_um,z_um,potential_uk",
-              (((um, np.full(iy.size, i)), (um, iy), (um, iz),
-                _distinct(potential_at(trap, (x, axis[iy], axis[iz])) / K_B * 1e6))
-               for i, x in enumerate(axis)))
-    fx, fy, fz = trap_frequencies(trap)
-    _write_json(out / "trap_summary.json", {
-        "depth_uk": trap_depth(trap) / K_B * 1e6,
-        "frequency_x_hz": fx,
-        "frequency_y_hz": fy,
-        "frequency_z_hz": fz,
-    })
-    return ["trap_map.csv", "trap_summary.json"]
-
-
-def _run_noise_sweep(si: dict, setup, out: Path, seed: int) -> list[str]:
-    from .heterodyne import (PhaseShiftTriple, demodulated_signal, interferometer_length_signal,
-                             length_noise_signal, noise_rejection_ratio)
-    sweep = si["sweep"]
-    probe, det = setup
-    phi = sweep["phi_at_rad"]
-    wavelength = sweep["reference_wavelength"]
-    triple = PhaseShiftTriple(phi_plus=phi)
-    base = demodulated_signal(probe, triple, det)
-    pe = _mirrored_axis(sweep["path_error_max"], sweep["points"])
-    # K*pe/lambda commutes with negation, so the budget and reference are odd
-    write_mirrored_csv(out / "noise_sweep.csv",
-                       "path_error_m,demodulated_shift_v,budget_v,reference_v",
-                       (pe, demodulated_signal(probe, triple, det, path_error=pe) - base,
-                        length_noise_signal(probe, phi, det, pe),
-                        interferometer_length_signal(probe, det, pe, wavelength)))
-    _write_json(out / "noise_rejection.json", {
-        "phi_at_rad": phi,
-        "ram_asymmetry": probe.ram_asymmetry,
-        "modulation_wavelength_m": probe.modulation_wavelength,
-        "reference_wavelength_m": wavelength,
-        "rejection_ratio": noise_rejection_ratio(probe, phi, wavelength),
-    })
-    return ["noise_sweep.csv", "noise_rejection.json"]
-
-
-def _run_scattering_sweep(si: dict, setup, out: Path, seed: int) -> list[str]:
-    import numpy as np
-    from .atoms import ProbeTuning, scattering_rate
-    sec, sweep = si["tuning"], si["sweep"]
-    delta = np.linspace(sweep["detuning_min_linewidths"],
-                        sweep["detuning_max_linewidths"], sweep["points"])
-    tuning = ProbeTuning.from_powers(
-        carrier_power=sec["carrier_power"], sideband_power=sec["sideband_power"],
-        waist=sec["waist"], sideband_detuning=delta,
-        modulation_frequency=sec["modulation_frequency"])
-    write_csv(out / "scattering_sweep.csv",
-              "sideband_detuning_linewidths,decay_rate_hz",
-              [(delta, scattering_rate(tuning, sec["expansion_rate"]))])
-    return ["scattering_sweep.csv"]
-
-
-def _run_rabi(si: dict, setup, out: Path, seed: int) -> list[str]:
-    from .harness import fit_damped_sine, run_sequence
-    seq, probe, template, ens, det = setup
+    seq = PulseSequence((pulse,), probe=gate)
+    yield None
     trace = run_sequence(seq, ens, probe, det, seed=seed, template=template,
                          noiseless=si["options"]["noiseless"])
     write_csv(out / "rabi_trace.csv", "time_s,signal_v", [(trace.times, trace.signal)])
@@ -751,12 +699,23 @@ def _run_rabi(si: dict, setup, out: Path, seed: int) -> list[str]:
     return ["rabi_trace.csv", "rabi_fit.json"]
 
 
-def _run_spin_echo(si: dict, setup, out: Path, seed: int) -> list[str]:
+def _spin_echo(v: dict, si: dict, out: Path, seed: int):
     import numpy as np
     from .atoms import RabiModel
-    from .harness import mid_pulse_amplitudes, run_scan
+    from .harness import MAX_PROBE_SAMPLES, build_spin_echo, mid_pulse_amplitudes, run_scan
+    yield "probe_gate"
+    gate, probe, shift, ens, det = _probed_setup(v, si)
+    yield "echo"
     echo = si["echo"]
-    seq, probe, shift, ens, det = setup
+    # one echo for every detuning: none of its checks depends on the detuning
+    seq = build_spin_echo(pi_duration=echo["pi_duration"],
+                          total_duration=echo["total_duration"], gap=echo["gap"], probe=gate)
+    traces = len(echo["detunings"])
+    periods = traces * seq.total_duration * gate.repetition_rate
+    if periods > MAX_PROBE_SAMPLES:    # the walk holds every trace at once
+        raise DomainError(f"{traces} traces span {periods:.7g} probe periods, over the "
+                          f"scan budget of {MAX_PROBE_SAMPLES} samples")
+    yield None
     template = RabiModel(carrier_light_shift=shift,
                          residual_damping=echo["residual_damping"])
     times, signals, _ = run_scan(seq, echo["detunings"], ens, probe, det, seed=seed,
@@ -780,7 +739,8 @@ def _run_spin_echo(si: dict, setup, out: Path, seed: int) -> list[str]:
     return ["spin_echo_traces.csv", "spin_echo_amplitudes.csv"]
 
 
-def _run_squeezing(si: dict, setup, out: Path, seed: int) -> list[str]:
+def _squeezing(v: dict, si: dict, out: Path, seed: int):
+    yield None
     from .atoms import cavity_enhancement, squeezing_estimate
     sec = si["squeezing"]     # no field has a unit: the SI view is the config
     kappa_sq, xi_sq = squeezing_estimate(
@@ -798,26 +758,48 @@ def _run_squeezing(si: dict, setup, out: Path, seed: int) -> list[str]:
     return ["squeezing.json"]
 
 
-_RUNNERS = {
-    "cavity-spectrum": _run_cavity_spectrum,
-    "trap-map": _run_trap_map,
-    "noise-sweep": _run_noise_sweep,
-    "scattering-sweep": _run_scattering_sweep,
-    "rabi": _run_rabi,
-    "spin-echo": _run_spin_echo,
-    "squeezing": _run_squeezing,
+_SCENARIOS = {
+    "cavity-spectrum": _cavity_spectrum,
+    "trap-map": _trap_map,
+    "noise-sweep": _noise_sweep,
+    "scattering-sweep": _scattering_sweep,
+    "rabi": _rabi,
+    "spin-echo": _spin_echo,
+    "squeezing": _squeezing,
 }
+
+
+def _check_regimes(name: str, v: dict, out: Path, seed: int, complain):
+    """Scenario ``name`` at values ``v``, paused once its set-up is built, or
+    None after complaining of the error that stopped it."""
+    si = {section: dict(to_si(key, x) for key, x in sec.items()) for section, sec in v.items()}
+    steps, section = _SCENARIOS[name](v, si, out, seed), None
+    try:
+        while (step := next(steps)) is not None:
+            section = step
+        return steps
+    except (ArithmeticError, ValueError, QndSimError) as exc:
+        for (at, words), path in _BLAME.items():
+            if at == section and words in str(exc):
+                return complain(path(v) if callable(path) else path, str(exc))
+        # a record's bound: "<stem> must be <op> <limit>, got <value>"
+        stem, _, bound = str(exc).partition(" must be ")
+        keys = [key for key in v[section] if to_si(key, None)[0] == stem]
+        if keys and bound.partition(" ")[0] in COMPARE:
+            return complain(f"{section}.{keys[0]}", str(exc))
+        complain(section, "regime checks cannot be evaluated at these values "
+                          f"({type(exc).__name__}: {exc})")
 
 
 # ------------------------------------------------------------ subcommands
 
-def _checked(cfg: dict, source: str) -> tuple[dict, dict, dict]:
-    """Resolved config, SI view and set-ups, or ConfigError listing every diagnostic."""
-    resolved, si, setups, problems = _resolve(cfg)
+def _checked(cfg: dict, source: str) -> tuple[dict, dict]:
+    """Resolved config and paused scenarios, or ConfigError listing every diagnostic."""
+    resolved, runs, problems = _resolve(cfg)
     if problems:
         raise ConfigError(
             f"{source}: invalid configuration\n  " + "\n  ".join(problems))
-    return resolved, si, setups
+    return resolved, runs
 
 
 def _cmd_run(args) -> int:
@@ -826,27 +808,28 @@ def _cmd_run(args) -> int:
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["out_dir"] = args.out
-    resolved, si, setups = _checked(cfg, args.config)
+    resolved, runs = _checked(cfg, args.config)
     scenarios = resolved["scenario"]
     if not scenarios:
         print("nothing to run: empty scenario list")
         return 0
     out = Path(resolved["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    seed = resolved["seed"]
     artifacts: list[str] = []
     for name in scenarios:
         try:
-            artifacts.extend(_RUNNERS[name](si[name], setups[name], out, seed))
+            next(runs[name])
+        except StopIteration as done:
+            artifacts.extend(done.value)
         except ArithmeticError as exc:
-            # an overflow or a zero division in a runner's scalar set-up is a
+            # an overflow or a zero division in a run's scalar set-up is a
             # physics error at these values, like the regime checks' ones
             raise DomainError(
                 f"{name}: {type(exc).__name__}: {exc}") from exc
     _write_json(out / "manifest.json", {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenarios,
-        "seed": seed,
+        "seed": resolved["seed"],
         "config_sha256": _resolved_hash(resolved),
         "versions": _VERSIONS,
         "artifacts": artifacts,

@@ -1,6 +1,6 @@
-"""`qndsim validate` names the field behind each regime limit. For a probed
-scenario it builds the run's set-up and nothing more, and the run reuses that
-set-up, so a config it accepts does not fail in it."""
+"""`qndsim validate` names the field behind each regime limit. It runs each
+scenario up to its set-up and nothing more, and the run resumes it there, so
+a config it accepts does not fail in its set-up."""
 import json
 import os
 import resource
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qndsim
-from qndsim import atoms, harness, heterodyne
+from qndsim import atoms, cli, harness, heterodyne
 from qndsim.cli import main
 from qndsim.harness import build_spin_echo
 
@@ -36,6 +36,35 @@ def test_regime_diagnostic_names_field(capsys, stem, override, path):
     assert main(["validate", str(CONFIG_DIR / f"{stem}.json"),
                  "--set", override]) == 2
     assert f"{path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stem, override, diagnostic", [
+    ("rabi", "drive.duration_ms=5e-324", "drive.duration_ms: duration must be > 0.0, got 0.0"),
+    ("rabi", "probe_gate.pulse_duration_us=5e-324",
+     "probe_gate.pulse_duration_us: pulse_duration must be > 0.0, got 0.0"),
+    ("noise_sweep", "probe.beam_waist_um=5e-324",
+     "probe.beam_waist_um: beam_waist must be > 0.0, got 0.0"),
+])
+def test_a_record_bound_that_fails_in_a_set_up_names_its_field(capsys, stem, override,
+                                                               diagnostic):
+    # inside the config bound, but the SI value underflows to 0, which the
+    # record built from it refuses
+    assert main(["validate", str(CONFIG_DIR / f"{stem}.json"), "--set", override]) == 2
+    assert capsys.readouterr().err.splitlines()[1:] == [f"  {diagnostic}"]
+
+
+@pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_validation_runs_nothing_after_the_set_up(monkeypatch, tmp_path, config):
+    # validate never resumes a scenario paused at its set-up, so it writes nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate wrote an artifact")
+
+    for writer in ("write_csv", "write_mirrored_csv", "_write_json"):
+        monkeypatch.setattr(cli, writer, refuse)
+    assert main(["validate", str(config)]) == 0
+    never = tmp_path / "never"
+    assert main(["validate", str(config), "--set", f"out_dir={never}"]) == 0
+    assert not never.exists()
 
 
 @pytest.mark.parametrize("overrides, path", [
@@ -94,7 +123,7 @@ def test_validate_builds_one_echo_sequence_and_runs_no_kernel(monkeypatch,
     ("spin_echo", "build_spin_echo", 1),   # one for every detuning
 ])
 def test_run_builds_each_setup_once(monkeypatch, tmp_path, stem, builder, count):
-    # the runner takes the set-up validation built and builds none of its own;
+    # the run resumes the scenario validation paused and builds no set-up again;
     # only calls from cli count, not the spin engine's own light shift
     module = atoms if builder == "light_shift" else harness
     calls, build = [], getattr(module, builder)

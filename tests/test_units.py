@@ -1,10 +1,10 @@
 """Unit conversion and apparatus defaults, each stated once.
 
-The oracle keeps the hand conversions the set-ups and runners of `cli` once
-wrote, field by field, as its reference: for every scenario that builds
-models, each recorded model call gets the same arguments, bit for bit, at
-any field value. A call is recorded when `cli` makes it; the last one of a
-runner stops the run, so no kernel runs. Then a config that leaves out an
+The oracle keeps the hand conversions the scenarios of `cli` once wrote,
+field by field, as its reference: for every scenario that builds models,
+each recorded model call gets the same arguments, bit for bit, at any field
+value. A call is recorded when `cli` makes it; the last one of a scenario
+stops the run, so no kernel runs. Then a config that leaves out an
 apparatus field builds the model's own default, equal field for field, and
 the unit table holds the suffixes and factors the README lists, `_deg`
 converting as `math.radians` does, bit for bit.
@@ -37,7 +37,7 @@ BUILDERS = {"cavity-spectrum": "cavity_spectrum", "trap-map": "trap_map",
 
 
 class Stop(Exception):
-    """Raised by a runner's last recorded call."""
+    """Raised by a scenario's last recorded call."""
 
 
 # (owner, name, last): the calls whose arguments carry fields; a class
@@ -291,30 +291,28 @@ def test_model_calls_match_the_hand_conversions(oracle_dir, field, value):
 
 # ------------------------------------------------------- one source each
 
-def set_up(cfg: dict, scenario: str):
-    """What the set-up of ``scenario`` builds from ``cfg``."""
-    return cli._resolve(cfg)[-2][scenario]
-
-
-def test_omitted_detector_fields_make_the_default_detector():
+def test_omitted_detector_fields_make_the_default_detector(tmp_path):
     cfg = bundled("noise_sweep")
     del cfg["detector"]
-    assert set_up(cfg, "noise-sweep")[1] == heterodyne.DetectorModel()
+    calls, _ = built(tmp_path, cfg)
+    assert calls["DetectorModel"] == arguments(heterodyne.DetectorModel, (), {})
 
 
-def test_omitted_probe_fields_make_the_default_probe():
+def test_omitted_probe_fields_make_the_default_probe(tmp_path):
     cfg = bundled("noise_sweep")
     cfg["probe"] = {"beam_waist_um": 300.0}
-    probe = set_up(cfg, "noise-sweep")[0]
-    assert probe == heterodyne.ModulatedProbe(beam_waist=probe.beam_waist)
+    probe = built(tmp_path, cfg)[0]["ModulatedProbe"]
+    del probe["beam_waist"]
+    assert probe == arguments(heterodyne.ModulatedProbe, (), {"beam_waist": ANY})
 
 
-def test_omitted_probe_timing_makes_the_default_probe_gate():
+def test_omitted_probe_timing_makes_the_default_probe_gate(tmp_path):
     cfg = bundled("rabi")
     del cfg["probe_gate"]["repetition_rate_khz"], cfg["probe_gate"]["pulse_duration_us"]
-    gate, default = set_up(cfg, "rabi")[0].probe, harness.ProbeGate()
-    assert (gate.repetition_rate, gate.pulse_duration) == \
-        (default.repetition_rate, default.pulse_duration)
+    gate = built(tmp_path, cfg)[0]["ProbeGate"]
+    default = arguments(harness.ProbeGate, (), {})
+    assert (gate["repetition_rate"], gate["pulse_duration"]) == \
+        (default["repetition_rate"], default["pulse_duration"])
 
 
 def test_omitted_cavity_fields_make_the_default_geometry(tmp_path):
