@@ -87,7 +87,7 @@ class ProbeTuning(Record):
         carrier_power: float = DEFAULTS["carrier_power"],
         sideband_power: float = DEFAULTS["sideband_power"],
         waist: float = DEFAULTS["beam_waist"],
-        sideband_detuning: float = 4.81,
+        sideband_detuning: float = sideband_detuning,    # the field default above
         modulation_frequency: float = DEFAULTS["modulation_frequency"],
     ) -> "ProbeTuning":
         """Build a tuning from beam powers and the modulation frequency."""
@@ -162,15 +162,6 @@ class EnsembleState(Record):
     @classmethod
     def all_upper(cls, atom_number: float, **kwargs) -> "EnsembleState":
         return cls(atom_number, jz=atom_number / 2, **kwargs)
-
-    @classmethod
-    def css_x(cls, atom_number: float, **kwargs) -> "EnsembleState":
-        """Coherent spin state along +x (equal superposition, zero phase)."""
-        return cls(atom_number, jx=atom_number / 2, **kwargs)
-
-    @property
-    def n_leak(self) -> float:
-        return self.atom_number - self.coherent_number
 
     @property
     def f2_population(self) -> float:

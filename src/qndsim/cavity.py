@@ -225,10 +225,9 @@ def solve_mode(geom: CavityGeometry) -> GaussianMode:
 
 
 def _fold_offset(raw: float, fsr: float) -> float:
-    """Frequency offset from the nearest fundamental resonance, in [0, FSR/2]."""
+    """Frequency offset from the nearest fundamental resonance, in [0, FSR/2],
+    of a raw shift that is nonnegative: a Gouy phase only grows along a beam."""
     folded = math.fmod(raw, fsr)
-    if folded < 0:
-        folded += fsr
     return min(folded, fsr - folded)
 
 

@@ -500,10 +500,10 @@ def _resolved_hash(resolved: dict) -> str:
 # directory and the seed. Before any kernel runs it yields the section it
 # builds next, then None once its set-up is built: validation stops there and
 # writes nothing, and the run resumes it, which returns the artifacts written.
-# It reads the SI view, and the config-unit values where a test of zero or a
-# wider product (2*pi*f_ghz*1e9) needs them. An error before the None names
-# the field _BLAME finds by that section and the words of its message, or the
-# one whose record bound (constants.LIMITS) fails, else the section. A
+# It reads the SI view, and the config-unit values where a wider product
+# (2*pi*f_ghz*1e9) needs them. An error before the None names the field
+# _BLAME finds by that section and the words of its message, or the one
+# whose record bound (constants.LIMITS) fails, else the section. A
 # scenario imports the model modules it uses where it uses them.
 
 _BLAME = {
@@ -513,6 +513,7 @@ _BLAME = {
     ("probe_gate", "duty cycle exceeds"): "probe_gate.pulse_duration_us",
     ("probe_gate", "two-sideband"): "probe_gate.sideband_power_nw",
     ("probe_gate", "carrier power must"): "probe_gate.carrier_power_uw",
+    ("probe_gate", "waist must be positive"): "probe_gate.waist_um",
     ("probe_gate", "small-phase"): "ensemble.atom_number",
     ("drive", "shift damping undefined"): "drive.rabi_frequency_khz",
     ("drive", "probe samples"): "probe_gate.repetition_rate_khz",
@@ -649,13 +650,12 @@ def _probed_setup(v: dict, si: dict) -> tuple:
                          carrier_intensity=0.0)
     gate = ProbeGate(repetition_rate=sec["repetition_rate"],
                      pulse_duration=sec["pulse_duration"], tuning=tuning)
-    # zero tests read the unit-free raw fields: an SI underflow is no zero
-    if raw["carrier_power_uw"] == 0 and raw["sideband_power_nw"] > 0:
+    if pc == 0 and ps > 0:
         raise DomainError("carrier power must be positive when the sideband "
                           "carries power")
     probe = ModulatedProbe(
         carrier_power=pc,
-        modulation_depth=math.sqrt(ps / pc) if raw["carrier_power_uw"] > 0 else 0.0,
+        modulation_depth=math.sqrt(ps / pc) if pc > 0 else 0.0,
         modulation_frequency=2 * math.pi * raw["modulation_frequency_ghz"] * 1e9,
         carrier_detuning=-sec["modulation_frequency"],
         sideband_power=ps,

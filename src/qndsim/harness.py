@@ -30,6 +30,7 @@ from .atoms import (
 from .constants import DEFAULTS, Record, replace
 from .errors import DomainError, FitDiverged, RegimeError, StepError
 from .heterodyne import (
+    SMALL_BETA_LIMIT,
     SMALL_PHASE_LIMIT,
     DetectorModel,
     ModulatedProbe,
@@ -443,14 +444,15 @@ def destructivity_at_unit_snr(
     gives the unit-SNR power. The returned destructivity counts sideband
     photon scattering only, over one pulse duration.
 
-    Raises DomainError when unit SNR needs a sideband power above 0.09 P_c
-    (modulation depth 0.3) or no power reaches it (zero signal).
+    Raises DomainError when unit SNR needs a sideband power above
+    SMALL_BETA_LIMIT**2 P_c (the two-sideband bound on the modulation depth
+    sqrt(P_s/P_c)) or no power reaches it (zero signal).
     """
     if ensemble.f2_population <= 0:
         raise DomainError("need detectable F=2 population")
     phi = sideband_phase(gate, probe, ensemble.f2_population, ensemble.cloud_rms)
     base_ps = probe.sideband_power if probe.sideband_power > 0 else DEFAULTS["sideband_power"]
-    top = 0.09 * probe.carrier_power
+    top = SMALL_BETA_LIMIT**2 * probe.carrier_power
     ref = min(base_ps, top)
     scaled = replace(probe, sideband_power=ref,
                      modulation_depth=math.sqrt(ref / probe.carrier_power))

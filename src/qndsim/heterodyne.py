@@ -276,22 +276,6 @@ def noise_rejection_ratio(
     return (phi_at**2 + probe.ram_asymmetry) * wavelength / probe.modulation_wavelength
 
 
-def detection_snr(n_s: float, n_c: float, n_e: float, phi_at: float) -> float:
-    """Shot-noise-limited SNR of the heterodyne detection.
-
-    sqrt(N_s*N_c)/sqrt(N_s + N_c + N_e) * sin(phi_at), with N_s the photons
-    detected in the probing sideband, N_c in the carrier and N_e the
-    technical noise expressed as a photon number. For N_c >> N_e this tends
-    to sqrt(N_s)*sin(phi_at), independent of carrier power.
-    """
-    if n_s < 0 or n_c < 0 or n_e < 0:
-        raise DomainError("photon numbers must be nonnegative")
-    denom = n_s + n_c + n_e
-    if denom == 0:
-        return 0.0
-    return math.sqrt(n_s * n_c / denom) * math.sin(phi_at)
-
-
 def shot_noise_psd(det: DetectorModel, p_opt: float) -> float:
     """Output noise power spectral density on the load, W/Hz.
 
@@ -312,13 +296,6 @@ def gain_from_psd_slope(slope: float, load: float, sensitivity: float) -> float:
     if slope < 0 or load <= 0 or sensitivity <= 0:
         raise DomainError("slope must be nonnegative, load and eta positive")
     return math.sqrt(slope * load * sensitivity / (2.0 * E_CHARGE))
-
-
-def detected_photons(det: DetectorModel, power: float, duration: float) -> float:
-    """Photoelectron count from optical power on the photodiode over a pulse."""
-    if power < 0 or duration < 0:
-        raise DomainError("power and duration must be nonnegative")
-    return det.sensitivity * power * duration / E_CHARGE
 
 
 def noise_sigma(det: DetectorModel, probe: ModulatedProbe, pulse_duration: float) -> float:

@@ -97,16 +97,13 @@ def potential_at(config: DipoleTrapConfig, position) -> float:
     return -config.polarizability * intensity / (2.0 * EPSILON_0 * C)
 
 
-def trap_depth(config: DipoleTrapConfig, arms: int = 2) -> float:
-    """|U| at the crossing, joules, for the crossed trap or a single arm.
+def trap_depth(config: DipoleTrapConfig) -> float:
+    """|U| at the crossing of the two arms, joules.
 
     The potential vanishes far along any arm axis, so the depth relative
     to the escape path equals the magnitude at the crossing.
     """
-    if arms not in (1, 2):
-        raise DomainError("arms must be 1 or 2")
-    per_arm = -potential_at(config, (0.0, 0.0, 0.0)) / 2.0
-    return arms * per_arm
+    return -potential_at(config, (0.0, 0.0, 0.0))
 
 
 def trap_frequencies(config: DipoleTrapConfig) -> tuple[float, float, float]:

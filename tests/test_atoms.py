@@ -167,7 +167,7 @@ def test_ensemble_state_validation_and_properties():
     assert state.jz == -5e5
     assert state.coherent_number / 2 - state.jz == 1e6
     assert state.f2_population == 0.0
-    css = EnsembleState.css_x(1000.0)
+    css = EnsembleState(1000.0, jx=1000.0 / 2)
     assert css.coherent_number / 2 + css.jz == pytest.approx(500.0)
     assert css.f2_population == pytest.approx(500.0)
     with pytest.raises(DomainError):
@@ -180,7 +180,8 @@ def test_ensemble_state_validation_and_properties():
         EnsembleState(100.0, jz=50.0, coherent_number=90.0)  # bound shrinks with leak
     with pytest.raises(DomainError):
         EnsembleState(100.0, coherent_number=100.0 + 1e-12)  # a negative leak
-    assert EnsembleState(100.0, coherent_number=90.0).n_leak == 10.0
+    leaky = EnsembleState(100.0, coherent_number=90.0)
+    assert leaky.atom_number - leaky.coherent_number == 10.0
 
 
 def test_pi_pulse_inverts_population():
@@ -191,13 +192,13 @@ def test_pi_pulse_inverts_population():
     after = step(state, drive, tuning, t_pi)
     assert after.jz == pytest.approx(5e5, abs=1e-6)
     assert after.f2_population == pytest.approx(1e6, rel=1e-9, abs=0)
-    assert after.n_leak == 0.0
+    assert after.atom_number - after.coherent_number == 0.0
 
 
 def test_norm_preserved_over_many_steps():
     drive = _clean_drive(detuning=300.0)
     tuning = _zero_tuning()
-    state = EnsembleState.css_x(1e6)
+    state = EnsembleState(1e6, jx=1e6 / 2)
     norm0 = math.hypot(state.jx, state.jy, state.jz)
     for _ in range(10_000):
         state = step(state, drive, tuning, 1e-6)
@@ -207,7 +208,7 @@ def test_norm_preserved_over_many_steps():
 def test_reversibility_without_dissipation():
     drive = _clean_drive(detuning=740.0)
     tuning = _zero_tuning()
-    start = EnsembleState.css_x(1e6)
+    start = EnsembleState(1e6, jx=1e6 / 2)
     fwd = step(start, drive, tuning, 1e-4)
     back = step(fwd, drive, tuning, -1e-4)
     for name in ("jx", "jy", "jz"):
@@ -254,9 +255,10 @@ def test_probe_leak_grows_and_uplifts_f2():
     for _ in range(200):
         s_near = step(s_near, drive, near, 10e-6)
         s_far = step(s_far, drive, far, 10e-6)
-    assert 0.0 < s_far.n_leak < s_near.n_leak
+    leak_near = s_near.atom_number - s_near.coherent_number
+    assert 0.0 < s_far.atom_number - s_far.coherent_number < leak_near
     assert s_near.atom_number == 1e7  # accounting: nothing created or lost
-    assert s_near.coherent_number + s_near.n_leak == pytest.approx(1e7, rel=1e-12, abs=0)
+    assert s_near.coherent_number + leak_near == pytest.approx(1e7, rel=1e-12, abs=0)
     # leaked atoms keep contributing to the detected state
     assert s_near.f2_population > s_near.coherent_number / 2 + s_near.jz
 
@@ -279,7 +281,7 @@ def test_light_shift_precession():
     tuning = ProbeTuning()
     drive = RabiModel(rabi_frequency=0.0, carrier_light_shift=0.0,
                       residual_damping=0.0)
-    state = EnsembleState.css_x(1e6)
+    state = EnsembleState(1e6, jx=1e6 / 2)
     t = 100e-6
     after = step(state, drive, tuning, t)
     got = math.atan2(after.jy, after.jx)
@@ -305,7 +307,7 @@ def test_drive_phase_sets_rotation_axis():
 def test_step_error_on_impossible_inverse():
     # running the probe backwards in time would need to un-leak atoms that
     # are not there
-    state = EnsembleState.css_x(1e6)
+    state = EnsembleState(1e6, jx=1e6 / 2)
     with pytest.raises(StepError):
         step(state, RabiModel(), ProbeTuning(), -1e-3)
 
@@ -335,7 +337,7 @@ def test_non_finite_state_is_an_invariant_break(index, name, value):
 
 
 def test_zero_dt_is_identity():
-    state = EnsembleState.css_x(10.0)
+    state = EnsembleState(10.0, jx=10.0 / 2)
     assert step(state, RabiModel(), ProbeTuning(), 0.0) == state
 
 

@@ -85,3 +85,33 @@ def test_a_fit_over_a_long_window_finds_the_drive_or_says_it_diverged(tmp_path, 
         assert capsys.readouterr().err.startswith("warning: rabi fit diverged: ")
     else:
         assert fit["frequency"] == pytest.approx(6.9e3, rel=0.01, abs=0)
+
+
+def test_bundled_rabi_fit_closes_the_loop_on_the_mean_field_model(tmp_path):
+    # the fitted frequency is the generalized Rabi frequency at the
+    # duty-averaged light shift, and the fitted damping is damping_rate of
+    # the walk's drive at its spontaneous rate, each within 2 standard errors
+    from qndsim.atoms import ProbeTuning, RabiModel, damping_rate, light_shift, scattering_rate
+    from qndsim.constants import H, to_si
+    from qndsim.harness import ProbeGate
+    assert main(["run", str(RABI), "--out", str(tmp_path)]) == 0
+    fit = json.loads((tmp_path / "rabi_fit.json").read_text(encoding="utf-8"))
+    cfg = json.loads(RABI.read_text(encoding="utf-8"))
+    gate_si = dict(to_si(key, x) for key, x in cfg["probe_gate"].items())
+    drive_si = dict(to_si(key, x) for key, x in cfg["drive"].items())
+    tuning = ProbeTuning.from_powers(
+        carrier_power=gate_si["carrier_power"], sideband_power=gate_si["sideband_power"],
+        waist=gate_si["waist"], sideband_detuning=gate_si["sideband_detuning_linewidths"],
+        modulation_frequency=gate_si["modulation_frequency"])
+    gate = ProbeGate(repetition_rate=gate_si["repetition_rate"],
+                     pulse_duration=gate_si["pulse_duration"], tuning=tuning)
+    shift = light_shift(tuning, gate.duty_cycle)
+    omega = 2 * math.pi * cfg["drive"]["rabi_frequency_khz"] * 1e3
+    drive = RabiModel(rabi_frequency=omega, carrier_light_shift=shift,
+                      inhomogeneity=drive_si["inhomogeneity"],
+                      residual_damping=drive_si["residual_damping"])
+    frequency = math.hypot(omega, 2 * math.pi * shift / H) / (2 * math.pi)
+    damping = damping_rate(drive, scattering_rate(tuning, 0.0) * gate.duty_cycle)
+    errors = fit["std_errors"]
+    assert abs(fit["frequency"] - frequency) < 2 * errors["frequency"]
+    assert abs(fit["damping"] - damping) < 2 * errors["damping"]

@@ -78,15 +78,26 @@ def test_non_finite_result_exits_three(tmp_path, capsys, stem, override):
 # ------------------------------------------------------- validate never fails
 
 @pytest.mark.parametrize("override", [
-    "probe_gate.carrier_power_uw=5e-324",
     "ensemble.cloud_rms_um=1e308",
-    "probe_gate.waist_um=5e-324",
 ])
 def test_regime_check_arithmetic_failure_is_diagnostic(capsys, override):
     cfg = str(CONFIG_DIR / "rabi.json")
     assert main(["validate", cfg, "--set", override]) == 2
     assert "probe_gate: regime checks cannot be evaluated" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, line", [
+    ("probe_gate.carrier_power_uw=5e-324", "probe_gate.carrier_power_uw: carrier power "
+                                           "must be positive when the sideband carries power"),
+    ("probe_gate.waist_um=5e-324", "probe_gate.waist_um: waist must be positive"),
+])
+def test_power_or_waist_underflowing_to_zero_names_its_field(capsys, override, line):
+    # inside the field's bound, its SI value underflows to 0.0: the set-up's
+    # zero test sees that zero, and its error names the field
+    cfg = str(CONFIG_DIR / "rabi.json")
+    assert main(["validate", cfg, "--set", override]) == 2
+    assert f"  {line}\n" in capsys.readouterr().err
 
 
 JSON_SCALARS = st.one_of(

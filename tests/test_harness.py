@@ -197,7 +197,7 @@ def test_a_window_under_one_period_of_the_fit_is_no_fit(periods):
         fit_damped_sine(Trace(t, y))
 
 
-def test_damped_sine_sign_canonicalization():
+def test_damped_sine_sign_canonicalization(monkeypatch):
     t = np.arange(200) * 1e-5
     y = -3e-4 * np.cos(2 * np.pi * 5000 * t + 0.2)
     fit = fit_damped_sine(Trace(t, y))
@@ -205,6 +205,29 @@ def test_damped_sine_sign_canonicalization():
     # -cos(x+0.2) = cos(x+0.2-pi)
     assert math.cos(fit.phase) == pytest.approx(math.cos(0.2 - math.pi),
                                                 abs=1e-9)
+    # the same curve with negative amplitude and frequency,
+    # A cos(2 pi f t + phi) = -A cos(-2 pi f t - phi - pi), is the same fit
+    fit_curve = harness.curve_fit
+
+    def mirrored(*args):
+        popt, pcov = fit_curve(*args)
+        amplitude, damping, frequency, phase, *rest = popt
+        return np.array([-amplitude, damping, -frequency, -phase - math.pi, *rest]), pcov
+
+    monkeypatch.setattr(harness, "curve_fit", mirrored)
+    again = fit_damped_sine(Trace(t, y))
+    assert (again.amplitude, again.frequency) == (fit.amplitude, fit.frequency)
+    assert again.phase == pytest.approx(fit.phase, rel=0, abs=1e-12)
+
+
+def test_a_chunk_on_the_trend_line_starts_the_fit_undamped():
+    # the last of the five envelope chunks lies exactly on the fitted line:
+    # its envelope is 0, which has no logarithm, so the start damping is 0
+    t = np.arange(40) * 1e-5
+    y = np.ones(40)
+    y[10:30] += 1e-3 * np.r_[[1.0, -1.0] * 5, [-1.0, 1.0] * 5]
+    fit = fit_damped_sine(Trace(t, y))
+    assert all(map(math.isfinite, (fit.amplitude, fit.damping, fit.frequency)))
 
 
 def test_damped_sine_window_selects_prefix():

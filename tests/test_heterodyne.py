@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qndsim.constants import C, E_CHARGE, GAMMA_D2_FREQ
+from qndsim.constants import C, GAMMA_D2_FREQ
 from qndsim.errors import DomainError, RegimeError
 from qndsim.heterodyne import (
     DetectorModel,
@@ -12,8 +12,6 @@ from qndsim.heterodyne import (
     PhaseShiftTriple,
     atomic_phase,
     demodulated_signal,
-    detected_photons,
-    detection_snr,
     exact_phase_terms,
     gain_from_psd_slope,
     interferometer_length_signal,
@@ -29,7 +27,6 @@ from qndsim.heterodyne import (
 #   sigma_0 = 3*(780.241e-9)^2/(2*pi), N=1e6, w=800um, point cloud,
 #   delta = Gamma/2 puts the dispersive factor at its extremum 1/2.
 PHI_AT_GOLDEN = -0.07228348444340174
-SNR_GOLDEN = 0.9949713515513836          # (1e4, 1e8, 1e6, phi=0.01)
 REJECTION_GOLDEN = 1.5604820000000003e-07  # (0.1^2+1e-2)*780.241nm/0.1m
 SIGMA_V_GOLDEN = 4.430233278092605e-06   # defaults, 10 us pulse
 
@@ -311,17 +308,6 @@ def test_rejection_ratio_consistent_with_signal_pair():
     )
 
 
-def test_detection_snr_values():
-    assert detection_snr(1e4, 1e8, 1e6, 0.01) == pytest.approx(SNR_GOLDEN, rel=1e-12, abs=0)
-    # carrier-dominated limit: sqrt(N_s)*sin(phi)
-    snr = detection_snr(1e4, 1e12, 0.0, 0.05)
-    assert snr == pytest.approx(math.sqrt(1e4) * math.sin(0.05), rel=1e-3, abs=0)
-    assert detection_snr(0.0, 1e8, 1e6, 0.1) == 0.0
-    assert detection_snr(0.0, 0.0, 0.0, 0.1) == 0.0
-    with pytest.raises(DomainError):
-        detection_snr(-1.0, 1e8, 0.0, 0.1)
-
-
 def test_psd_slope_inversion_round_trip():
     det = DetectorModel()
     powers = np.linspace(0.0, 1e-3, 11)
@@ -376,11 +362,3 @@ def test_sample_noisy_signal_zero_noise_limit():
     probe = _probe(carrier_power=0.0)
     assert sample_noisy_signal(2.5e-4, det, probe, 10e-6, 1) == 2.5e-4
 
-
-def test_detected_photons():
-    det = DetectorModel()
-    n = detected_photons(det, 76e-9, 10e-6)
-    assert n == pytest.approx(0.5 * 76e-9 * 10e-6 / E_CHARGE, rel=1e-12, abs=0)
-    assert detected_photons(det, 0.0, 1.0) == 0.0
-    with pytest.raises(DomainError):
-        detected_photons(det, -1e-9, 1.0)

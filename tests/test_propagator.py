@@ -182,12 +182,14 @@ def test_generator_is_the_lindblad_equation_with_level_losses(rabi_frequency):
     rho = state.coherent_number / 2 * np.eye(2) + np.tensordot(
         [state.jx, state.jy, state.jz], PAULI, 1)
     dt = 4e-6
-    y = solve_ivp(rhs, (0.0, dt), np.append(rho.ravel(), state.n_leak),
+    n_leak = state.atom_number - state.coherent_number
+    y = solve_ivp(rhs, (0.0, dt), np.append(rho.ravel(), n_leak),
                   method="DOP853", rtol=1e-12, atol=1e-6).y[:, -1]
     spin = np.einsum("ij,kji->k", y[:4].reshape(2, 2), PAULI).real / 2
     after = step(state, drive, tuning, dt)
     assert leak * dt > 0.5 and pump > 0
-    np.testing.assert_allclose([after.jx, after.jy, after.jz, after.n_leak],
+    leaked = after.atom_number - after.coherent_number
+    np.testing.assert_allclose([after.jx, after.jy, after.jz, leaked],
                                [*spin, y[4].real], rtol=0, atol=1e-11 * state.atom_number)
 
 

@@ -29,15 +29,15 @@ BASE = DipoleTrapConfig()  # 200 W/arm, 93.1/129.8 um waists
 
 def test_depth_against_frozen_hand_value():
     # per-arm |U(0)| = alpha/(2 eps0 c) * 2P/(pi a b), evaluated by hand
-    assert trap_depth(BASE, arms=1) == pytest.approx(1.35546e-26, rel=1e-4, abs=0)
-    assert trap_depth(BASE, arms=2) == pytest.approx(2.71092e-26, rel=1e-4, abs=0)
+    assert trap_depth(BASE) / 2 == pytest.approx(1.35546e-26, rel=1e-4, abs=0)
+    assert trap_depth(BASE) == pytest.approx(2.71092e-26, rel=1e-4, abs=0)
 
 
 def test_depth_order_of_magnitude_vs_quoted():
     # quoted 1.4 mK; both the single-arm and crossed readings must sit
     # within a factor 1.5 (the published numbers are not mutually exact)
     for arms in (1, 2):
-        depth_mk = trap_depth(BASE, arms=arms) / K_B * 1e3
+        depth_mk = trap_depth(BASE) * arms / 2 / K_B * 1e3
         assert 1.4 / 1.5 < depth_mk < 1.4 * 1.5
 
 
