@@ -28,6 +28,8 @@ numpy is imported only by code that computes with arrays, the model modules
 but cavity and the array scenarios: help, list-scenarios, schema errors,
 validation without a model set-up and a cavity-spectrum run never load it.
 At exit a command freezes the heap (gc.freeze), so no final collection walks it.
+The argument parser is built once per process; each call parses its own argv
+into a fresh namespace, so no argument carries from one call to the next.
 
 Exit codes: 0 success, 2 config error (with line/field diagnostics),
 3 physics/regime error during a run, 1 internal error.
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import functools
 import gc
 import hashlib
 import importlib.util
@@ -230,15 +233,23 @@ def _write_json(path: Path, payload: dict) -> None:
 CSV_BLOCK_ROWS = 4096
 
 
-def _csv_chunks(column):
-    """Cell strings of each CSV_BLOCK_ROWS rows of a column."""
-    cell = repr
-    if isinstance(column, tuple):
-        values, column = column
-        cell = list(map(repr, values.tolist())).__getitem__
-    for start in range(0, len(column), CSV_BLOCK_ROWS):
-        chunk = column[start:start + CSV_BLOCK_ROWS]
-        yield map(cell, chunk if isinstance(chunk, list) else chunk.tolist())
+def _lines(columns) -> str:
+    """The CSV lines of equal-length lists of cell strings: one join of the
+    cells, which slice assignment interleaves with their commas and newlines."""
+    width = len(columns)
+    parts = ([None, ","] * (width - 1) + [None, "\n"]) * len(columns[0])
+    for j, cells in enumerate(columns):
+        parts[2 * j::2 * width] = cells
+    return "".join(parts)
+
+
+def _cells(chunk) -> list:
+    """Cell strings of a slice of a column: the repr of each number of a list
+    or an array, or the cells of an object array, strings (_gathered)."""
+    if isinstance(chunk, list):
+        return list(map(repr, chunk))
+    cells = chunk.tolist()
+    return cells if chunk.dtype == object else list(map(repr, cells))
 
 
 def write_csv(path, header: str, blocks) -> None:
@@ -246,21 +257,34 @@ def write_csv(path, header: str, blocks) -> None:
     equal-length columns, so a large table can come one slab at a time.
 
     A column is an array or a list of cells, or a pair ``(values, index)`` of
-    arrays giving cells ``values[index]``, each value formatted once per block
-    (a tuple is a pair). A cell is the repr of a Python number, as an array's
-    tolist() gives: floats round-trip, integers stay integral. Rows are written
-    CSV_BLOCK_ROWS at a time. Raises RegimeError naming the first row holding
-    a NaN or an infinity, the only numbers whose repr holds an "n"; a value no
-    row holds is unchecked.
+    arrays giving cells ``values[index]`` (a tuple is a pair): each value is
+    formatted once per item of ``blocks``, and the cells are gathered as
+    strings, an object array, so no cell costs a Python call. A cell is the
+    repr of a Python number, as an array's tolist() gives: floats round-trip,
+    integers stay integral. Rows are written CSV_BLOCK_ROWS at a time, the
+    text of each such block one join of its cells, commas and newlines
+    (_lines). Raises RegimeError naming the first row holding a NaN or an
+    infinity, the only numbers whose repr holds an "n"; a value no row holds
+    is unchecked.
     """
     path, row = Path(path), 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for columns in blocks:
-            for chunk in zip(*map(_csv_chunks, columns)):
-                lines = list(map(",".join, zip(*chunk)))
-                fh.write(_finite(path, row, "\n".join(lines) + "\n"))
-                row += len(lines)
+            columns = [_gathered(*column) if isinstance(column, tuple) else column
+                       for column in columns]
+            rows = len(columns[0]) if columns else 0
+            for start in range(0, rows, CSV_BLOCK_ROWS):
+                fh.write(_finite(path, row + start, _lines(
+                    [_cells(column[start:start + CSV_BLOCK_ROWS]) for column in columns])))
+            row += rows
+
+
+def _gathered(values, index):
+    """The cells ``values[index]`` as an object array of strings, each
+    distinct value formatted once."""
+    import numpy as np
+    return np.array(list(map(repr, values.tolist())), dtype=object)[index]
 
 
 def _finite(path: Path, row: int, text: str) -> str:
@@ -304,8 +328,8 @@ def write_mirrored_csv(path, header: str, columns) -> None:
             mirror = max(n - stop, half)   # the later rows mirroring these
             front, back = zip(*(_mirror_cells(x[start:stop], x[mirror:n - start][::-1])
                                 for x in columns))
-            fh.write(_finite(path, start, "\n".join([*map(",".join, zip(*front)), ""])))
-            later.append((mirror, "\n".join([*map(",".join, zip(*back)), ""])))
+            fh.write(_finite(path, start, _lines(front)))
+            later.append((mirror, _lines(back)))
         for row, text in reversed(later):
             fh.write(_finite(path, row, text))
 
@@ -851,11 +875,9 @@ def _cmd_list_scenarios(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    """Run one command and return its exit code; freeze the heap at process exit."""
-    # exit-time collections would walk ~22k loaded objects that the ending process frees anyway
-    atexit.unregister(gc.freeze)
-    atexit.register(gc.freeze)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: a parse changes none of its state."""
     parser = argparse.ArgumentParser(
         prog="qndsim",
         description="Simulations of heterodyne non-demolition probing of cold atoms: "
@@ -878,7 +900,15 @@ def main(argv=None) -> int:
 
     ls = sub.add_parser("list-scenarios", help="list scenario names")
     ls.set_defaults(func=_cmd_list_scenarios)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run one command and return its exit code; freeze the heap at process exit."""
+    # exit-time collections would walk ~22k loaded objects that the ending process frees anyway
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
+    args = _parser().parse_args(argv)
     try:
         # no RuntimeWarning, numpy's for floating point: finiteness checks decide
         with warnings.catch_warnings():

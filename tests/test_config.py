@@ -1,5 +1,8 @@
 """Config resolution: non-finite input, canonical hashing, scenario lists."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -212,6 +215,37 @@ def test_run_and_validate_resolve_the_config_once(monkeypatch, tmp_path, capsys)
     assert len(calls) == 2
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config_sha256"] == want
+
+
+def test_one_parser_serves_every_call_and_no_argument_carries_over(monkeypatch, tmp_path):
+    # the parser is built once per process; a plain run after runs with
+    # overrides and a rejected command line is the run of a fresh process
+    path = str(CONFIG_DIR / "rabi.json")
+    parser = cli._parser()
+    assert main(["run", path, "--set", "drive.detuning_hz=500", "--seed", "7",
+                 "--out", str(tmp_path / "overridden")]) == 0
+    with pytest.raises(SystemExit) as rejected:
+        main(["run", path, "--set", "drive.detuning_hz=250", "--seed", "seven"])
+    assert rejected.value.code == 2
+    assert main(["validate", path]) == 0
+    assert main(["list-scenarios"]) == 0
+    for name in ("plain", "fresh"):
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path / "plain")
+    assert main(["run", path]) == 0
+    assert cli._parser() is parser
+    src = str(Path(qndsim.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    subprocess.run([sys.executable, "-m", "qndsim.cli", "run", path], cwd=tmp_path / "fresh",
+                   env=env, check=True, capture_output=True, timeout=120)
+    plain, fresh = tmp_path / "plain" / "artifacts", tmp_path / "fresh" / "artifacts"
+    manifest = json.loads((plain / "manifest.json").read_text())
+    assert manifest["seed"] == bundled("rabi")["seed"]
+    assert manifest["config_sha256"] == config_hash(bundled("rabi"))
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in plain.iterdir()) == names
+    assert all((plain / name).read_bytes() == (fresh / name).read_bytes() for name in names)
 
 
 # ------------------------------------------------------------ scenario lists

@@ -2,6 +2,7 @@
 finiteness check on the written text against the numpy masks it replaced."""
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -344,3 +345,22 @@ def test_a_negated_nan_is_not_a_mirror_pair():
     assert _mirror_cells(nans[:1], nans[1:]) == (["nan"], ["nan"])
     assert _mirror_cells(nans[1:], nans[:1]) == (["nan"], ["nan"])
     assert _mirror_cells(np.array([0.0, 2.5]), np.array([-0.0])) == (["0.0", "2.5"], ["-0.0"])
+
+
+def test_memory_stays_at_one_block_however_long_the_table(tmp_path):
+    # the writer holds one block's cells and text at a time, none of the
+    # block before: three blocks and a few rows peak within a quarter of one
+    # block's peak, where formatting whole columns at once peaks at three times
+    x = np.linspace(-1.0, 1.0, 3 * CSV_BLOCK_ROWS + 5) / 3.0
+    y = -x
+    peaks = []
+    tracemalloc.start()
+    try:
+        for rows in (CSV_BLOCK_ROWS, x.size):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            write_csv(tmp_path / f"{rows}.csv", "x,y", [(x[:rows], y[:rows])])
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
