@@ -15,7 +15,9 @@ detunings are entered in ordinary frequency units against the natural
 linewidth (the carrier ones in Hz, the sideband one in units of the
 linewidth).
 
-numpy is imported only inside the functions that compute with arrays.
+numpy is imported only inside the functions that compute with arrays; a
+scalar call of one that takes either, such as `sideband_photon_rate` at a
+float detuning, computes with `math` and returns a float, not a numpy float64.
 """
 from __future__ import annotations
 
@@ -172,14 +174,21 @@ class EnsembleState(Record):
 def sideband_photon_rate(tuning: ProbeTuning) -> float:
     """Raw sideband photon-scattering rate, before branching, 1/s: the
     saturated Lorentzian on its reference transition, detuning already in
-    linewidth units. Elementwise for an array of detunings; a scalar
-    detuning gives a numpy float64."""
-    import numpy as np
+    linewidth units. Elementwise for an array of detunings; a float
+    detuning gives a float, infinite where its square overflows, as numpy's."""
     s = tuning.sideband_intensity / tuning.saturation_intensities[2]
     gamma_ang = 2 * math.pi * tuning.linewidth
     d = tuning.sideband_detuning
     # float_power squares with libm pow, as d**2 does; numpy's x*x can be 1 ulp off it
-    return gamma_ang * (s / 2) / (1 + 4 * np.float_power(d, 2) + s)
+    if isinstance(d, float):
+        try:
+            square = d**2
+        except OverflowError:
+            square = math.inf
+    else:
+        import numpy as np
+        square = np.float_power(d, 2)
+    return gamma_ang * (s / 2) / (1 + 4 * square + s)
 
 
 def carrier_pump_rate(tuning: ProbeTuning) -> float:

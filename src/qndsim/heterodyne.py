@@ -12,12 +12,15 @@ noise rejection.
 Sign conventions follow demodulation matched to the nominal path: the
 in-phase quadrature carries the dispersive terms (DeltaPhi_minus), the
 orthogonal quadrature the path-length-sensitive terms (DeltaPhi_plus).
+
+numpy is imported only inside the functions that compute with arrays. A
+phase or path error given as a float takes `math` and comes back a float,
+not a numpy float64, with numpy's IEEE results: the cosine and sine of an
+infinity are NaN. Any other input is computed with numpy, elementwise.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .constants import C, DEFAULTS, E_CHARGE, GAMMA_D2_FREQ, PROBE_WAVELENGTH, Record
 from .errors import DomainError, RegimeError
@@ -68,11 +71,25 @@ class PhaseShiftTriple(Record):
     def __post_init__(self) -> None:
         peak = 0.0
         for name in ("phi_minus", "phi_carrier", "phi_plus"):
-            value = float(np.max(np.abs(getattr(self, name))))
+            phi = getattr(self, name)
+            if isinstance(phi, float):
+                value = abs(phi)
+            else:
+                import numpy as np
+                value = float(np.max(np.abs(phi)))
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite")
             peak = max(peak, value)
         object.__setattr__(self, "max_abs", peak)     # largest |phi|, derived: no field
+
+
+def _cos_sin(x):
+    """(cos x, sin x), as numpy gives them: math's for a float, with NaN at
+    an infinity, where math raises; elementwise for anything else."""
+    if isinstance(x, float):
+        return (math.cos(x), math.sin(x)) if not math.isinf(x) else (math.nan, math.nan)
+    import numpy as np
+    return np.cos(x), np.sin(x)
 
 
 class DetectorModel(Record):
@@ -111,6 +128,7 @@ def atomic_phase(
     expansions and demodulated_signal call, raises beyond 0.3 rad. atom_number
     may be an array of samples; the phase is then elementwise.
     """
+    import numpy as np
     if beam_waist <= 0 or cloud_rms < 0:
         raise DomainError("beam waist must be positive, cloud size nonnegative")
     if np.min(atom_number) < 0:
@@ -136,16 +154,11 @@ def exact_phase_terms(
 
     and the amplitude-modulation pair replaces the difference with a sum.
     Valid at any phase; no small-angle assumption. Elementwise for array
-    phases; scalar phases give numpy float64 coefficients.
+    phases; float phases give float coefficients.
     """
-    a = phases.phi_plus - phases.phi_carrier
-    b = phases.phi_carrier - phases.phi_minus
-    return (
-        np.cos(a) - np.cos(b),
-        np.sin(a) - np.sin(b),
-        np.cos(a) + np.cos(b),
-        np.sin(a) + np.sin(b),
-    )
+    cos_a, sin_a = _cos_sin(phases.phi_plus - phases.phi_carrier)
+    cos_b, sin_b = _cos_sin(phases.phi_carrier - phases.phi_minus)
+    return cos_a - cos_b, sin_a - sin_b, cos_a + cos_b, sin_a + sin_b
 
 
 def check_small_phase(phi: float) -> None:
@@ -211,8 +224,8 @@ def demodulated_signal(
 
     The exact trigonometric coefficient forms are used throughout. The
     phases or path_error may be arrays; the voltage is then elementwise and
-    equals the scalar call at every point. A scalar call gives a numpy
-    float64.
+    equals the scalar call at every point. A call with float phases and
+    path error gives a float.
 
     Raises RegimeError when the phases leave the small-phase regime the
     calibration assumes.
@@ -220,11 +233,9 @@ def demodulated_signal(
     check_small_phase(phases.max_abs)
     d_plus, d_minus, d_plus_am, d_minus_am = exact_phase_terms(phases)
     eps = probe.ram_asymmetry
-    chi = 2.0 * math.pi * path_error / probe.modulation_wavelength
+    cos_chi, sin_chi = _cos_sin(2.0 * math.pi * path_error / probe.modulation_wavelength)
     return signal_scale(probe, det) * (
-        np.cos(chi) * (d_minus + eps * d_minus_am)
-        + np.sin(chi) * (d_plus + eps * d_plus_am)
-    )
+        cos_chi * (d_minus + eps * d_minus_am) + sin_chi * (d_plus + eps * d_plus_am))
 
 
 def length_noise_signal(
@@ -326,6 +337,7 @@ def sample_noisy_signal(
     samples takes one batched draw, the stream of one draw per sample; a
     scalar sample with noise comes back as a numpy float64.
     """
+    import numpy as np
     rng = np.random.default_rng(rng)    # a Generator comes back as it is
     sigma = noise_sigma(det, probe, pulse_duration)
     if sigma == 0.0:

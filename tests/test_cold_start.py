@@ -21,14 +21,19 @@ module on first access and in a star import.
 numpy is loaded only by code that computes with arrays. The manifest's
 numpy version is read from numpy/version.py the way scipy's is, so
 `import qndsim.cli`, `list-scenarios`, validating a config without a set-up
-and a cavity-spectrum or squeezing run load no numpy module; every other
-bundled run does. An older numpy whose version.py imports numpy (a
-versioneer build) skips those pins, and a synthetic package of that layout
-checks that its version is still read. `import qndsim.atoms` loads no numpy
-either, as its array functions import it themselves; called first in a
-fresh interpreter, they compute the bits they compute in process. The model
-records are built without generated code, so those same commands, and
-`--help`, load neither dataclasses nor inspect.
+or the noise sweep's, and a cavity-spectrum, squeezing, noise-sweep or
+scattering-sweep run load no numpy module: a sweep of the bundled size is
+evaluated point by point with math. The rabi and spin-echo runs, a trap
+map and a sweep longer than cli.SCALAR_SWEEP_POINTS points load it. An
+older numpy whose version.py imports numpy (a versioneer build) skips those
+pins, and a synthetic package of that layout checks that its version is
+still read. `import qndsim.atoms` and `import qndsim.heterodyne` load no
+numpy either, as their array functions import it themselves; called first
+in a fresh interpreter, the array functions of atoms compute the bits they
+compute in process, and a scalar call returns a float. The model records
+are built without generated code, so those same commands, and `--help`,
+load neither dataclasses nor inspect. Only a run's manifest hashes, so
+`--help`, `list-scenarios` and `validate` load no hashlib.
 
 A command's process ends with its heap frozen: `cli.main` registers
 gc.freeze with atexit once, however often it runs, and `import qndsim.cli`
@@ -224,6 +229,8 @@ numpy_free = pytest.mark.skipif(
 NUMPY = "sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy')"
 SET_UP_FREE = ["cavity_spectrum.json", "trap_map.json", "scattering_sweep.json",
                "squeezing.json"]
+# the noise sweep's set-up builds its probe and detector, records of math alone
+NUMPY_FREE_VALIDATION = SET_UP_FREE + ["noise_sweep.json"]
 
 
 @numpy_free
@@ -233,14 +240,16 @@ def test_importing_the_cli_loads_no_numpy():
 
 @numpy_free
 @pytest.mark.parametrize("argv", [["list-scenarios"],
-                                  *(["validate", CONFIG_DIR / c] for c in SET_UP_FREE)],
+                                  *(["validate", CONFIG_DIR / c] for c in NUMPY_FREE_VALIDATION)],
                          ids=lambda argv: " ".join(Path(a).name for a in argv))
 def test_commands_without_arrays_load_no_numpy(argv):
     assert loaded_after(probe(MAIN, NUMPY), *argv) == []
 
 
-# `cavity` is math and cmath, and the squeezing estimate is math
-MATH_RUNS = ["cavity_spectrum.json", "squeezing.json"]
+# `cavity` is math and cmath, the squeezing estimate is math, and a sweep of
+# at most cli.SCALAR_SWEEP_POINTS points is evaluated point by point with math
+MATH_RUNS = ["cavity_spectrum.json", "squeezing.json", "noise_sweep.json",
+             "scattering_sweep.json"]
 
 
 @numpy_free
@@ -269,7 +278,7 @@ def test_help_loads_no_code_generation():
 
 @numpy_free
 @pytest.mark.parametrize("argv", [["list-scenarios"],
-                                  *(["validate", CONFIG_DIR / c] for c in SET_UP_FREE)],
+                                  *(["validate", CONFIG_DIR / c] for c in NUMPY_FREE_VALIDATION)],
                          ids=lambda argv: " ".join(Path(a).name for a in argv))
 def test_commands_without_arrays_load_no_code_generation(argv):
     assert loaded_after(probe(MAIN, CODEGEN), *argv) == []
@@ -287,10 +296,38 @@ def test_importing_atoms_loads_no_numpy():
     assert loaded_after(probe("import qndsim.atoms\ncode = 0", NUMPY)) == []
 
 
-@pytest.mark.parametrize("config", sorted(set(MODEL_MODULES) - set(MATH_RUNS)))
+def test_importing_heterodyne_loads_no_numpy():
+    assert loaded_after(probe("import qndsim.heterodyne\ncode = 0", NUMPY)) == []
+
+
+# the runs that build arrays: a sweep does past cli.SCALAR_SWEEP_POINTS points
+ARRAY_RUNS = {**dict.fromkeys(set(MODEL_MODULES) - set(MATH_RUNS), ()),
+              **dict.fromkeys(["noise_sweep.json", "scattering_sweep.json"],
+                              ("--set", f"sweep.points={cli.SCALAR_SWEEP_POINTS + 1}"))}
+
+
+@pytest.mark.parametrize("config", sorted(ARRAY_RUNS))
 def test_array_runs_load_numpy(tmp_path, config):
     assert "numpy" in loaded_after(probe(MAIN, NUMPY), "run", CONFIG_DIR / config,
-                                   "--out", tmp_path)
+                                   *ARRAY_RUNS[config], "--out", tmp_path)
+
+
+# OpenSSL's _hashlib, which `import hashlib` loads, serves only the manifest
+HASHLIB = "sorted(m for m in sys.modules if m in ('hashlib', '_hashlib'))"
+
+
+# (a numpy release may load it with numpy.random: the commands load no numpy)
+@numpy_free
+@pytest.mark.parametrize("argv", [["list-scenarios"], ["--help"],
+                                  *(["validate", CONFIG_DIR / c] for c in NUMPY_FREE_VALIDATION)],
+                         ids=lambda argv: " ".join(Path(a).name for a in argv))
+def test_commands_without_a_manifest_load_no_hashlib(argv):
+    assert loaded_after(probe(HELP, HASHLIB), *argv) == []
+
+
+def test_a_run_loads_hashlib_for_its_manifest(tmp_path):
+    assert "hashlib" in loaded_after(probe(MAIN, HASHLIB), "run", CONFIG_DIR / "squeezing.json",
+                                     "--out", tmp_path)
 
 
 # each array function of `atoms`, the validation of EnsembleState, and the
@@ -335,9 +372,9 @@ def test_atoms_imported_first_computes_the_same_bits():
     assert {k: bits(v) for k, v in cold.items()} == {
         k: bits(v) for k, v in warm["results"].items()}
     assert warm["results"]["broken_invariants"].tolist() == [False, False, True, True]
-    # as sideband_photon_rate's docstring says of a scalar detuning
-    assert type(cold["sideband_photon_rate"]) is np.float64
-    assert type(cold["scattering_rate"]) is np.float64
+    # as sideband_photon_rate's docstring says of a float detuning
+    assert type(cold["sideband_photon_rate"]) is float
+    assert type(cold["scattering_rate"]) is float
 
 
 def test_importing_the_cli_loads_only_the_core_modules():
@@ -373,11 +410,16 @@ code = 0"""
 
 
 def test_an_overflow_in_a_run_is_no_warning(tmp_path):
-    # float_power overflows to inf in the scattering rate on the way to finite
-    # rows; main quiets it, so -W error does not turn it into exit 1
-    proc = fresh("-W", "error", "-m", "qndsim.cli", "run", CONFIG_DIR / "scattering_sweep.json",
-                 "--set", "sweep.detuning_max_linewidths=1e200", "--out", tmp_path)
-    assert (proc.returncode, proc.stderr) == (0, "")
+    # the detuning's square overflows to inf in the scattering rate on the
+    # way to finite rows: past cli.SCALAR_SWEEP_POINTS points float_power's,
+    # which main quiets, so -W error does not turn it into exit 1, and at the
+    # bundled size the scalar square, which gives inf as numpy does
+    for points in (96, cli.SCALAR_SWEEP_POINTS + 1):
+        proc = fresh("-W", "error", "-m", "qndsim.cli", "run",
+                     CONFIG_DIR / "scattering_sweep.json",
+                     "--set", "sweep.detuning_max_linewidths=1e200",
+                     "--set", f"sweep.points={points}", "--out", tmp_path / str(points))
+        assert (proc.returncode, proc.stderr) == (0, ""), points
 
 
 def test_diverged_fit_warns_on_stderr(monkeypatch, tmp_path, capsys):

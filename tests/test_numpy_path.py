@@ -1,14 +1,15 @@
-"""One numpy path per model function, held to the scalar code it replaced.
+"""Model functions at a scalar, held to the plain `math` forms.
 
-`exact_phase_terms`, `demodulated_signal` and `sideband_photon_rate` once
-chose `math` for scalar inputs and numpy for arrays, and
-`sample_noisy_signal` drew one scalar sample without a size. The
-`math` forms live on here as the oracle: a scalar call must agree with
-them to 2 ulp (numpy's SIMD kernels may round differently from the C
-library on another CPU), come back as a `float` and print as one in JSON.
-`signal_scale` and `sideband_phase` name expressions once written out at
-each use; they must give those expressions' bits. A source guard keeps an
-input-type fork from returning.
+`exact_phase_terms`, `demodulated_signal` and `sideband_photon_rate`
+compute a float input with `math`, so a short sweep never imports numpy,
+and anything else with numpy, elementwise; `sample_noisy_signal` draws one
+scalar sample without a size. The plain `math` forms live on here as the
+oracle: a scalar call must agree with them to 2 ulp, come back as a `float`
+and print as one in JSON (tests/test_sweeps.py holds the two paths to the
+same bytes). `signal_scale` and `sideband_phase` name expressions once
+written out at each use; they must give those expressions' bits. A source
+guard keeps the choice to that one form, a test for a float: no
+`isinstance(..., np.ndarray)` test and no `xp` module binding.
 """
 import ast
 import json

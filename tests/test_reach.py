@@ -38,6 +38,9 @@ ROOT = PACKAGE.parents[1]
 
 COLD = "tests/test_cold_start.py::"
 WALK = "tests/test_walk.py::"
+# the array path of a sweep longer than cli.SCALAR_SWEEP_POINTS
+LONG_NOISE = "tests/test_sweeps.py::test_noise_sweep_rows_equal_scalar_signals"
+LONG_SCATTERING = "tests/test_sweeps.py::test_scattering_sweep_rows_equal_scalar_rate"
 LONG_FIT = ("tests/test_cli_spin_engine.py::"
             "test_a_fit_over_a_long_window_finds_the_drive_or_says_it_diverged")
 ALLOWLIST = {
@@ -45,12 +48,25 @@ ALLOWLIST = {
         COLD + "test_bare_package_import_still_resolves_every_module",
     ("__init__", "__getattr__", 'return importlib.import_module(f"{__name__}.{name}")'):
         COLD + "test_bare_package_import_still_resolves_every_module",
+    ("atoms", "sideband_photon_rate", "import numpy as np"): LONG_SCATTERING,
+    ("atoms", "sideband_photon_rate", "square = np.float_power(d, 2)"): LONG_SCATTERING,
     ("atoms", "expm", "r[s > k] = r[s > k] @ r[s > k]"):
         "tests/test_kernels.py::test_expm_matches_scipy_or_beats_it",
     ("cavity", "_solve_axis", "q = ((a - d) - disc) / (2.0 * c)"):
         "tests/test_cavity.py::test_stability_sweep_never_returns_bad_mode",
     ("cli", "", "sys.exit(main())"):
         COLD + "test_an_overflow_in_a_run_is_no_warning",
+    ("cli", "_mirror_cells", "import numpy as np"): LONG_NOISE,
+    ("cli", "_mirror_cells", "bits = front[:back.size].view(np.int64) ^ back.view(np.int64)"):
+        LONG_NOISE,
+    ("cli", "_mirror_cells",
+     "flipped = ((bits == np.iinfo(np.int64).min) & ~np.isnan(back)).tolist()"): LONG_NOISE,
+    ("cli", "_mirror_cells", "cells = list(map(repr, front.tolist()))"): LONG_NOISE,
+    ("cli", "_mirror_cells",
+     'mirrored = [(s[1:] if s[0] == "-" else "-" + s) if flip else repr(x)'): LONG_NOISE,
+    ("cli", "_mirror_cells", "return cells, mirrored[::-1]"): LONG_NOISE,
+    ("cli", "_scattering_sweep", "import numpy as np"): LONG_SCATTERING,
+    ("cli", "_scattering_sweep", "delta = np.linspace(lo, hi, n)"): LONG_SCATTERING,
     ("constants", "Record.__eq__", "return self._values() == other._values() "
                                    "if other.__class__ is self.__class__ \\"):
         "tests/test_records.py::test_equality_and_hash_go_by_the_fields",

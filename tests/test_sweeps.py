@@ -3,9 +3,16 @@
 Every row a sweep runner writes must equal the scalar call at that row's
 own coordinates. The bound is 2 ulp rather than equality because numpy's
 SIMD kernels may round differently from the C library on another CPU.
+
+A sweep of at most cli.SCALAR_SWEEP_POINTS points is evaluated point by
+point with math, a longer one with numpy arrays. The two paths give the
+same exit code, stderr and bytes at any size and at extreme values, the
+pure-Python linspace is numpy's bit for bit, and numpy's cos, sin and
+square are math's on this platform, which the byte identity rests on.
 """
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +22,9 @@ from hypothesis import strategies as st
 
 import artifact_digests as digests
 import qndsim
+import qndsim.cli as cli
 from qndsim.atoms import ProbeTuning, scattering_rate
-from qndsim.cli import _mirrored_axis, main
+from qndsim.cli import SCALAR_SWEEP_POINTS, _linspace, _mirrored_axis, _mirrored_points, main
 from qndsim.constants import K_B
 from qndsim.heterodyne import (
     DetectorModel,
@@ -88,6 +96,10 @@ def test_mirrored_axis_is_linspace_made_antisymmetric(n, half):
         assert bits[n // 2] == 0    # +0.0, where linspace may miss 0
     assert axis[0] == -half and axis[-1] == half
     assert np.all(np.diff(axis) > 0)
+    # the axis of a sweep of at most SCALAR_SWEEP_POINTS points, without numpy
+    points = _mirrored_points(half, n)
+    assert all(type(x) is float for x in points)
+    assert np.array(points).tobytes() == axis.tobytes()
 
 
 def artifact_cells(tmp_path, name: str) -> list:
@@ -126,7 +138,10 @@ def test_odd_noise_sweep_cells_flip_sign_in_their_mirror_rows(tmp_path, name):
 @pytest.mark.parametrize("overrides", [
     (), ("sweep.phi_at_rad=-0.2", "probe.ram_asymmetry=-0.3",
          "sweep.points=513", "sweep.path_error_max_um=2e5",
-         "detector.buffer_gain=3.5")])
+         "detector.buffer_gain=3.5"),
+    # past the scalar path: numpy arrays and the mirrored writer's pairs
+    ("sweep.phi_at_rad=0.25", "probe.ram_asymmetry=0.05",
+     f"sweep.points={2 * SCALAR_SWEEP_POINTS + 1}", "sweep.path_error_max_um=3e4")])
 def test_noise_sweep_rows_equal_scalar_signals(tmp_path, overrides):
     cfg, rows = run(tmp_path, "noise_sweep", overrides)
     sec, sweep = cfg["probe"], cfg["sweep"]
@@ -159,7 +174,7 @@ def test_noise_sweep_rows_equal_scalar_signals(tmp_path, overrides):
 
 
 @pytest.mark.parametrize("overrides", [
-    (), ("sweep.detuning_min_linewidths=-40.0", "sweep.points=1001",
+    (), ("sweep.detuning_min_linewidths=-40.0", f"sweep.points={SCALAR_SWEEP_POINTS + 1}",
          "tuning.sideband_power_nw=5000.0")])
 def test_scattering_sweep_rows_equal_scalar_rate(tmp_path, overrides):
     cfg, rows = run(tmp_path, "scattering_sweep", overrides)
@@ -209,3 +224,94 @@ def test_float_power_squares_as_a_scalar_does():
     x = np.concatenate([rng.uniform(-3.0, 3.0, 100_000),
                         rng.standard_normal(1000) * 1e150])
     assert_ulp(np.float_power(x, 2), [v**2 for v in x.tolist()])
+
+
+def test_numpy_cos_sin_and_square_give_the_bits_of_math():
+    # a short sweep squares, and takes the cosine and sine, with math, a long
+    # one with numpy: the two write the same bytes only where these agree
+    rng = np.random.default_rng(4)
+    x = np.concatenate([rng.uniform(-10.0, 10.0, 100_000), rng.standard_normal(10_000) * 1e6,
+                        rng.standard_normal(1000) * 1e150,
+                        [0.0, -0.0, 5e-324, -5e-324, 1e-310, math.pi / 2, math.pi, 1e22, -1e150]])
+    values = x.tolist()
+    for numpy_form, math_form in ((np.cos, math.cos), (np.sin, math.sin),
+                                  (lambda a: np.float_power(a, 2), lambda v: v**2)):
+        assert numpy_form(x).tobytes() == np.array(list(map(math_form, values))).tobytes()
+
+
+# ------------------------------------------------------ the two paths
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(finite, finite, st.integers(2, 3000))
+@example(0.5, 10.0, 96)
+@example(-1e308, 1e308, 41)                # the span overflows: nan, inf, ..., stop
+@example(sys.float_info.max, -sys.float_info.max, 5)
+@example(0.0, 5e-324, 41)                  # the step underflows to 0
+@example(-5e-324, 5e-324, 1001)
+@example(-1e-320, 1e-320, 3000)
+@example(-0.0, 0.0, 3)                     # a zero span
+@example(2.5, 2.5, 4)
+def test_linspace_is_numpy_linspace_bit_for_bit(start, stop, n):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linspace(start, stop, n)
+    got = _linspace(start, stop, n)
+    assert all(type(x) is float for x in got)
+    assert np.array(got).tobytes() == want.tobytes()
+
+
+def run_path(tmp_path, capsys, stem, overrides, scalar):
+    """Exit code, stderr and every file written by a run of the bundled
+    config with ``overrides``, on the scalar or the array path, and the
+    types of the sweep points each evaluation took."""
+    out = tmp_path / ("scalar" if scalar else "array")
+    argv = ["run", str(CONFIG_DIR / f"{stem}.json"), "--out", str(out)]
+    for pair in overrides:
+        argv += ["--set", pair]
+    taken, each = set(), cli._each
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "SCALAR_SWEEP_POINTS", 100_001 if scalar else 1)
+        mp.setattr(cli, "_each", lambda f, points: taken.add(type(points)) or each(f, points))
+        code = main(argv)
+    files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+    return (code, capsys.readouterr().err, files), taken
+
+
+# buffer gain and carrier power that overflow the demodulated shift in the
+# last rows only, so both writers write the first half before they stop
+BACK_HALF_OVERFLOW = ("detector.buffer_gain=5011872336272.715", "probe.carrier_power_uw=1e300",
+                      "sweep.reference_wavelength_um=1e10", "probe.ram_asymmetry=0.9",
+                      "sweep.phi_at_rad=-0.1", "sweep.path_error_max_um=25500")
+
+
+@pytest.mark.parametrize("stem, overrides", [
+    *((stem, (f"sweep.points={n}",)) for stem in ("noise_sweep", "scattering_sweep")
+      for n in (2, 41, 96, SCALAR_SWEEP_POINTS, SCALAR_SWEEP_POINTS + 1, 2001)),
+    ("scattering_sweep", ("sweep.detuning_max_linewidths=1e200",)),
+    ("scattering_sweep", ("sweep.detuning_min_linewidths=-1e308",
+                          "sweep.detuning_max_linewidths=1e308")),
+    ("scattering_sweep", ("sweep.detuning_min_linewidths=-5e-324",
+                          "sweep.detuning_max_linewidths=5e-324")),
+    ("scattering_sweep", ("sweep.detuning_min_linewidths=0.0",
+                          "sweep.detuning_max_linewidths=1e-320", "sweep.points=1001")),
+    ("scattering_sweep", ("tuning.modulation_frequency_ghz=1e290",)),
+    ("scattering_sweep", ("tuning.sideband_power_nw=1.7976931348623157e308",
+                          "tuning.waist_um=1e-150")),
+    ("noise_sweep", ("sweep.path_error_max_um=1e308",)),
+    ("noise_sweep", ("sweep.path_error_max_um=1e-312",)),
+    ("noise_sweep", ("sweep.path_error_max_um=5e-324",)),
+    ("noise_sweep", ("probe.modulation_frequency_ghz=1e298", "sweep.path_error_max_um=1e308")),
+    ("noise_sweep", ("probe.modulation_frequency_ghz=1e300",)),
+    ("noise_sweep", ("detector.buffer_gain=1e308",)),
+    ("noise_sweep", BACK_HALF_OVERFLOW),
+    ("noise_sweep", (*BACK_HALF_OVERFLOW, "sweep.points=2001")),
+], ids=lambda x: x if isinstance(x, str) else ",".join(x))
+def test_scalar_and_array_paths_write_the_same_bytes(tmp_path, capsys, stem, overrides):
+    scalar, scalar_took = run_path(tmp_path, capsys, stem, overrides, scalar=True)
+    array, array_took = run_path(tmp_path, capsys, stem, overrides, scalar=False)
+    assert scalar == array
+    assert scalar_took <= {list} and array_took <= {np.ndarray}
+    if scalar[0] == 0:
+        assert scalar_took == {list} and array_took == {np.ndarray}

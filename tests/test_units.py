@@ -59,6 +59,7 @@ RECORDED = (
     (trap, "DipoleTrapConfig", False),
     (trap, "potential_at", True),
     (cli, "_mirrored_axis", False),
+    (cli, "_mirrored_points", False),
 )
 
 
@@ -197,13 +198,18 @@ def reference(name: str, v: dict) -> dict:
              beam_waist=s["beam_waist_um"] * 1e-6,
              path_length=s["path_length_m"])
         detector(v["detector"])
-        call(cli._mirrored_axis, sweep["path_error_max_um"] * 1e-6, sweep["points"])
+        # a sweep of at most SCALAR_SWEEP_POINTS points takes the list of floats
+        axis = (cli._mirrored_points if sweep["points"] <= cli.SCALAR_SWEEP_POINTS
+                else cli._mirrored_axis)
+        call(axis, sweep["path_error_max_um"] * 1e-6, sweep["points"])
         call(heterodyne.interferometer_length_signal, ANY, ANY, ANY,
              sweep["reference_wavelength_um"] * 1e-6)
     elif name == "scattering-sweep":
         s, sweep = v["tuning"], v["sweep"]
         delta = np.linspace(sweep["detuning_min_linewidths"],
                             sweep["detuning_max_linewidths"], sweep["points"])
+        if sweep["points"] <= cli.SCALAR_SWEEP_POINTS:    # one tuning per point, the first recorded
+            delta = delta[0].item()
         call(atoms.ProbeTuning.from_powers,
              carrier_power=s["carrier_power_uw"] * 1e-6,
              sideband_power=s["sideband_power_nw"] * 1e-9,
