@@ -171,6 +171,19 @@ class EnsembleState(Record):
         return float(f2_population(state_vector(self), self.atom_number))
 
 
+def _square(x):
+    """x**2 of a float, inf where it overflows, as numpy's; elementwise for
+    an array, where float_power squares with libm pow, as x**2 does (numpy's
+    x*x can be 1 ulp off it)."""
+    if isinstance(x, float):
+        try:
+            return x**2
+        except OverflowError:
+            return math.inf
+    import numpy as np
+    return np.float_power(x, 2)
+
+
 def sideband_photon_rate(tuning: ProbeTuning) -> float:
     """Raw sideband photon-scattering rate, before branching, 1/s: the
     saturated Lorentzian on its reference transition, detuning already in
@@ -178,17 +191,7 @@ def sideband_photon_rate(tuning: ProbeTuning) -> float:
     detuning gives a float, infinite where its square overflows, as numpy's."""
     s = tuning.sideband_intensity / tuning.saturation_intensities[2]
     gamma_ang = 2 * math.pi * tuning.linewidth
-    d = tuning.sideband_detuning
-    # float_power squares with libm pow, as d**2 does; numpy's x*x can be 1 ulp off it
-    if isinstance(d, float):
-        try:
-            square = d**2
-        except OverflowError:
-            square = math.inf
-    else:
-        import numpy as np
-        square = np.float_power(d, 2)
-    return gamma_ang * (s / 2) / (1 + 4 * square + s)
+    return gamma_ang * (s / 2) / (1 + 4 * _square(tuning.sideband_detuning) + s)
 
 
 def carrier_pump_rate(tuning: ProbeTuning) -> float:
@@ -200,7 +203,7 @@ def carrier_pump_rate(tuning: ProbeTuning) -> float:
     ):
         s = tuning.carrier_intensity / i_sat
         total += b * gamma_ang * (s / 2) / (
-            1 + 4 * (delta / tuning.linewidth) ** 2 + s
+            1 + 4 * _square(delta / tuning.linewidth) + s
         )
     return total
 
@@ -244,14 +247,14 @@ def light_shift(tuning: ProbeTuning, duty_cycle: float) -> float:
             (HBAR * gamma_ang**2 / 8)
             * (tuning.carrier_intensity / i_sat)
             * delta_ang
-            / (delta_ang**2 + gamma_ang**2 / 4)
+            / (_square(delta_ang) + gamma_ang**2 / 4)
         )
     delta_s = 2 * math.pi * tuning.sideband_detuning * tuning.linewidth
     shift += (
         (HBAR * gamma_ang**2 / 8)
         * (tuning.sideband_intensity / tuning.saturation_intensities[2])
         * delta_s
-        / (delta_s**2 + gamma_ang**2 / 4)
+        / (_square(delta_s) + gamma_ang**2 / 4)
     )
     return duty_cycle * shift
 

@@ -172,7 +172,10 @@ def run_scan(seq: PulseSequence, detunings, initial: EnsembleState, probe: Modul
     """Walk one sequence at n detunings (Hz) into (times, signals, finals):
     the shared sample times, the (n, samples) signals and each trace's final
     `state_vector`; row i is bit for bit `run_sequence` of seq with every
-    segment's detuning set to detunings[i], at seed + i.
+    segment's detuning set to detunings[i], at seed + i. Sample k is labelled
+    k / f_rep, the double nearest k/f_rep, unless the walk takes it off the
+    clock, within CLOCK_TOLERANCE of the time it already reached; it keeps
+    that time.
 
     One step schedule, one generator build and one expm per EXPM_BLOCK
     matrices serve every trace (DomainError for no detuning). A trace takes
@@ -209,7 +212,7 @@ def _walk(seq, detunings, seed, initial, probe, det, template, noiseless):
     gate, traces = seq.probe, 1 if detunings is None else len(detunings)
     eps, period, near = CLOCK_TOLERANCE, gate.period, 4 * math.ulp(seq.total_duration)
     # steps are runs (slot, count), one slot per (segment, dt); samples runs
-    # (first row, count); off-clock samples keep the time the walk reached
+    # (first row, count), sample k labelled k / f_rep unless off the clock
     slot_of, runs, off, seg_steps, seg_samples, taken = {}, [], [], [], [], {}
     t_now, n_steps, k, samples = 0.0, 0, 1, [(0, 1)]    # sample 0 is at t = 0
 
@@ -286,7 +289,7 @@ def _walk(seq, detunings, seed, initial, probe, det, template, noiseless):
             seg = np.searchsorted(seg_steps[1:], row - 1, side="right")
             raise StepError(f"segment {seg}: {exc}") from exc
 
-    times = np.arange(k) * period
+    times = np.arange(k) / gate.repetition_rate
     for i, t in off:
         times[i] = t
     at = trajectory[np.concatenate([np.arange(r, r + n) for r, n in samples])]

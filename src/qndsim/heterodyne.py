@@ -48,6 +48,9 @@ class ModulatedProbe(Record):
     path_length: float = DEFAULTS["path_length"]              # modulator-to-detector, m
 
     def __post_init__(self) -> None:
+        if math.isinf(self.modulation_frequency):    # 2*pi*f overflowed: lambda_mod is 0
+            raise DomainError(f"modulation_frequency must be < inf, "
+                              f"got {self.modulation_frequency}")
         if self.modulation_depth > SMALL_BETA_LIMIT:
             raise RegimeError(
                 f"modulation depth {self.modulation_depth:.3g} outside the "

@@ -4,7 +4,10 @@
 exact propagator in `qndsim.atoms` replaced, kept verbatim but for the
 duty cycle, which `evolve` takes as an argument like `generators`, and
 the state it returns, which carries the coherent population; the
-sequence loop is the per-sample `run_sequence` that called it. Tests
+sequence loop is the per-sample `run_sequence` that called it, but for
+its labels: it steps to k * period as before and labels that sample
+k / f_rep, the double nearest k/f_rep, as the package walk does (an
+off-clock sample keeps the time the loop reached). Tests
 compare the package engine against these where no probe scattering moves
 atoms out of the coherent manifold; there the stepper's over-polarization
 clamp never acts and both engines model the same dynamics.
@@ -225,14 +228,15 @@ def run_sequence(
         seg_end = seg_start + seg.duration
         try:
             while (t_next := sample_index * gate.period) <= seg_end + eps:
+                label = t_now    # off the clock: the time the walk reached
                 if t_next > t_now + eps:
                     state = evolve(
                         state, model, gate.tuning, gate.duty_cycle, t_next - t_now,
                         leak_fraction=leak_fraction,
                         drive_phase=getattr(seg, "phase", 0.0),
                     )
-                    t_now = t_next
-                measure(t_now)
+                    t_now, label = t_next, sample_index / gate.repetition_rate
+                measure(label)
                 sample_index += 1
             if seg_end > t_now + eps:
                 state = evolve(

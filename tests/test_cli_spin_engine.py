@@ -87,15 +87,12 @@ def test_a_fit_over_a_long_window_finds_the_drive_or_says_it_diverged(tmp_path, 
         assert fit["frequency"] == pytest.approx(6.9e3, rel=0.01, abs=0)
 
 
-def test_bundled_rabi_fit_closes_the_loop_on_the_mean_field_model(tmp_path):
-    # the fitted frequency is the generalized Rabi frequency at the
-    # duty-averaged light shift, and the fitted damping is damping_rate of
-    # the walk's drive at its spontaneous rate, each within 2 standard errors
+def mean_field_prediction() -> tuple[float, float]:
+    """The bundled rabi set-up's generalized Rabi frequency at the duty-averaged
+    light shift, Hz, and `damping_rate` of its drive at its spontaneous rate."""
     from qndsim.atoms import ProbeTuning, RabiModel, damping_rate, light_shift, scattering_rate
     from qndsim.constants import H, to_si
     from qndsim.harness import ProbeGate
-    assert main(["run", str(RABI), "--out", str(tmp_path)]) == 0
-    fit = json.loads((tmp_path / "rabi_fit.json").read_text(encoding="utf-8"))
     cfg = json.loads(RABI.read_text(encoding="utf-8"))
     gate_si = dict(to_si(key, x) for key, x in cfg["probe_gate"].items())
     drive_si = dict(to_si(key, x) for key, x in cfg["drive"].items())
@@ -111,7 +108,30 @@ def test_bundled_rabi_fit_closes_the_loop_on_the_mean_field_model(tmp_path):
                       inhomogeneity=drive_si["inhomogeneity"],
                       residual_damping=drive_si["residual_damping"])
     frequency = math.hypot(omega, 2 * math.pi * shift / H) / (2 * math.pi)
-    damping = damping_rate(drive, scattering_rate(tuning, 0.0) * gate.duty_cycle)
+    return frequency, damping_rate(drive, scattering_rate(tuning, 0.0) * gate.duty_cycle)
+
+
+def test_bundled_rabi_fit_closes_the_loop_on_the_mean_field_model(tmp_path):
+    # the fitted frequency is the generalized Rabi frequency at the
+    # duty-averaged light shift, and the fitted damping is damping_rate of
+    # the walk's drive at its spontaneous rate, each within 2 standard errors
+    assert main(["run", str(RABI), "--out", str(tmp_path)]) == 0
+    fit = json.loads((tmp_path / "rabi_fit.json").read_text(encoding="utf-8"))
+    frequency, damping = mean_field_prediction()
     errors = fit["std_errors"]
+    assert abs(fit["frequency"] - frequency) < 2 * errors["frequency"]
+    assert abs(fit["damping"] - damping) < 2 * errors["damping"]
+
+
+def test_noiseless_bundled_rabi_fit_closes_the_loop_to_a_thousandth_of_the_noise(tmp_path):
+    # without detection noise the fit's standard errors are those of the
+    # model misfit alone, 0.013 Hz and 0.08 1/s, a thousandth of the seeded
+    # fit's: a time axis or a walk off by 4e-6 of itself fails here
+    assert main(["run", str(RABI), "--out", str(tmp_path),
+                 "--set", "options.noiseless=true"]) == 0
+    fit = json.loads((tmp_path / "rabi_fit.json").read_text(encoding="utf-8"))
+    frequency, damping = mean_field_prediction()
+    errors = fit["std_errors"]
+    assert errors["frequency"] < 0.05 and errors["damping"] < 0.5
     assert abs(fit["frequency"] - frequency) < 2 * errors["frequency"]
     assert abs(fit["damping"] - damping) < 2 * errors["damping"]

@@ -48,8 +48,8 @@ ALLOWLIST = {
         COLD + "test_bare_package_import_still_resolves_every_module",
     ("__init__", "__getattr__", 'return importlib.import_module(f"{__name__}.{name}")'):
         COLD + "test_bare_package_import_still_resolves_every_module",
-    ("atoms", "sideband_photon_rate", "import numpy as np"): LONG_SCATTERING,
-    ("atoms", "sideband_photon_rate", "square = np.float_power(d, 2)"): LONG_SCATTERING,
+    ("atoms", "_square", "import numpy as np"): LONG_SCATTERING,
+    ("atoms", "_square", "return np.float_power(x, 2)"): LONG_SCATTERING,
     ("atoms", "expm", "r[s > k] = r[s > k] @ r[s > k]"):
         "tests/test_kernels.py::test_expm_matches_scipy_or_beats_it",
     ("cavity", "_solve_axis", "q = ((a - d) - disc) / (2.0 * c)"):

@@ -53,8 +53,6 @@ def run_checked(tmp_path, stem, section, key, value):
     ("trap_map", "trap.waist_perp_um", 2e-141),
     ("scattering_sweep", "tuning.waist_um", 1e-300),
     ("scattering_sweep", "tuning.waist_um", 1e308),
-    ("scattering_sweep", "tuning.modulation_frequency_ghz", 7e267),
-    ("noise_sweep", "probe.modulation_frequency_ghz", 1e308),
     ("cavity_spectrum", "cavity.astigmatism_factor", 5e-324),
     ("squeezing", "squeezing.phase_per_atom_rad", 1e300),
 ])
@@ -68,6 +66,41 @@ def test_arithmetic_failure_is_physics_error(tmp_path, capsys, stem, field,
     assert "physics error: DomainError: " in err
     assert ("OverflowError" in err) or ("ZeroDivisionError" in err)
     assert not (tmp_path / "art" / "manifest.json").exists()
+
+
+# Modulation frequencies whose carrier detuning squares past the largest
+# float: the carrier terms' limit, 0, and every cell finite
+@pytest.mark.parametrize("stem, field, value", [
+    ("scattering_sweep", "tuning.modulation_frequency_ghz", 7e267),
+    ("scattering_sweep", "tuning.modulation_frequency_ghz", 1e290),
+    ("rabi", "probe_gate.modulation_frequency_ghz", 1e290),
+    ("spin_echo", "probe_gate.modulation_frequency_ghz", 1e290),
+])
+def test_overflowing_carrier_square_runs(tmp_path, stem, field, value):
+    section, key = field.split(".")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_checked(tmp_path, stem, section, key, value) == 0
+    assert (tmp_path / "art" / "manifest.json").exists()
+
+
+# Modulation frequencies whose angular frequency 2*pi*f overflows (1e299 GHz:
+# only that product) are refused by the probe and blamed on their field
+@pytest.mark.parametrize("stem, field", [
+    ("noise_sweep", "probe.modulation_frequency_ghz"),
+    ("rabi", "probe_gate.modulation_frequency_ghz"),
+    ("spin_echo", "probe_gate.modulation_frequency_ghz"),
+])
+@pytest.mark.parametrize("value", [1e299, 1e308])
+def test_overflowing_modulation_frequency_names_its_field(tmp_path, capsys, stem, field,
+                                                          value):
+    section, key = field.split(".")
+    assert main(["validate", str(CONFIG_DIR / f"{stem}.json"),
+                 "--set", f"{field}={value!r}"]) == 2
+    assert f"  {field}: modulation_frequency must be < inf" in capsys.readouterr().err
+    assert run_checked(tmp_path, stem, section, key, value) == 2
+    assert f"  {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "art").exists()
 
 
 FLOAT_FIELDS = [(stem, row.section, row.key)
